@@ -20,7 +20,7 @@ import yaml
 from . import geometry, gibbs, ovsbound
 from .coeffs import make_field
 from .engine import (NestedEnsemble, RandomInit, SimPlan, cauchy_gap,
-                     moment_p, radial_volumes, run_nested)
+                     radial_volumes, run_nested)
 from .errors import (ConfigError, ConstructionError, HypothesisError,
                      NumericError, ParameterError)
 from .gibbs import ChainParams, make_model
@@ -173,13 +173,16 @@ def cmd_graph(cfg: dict, out: Path, threads: int) -> int:
 
 
 def _moments_table(ens: NestedEnsemble, p: float, times) -> np.ndarray:
-    rows = []
-    last_vol = len(ens.volumes) - 1
-    for x in range(ens.graph.n_sites):
-        for t in times:
-            mean, se = moment_p(ens, last_vol, x, t, p)
-            rows.append([x, t, p, mean, se])
-    return np.asarray(rows)
+    """Rows (site, t, p, mean, stderr) of the last volume, as ``moment_p``
+    gives them, ordered by site then time."""
+    cols = [ens.plan.time_index(t) for t in times]
+    vals = np.abs(ens.trajectories[:, -1][:, :, cols]) ** p  # (rep, site, time)
+    n_rep, n_sites, n_times = vals.shape
+    se = (np.std(vals, axis=0, ddof=1) / np.sqrt(n_rep) if n_rep > 1
+          else np.zeros((n_sites, n_times)))
+    return np.column_stack([np.repeat(np.arange(n_sites), n_times),
+                            np.tile(times, n_sites), np.full(vals[0].size, p),
+                            np.mean(vals, axis=0).ravel(), se.ravel()])
 
 
 def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
@@ -217,21 +220,28 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     q = float(_get(cfg, "converge.q", (int, float), default=0.5))
     alpha = float(_get(cfg, "converge.alpha", (int, float),
                        default=scale.alpha_star))
-    ens = run_nested(field_, volumes, init, plan, n_threads=threads)
-    m = len(volumes) - 1
-    rows = []
     for beta in betas:
         if not scale.contains(beta):
             raise ConfigError(f"converge.betas: beta={beta} outside the scale")
-        for n in range(m):
-            gap = cauchy_gap(ens, n, m, beta, plan.p, scale)
-            # Tail bound input: weighted p-th moment of the initial data
-            # outside volume n, via the degree-growth kernel.
-            b_vec = _tail_vector(ens, volumes, n, init, graph)
-            bound = ovsbound.gronwall_bound(
-                B=field_.coupling.a_bar, k=1.0, graph=graph, b_vec=b_vec,
-                alpha=alpha, beta=beta, T=plan.T, q=q, scale=scale)
-            rows.append([n, m, beta, plan.p, gap, bound])
+        if beta <= alpha:
+            raise ConfigError(f"converge.betas: beta={beta} must exceed "
+                              f"converge.alpha={alpha}")
+    # L depends on neither beta nor n, and K_T(alpha, beta) not on the
+    # ensemble: certify before simulating, so an overflow costs no run.
+    Q = ovsbound.induced_matrix(graph, field_.coupling.a_bar, 1.0)
+    L = ovsbound.estimate_L(Q, q, trials=ovsbound.GRONWALL_TRIALS,
+                            seed=ovsbound.GRONWALL_SEED, scale=scale)
+    k_T = {beta: ovsbound.k_series(L, plan.T, q, alpha, beta) for beta in betas}
+    ens = run_nested(field_, volumes, init, plan, n_threads=threads)
+    m = len(volumes) - 1
+    # Tail bound input: weighted p-th moment of the initial data outside
+    # volume n, via the degree-growth kernel.
+    radii = graph.radii()
+    b_norms = [ovsbound.nonneg_l1_norm(_tail_vector(ens, volumes, n, graph),
+                                       radii, alpha) for n in range(m)]
+    rows = [[n, m, beta, plan.p, cauchy_gap(ens, n, m, beta, plan.p, scale),
+             k_T[beta] * b_norms[n]]
+            for beta in betas for n in range(m)]
     arr = np.asarray(rows).reshape(len(rows), 6)
     np.savetxt(out / "gaps.csv", arr, delimiter=",",
                fmt=["%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g"],
@@ -241,7 +251,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _tail_vector(ens, volumes, n, init, graph) -> WeightedSeq:
+def _tail_vector(ens, volumes, n, graph) -> WeightedSeq:
     """Per-site p-th moment of the initial data outside volume n."""
     mask = volumes.mask(n)
     init0 = ens.trajectories[:, -1, :, 0]  # (replicas, sites) initial states
@@ -279,6 +289,16 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
+def _site_list(cfg: dict, key: str, n_sites: int, default):
+    """A non-empty list of site ids in [0, n_sites), or ``default`` if absent."""
+    sites = _get(cfg, key, list, default=default)
+    if sites is not None and not (sites and all(
+            type(s) is int and 0 <= s < n_sites for s in sites)):
+        raise ConfigError(f"config key '{key}' must be a non-empty list of "
+                          f"site ids in [0, {n_sites}), got {sites}")
+    return sites
+
+
 def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
     graph = _build_graph(cfg)
     try:
@@ -294,6 +314,9 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
                         step_size=float(_get(cfg, "gibbs.chain.step_size",
                                              (int, float), default=0.5)),
                         seed=int(_get(cfg, "gibbs.chain.seed", int, default=0)))
+    eta = _site_list(cfg, "gibbs.eta", graph.n_sites, default=None)
+    sites = _site_list(cfg, "gibbs.observable_sites", graph.n_sites,
+                       default=[0, graph.n_sites - 1])
     report = {}
     zero = WeightedSeq({}, graph)
     sample = gibbs.kernel_sample(model, range(graph.n_sites), zero, chain)
@@ -306,10 +329,9 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
             axis=0, ddof=1 if sample.samples.shape[0] > 1 else 0).tolist(),
         "warnings": list(sample.warnings)}
 
-    eta = _get(cfg, "gibbs.eta", list, default=None)
     if eta is not None:
         outer = int(_get(cfg, "gibbs.outer_samples", int, default=50))
-        dlr = gibbs.dlr_residual(model, [int(s) for s in eta], chain, outer)
+        dlr = gibbs.dlr_residual(model, eta, chain, outer)
         report["dlr"] = {"statistic": dlr.statistic, "p_value": dlr.p_value,
                          "acceptance_rate": dlr.acceptance_rate,
                          "warnings": list(dlr.warnings)}
@@ -317,8 +339,7 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
     t = float(_get(cfg, "gibbs.t", (int, float), default=0.0))
     if t > 0:
         plan = _build_plan(cfg)
-        sites = _get(cfg, "gibbs.observable_sites", list, default=[0, graph.n_sites - 1])
-        x1, x2 = int(sites[0]), int(sites[-1])
+        x1, x2 = sites[0], sites[-1]
         f = lambda z: np.tanh(z[x1])
         g_ = lambda z: np.tanh(z[x2])
         lhs, rhs, se = gibbs.reversibility_test(model, f, g_, t, plan, chain)

@@ -286,7 +286,7 @@ def _site_inequalities(field_: CoefficientField, rng, trials, box, chunk=4000):
 # Named presets (selectable from run configs)
 
 def _cubic():
-    return SinglePotentialDrift(phi=lambda s: -s ** 3, c=1.0, R=3.0, b=0.0,
+    return SinglePotentialDrift(phi=lambda s: -s * s * s, c=1.0, R=3.0, b=0.0,
                                 dphi=lambda s: -3.0 * s ** 2)
 
 

@@ -486,8 +486,8 @@ def tent_coupling(J: float, radius: float):
 
 
 _POTENTIALS = {
-    "quartic": dict(V=lambda u: u ** 4 / 4.0, dV=lambda u: u ** 3,
-                    tau=4.0, a_V=0.25, b_V=1.0),
+    "quartic": dict(V=lambda u: (u * u) * (u * u) / 4.0,
+                    dV=lambda u: u * u * u, tau=4.0, a_V=0.25, b_V=1.0),
     "gaussian": dict(V=lambda u: u ** 2 / 2.0, dV=lambda u: u,
                      tau=2.0, a_V=0.5, b_V=1.0),
 }

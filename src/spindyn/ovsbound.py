@@ -20,6 +20,12 @@ from .spaces import ScaleInterval, WeightedSeq, norm_l1_dense
 _ESTIMATE_MARGIN = 0.1
 _SERIES_TERM_CUTOFF = 1e-14
 _COMPARISON_TOL = 1e-9
+# Cap on the (sites x pairs) temporaries of one estimate_L block.
+_PAIR_BLOCK_ELEMENTS = 2 ** 20
+
+# Sweep size and seed of the L estimate behind every Gronwall bound.
+GRONWALL_TRIALS = 2000
+GRONWALL_SEED = 0
 
 
 @dataclass
@@ -99,15 +105,6 @@ class OvsCertificate:
         return json.dumps(asdict(self) | {"valid": self.valid}, indent=2)
 
 
-def _exact_ratio(Q: FiniteRangeMatrix, q: float, alpha: float, beta: float,
-                 radii: np.ndarray, abs_csr: sp.csr_matrix) -> float:
-    # Sup over z of the norm ratio for an l1 -> l1 map is attained at a
-    # basis vector, so it reduces to a weighted column sum.
-    w_beta = np.exp(-beta * radii)
-    col = abs_csr.T @ w_beta
-    return float((beta - alpha) ** q * np.max(col * np.exp(alpha * radii)))
-
-
 def _sample_pair(rng: np.random.Generator, scale: ScaleInterval):
     a = rng.uniform(scale.alpha_star, scale.alpha_top)
     b = rng.uniform(scale.alpha_star, scale.alpha_top)
@@ -128,7 +125,7 @@ def estimate_L(Q: FiniteRangeMatrix, q: float, trials: int, seed: int,
     if not (0 < q < 1):
         raise ParameterError(f"q must be in (0,1), got {q}")
     radii = Q.graph.radii()
-    abs_csr = sp.csr_matrix(abs(Q.csr()))
+    abs_t = sp.csr_matrix(abs(Q.csr())).T
     rng = np.random.default_rng(seed)
     pairs = []
     # Deterministic sweep including the extreme pair, where diagonal
@@ -139,9 +136,19 @@ def estimate_L(Q: FiniteRangeMatrix, q: float, trials: int, seed: int,
             pairs.append((float(a), float(b)))
     for _ in range(max(0, trials)):
         pairs.append(_sample_pair(rng, scale))
+    alphas, betas = np.asarray(pairs).T
+    # Sup over z of the norm ratio for an l1 -> l1 map is attained at a
+    # basis vector, so each pair reduces to a weighted column sum of |Q|;
+    # one column of the block per pair.
+    block = max(1, _PAIR_BLOCK_ELEMENTS // max(1, radii.size))
     best = 0.0
-    for a, b in pairs:
-        best = max(best, _exact_ratio(Q, q, a, b, radii, abs_csr))
+    for lo in range(0, alphas.size, block):
+        a, b = alphas[lo:lo + block], betas[lo:lo + block]
+        col = abs_t @ np.exp(np.outer(radii, -b))
+        col *= np.exp(np.outer(radii, a))
+        # A pair whose weights over- and underflow to inf * 0 is NaN and is
+        # skipped, as max() over single pairs skips it.
+        best = float(np.nanmax((b - a) ** q * col.max(axis=0), initial=best))
     return (1.0 + _ESTIMATE_MARGIN) * best
 
 
@@ -286,20 +293,26 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
                             float(-np.max(gap)))
 
 
+def nonneg_l1_norm(b_vec: WeightedSeq, radii: np.ndarray, alpha: float) -> float:
+    """||b||_{l1_alpha} of a componentwise non-negative sequence."""
+    dense_b = b_vec.to_dense()
+    if np.any(dense_b < 0):
+        raise ParameterError("b_vec must be componentwise non-negative")
+    return norm_l1_dense(dense_b, radii, alpha)
+
+
 def gronwall_bound(B: float, k: float, graph: GeometricGraph, b_vec: WeightedSeq,
                    alpha: float, beta: float, T: float, q: float,
-                   scale: ScaleInterval, trials: int = 2000, seed: int = 0) -> float:
+                   scale: ScaleInterval, trials: int = GRONWALL_TRIALS,
+                   seed: int = GRONWALL_SEED) -> float:
     """Weighted-sup bound K_T(alpha, beta) * ||b||_{l1_alpha} for the
     integral inequality with kernel B n_x^k on closed neighbourhoods."""
     if beta <= alpha:
         raise ParameterError("beta must exceed alpha")
-    dense_b = b_vec.to_dense()
-    if np.any(dense_b < 0):
-        raise ParameterError("b_vec must be componentwise non-negative")
+    b_norm = nonneg_l1_norm(b_vec, graph.radii(), alpha)
     Q = induced_matrix(graph, B, k)
     L = estimate_L(Q, q, trials, seed, scale)
-    kt = k_series(L, T, q, alpha, beta)
-    return kt * norm_l1_dense(dense_b, graph.radii(), alpha)
+    return k_series(L, T, q, alpha, beta) * b_norm
 
 
 def matrix_to_csv(Q: FiniteRangeMatrix, path) -> None:

@@ -1,9 +1,15 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 
+from spindyn import (RandomInit, ScaleInterval, SimPlan, WeightedSeq,
+                     build_graph, gronwall_bound, lattice_configuration,
+                     make_field, moment_p, radial_volumes, run_nested)
+from spindyn import cli
 from spindyn.cli import main
+from spindyn.ovsbound import GRONWALL_SEED, GRONWALL_TRIALS
 
 
 def write_cfg(tmp_path, cfg, name="run.yaml"):
@@ -104,6 +110,22 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, simulate_cfg(scheme="rk4"))
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_moments_table_matches_moment_p(self):
+        graph = build_graph(lattice_configuration(-3, 3), 1.5)
+        field_ = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
+        plan = SimPlan(dt=0.05, T=0.5, replicas=9, master_seed=4, p=3.0)
+        ens = run_nested(field_, radial_volumes(graph, [1.0]),
+                         RandomInit("normal", 0.3, 1.2), plan)
+        times = [0.0, 0.15, 0.5]
+        table = cli._moments_table(ens, plan.p, times)
+        assert table.shape == (graph.n_sites * len(times), 5)
+        for (x, t, p, mean, se), (x_want, t_want) in zip(
+                table, [(x, t) for x in range(graph.n_sites) for t in times]):
+            want_mean, want_se = moment_p(ens, 1, x_want, t_want, plan.p)
+            assert (x, t, p) == (x_want, t_want, plan.p)
+            assert mean == pytest.approx(want_mean, rel=1e-12)
+            assert se == pytest.approx(want_se, rel=1e-12)
+
 
 class TestConvergeCommand:
     def base_cfg(self):
@@ -134,6 +156,55 @@ class TestConvergeCommand:
         bounds = rows[:, 5]
         assert np.all(np.diff(gaps) < 0)
         assert np.all(gaps <= bounds)
+
+    def test_bounds_equal_gronwall_bound(self, tmp_path):
+        cfg = self.base_cfg()
+        cfg["volumes"] = {"radii": [2.0, 5.0, 8.0]}
+        cfg["converge"]["betas"] = [0.5, 0.8]
+        out = tmp_path / "out"
+        assert main(["converge", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "gaps.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows) == 6
+        graph = build_graph(lattice_configuration(-10, 10), 1.5)
+        a_bar = make_field(graph, drift="cubic", coupling="linear_pair",
+                           J=0.2).coupling.a_bar
+        init = RandomInit("normal", 0.0, 1.0)
+        init0 = np.stack([init.draw(1, r, graph.n_sites) for r in range(32)])
+        moment = np.mean(np.abs(init0) ** 4, axis=0) + 1.0
+        volumes = radial_volumes(graph, [2.0, 5.0, 8.0])
+        for n, _, beta, _, _, bound in rows:
+            b = np.where(volumes.mask(int(n)), 0.0, moment)
+            assert bound == gronwall_bound(
+                a_bar, 1.0, graph, WeightedSeq.from_dense(b, graph), 0.2, beta,
+                0.5, 0.5, ScaleInterval(0.1, 1.0), trials=GRONWALL_TRIALS,
+                seed=GRONWALL_SEED)
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def run_nested(*args, **kwargs):
+            raise AssertionError("run_nested must not be called")
+        monkeypatch.setattr(cli, "run_nested", run_nested)
+
+    def test_kt_overflow_exits_3_before_simulation(self, tmp_path, capsys,
+                                                     no_simulation):
+        cfg = self.base_cfg()
+        cfg["graph"]["lattice"] = {"lo": -200, "hi": 200}
+        cfg["plan"]["T"] = 2.0
+        cfg["converge"]["betas"] = [0.4, 0.7, 1.0]
+        cfg["volumes"] = {"radii": [40.0, 80.0, 120.0, 160.0]}
+        out = tmp_path / "out"
+        assert main(["converge", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+        assert "K_T" in capsys.readouterr().err
+        assert not (out / "gaps.csv").exists()
+
+    @pytest.mark.parametrize("betas", [[0.8, 0.2], [0.15]])
+    def test_beta_not_above_alpha_exits_2_before_simulation(
+            self, tmp_path, capsys, no_simulation, betas):
+        cfg = self.base_cfg()
+        cfg["converge"]["betas"] = betas
+        assert main(["converge", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "converge.alpha" in capsys.readouterr().err
 
 
 class TestOvsCommand:
@@ -174,3 +245,17 @@ class TestGibbsCommand:
         assert main(["gibbs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         rep = json.loads((out / "gibbs_report.json").read_text())
         assert rep["reversibility"]["within_3se"]
+
+    @pytest.mark.parametrize("key, sites", [("eta", [-1, 0]), ("eta", [0, 99]),
+                                            ("observable_sites", [0, 50])])
+    def test_bad_sites_exit_2_without_report(self, tmp_path, capsys, key, sites):
+        cfg = lattice_graph_cfg(-10, 10, 1.5)
+        cfg["gibbs"] = {"potential": "quartic", "J": 0.1,
+                        "chain": {"steps": 200, "burn_in": 50, "seed": 3},
+                        "t": 0.2, key: sites}
+        cfg["plan"] = {"dt": 0.01, "T": 0.2, "replicas": 50,
+                       "master_seed": 2, "p": 4}
+        out = tmp_path / "out"
+        assert main(["gibbs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"gibbs.{key}" in capsys.readouterr().err
+        assert not (out / "gibbs_report.json").exists()

@@ -6,8 +6,8 @@ from spindyn import (FiniteRangeMatrix, IntegrityError, NumericError,
                      ParameterError, ScaleInterval, WeightedSeq, build_graph,
                      comparison_check, estimate_L, gronwall_bound,
                      induced_matrix, k_series, lattice_configuration,
-                     matrix_from_csv, matrix_to_csv, norm_lp, series_solve,
-                     verify_ovs_bound)
+                     matrix_from_csv, matrix_to_csv, norm_lp, sample_poisson,
+                     series_solve, verify_ovs_bound)
 
 SCALE = ScaleInterval(0.1, 1.0)
 
@@ -85,6 +85,44 @@ class TestCertification:
         L = estimate_L(Q, 0.5, trials=0, seed=0, scale=SCALE)
         exact = c * SCALE.width ** 0.5  # attained at alpha_star, alpha_top, x=0
         assert L == pytest.approx(1.1 * exact, rel=1e-9)
+
+    @staticmethod
+    def per_pair_L(Q, q, trials, seed, scale):
+        """Reference sweep: one sparse column-sum evaluation per (alpha, beta)."""
+        from spindyn.ovsbound import _sample_pair
+        radii = Q.graph.radii()
+        abs_csr = abs(Q.csr())
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(scale.alpha_star, scale.alpha_top, 25)
+        pairs = [(float(a), float(b)) for i, a in enumerate(grid)
+                 for b in grid[i + 1:]]
+        pairs += [_sample_pair(rng, scale) for _ in range(trials)]
+        best = 0.0
+        for a, b in pairs:
+            col = abs_csr.T @ np.exp(-b * radii)
+            best = max(best, (b - a) ** q * np.max(col * np.exp(a * radii)))
+        return 1.1 * best
+
+    def test_batched_sweep_matches_per_pair_reference(self):
+        for seed in range(6):
+            config = sample_poisson(1.5, np.array([[-5.0, 5.0], [-5.0, 5.0]]), seed)
+            Q = induced_matrix(build_graph(config, 1.2), 0.2, 1.0)
+            scale = ScaleInterval(0.05, 0.9)
+            got = estimate_L(Q, 0.4, trials=300, seed=seed, scale=scale)
+            want = self.per_pair_L(Q, 0.4, 300, seed, scale)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_batched_sweep_spanning_several_blocks(self):
+        from spindyn.ovsbound import _PAIR_BLOCK_ELEMENTS
+        trials = 500
+        n_pairs = 300 + trials  # 25-point grid pairs plus the random draws
+        half = int(np.sqrt(_PAIR_BLOCK_ELEMENTS / n_pairs)) // 2 + 3
+        g = build_graph(lattice_configuration(-half, half, dim=2), 1.5)
+        assert g.n_sites * n_pairs > _PAIR_BLOCK_ELEMENTS
+        Q = induced_matrix(g, 0.3, 1.0)
+        got = estimate_L(Q, 0.5, trials=trials, seed=3, scale=SCALE)
+        assert got == pytest.approx(self.per_pair_L(Q, 0.5, trials, 3, SCALE),
+                                    rel=1e-12)
 
     def test_validate_catches_range_violation(self, graph):
         Q = FiniteRangeMatrix(entries={(0, 10): 1.0}, graph=graph,
