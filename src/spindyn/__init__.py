@@ -6,8 +6,9 @@ weighted sequence spaces, and Gibbs-measure reversibility tests.
 """
 
 from .errors import (ConfigError, ConstructionError, HypothesisError,
-                     IntegrityError, NumericError, ParameterError, SpindynError)
-from .geometry import (Configuration, GeometricGraph, Point, build_graph,
+                     IntegrityError, NonFiniteState, NumericError,
+                     ParameterError, SpindynError)
+from .geometry import (Configuration, GeometricGraph, build_graph,
                        configuration_from_csv, configuration_to_csv,
                        fit_degree_constant, graph_to_csv,
                        lattice_configuration, sample_poisson)

@@ -13,6 +13,7 @@ applied to a whole (replicas x sites) state block at once.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError
 from .geometry import GeometricGraph
@@ -63,9 +64,9 @@ class CoefficientField:
     """Assembled drift/diffusion coefficients bound to a graph.
 
     ``drift_weights`` / ``diff_weights`` are per-ordered-edge multipliers
-    aligned with the edge arrays (default 1 everywhere); edges enumerate,
-    for each site x in order, the pairs (x, y) for y in the closed
-    neighbourhood of x with the self-pair first.
+    aligned with the graph's CSR entries (default 1 everywhere): for each
+    site x in order, the pairs (x, y) for y in the closed neighbourhood of
+    x with the self-pair first.  ``edge_src`` is the row site of each entry.
     """
 
     drift: SinglePotentialDrift
@@ -73,20 +74,10 @@ class CoefficientField:
     graph: GeometricGraph
     drift_weights: np.ndarray = None
     diff_weights: np.ndarray = None
-    edge_src: np.ndarray = field(default=None, repr=False)
-    edge_dst: np.ndarray = field(default=None, repr=False)
-    edge_starts: np.ndarray = field(default=None, repr=False)
+    edge_src: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        src, dst, starts = [], [], []
-        for x in range(self.graph.n_sites):
-            starts.append(len(src))
-            for y in self.graph.closed_neighborhood(x):
-                src.append(x)
-                dst.append(y)
-        object.__setattr__(self, "edge_src", np.asarray(src, dtype=np.int64))
-        object.__setattr__(self, "edge_dst", np.asarray(dst, dtype=np.int64))
-        object.__setattr__(self, "edge_starts", np.asarray(starts, dtype=np.int64))
+        object.__setattr__(self, "edge_src", self.graph.entry_rows())
         for name in ("drift_weights", "diff_weights"):
             w = getattr(self, name)
             if w is not None:
@@ -97,11 +88,11 @@ class CoefficientField:
 
     def _pair_sum(self, state: np.ndarray, kernel, weights) -> np.ndarray:
         u = state[..., self.edge_src]
-        v = state[..., self.edge_dst]
+        v = state[..., self.graph.indices]
         terms = np.broadcast_to(kernel(u, v), u.shape).copy()
         if weights is not None:
             terms *= weights
-        return np.add.reduceat(terms, self.edge_starts, axis=-1)
+        return np.add.reduceat(terms, self.graph.indptr[:-1], axis=-1)
 
     def drift_all(self, state: np.ndarray) -> np.ndarray:
         """Phi at every site, vectorised over leading axes of ``state``."""
@@ -245,7 +236,10 @@ def _site_inequalities(field_: CoefficientField, rng, trials, box, chunk=4000):
     accs = {name: _Worst(name) for name in (
         "site_diff_lipschitz", "site_drift_growth", "site_drift_pairing")}
 
-    nb_lists = [list(g.neighbors[x]) for x in range(n)]
+    # The open (self-less) adjacency: sums over the neighbours y != x.
+    weights = np.ones(g.indices.size)
+    weights[g.indptr[:-1]] = 0.0
+    adj = sp.csr_matrix((weights, g.indices, g.indptr), shape=(n, n))
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
@@ -255,16 +249,10 @@ def _site_inequalities(field_: CoefficientField, rng, trials, box, chunk=4000):
         phi1, phi2 = field_.drift_all(z1), field_.drift_all(z2)
         psi1, psi2 = field_.diffusion_all(z1), field_.diffusion_all(z2)
 
-        neigh_abs_diff = np.zeros((b, n))
-        neigh_abs_z1 = np.zeros((b, n))
-        neigh_sq_diff = np.zeros((b, n))
-        for x, nb in enumerate(nb_lists):
-            if nb:
-                neigh_abs_diff[:, x] = np.sum(np.abs(z1[:, nb] - z2[:, nb]), axis=1)
-                neigh_abs_z1[:, x] = np.sum(np.abs(z1[:, nb]), axis=1)
-                neigh_sq_diff[:, x] = np.sum((z1[:, nb] - z2[:, nb]) ** 2, axis=1)
-
         dz = z1 - z2
+        neigh_abs_diff = (adj @ np.abs(dz).T).T
+        neigh_abs_z1 = (adj @ np.abs(z1).T).T
+        neigh_sq_diff = (adj @ (dz * dz).T).T
         accs["site_diff_lipschitz"].update(
             cp.M * (nbar + 1) * np.abs(dz) + cp.M * neigh_abs_diff
             - np.abs(psi1 - psi2), (z1, z2))
@@ -321,14 +309,11 @@ def make_field(graph: GeometricGraph, drift: str = "cubic", coupling: str = "zer
     else:
         raise ParameterError(f"unknown coupling preset '{coupling}'")
 
-    n_edges = int(np.sum(graph.nbar_count))
     if noise == "additive":
         psi_xy = lambda u, v: np.ones_like(u)
         M = 1.0
-        diff_w = np.zeros(n_edges)
-        # self-pairs sit at the start of each edge group
-        starts = np.cumsum(np.concatenate([[0], graph.nbar_count[:-1]]))
-        diff_w[starts] = 1.0
+        diff_w = np.zeros(graph.indices.size)
+        diff_w[graph.indptr[:-1]] = 1.0  # the self entry of each row
     elif noise == "linear_noise":
         psi_xy = lambda u, v: M_tilde * v
         M = max(abs(M_tilde), 1.0)

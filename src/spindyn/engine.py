@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientField
-from .errors import NumericError, ParameterError
+from .errors import NonFiniteState, NumericError, ParameterError
 from .geometry import GeometricGraph
 from .rng import TAG_INIT, generator, noise_matrix
 from .spaces import ScaleInterval, WeightedSeq
@@ -42,6 +42,10 @@ class SimPlan:
     def __post_init__(self):
         if not (0 < self.dt <= self.T):
             raise ParameterError("need 0 < dt <= T")
+        steps = self.T / self.dt
+        if not (np.isfinite(steps) and abs(round(steps) * self.dt - self.T)
+                <= 1e-9 * max(1.0, self.T)):
+            raise ParameterError(f"T={self.T} is not a multiple of dt={self.dt}")
         if self.scheme not in SCHEMES:
             raise ParameterError(f"unknown scheme '{self.scheme}'")
         if self.replicas < 1:
@@ -147,7 +151,18 @@ def _solve_implicit(drift, state, dt, active):
         resid_active = resid[..., active] if active is not None else resid
         if resid_active.size == 0 or np.max(np.abs(resid_active)) < _NEWTON_TOL:
             return theta
-        theta = theta - resid / (1.0 - dt * dphi(theta))
+        denom = 1.0 - dt * dphi(theta)
+        size = np.abs(denom)
+        if not (size.min() > 0.0 and size.max() < np.inf):  # a zero, NaN or inf
+            bad = ~(size > 0.0) | (size == np.inf)
+            bad_active = bad if active is None else bad & active
+            if np.any(bad_active):
+                site = np.nonzero(bad_active)[-1].min()
+                raise NumericError(f"implicit drift solve: Newton denominator "
+                                   f"1 - dt*phi' is zero or non-finite at site {site}")
+            # Frozen sites may be singular too; their iterate is discarded.
+            denom = np.where(bad, 1.0, denom)
+        theta = theta - resid / denom
     bad = np.unravel_index(int(np.argmax(np.abs(resid))), resid.shape)
     raise NumericError(f"implicit drift solve failed to converge at site {bad[-1]}")
 
@@ -158,7 +173,9 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
 
     ``noise`` holds the standard-normal increments, shape
     (replicas, sites, >= n_steps); sites outside ``volume_mask`` are kept at
-    their initial value exactly.
+    their initial value exactly.  A NaN or infinite entry anywhere in the
+    block raises ``NonFiniteState`` at its earliest step, with the replica
+    counted within the block.
     """
     n_steps = plan.n_steps if n_steps is None else n_steps
     state = np.asarray(init_states, dtype=float).copy()
@@ -185,6 +202,10 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
         new[:, frozen] = state[:, frozen]
         state = new
         out[..., j + 1] = state
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        raise NonFiniteState(*bad[np.argmin(bad[:, 2])].tolist())
     return out
 
 
@@ -197,7 +218,10 @@ def integrate_truncated(field_: CoefficientField, volume, init, plan: SimPlan,
     init_states = _initial_states(init, g, plan, [replica])
     noise = noise_matrix(plan.master_seed, replica, range(g.n_sites),
                          plan.n_steps)[None, :, :]
-    return integrate_ensemble(field_, mask, init_states, plan, noise)[0]
+    try:
+        return integrate_ensemble(field_, mask, init_states, plan, noise)[0]
+    except NonFiniteState as e:
+        raise e.shifted(replica) from None
 
 
 @dataclass(frozen=True)
@@ -242,8 +266,11 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
                           for r in reps])
         init_states = _initial_states(init, g, plan, reps)
         for vi, mask in enumerate(masks):
-            traj[lo:hi, vi] = integrate_ensemble(field_, mask, init_states,
-                                                 plan, noise)
+            try:
+                traj[lo:hi, vi] = integrate_ensemble(field_, mask, init_states,
+                                                     plan, noise)
+            except NonFiniteState as e:
+                raise e.shifted(lo) from None
 
     if n_threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -345,7 +372,10 @@ def semigroup_apply(field_: CoefficientField, f, zeta: WeightedSeq, t: float,
         noise = np.stack([noise_matrix(plan.master_seed, r, range(n), j)
                           for r in reps])
         init_states = np.tile(base, (hi - lo, 1))
-        out = integrate_ensemble(field_, None, init_states, plan, noise, n_steps=j)
+        try:
+            out = integrate_ensemble(field_, None, init_states, plan, noise, n_steps=j)
+        except NonFiniteState as e:
+            raise e.shifted(lo) from None
         for i in range(hi - lo):
             vals[lo + i] = f(out[i, :, -1])
     se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0

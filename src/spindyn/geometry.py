@@ -2,39 +2,20 @@
 
 A configuration is a finite set of labelled points in a d-dimensional
 window.  Sites interact when their Euclidean distance is at most the
-interaction radius ``rho``; the resulting graph is immutable once built and
-safe to share across threads.
+interaction radius ``rho``.  The graph is one CSR adjacency over closed
+neighbourhoods: row x of ``indices[indptr[x]:indptr[x + 1]]`` is x itself
+first, then its neighbours in ascending order, so every pair sum, coupling
+table and kernel walks the same entries in the same order.  The graph is
+immutable once built and safe to share across threads.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 from .rng import generator
-
-# Brute-force neighbour search is used below this site count; larger
-# configurations go through a uniform-grid bucket index.
-_GRID_INDEX_THRESHOLD = 2000
-
-
-@dataclass(frozen=True)
-class Point:
-    """A position in R^d."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ParameterError("point coordinates must be a 1-d vector, d >= 1")
-        if not np.all(np.isfinite(c)):
-            raise ParameterError("point coordinates must be finite")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
 
 
 @dataclass(frozen=True)
@@ -68,9 +49,6 @@ class Configuration:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "window", win)
 
-    def window_array(self) -> np.ndarray:
-        return np.asarray(self.window, dtype=float)
-
     @property
     def n_sites(self) -> int:
         return self.positions.shape[0]
@@ -78,9 +56,6 @@ class Configuration:
     @property
     def dim(self) -> int:
         return self.window.shape[0]
-
-    def point(self, site_id: int) -> Point:
-        return Point(self.positions[site_id])
 
     def radii(self) -> np.ndarray:
         """Euclidean norm |x| of every site position."""
@@ -91,80 +66,65 @@ class Configuration:
 
 @dataclass(frozen=True)
 class GeometricGraph:
-    """Radius-rho adjacency on a configuration.
+    """Radius-rho adjacency on a configuration, stored as CSR over closed
+    neighbourhoods.
 
-    ``neighbors[x]`` is the sorted list of sites y != x with |x-y| <= rho;
-    ``nbar_count[x]`` counts the closed neighbourhood, i.e. len(neighbors)+1.
+    ``indptr`` (N+1,) and ``indices`` are int64; the entries of row x are
+    ``indices[indptr[x]:indptr[x + 1]]``: x itself first, then every y != x
+    with |x-y| <= rho in ascending order.  ``nbar_count[x]`` is the row
+    length, the size of the closed neighbourhood.
     """
 
     config: Configuration
     rho: float
-    neighbors: tuple = field(default=())
-    nbar_count: np.ndarray = field(default=None)
+    indptr: np.ndarray
+    indices: np.ndarray
+    nbar_count: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nbar_count", np.diff(self.indptr))
 
     @property
     def n_sites(self) -> int:
         return self.config.n_sites
 
     def degree(self, x: int) -> int:
-        return len(self.neighbors[x])
+        return int(self.nbar_count[x]) - 1
 
     def closed_neighborhood(self, x: int) -> list:
         """gamma-bar of x: the site itself plus its neighbours."""
-        return [x] + list(self.neighbors[x])
+        return self.indices[self.indptr[x]:self.indptr[x + 1]].tolist()
 
-    def edges(self) -> list:
-        """Unordered neighbour pairs (a, b) with a < b."""
-        out = []
-        for x in range(self.n_sites):
-            for y in self.neighbors[x]:
-                if x < y:
-                    out.append((x, y))
-        return out
+    def entry_rows(self) -> np.ndarray:
+        """Row site of every CSR entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n_sites), self.nbar_count)
+
+    def edges(self) -> np.ndarray:
+        """Unordered neighbour pairs as an (E, 2) array, rows (a, b) with
+        a < b in ascending order."""
+        rows = self.entry_rows()
+        upper = rows < self.indices
+        return np.column_stack([rows[upper], self.indices[upper]])
 
     def radii(self) -> np.ndarray:
         return self.config.radii()
-
-
-def _neighbor_lists(pos: np.ndarray, rho: float):
-    n = pos.shape[0]
-    nbrs = [[] for _ in range(n)]
-    if n == 0:
-        return nbrs
-    if n <= _GRID_INDEX_THRESHOLD:
-        d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-        within = d2 <= rho * rho
-        np.fill_diagonal(within, False)
-        for x in range(n):
-            nbrs[x] = sorted(np.nonzero(within[x])[0].tolist())
-        return nbrs
-    # Uniform-grid buckets of side rho: neighbours live in adjacent cells.
-    cell = np.floor(pos / rho).astype(np.int64)
-    buckets = {}
-    for i, c in enumerate(map(tuple, cell)):
-        buckets.setdefault(c, []).append(i)
-    dim = pos.shape[1]
-    offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    for c, members in buckets.items():
-        cand = []
-        for off in offsets:
-            cand.extend(buckets.get(tuple(np.asarray(c) + off), ()))
-        cand = np.asarray(cand)
-        for x in members:
-            d2 = np.sum((pos[cand] - pos[x]) ** 2, axis=-1)
-            close = cand[(d2 <= rho * rho) & (cand != x)]
-            nbrs[x] = sorted(close.tolist())
-    return nbrs
 
 
 def build_graph(config: Configuration, rho: float) -> GeometricGraph:
     """Build the radius-rho geometric graph on a configuration."""
     if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho}")
-    nbrs = _neighbor_lists(config.positions, float(rho))
-    nbar = np.asarray([len(v) + 1 for v in nbrs], dtype=np.int64)
-    return GeometricGraph(config=config, rho=float(rho),
-                          neighbors=tuple(tuple(v) for v in nbrs), nbar_count=nbar)
+    n = config.n_sites
+    a, b = cKDTree(config.positions).query_pairs(float(rho), output_type="ndarray").T
+    sites = np.arange(n)
+    src = np.concatenate([sites, a, b])
+    dst = np.concatenate([sites, b, a])
+    # Row by row: the self entry first, then the neighbours ascending.
+    order = np.lexsort((dst, src != dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return GeometricGraph(config=config, rho=float(rho), indptr=indptr,
+                          indices=dst[order])
 
 
 def sample_poisson(intensity: float, window, seed: int) -> Configuration:
@@ -219,10 +179,8 @@ def configuration_from_csv(path, window=None) -> Configuration:
 
 def graph_to_csv(graph: GeometricGraph, degrees_path, edges_path) -> None:
     """Write the `site_id,degree,nbar` table and the `a,b` edge list."""
-    n = graph.n_sites
-    deg = np.asarray([graph.degree(x) for x in range(n)])
-    np.savetxt(degrees_path, np.column_stack([np.arange(n), deg, graph.nbar_count]),
+    nbar = graph.nbar_count
+    np.savetxt(degrees_path, np.column_stack([np.arange(graph.n_sites), nbar - 1, nbar]),
                fmt="%d", delimiter=",", header="site_id,degree,nbar", comments="")
-    edges = graph.edges()
-    arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-    np.savetxt(edges_path, arr, fmt="%d", delimiter=",", header="a,b", comments="")
+    np.savetxt(edges_path, graph.edges(), fmt="%d", delimiter=",", header="a,b",
+               comments="")

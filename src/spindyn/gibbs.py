@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 from .coeffs import (CoefficientField, PairCoupling, SinglePotentialDrift,
                      validate_assumptions)
 from .engine import SimPlan, integrate_ensemble
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, NonFiniteState, ParameterError
 from .geometry import GeometricGraph
 from .rng import noise_matrix
 from .spaces import WeightedSeq
@@ -84,21 +84,14 @@ class GibbsModel:
 
 
 def edge_couplings(model: GibbsModel) -> np.ndarray:
-    """a(x - y) for every ordered neighbour pair, aligned with the closed
+    """a(x - y) for every CSR entry of the graph, aligned with the closed
     neighbourhood enumeration used by CoefficientField (self entries 0)."""
     g = model.graph
     pos = g.config.positions
-    src, dst = [], []
-    for x in range(g.n_sites):
-        for y in g.closed_neighborhood(x):
-            src.append(x)
-            dst.append(y)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.size == 0:
+    if g.indices.size == 0:
         return np.zeros(0)
-    w = np.asarray(model.coupling(pos[src] - pos[dst]), dtype=float)
-    w[src == dst] = 0.0
+    w = np.asarray(model.coupling(pos[g.entry_rows()] - pos[g.indices]), dtype=float)
+    w[g.indptr[:-1]] = 0.0
     return w
 
 
@@ -106,9 +99,14 @@ def edge_couplings(model: GibbsModel) -> np.ndarray:
 # Local energy and the conditional target on a finite site set
 
 
-def _pair_weight(model, x, y):
-    pos = model.graph.config.positions
-    return float(np.asarray(model.coupling((pos[x] - pos[y])[None, :]))[0])
+def _eta_rows(model: GibbsModel, eta):
+    """The CSR rows of the sites in ``eta`` without their self entries:
+    (x, y, a(x - y), whether y lies in eta), in CSR order."""
+    g = model.graph
+    rows = g.entry_rows()
+    keep = np.isin(rows, eta) & (rows != g.indices)
+    y = g.indices[keep]
+    return rows[keep], y, edge_couplings(model)[keep], np.isin(y, eta)
 
 
 def local_energy(model: GibbsModel, eta, sigma_eta, z: WeightedSeq) -> float:
@@ -121,19 +119,11 @@ def local_energy(model: GibbsModel, eta, sigma_eta, z: WeightedSeq) -> float:
     sigma = np.asarray(sigma_eta, dtype=float)
     if sigma.shape != (len(eta),):
         raise ParameterError("sigma_eta must have one value per eta site")
-    g = model.graph
-    inside = set(eta)
-    val = {x: sigma[i] for i, x in enumerate(eta)}
-    total = 0.0
-    for x in eta:
-        for y in g.neighbors[x]:
-            w = _pair_weight(model, x, y)
-            if y in inside:
-                if x < y:
-                    total += w * val[x] * val[y]
-            else:
-                total += w * val[x] * z[y]
-    return total
+    val = z.to_dense()
+    val[eta] = sigma
+    x, y, w, inner = _eta_rows(model, eta)
+    once = ~inner | (x < y)
+    return float(np.sum(w[once] * val[x[once]] * val[y[once]]))
 
 
 class _EtaTarget:
@@ -147,24 +137,21 @@ class _EtaTarget:
     def __init__(self, model: GibbsModel, eta, z_dense: np.ndarray):
         self.model = model
         self.eta = sorted(int(s) for s in eta)
-        g = model.graph
         k = len(self.eta)
-        idx = {x: i for i, x in enumerate(self.eta)}
+        x, y, w, inner = _eta_rows(model, self.eta)
+        nz = w != 0.0
+        x, y, w, inner = x[nz], y[nz], w[nz], inner[nz]
+        i = np.searchsorted(self.eta, x)
+        pair = inner & (x < y)
+        j = np.searchsorted(self.eta, y[pair])
         K = np.zeros((k, k))
+        K[i[pair], j] = w[pair]
+        K[j, i[pair]] = w[pair]
         z = np.atleast_2d(z_dense)
         bconst = np.zeros((z.shape[0], k))
-        for x in self.eta:
-            i = idx[x]
-            for y in g.neighbors[x]:
-                w = _pair_weight(model, x, y)
-                if w == 0.0:
-                    continue
-                if y in idx:
-                    if x < y:
-                        K[i, idx[y]] = w
-                        K[idx[y], i] = w
-                else:
-                    bconst[:, i] += w * z[:, y]
+        # np.add.at adds one term at a time in CSR order, so each boundary
+        # constant sums its terms in ascending neighbour order.
+        np.add.at(bconst, (slice(None), i[~inner]), w[~inner] * z[:, y[~inner]])
         self.K = K
         self.bconst = bconst if z_dense.ndim > 1 else bconst[0]
 
@@ -364,7 +351,6 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
     if not eta:
         return DlrReport(statistic=0.0, p_value=1.0, eta=(), outer_samples=0,
                          acceptance_rate=1.0)
-    g = model.graph
     outer = sample_window_measure(model, outer_samples, chain)
 
     target = _EtaTarget(model, eta, outer)  # per-chain boundary constants
@@ -372,14 +358,11 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
     resampled, rate, _ = _mala_run(target, outer[:, eta].copy(), inner_chain,
                                    collect=False)
 
-    boundary_pairs = [(x, y, _pair_weight(model, x, y))
-                      for x in eta for y in g.neighbors[x] if y not in set(eta)]
+    x, y, w, inner = _eta_rows(model, eta)
+    col, y, w = np.searchsorted(eta, x[~inner]), y[~inner], w[~inner]
 
     def battery(sig):
-        obs = [sig]
-        for x, y, w in boundary_pairs:
-            obs.append((w * sig[:, eta.index(x)] * outer[:, y])[:, None])
-        return np.hstack(obs)
+        return np.hstack([sig, w * sig[:, col] * outer[:, y]])
 
     A = battery(outer[:, eta])
     B = battery(resampled)
@@ -410,10 +393,8 @@ def gradient_dynamics_field(model: GibbsModel, validate: bool = True,
     w = edge_couplings(model)
     drift_w = -0.5 * w
     w_max = float(np.max(np.abs(drift_w))) if w.size else 0.0
-    n_edges = w.size
-    diff_w = np.zeros(n_edges)
-    starts = np.cumsum(np.concatenate([[0], g.nbar_count[:-1]])).astype(np.int64)
-    diff_w[starts] = 1.0
+    diff_w = np.zeros(w.size)
+    diff_w[g.indptr[:-1]] = 1.0
     cp = PairCoupling(phi_xy=lambda u, v: v, psi_xy=lambda u, v: np.ones_like(u),
                       a_bar=max(w_max, 1.0), M=1.0)
     field_ = CoefficientField(drift=drift, coupling=cp, graph=g,
@@ -438,7 +419,10 @@ def _evolve(field_: CoefficientField, inits: np.ndarray, plan: SimPlan) -> np.nd
         hi = min(lo + chunk, n_rep)
         noise = np.stack([noise_matrix(plan.master_seed, r, range(n), plan.n_steps)
                           for r in range(lo, hi)])
-        traj = integrate_ensemble(field_, None, inits[lo:hi], plan, noise)
+        try:
+            traj = integrate_ensemble(field_, None, inits[lo:hi], plan, noise)
+        except NonFiniteState as e:
+            raise e.shifted(lo) from None
         out[lo:hi] = traj[..., -1]
     return out
 

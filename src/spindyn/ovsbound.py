@@ -78,12 +78,9 @@ class FiniteRangeMatrix:
 
 def induced_matrix(graph: GeometricGraph, B: float, k: float) -> FiniteRangeMatrix:
     """The kernel Q_{x,y} = B n_x^k on the closed neighbourhood of x."""
-    entries = {}
-    nbar = graph.nbar_count
-    for x in range(graph.n_sites):
-        v = B * float(nbar[x]) ** k
-        for y in graph.closed_neighborhood(x):
-            entries[(x, y)] = v
+    rows = graph.entry_rows()
+    vals = (B * graph.nbar_count.astype(float) ** k)[rows]
+    entries = dict(zip(zip(rows.tolist(), graph.indices.tolist()), vals.tolist()))
     return FiniteRangeMatrix(entries=entries, graph=graph, bound_C=B, bound_k=k)
 
 

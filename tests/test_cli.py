@@ -110,6 +110,25 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, simulate_cfg(scheme="rk4"))
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_T_off_the_dt_grid_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, simulate_cfg(dt=0.01, T=0.105))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "plan:" in err and "T=0.105" in err and "dt=0.01" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_state_exit_3_without_moments(self, tmp_path, capsys):
+        (tmp_path / "init.csv").write_text("site_id,value\n4,1e150\n")
+        cfg = lattice_graph_cfg(-5, 5, 1.5)
+        cfg["field"] = {"drift": "cubic", "coupling": "zero", "noise": "additive"}
+        cfg["plan"] = {"dt": 0.01, "T": 0.1, "scheme": "tamed_em", "replicas": 3,
+                       "master_seed": 2, "p": 4}
+        cfg["init"] = {"type": "csv", "path": str(tmp_path / "init.csv")}
+        out = tmp_path / "out"
+        assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+        assert "replica 0, site 4, step 1" in capsys.readouterr().err
+        assert not (out / "moments.csv").exists()
+
     def test_moments_table_matches_moment_p(self):
         graph = build_graph(lattice_configuration(-3, 3), 1.5)
         field_ = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from spindyn import (ParameterError, RandomInit, ScaleInterval, SimPlan,
+from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
+                     ScaleInterval, SimPlan, SinglePotentialDrift,
                      VolumeSequence, WeightedSeq, build_graph, cauchy_gap,
                      integrate_truncated, lattice_configuration, make_field,
                      moment_p, radial_volumes, run_nested, semigroup_apply,
@@ -35,6 +38,14 @@ class TestPlanAndVolumes:
             SimPlan(dt=0.1, T=1.0, scheme="euler")
         with pytest.raises(ParameterError):
             SimPlan(dt=0.1, T=1.0, p=1.0)
+
+    def test_T_off_the_dt_grid_rejected(self):
+        with pytest.raises(ParameterError, match=r"T=0\.105 .*dt=0\.01"):
+            SimPlan(dt=0.01, T=0.105)
+        with pytest.raises(ParameterError, match="multiple"):
+            SimPlan(dt=0.3, T=1.0)
+        # on the grid up to rounding: 0.3 / 0.1 is 2.9999999999999996
+        assert SimPlan(dt=0.1, T=0.3).n_steps == 3
 
     def test_time_grid(self):
         plan = SimPlan(dt=0.25, T=1.0)
@@ -131,6 +142,41 @@ class TestIntegration:
         init = WeightedSeq({0: 2.0}, single)
         with pytest.raises(NumericError, match="site"):
             integrate_truncated(field, {0}, init, plan, 0)
+
+
+    def test_newton_zero_denominator_raises_without_warning(self, single):
+        from spindyn.coeffs import CoefficientField
+        base = make_field(single)
+        # phi(s) = 2s with dt = 0.5 makes 1 - dt * phi' exactly zero
+        lin = SinglePotentialDrift(phi=lambda s: 2.0 * s,
+                                   dphi=lambda s: np.full_like(s, 2.0),
+                                   c=2.0, R=2.0, b=2.0)
+        field = CoefficientField(drift=lin, coupling=base.coupling,
+                                 graph=single, diff_weights=base.diff_weights)
+        plan = SimPlan(dt=0.5, T=1.0, scheme="split_step_implicit")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"zero or non-finite at site 0 \(step 0\)"):
+                integrate_truncated(field, {0}, WeightedSeq({0: 1.0}, single), plan, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_state_names_global_replica(self, single, monkeypatch):
+        # |x|^3 overflows for |x| > 5.6e102: the tamed step turns those
+        # replicas to NaN at step 1.
+        field = make_field(single, drift="cubic")
+        init = RandomInit("normal", 0.0, 1e103)
+        plan = SimPlan(dt=0.01, T=0.02, replicas=8, master_seed=0, p=4.0)
+        starts = [init.draw(0, r, 1)[0] for r in range(8)]
+        want = next(r for r, x in enumerate(starts) if not np.isfinite(x * x * x))
+        assert want > 0
+        # one replica per chunk, so the id must carry the chunk offset
+        monkeypatch.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
+        for threads in (1, 2):
+            with pytest.raises(NonFiniteState) as err:
+                run_nested(field, radial_volumes(single, []), init, plan,
+                           n_threads=threads)
+            assert (err.value.replica, err.value.site, err.value.step) == (want, 0, 1)
+            assert f"replica {want}, site 0, step 1" in str(err.value)
 
 
 class TestDeterminismAndCoupling:

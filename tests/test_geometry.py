@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from spindyn import (Configuration, ParameterError, build_graph,
                      configuration_from_csv, configuration_to_csv,
@@ -11,10 +13,10 @@ def test_lattice_neighbors_radius_1_5():
     g = build_graph(lattice_configuration(-5, 5), 1.5)
     assert g.n_sites == 11
     # interior site: left and right lattice neighbours
-    assert g.neighbors[5] == (4, 6)
+    assert g.closed_neighborhood(5) == [5, 4, 6]
     assert g.nbar_count[5] == 3
     # endpoint has a single neighbour
-    assert g.neighbors[0] == (1,)
+    assert g.closed_neighborhood(0) == [0, 1]
     assert g.nbar_count[0] == 2
 
 
@@ -27,16 +29,16 @@ def test_isolated_points():
     cfg = Configuration(positions=np.array([[0.0], [10.0]]),
                         window=np.array([[-1.0, 11.0]]))
     g = build_graph(cfg, 1.0)
-    assert g.neighbors == ((), ())
+    assert [g.closed_neighborhood(x) for x in range(2)] == [[0], [1]]
     assert list(g.nbar_count) == [1, 1]
-    assert g.edges() == []
+    assert len(g.edges()) == 0
 
 
 def test_pair_at_exact_radius_is_adjacent():
     cfg = Configuration(positions=np.array([[0.0], [1.0]]),
                         window=np.array([[-1.0, 2.0]]))
     g = build_graph(cfg, 1.0)
-    assert g.neighbors[0] == (1,)
+    assert g.closed_neighborhood(0) == [0, 1]
 
 
 def test_rho_must_be_positive():
@@ -55,19 +57,55 @@ def test_nonfinite_positions_rejected():
         Configuration(positions=np.array([[np.nan]]), window=np.array([[-1.0, 1.0]]))
 
 
-def test_grid_index_matches_brute_force():
-    # Force the bucket-index path with many points and compare against the
-    # direct O(N^2) answer on the same configuration.
-    from spindyn.geometry import _neighbor_lists
-    rng = np.random.default_rng(7)
-    pos = rng.uniform(-20, 20, size=(2500, 2))
-    rho = 1.3
-    fast = _neighbor_lists(pos, rho)
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-    within = d2 <= rho * rho
-    np.fill_diagonal(within, False)
-    for x in range(0, 2500, 97):
-        assert fast[x] == sorted(np.nonzero(within[x])[0].tolist())
+@st.composite
+def point_sets(draw):
+    """(positions, rho): random 1-3 D points, or integer lattice points whose
+    pairs sit at exactly rho, with some sites repeated."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 120))
+    if draw(st.booleans()):
+        coords = st.integers(-3, 3).map(float)
+        rho = draw(st.sampled_from([1.0, 2.0, np.sqrt(2.0)]))
+    else:
+        coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+        rho = draw(st.floats(0.05, 3.0))
+    pos = np.asarray(draw(st.lists(coords, min_size=n * dim, max_size=n * dim)),
+                     dtype=float).reshape(n, dim)
+    if n:
+        pos = np.vstack([pos, pos[draw(st.lists(st.integers(0, n - 1), max_size=4))]])
+    return pos, rho
+
+
+def _reference_neighbourhoods(pos, rho):
+    """O(N^2) closed neighbourhoods: self first, then ascending."""
+    out = []
+    for x in range(pos.shape[0]):
+        d2 = np.sum((pos - pos[x]) ** 2, axis=-1)
+        out.append([x] + [y for y in np.flatnonzero(d2 <= rho * rho).tolist() if y != x])
+    return out
+
+
+@seed(20240611)
+@settings(max_examples=200, deadline=None, database=None)
+@given(point_sets())
+@example((np.zeros((0, 2)), 1.0))
+@example((np.zeros((1, 3)), 1.0))
+@example((np.array([[0.0], [1.0], [2.0], [1.0]]), 1.0))
+@example((np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), float(np.sqrt(2.0))))
+@example((np.random.default_rng(7).uniform(-20, 20, size=(2500, 2)), 1.3))
+def test_build_graph_matches_quadratic_reference(case):
+    pos, rho = case
+    dim = pos.shape[1]
+    lo = pos.min(axis=0) - 1.0 if pos.size else np.full(dim, -1.0)
+    hi = pos.max(axis=0) + 1.0 if pos.size else np.full(dim, 1.0)
+    g = build_graph(Configuration(positions=pos, window=np.stack([lo, hi], axis=1)), rho)
+    want = _reference_neighbourhoods(pos, rho)
+    assert [g.closed_neighborhood(x) for x in range(g.n_sites)] == want
+    assert list(g.nbar_count) == [len(v) for v in want]
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    edges = g.edges()
+    assert edges.shape[1] == 2 and edges.dtype == np.int64
+    assert edges.tolist() == [[x, y] for x, v in enumerate(want) for y in v[1:] if x < y]
 
 
 def test_poisson_deterministic_and_in_window():

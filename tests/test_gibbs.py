@@ -100,6 +100,34 @@ class TestLocalEnergy:
             local_energy(m, [1, 0], [1.0, 2.0], z)
 
 
+    def test_eta_target_matches_pair_loop(self):
+        # The conditional target's coupling matrix and boundary constants
+        # against a per-pair reference loop; each entry is computed with the
+        # same arithmetic in the same order, so they agree exactly.
+        from spindyn.gibbs import _EtaTarget
+        g = build_graph(lattice_configuration(-2, 2, dim=2), 1.5)
+        m = make_model(g, potential="quartic", J=0.15, coupling_type="tent")
+        pos = g.config.positions
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            eta = sorted(rng.choice(g.n_sites, size=9, replace=False).tolist())
+            z = rng.standard_normal((4, g.n_sites))
+            K = np.zeros((len(eta), len(eta)))
+            bconst = np.zeros((4, len(eta)))
+            for i, x in enumerate(eta):
+                for y in g.closed_neighborhood(x)[1:]:
+                    w = float(m.coupling((pos[x] - pos[y])[None, :])[0])
+                    if w == 0.0:
+                        continue
+                    if y in eta:
+                        K[i, eta.index(y)] = w
+                    else:
+                        bconst[:, i] += w * z[:, y]
+            target = _EtaTarget(m, eta, z)
+            assert np.array_equal(target.K, K)
+            assert np.array_equal(target.bconst, bconst)
+
+
 class TestKernelSample:
     def test_single_site_standard_normal(self):
         g = build_graph(lattice_configuration(0, 0), 1.0)
