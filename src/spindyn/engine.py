@@ -2,9 +2,12 @@
 
 Sites outside the active volume stay frozen at their initial value exactly;
 the Wiener increment for (replica, site, step) comes from a keyed
-counter-based stream, so every volume sees identical noise and replica
-batches can run on any number of threads without changing a single bit of
-output.
+counter-based stream, so every volume sees identical noise.  Every
+integration steps with ``_step``; all but the tagged single-site equation
+run their replicas through ``integrate_replicas``.  A replica depends on its
+own keys alone (the implicit solve stops per entry), so output is
+bit-identical for any thread count and chunk size.  Callers that read only
+final states pass ``paths=False`` and get no path array back.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ _NEWTON_MAX_ITERS = 50
 _NEWTON_TOL = 1e-12
 _FD_STEP = 1e-7
 # Replica-chunk size cap keeps noise + trajectory buffers bounded.
-_CHUNK_ELEMENTS = 2 * 10 ** 7
+_CHUNK_ELEMENTS = 20_000_000
 
 SCHEMES = ("tamed_em", "split_step_implicit")
 
@@ -131,6 +134,10 @@ class RandomInit:
 
 
 def _initial_states(init, graph, plan, replica_ids) -> np.ndarray:
+    """Rows of initial states for ``replica_ids``; an (R, sites) array
+    ``init`` holds one row per replica, in replica order."""
+    if isinstance(init, np.ndarray):
+        return init[list(replica_ids)]
     if isinstance(init, WeightedSeq):
         base = init.to_dense()
         return np.tile(base, (len(replica_ids), 1))
@@ -141,30 +148,48 @@ def _initial_states(init, graph, plan, replica_ids) -> np.ndarray:
 
 
 def _solve_implicit(drift, state, dt, active):
-    """Newton solve of theta = state + dt * phi(theta), vectorised."""
+    """Newton solve of theta = state + dt * phi(theta), vectorised; each active
+    entry stops at its own tolerance, whatever else shares the block."""
     phi = drift.phi
     dphi = drift.dphi if drift.dphi is not None else \
         (lambda s: (phi(s + _FD_STEP) - phi(s - _FD_STEP)) / (2 * _FD_STEP))
     theta = state.copy()
     for _ in range(_NEWTON_MAX_ITERS):
         resid = theta - dt * phi(theta) - state
-        resid_active = resid[..., active] if active is not None else resid
-        if resid_active.size == 0 or np.max(np.abs(resid_active)) < _NEWTON_TOL:
+        live = ~(np.abs(resid) < _NEWTON_TOL)  # NaN stays live
+        if active is not None:
+            live &= active
+        if not live.any():
             return theta
         denom = 1.0 - dt * dphi(theta)
         size = np.abs(denom)
         if not (size.min() > 0.0 and size.max() < np.inf):  # a zero, NaN or inf
             bad = ~(size > 0.0) | (size == np.inf)
-            bad_active = bad if active is None else bad & active
-            if np.any(bad_active):
-                site = np.nonzero(bad_active)[-1].min()
+            if np.any(bad & live):
+                site = np.nonzero(bad & live)[-1].min()
                 raise NumericError(f"implicit drift solve: Newton denominator "
                                    f"1 - dt*phi' is zero or non-finite at site {site}")
-            # Frozen sites may be singular too; their iterate is discarded.
+            # Settled and frozen entries may be singular; they are not updated.
             denom = np.where(bad, 1.0, denom)
-        theta = theta - resid / denom
-    bad = np.unravel_index(int(np.argmax(np.abs(resid))), resid.shape)
-    raise NumericError(f"implicit drift solve failed to converge at site {bad[-1]}")
+        theta = np.where(live, theta - resid / denom, theta)
+    site = int(np.argmax(np.where(live, np.abs(resid), -1.0))) % resid.shape[-1]
+    raise NumericError(f"implicit drift solve failed to converge at site {site}")
+
+
+def _step(field_, state, dW, dt, scheme, active, j):
+    """One ``scheme`` step of a (replicas, sites) block with Wiener increments
+    dW.  The implicit solve converges on ``active`` sites and names step j
+    when it fails; the caller restores frozen sites."""
+    diff = field_.diffusion_all(state)
+    if scheme == "tamed_em":
+        drift = field_.drift_all(state)
+        return state + drift * dt / (1.0 + dt * np.abs(drift)) + diff * dW
+    try:
+        theta = _solve_implicit(field_.drift, state, dt, active)
+    except NumericError as e:
+        raise NumericError(f"{e} (step {j})") from None
+    pair_drift = field_.drift_all(state) - field_.drift.phi(state)
+    return theta + dt * pair_drift + diff * dW
 
 
 def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
@@ -184,21 +209,10 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
     frozen = ~mask
     out = np.empty((n_rep, n, n_steps + 1))
     out[..., 0] = state
-    dt = plan.dt
-    sqdt = np.sqrt(dt)
+    sqdt = np.sqrt(plan.dt)
     for j in range(n_steps):
-        dW = noise[:, :, j] * sqdt
-        diff = field_.diffusion_all(state)
-        if plan.scheme == "tamed_em":
-            drift = field_.drift_all(state)
-            new = state + drift * dt / (1.0 + dt * np.abs(drift)) + diff * dW
-        else:
-            try:
-                theta = _solve_implicit(field_.drift, state, dt, mask)
-            except NumericError as e:
-                raise NumericError(f"{e} (step {j})") from None
-            pair_drift = field_.drift_all(state) - field_.drift.phi(state)
-            new = theta + dt * pair_drift + diff * dW
+        new = _step(field_, state, noise[:, :, j] * sqdt, plan.dt, plan.scheme,
+                    mask, j)
         new[:, frozen] = state[:, frozen]
         state = new
         out[..., j + 1] = state
@@ -209,19 +223,51 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
     return out
 
 
+def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
+                       replica_ids, n_steps: int, paths: bool = True,
+                       n_threads: int = 1) -> np.ndarray:
+    """Integrate consecutive replicas under every volume mask (None: all
+    sites active); returns (replicas, masks, sites, steps+1), or with
+    ``paths=False`` only the final states (replicas, masks, sites).
+
+    Chunks of at most ``_CHUNK_ELEMENTS`` noise entries run on ``n_threads``;
+    each regenerates its noise and initial states from the replica keys and
+    fills its own output rows, so the result is bit-identical for any thread
+    count and chunk size.
+    """
+    n = field_.graph.n_sites
+    ids = list(replica_ids)
+    out = np.empty((len(ids), len(masks), n) + ((n_steps + 1,) if paths else ()))
+    last = slice(None) if paths else -1
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n_steps))
+
+    def work(lo):
+        reps = ids[lo:lo + chunk]
+        noise = np.stack([noise_matrix(plan.master_seed, r, range(n), n_steps)
+                          for r in reps])
+        init_states = _initial_states(init, field_.graph, plan, reps)
+        for k, mask in enumerate(masks):
+            try:
+                out[lo:lo + chunk, k] = integrate_ensemble(
+                    field_, mask, init_states, plan, noise, n_steps)[..., last]
+            except NonFiniteState as e:
+                raise e.shifted(reps[0]) from None
+
+    starts = range(0, len(ids), chunk)
+    if n_threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(work, starts))
+    else:
+        list(map(work, starts))
+    return out
+
+
 def integrate_truncated(field_: CoefficientField, volume, init, plan: SimPlan,
                         replica: int) -> np.ndarray:
     """One replica of the volume-truncated system; shape (sites, steps+1)."""
-    g = field_.graph
-    mask = np.zeros(g.n_sites, dtype=bool)
-    mask[list(volume)] = True
-    init_states = _initial_states(init, g, plan, [replica])
-    noise = noise_matrix(plan.master_seed, replica, range(g.n_sites),
-                         plan.n_steps)[None, :, :]
-    try:
-        return integrate_ensemble(field_, mask, init_states, plan, noise)[0]
-    except NonFiniteState as e:
-        raise e.shifted(replica) from None
+    mask = np.isin(np.arange(field_.graph.n_sites), list(volume))
+    return integrate_replicas(field_, [mask], init, plan, [replica],
+                              plan.n_steps)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -242,44 +288,17 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
                plan: SimPlan, n_threads: int = 1) -> NestedEnsemble:
     """Integrate every volume for every replica with shared noise streams.
 
-    Output is bit-identical for any ``n_threads`` and any chunk schedule:
-    noise is regenerated from keys inside each chunk and chunks write
-    disjoint replica slices of a preallocated array.
+    Output is bit-identical for any ``n_threads`` and any chunk schedule,
+    as ``integrate_replicas`` guarantees.
     """
-    g = field_.graph
     if plan.p < max(2.0, field_.drift.R):
         raise ParameterError(
             f"moment order p={plan.p} must be >= max(2, R={field_.drift.R})")
-    n = g.n_sites
-    n_steps = plan.n_steps
-    traj = np.empty((plan.replicas, len(volumes), n, n_steps + 1))
     masks = [volumes.mask(i) for i in range(len(volumes))]
-
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n_steps))
-    spans = [(lo, min(lo + chunk, plan.replicas))
-             for lo in range(0, plan.replicas, chunk)]
-
-    def work(span):
-        lo, hi = span
-        reps = range(lo, hi)
-        noise = np.stack([noise_matrix(plan.master_seed, r, range(n), n_steps)
-                          for r in reps])
-        init_states = _initial_states(init, g, plan, reps)
-        for vi, mask in enumerate(masks):
-            try:
-                traj[lo:hi, vi] = integrate_ensemble(field_, mask, init_states,
-                                                     plan, noise)
-            except NonFiniteState as e:
-                raise e.shifted(lo) from None
-
-    if n_threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
+    traj = integrate_replicas(field_, masks, init, plan, range(plan.replicas),
+                              plan.n_steps, n_threads=n_threads)
     return NestedEnsemble(trajectories=traj, volumes=volumes, plan=plan,
-                          graph=g, times=plan.times())
+                          graph=field_.graph, times=plan.times())
 
 
 def moment_p(ens: NestedEnsemble, volume_idx: int, x: int, t: float,
@@ -324,34 +343,17 @@ def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,
     ``env`` has shape (sites, steps+1); its row x is ignored.  The noise
     stream is the same one the full runs use for (replica, x, step).
     """
-    from .rng import normal_stream
-
     n_steps = plan.n_steps
     if env.shape != (field_.graph.n_sites, n_steps + 1):
         raise ParameterError("env must have shape (n_sites, n_steps + 1)")
-    noise = normal_stream(plan.master_seed, replica, x, n_steps)
-    sqdt = np.sqrt(plan.dt)
-    dt = plan.dt
+    dW = noise_matrix(plan.master_seed, replica, [x], n_steps)[0] * np.sqrt(plan.dt)
     eta = np.empty(n_steps + 1)
     eta[0] = init_x
-    state = env[:, 0].copy()
-    only_x = np.zeros(field_.graph.n_sites, dtype=bool)
-    only_x[x] = True
+    only_x = np.arange(field_.graph.n_sites) == x
     for j in range(n_steps):
-        state[:] = env[:, j]
-        state[x] = eta[j]
-        diff = field_.diffusion_all(state)[x]
-        if plan.scheme == "tamed_em":
-            drift = field_.drift_all(state)[x]
-            step = drift * dt / (1.0 + dt * abs(drift))
-        else:
-            try:
-                theta = _solve_implicit(field_.drift, state[None, :], dt, only_x)[0]
-            except NumericError as e:
-                raise NumericError(f"{e} (step {j})") from None
-            pair = field_.drift_all(state)[x] - float(np.asarray(field_.drift.phi(state[x])))
-            step = (theta[x] - eta[j]) + dt * pair
-        eta[j + 1] = eta[j] + step + diff * (noise[j] * sqdt)
+        state = env[None, :, j].copy()
+        state[0, x] = eta[j]
+        eta[j + 1] = _step(field_, state, dW[j], plan.dt, plan.scheme, only_x, j)[0, x]
     return eta
 
 
@@ -359,24 +361,10 @@ def semigroup_apply(field_: CoefficientField, f, zeta: WeightedSeq, t: float,
                     plan: SimPlan):
     """Monte Carlo estimate of E f(state at time t) started from zeta."""
     j = plan.time_index(t)
-    base = zeta.to_dense()
     if j == 0:
-        return float(f(base)), 0.0
-    g = field_.graph
-    n = g.n_sites
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * j))
-    vals = np.empty(plan.replicas)
-    for lo in range(0, plan.replicas, chunk):
-        hi = min(lo + chunk, plan.replicas)
-        reps = range(lo, hi)
-        noise = np.stack([noise_matrix(plan.master_seed, r, range(n), j)
-                          for r in reps])
-        init_states = np.tile(base, (hi - lo, 1))
-        try:
-            out = integrate_ensemble(field_, None, init_states, plan, noise, n_steps=j)
-        except NonFiniteState as e:
-            raise e.shifted(lo) from None
-        for i in range(hi - lo):
-            vals[lo + i] = f(out[i, :, -1])
+        return float(f(zeta.to_dense())), 0.0
+    final = integrate_replicas(field_, [None], zeta, plan, range(plan.replicas), j,
+                               paths=False)[:, 0]
+    vals = np.array([f(s) for s in final], dtype=float)
     se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return float(np.mean(vals)), se

@@ -7,17 +7,16 @@ bound.  The kernel on a finite site set eta with frozen exterior z has
 density proportional to exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .coeffs import (CoefficientField, PairCoupling, SinglePotentialDrift,
                      validate_assumptions)
-from .engine import SimPlan, integrate_ensemble
-from .errors import ConstructionError, NonFiniteState, ParameterError
+from .engine import SimPlan, integrate_replicas
+from .errors import ConstructionError, ParameterError
 from .geometry import GeometricGraph
-from .rng import noise_matrix
 from .spaces import WeightedSeq
 
 _FD_H = 1e-6
@@ -410,23 +409,6 @@ def gradient_dynamics_field(model: GibbsModel, validate: bool = True,
     return field_
 
 
-def _evolve(field_: CoefficientField, inits: np.ndarray, plan: SimPlan) -> np.ndarray:
-    """Final states at plan.T for per-replica initial conditions."""
-    n_rep, n = inits.shape
-    out = np.empty((n_rep, n))
-    chunk = max(1, (2 * 10 ** 7) // max(1, n * plan.n_steps))
-    for lo in range(0, n_rep, chunk):
-        hi = min(lo + chunk, n_rep)
-        noise = np.stack([noise_matrix(plan.master_seed, r, range(n), plan.n_steps)
-                          for r in range(lo, hi)])
-        try:
-            traj = integrate_ensemble(field_, None, inits[lo:hi], plan, noise)
-        except NonFiniteState as e:
-            raise e.shifted(lo) from None
-        out[lo:hi] = traj[..., -1]
-    return out
-
-
 def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
                        nu_chain: ChainParams, field_: CoefficientField = None):
     """Detailed-balance check for the gradient dynamics under the Gibbs law.
@@ -439,11 +421,8 @@ def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
         field_ = gradient_dynamics_field(model)
     zeta = sample_window_measure(model, plan.replicas, nu_chain)
     j = plan.time_index(t)
-    if j == 0:
-        final = zeta
-    else:
-        run_plan = replace(plan, T=t)
-        final = _evolve(field_, zeta, run_plan)
+    final = zeta if j == 0 else integrate_replicas(
+        field_, [None], zeta, plan, range(plan.replicas), j, paths=False)[:, 0]
     f0 = np.asarray([f(z) for z in zeta])
     g0 = np.asarray([g(z) for z in zeta])
     ft = np.asarray([f(z) for z in final])

@@ -14,7 +14,6 @@ _MASK64 = (1 << 64) - 1
 # Purpose tags keep the driving noise and the initial-data draws disjoint.
 TAG_WIENER = 0
 TAG_INIT = 1
-TAG_TRIAL = 2
 
 
 def _splitmix64(z: int) -> int:
@@ -39,12 +38,6 @@ def generator(master_seed: int, *fields: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, *fields)))
 
 
-def normal_stream(master_seed: int, replica: int, site: int, n: int,
-                  tag: int = TAG_WIENER) -> np.ndarray:
-    """Standard-normal draws for (replica, site); element j belongs to step j."""
-    return generator(master_seed, tag, replica, site).standard_normal(n)
-
-
 def noise_matrix(master_seed: int, replica: int, site_ids, n_steps: int) -> np.ndarray:
     """Standard-normal increments, shape (len(site_ids), n_steps).
 
@@ -53,5 +46,6 @@ def noise_matrix(master_seed: int, replica: int, site_ids, n_steps: int) -> np.n
     """
     out = np.empty((len(site_ids), n_steps))
     for i, s in enumerate(site_ids):
-        out[i] = normal_stream(master_seed, replica, int(s), n_steps)
+        out[i] = generator(master_seed, TAG_WIENER, replica,
+                           int(s)).standard_normal(n_steps)
     return out

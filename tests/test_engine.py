@@ -10,6 +10,7 @@ from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
                      integrate_truncated, lattice_configuration, make_field,
                      moment_p, radial_volumes, run_nested, semigroup_apply,
                      tagged_particle_solve)
+from spindyn.engine import SCHEMES
 
 
 @pytest.fixture(scope="module")
@@ -180,14 +181,24 @@ class TestIntegration:
 
 
 class TestDeterminismAndCoupling:
-    def test_thread_count_does_not_change_hash(self, chain):
+    def test_thread_count_does_not_change_hash(self, chain, monkeypatch):
+        # Neither the thread count nor the replica chunk may change a bit, and
+        # a lone replica must equal its row of the ensemble, under both schemes.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.1)
-        plan = SimPlan(dt=0.02, T=0.2, replicas=64, master_seed=11, p=4.0)
         vols = radial_volumes(chain, [1.0, 3.0])
         init = RandomInit(dist="normal", a=0.0, b=0.5)
-        h = [run_nested(field, vols, init, plan, n_threads=k).content_hash()
-             for k in (1, 2, 4)]
-        assert h[0] == h[1] == h[2]
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.02, T=0.2, replicas=64, master_seed=11, p=4.0,
+                           scheme=scheme)
+            ens = [run_nested(field, vols, init, plan, n_threads=k) for k in (1, 2, 4)]
+            with monkeypatch.context() as m:
+                m.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
+                ens.append(run_nested(field, vols, init, plan, n_threads=2))
+            h = [e.content_hash() for e in ens]
+            assert h[0] == h[1] == h[2] == h[3], scheme
+            lone = integrate_truncated(field, range(chain.n_sites), init, plan,
+                                       replica=11)
+            assert np.array_equal(lone, ens[0].trajectories[11, -1]), scheme
 
     def test_noise_shared_across_volumes(self, chain):
         # The largest volume's trajectories must not depend on which smaller
@@ -234,21 +245,23 @@ class TestDeterminismAndCoupling:
 class TestTaggedParticle:
     def test_decoupled_site_matches_own_run_exactly(self, chain):
         field = make_field(chain, drift="cubic", coupling="zero")
-        plan = SimPlan(dt=0.02, T=0.4, master_seed=13, p=4.0)
         init = constant_init(chain, 0.7)
-        traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
-        x = 4
-        eta = tagged_particle_solve(field, x, traj, 0.7, plan, replica=0)
-        assert np.array_equal(eta, traj[x])
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.02, T=0.4, master_seed=13, p=4.0, scheme=scheme)
+            traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
+            x = 4
+            eta = tagged_particle_solve(field, x, traj, 0.7, plan, replica=0)
+            assert np.array_equal(eta, traj[x]), scheme
 
     def test_tracks_largest_volume(self, chain):
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
-        plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0)
         init = constant_init(chain, 0.5)
-        traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
-        eta = tagged_particle_solve(field, 4, traj, 0.5, plan, replica=0)
-        # identical equation and noise -> identical path
-        assert np.max(np.abs(eta - traj[4])) < 1e-12
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
+            traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
+            eta = tagged_particle_solve(field, 4, traj, 0.5, plan, replica=0)
+            # identical equation, step rule and noise -> identical path
+            assert np.array_equal(eta, traj[4]), scheme
 
 
 class TestSemigroup:
