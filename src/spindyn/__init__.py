@@ -18,9 +18,9 @@ from .ovsbound import (ComparisonReport, FiniteRangeMatrix, OvsCertificate,
                        comparison_check, estimate_L, gronwall_bound,
                        induced_matrix, k_series, matrix_from_csv,
                        matrix_to_csv, series_solve, verify_ovs_bound)
-from .coeffs import (AssumptionReport, CoefficientField, PairCoupling,
-                     SinglePotentialDrift, eval_diffusion, eval_drift,
-                     make_field, validate_assumptions)
+from .coeffs import (AssumptionReport, CoefficientField, SinglePotentialDrift,
+                     eval_diffusion, eval_drift, make_field,
+                     validate_assumptions)
 from .engine import (NestedEnsemble, RandomInit, SimPlan, VolumeSequence,
                      cauchy_gap, integrate_truncated, moment_p,
                      radial_volumes, run_nested, semigroup_apply,

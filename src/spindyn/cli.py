@@ -228,7 +228,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
                               f"converge.alpha={alpha}")
     # L depends on neither beta nor n, and K_T(alpha, beta) not on the
     # ensemble: certify before simulating, so an overflow costs no run.
-    Q = ovsbound.induced_matrix(graph, field_.coupling.a_bar, 1.0)
+    Q = ovsbound.induced_matrix(graph, field_.a_bar, 1.0)
     L = ovsbound.estimate_L(Q, q, trials=ovsbound.GRONWALL_TRIALS,
                             seed=ovsbound.GRONWALL_SEED, scale=scale)
     k_T = {beta: ovsbound.k_series(L, plan.T, q, alpha, beta) for beta in betas}

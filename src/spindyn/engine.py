@@ -200,7 +200,8 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
     (replicas, sites, >= n_steps); sites outside ``volume_mask`` are kept at
     their initial value exactly.  A NaN or infinite entry anywhere in the
     block raises ``NonFiniteState`` at its earliest step, with the replica
-    counted within the block.
+    counted within the block, under either scheme: it takes precedence over
+    the Newton failure that a non-finite state causes one step later.
     """
     n_steps = plan.n_steps if n_steps is None else n_steps
     state = np.asarray(init_states, dtype=float).copy()
@@ -210,9 +211,14 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
     out = np.empty((n_rep, n, n_steps + 1))
     out[..., 0] = state
     sqdt = np.sqrt(plan.dt)
+    err = None
     for j in range(n_steps):
-        new = _step(field_, state, noise[:, :, j] * sqdt, plan.dt, plan.scheme,
-                    mask, j)
+        try:
+            new = _step(field_, state, noise[:, :, j] * sqdt, plan.dt, plan.scheme,
+                        mask, j)
+        except NumericError as e:  # a blown-up state trips the Newton screen first
+            err, out = e, out[..., :j + 1]
+            break
         new[:, frozen] = state[:, frozen]
         state = new
         out[..., j + 1] = state
@@ -220,6 +226,8 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
     if not finite.all():
         bad = np.argwhere(~finite)
         raise NonFiniteState(*bad[np.argmin(bad[:, 2])].tolist())
+    if err is not None:
+        raise err
     return out
 
 

@@ -4,6 +4,8 @@ Each test prints a single PASS/FAIL line (visible with -s or on failure)
 and asserts the stated tolerance.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -288,10 +290,9 @@ def test_11_assumption_validators():
     ok = cubic.drift.R == 3.0 and cubic.drift.b == 0.0 and cubic.drift.c >= 1.0
     ok &= validate_assumptions(cubic, trials=10 ** 5, seed=0).passed
 
-    from spindyn import CoefficientField, SinglePotentialDrift
-    bad = CoefficientField(
-        drift=SinglePotentialDrift(phi=lambda s: s ** 2, c=1.0, R=2.0, b=0.0),
-        coupling=cubic.coupling, graph=g)
+    from spindyn import SinglePotentialDrift
+    bad = dataclasses.replace(
+        cubic, drift=SinglePotentialDrift(phi=lambda s: s ** 2, c=1.0, R=2.0, b=0.0))
     rep = validate_assumptions(bad, trials=10 ** 4, seed=1)
     check = rep["phi_dissipative"]
     ok &= not check.passed and check.counterexample is not None

@@ -186,7 +186,7 @@ class TestConvergeCommand:
         assert len(rows) == 6
         graph = build_graph(lattice_configuration(-10, 10), 1.5)
         a_bar = make_field(graph, drift="cubic", coupling="linear_pair",
-                           J=0.2).coupling.a_bar
+                           J=0.2).a_bar
         init = RandomInit("normal", 0.0, 1.0)
         init0 = np.stack([init.draw(1, r, graph.n_sites) for r in range(32)])
         moment = np.mean(np.abs(init0) ** 4, axis=0) + 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -131,14 +132,12 @@ class TestIntegration:
 
     def test_newton_failure_names_site_and_step(self, single):
         from spindyn import NumericError, SinglePotentialDrift
-        from spindyn.coeffs import CoefficientField
         base = make_field(single)
         # theta = 2 + 0.9 exp(theta) has no real solution, so the implicit
         # step cannot converge
         bad = SinglePotentialDrift(phi=np.exp, dphi=np.exp,
                                    c=100.0, R=2.0, b=100.0)
-        field = CoefficientField(drift=bad, coupling=base.coupling,
-                                 graph=single, diff_weights=base.diff_weights)
+        field = dataclasses.replace(base, drift=bad)
         plan = SimPlan(dt=0.9, T=1.8, scheme="split_step_implicit", master_seed=0)
         init = WeightedSeq({0: 2.0}, single)
         with pytest.raises(NumericError, match="site"):
@@ -146,14 +145,12 @@ class TestIntegration:
 
 
     def test_newton_zero_denominator_raises_without_warning(self, single):
-        from spindyn.coeffs import CoefficientField
         base = make_field(single)
         # phi(s) = 2s with dt = 0.5 makes 1 - dt * phi' exactly zero
         lin = SinglePotentialDrift(phi=lambda s: 2.0 * s,
                                    dphi=lambda s: np.full_like(s, 2.0),
                                    c=2.0, R=2.0, b=2.0)
-        field = CoefficientField(drift=lin, coupling=base.coupling,
-                                 graph=single, diff_weights=base.diff_weights)
+        field = dataclasses.replace(base, drift=lin)
         plan = SimPlan(dt=0.5, T=1.0, scheme="split_step_implicit")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

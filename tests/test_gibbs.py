@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from spindyn import (ChainParams, ConstructionError, GibbsModel,
                      ParameterError, SimPlan, WeightedSeq, build_graph,
                      constant_coupling, dlr_residual, gradient_dynamics_field,
                      kernel_sample, lattice_configuration, local_energy,
                      make_model, reversibility_test, sample_window_measure)
+from spindyn.gibbs import energy_distance_test
 
 
 @pytest.fixture(scope="module")
@@ -190,12 +192,41 @@ class TestDlr:
         m = make_model(chain, potential="gaussian", J=0.4)
         m_bad = make_model(chain, potential="gaussian", J=0.4)
         # simulate mismatch by comparing samples from different temperatures
-        from spindyn.gibbs import energy_distance_test
         rng = np.random.default_rng(0)
         A = rng.standard_normal((80, 3))
         B = 2.0 * rng.standard_normal((80, 3))
         stat, p = energy_distance_test(A, B, n_perms=300, seed=1)
         assert p < 0.01 and stat > 0
+
+
+def _energy_distance_loop(A, B, n_perms, seed):
+    """The permutation test scored one split at a time."""
+    n, m = len(A), len(B)
+    pooled = np.vstack([A, B])
+    D = cdist(pooled, pooled)
+
+    def stat(a, b):
+        return (2 * D[np.ix_(a, b)].mean() - D[np.ix_(a, a)].mean()
+                - D[np.ix_(b, b)].mean())
+
+    observed = stat(np.arange(n), np.arange(n, n + m))
+    rng = np.random.default_rng(seed)
+    hits = sum(stat(p[:n], p[n:]) >= observed
+               for p in (rng.permutation(n + m) for _ in range(n_perms)))
+    return observed, (1 + hits) / (1 + n_perms)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_energy_distance_matches_split_by_split_loop(seed):
+    # Unequal sample sizes; the scale gap grows with the seed, so the
+    # p-values run from mid-range to the smallest possible.
+    rng = np.random.default_rng(100 + seed)
+    A = rng.standard_normal((60, 4))
+    B = (1.0 + 0.15 * seed) * rng.standard_normal((45, 4))
+    stat, p = energy_distance_test(A, B, n_perms=400, seed=seed)
+    want_stat, want_p = _energy_distance_loop(A, B, 400, seed)
+    assert p == want_p
+    assert stat == pytest.approx(want_stat, rel=1e-12)
 
 
 class TestGradientDynamics:

@@ -2,6 +2,7 @@
 non-finite states and singular Newton steps are reported, with their
 (replica, site, step), for any chunk size and thread count."""
 
+import dataclasses
 import re
 import warnings
 from unittest import mock
@@ -16,7 +17,7 @@ from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
                      SimPlan, SinglePotentialDrift, VolumeSequence, WeightedSeq,
                      build_graph, lattice_configuration, make_field, run_nested,
                      semigroup_apply)
-from spindyn.coeffs import CoefficientField
+from spindyn.engine import SCHEMES
 
 CHAIN = build_graph(lattice_configuration(-3, 3), 1.5)
 N = CHAIN.n_sites
@@ -49,6 +50,7 @@ def blow_ups(draw):
                 chunk=draw(st.integers(1, 2 * N * n_steps * replicas)),
                 threads=draw(st.sampled_from([1, 2])),
                 via=draw(st.sampled_from(["run_nested", "semigroup_apply"])),
+                scheme=draw(st.sampled_from(SCHEMES)),
                 inner=frozenset(draw(st.sets(st.integers(0, N - 2), min_size=1))))
 
 
@@ -59,10 +61,11 @@ def blow_ups(draw):
 def test_blow_up_names_global_replica_site_and_step(case):
     # A non-finite Wiener increment at (replica, site, step) makes that
     # state non-finite one step later, and nothing is non-finite earlier.
+    # Under the implicit scheme the Newton screen meets that state first.
     field = make_field(CHAIN, drift="cubic", coupling="linear_pair", J=0.2,
                        noise="additive")
-    plan = SimPlan(dt=0.01, T=0.01 * case["n_steps"], replicas=case["replicas"],
-                   master_seed=3, p=4.0)
+    plan = SimPlan(dt=0.01, T=0.01 * case["n_steps"], scheme=case["scheme"],
+                   replicas=case["replicas"], master_seed=3, p=4.0)
     clean = engine.noise_matrix
 
     def noise(master_seed, replica, site_ids, n_steps):
@@ -101,8 +104,7 @@ def test_zero_newton_denominator_raises_without_warning(k, n_steps, replicas, in
     lin = SinglePotentialDrift(phi=lambda s: s / dt,
                                dphi=lambda s: np.full_like(s, 1.0 / dt),
                                c=1.0 / dt, R=2.0, b=1.0 / dt)
-    field = CoefficientField(drift=lin, coupling=base.coupling, graph=CHAIN,
-                             diff_weights=base.diff_weights)
+    field = dataclasses.replace(base, drift=lin)
     plan = SimPlan(dt=dt, T=dt * n_steps, scheme="split_step_implicit",
                    replicas=replicas, master_seed=5)
     vols = VolumeSequence((inner, range(N)), N)
