@@ -14,10 +14,9 @@ from .geometry import (Configuration, GeometricGraph, build_graph,
                        lattice_configuration, sample_poisson)
 from .spaces import (ScaleInterval, WeightedSeq, embedding_check, norm_lp,
                      weighted_seq_from_csv, weighted_seq_to_csv)
-from .ovsbound import (ComparisonReport, FiniteRangeMatrix, OvsCertificate,
-                       comparison_check, estimate_L, gronwall_bound,
-                       induced_matrix, k_series, matrix_from_csv,
-                       matrix_to_csv, series_solve, verify_ovs_bound)
+from .ovsbound import (ComparisonReport, FiniteRangeMatrix, comparison_check,
+                       estimate_L, gronwall_bound, induced_matrix, k_series,
+                       matrix_from_csv, matrix_to_csv, series_solve)
 from .coeffs import (AssumptionReport, CoefficientField, SinglePotentialDrift,
                      eval_diffusion, eval_drift, make_field,
                      validate_assumptions)

@@ -101,7 +101,9 @@ def _build_field(cfg: dict, graph):
                           drift=_get(cfg, "field.drift", str, default="cubic"),
                           coupling=_get(cfg, "field.coupling", str, default="zero"),
                           noise=_get(cfg, "field.noise", str, default="additive"),
-                          J=float(_get(cfg, "field.J", (int, float), default=0.0)))
+                          J=float(_get(cfg, "field.J", (int, float), default=0.0)),
+                          M_tilde=float(_get(cfg, "field.M_tilde", (int, float),
+                                             default=1.0)))
     except ParameterError as e:
         raise ConfigError(f"field: {e}")
 
@@ -229,8 +231,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     # L depends on neither beta nor n, and K_T(alpha, beta) not on the
     # ensemble: certify before simulating, so an overflow costs no run.
     Q = ovsbound.induced_matrix(graph, field_.a_bar, 1.0)
-    L = ovsbound.estimate_L(Q, q, trials=ovsbound.GRONWALL_TRIALS,
-                            seed=ovsbound.GRONWALL_SEED, scale=scale)
+    L = ovsbound.estimate_L(Q, q, scale)
     k_T = {beta: ovsbound.k_series(L, plan.T, q, alpha, beta) for beta in betas}
     ens = run_nested(field_, volumes, init, plan, n_threads=threads)
     m = len(volumes) - 1
@@ -267,25 +268,16 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
     B = float(_get(cfg, "ovs.B", (int, float), default=0.2))
     k = float(_get(cfg, "ovs.k", (int, float), default=1.0))
     q = float(_get(cfg, "ovs.q", (int, float), default=0.5))
-    trials = int(_get(cfg, "ovs.trials", int, default=2000))
-    seed = int(_get(cfg, "ovs.seed", int, default=0))
     T = float(_get(cfg, "ovs.T", (int, float), default=1.0))
     Q = ovsbound.induced_matrix(graph, B, k)
-    L = ovsbound.estimate_L(Q, q, trials=trials, seed=seed, scale=scale)
-    cert = ovsbound.verify_ovs_bound(Q, q, L, trials=trials, seed=seed + 1,
-                                     scale=scale)
-    (out / "certificate.json").write_text(cert.to_json() + "\n")
+    L = ovsbound.estimate_L(Q, q, scale)
     widths = [float(w) for w in _get(cfg, "ovs.widths", list,
                                      default=[scale.width / 2, scale.width])]
     rows = [[L, T, q, w, ovsbound.k_series(L, T, q, 0.0, w)] for w in widths]
     np.savetxt(out / "kt_table.csv", np.asarray(rows), delimiter=",",
                fmt="%.17g", header="L,T,q,width,K_T", comments="")
     _write_manifest(out, cfg, graph)
-    if not cert.valid:
-        print(f"ovs: certificate FAILED (max ratio {cert.max_ratio:.6g} > L={L:.6g})",
-              file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    print(f"ovs: certified L={L:.6g} over {cert.trials} fresh trials")
+    print(f"ovs: L={L:.6g}, K_T at {len(widths)} widths")
     return EXIT_OK
 
 

@@ -251,8 +251,11 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
 
     def work(lo):
         reps = ids[lo:lo + chunk]
-        noise = np.stack([noise_matrix(plan.master_seed, r, range(n), n_steps)
-                          for r in reps])
+        # Filled stream by stream, so each stream's array is freed before the
+        # next is drawn instead of a chunk's worth being held for one stack.
+        noise = np.empty((len(reps), n, n_steps))
+        for i, r in enumerate(reps):
+            noise[i] = noise_matrix(plan.master_seed, r, range(n), n_steps)
         init_states = _initial_states(init, field_.graph, plan, reps)
         for k, mask in enumerate(masks):
             try:

@@ -1,14 +1,13 @@
 """Norm-bound certification for finite-range operators on the weighted-l1 scale.
 
 Contains the growth-series evaluator K_T, the series solution of the linear
-integral equation f = z + int Q f, an empirical two-phase estimate of the
-scale-norm constant L, a comparison check for integral inequalities with
-non-negative kernels, and the resulting weighted-sup (Gronwall-type) bound.
+integral equation f = z + int Q f, a computed upper bound on the scale-norm
+constant L, a comparison check for integral inequalities with non-negative
+kernels, and the resulting weighted-sup (Gronwall-type) bound.
 """
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,15 +16,19 @@ from .errors import IntegrityError, NumericError, ParameterError
 from .geometry import GeometricGraph
 from .spaces import ScaleInterval, WeightedSeq, norm_l1_dense
 
-_ESTIMATE_MARGIN = 0.1
 _SERIES_TERM_CUTOFF = 1e-14
 _COMPARISON_TOL = 1e-9
-# Cap on the (sites x pairs) temporaries of one estimate_L block.
+# Cap on the (CSR entries x grid columns) temporaries of one estimate_L block.
 _PAIR_BLOCK_ELEMENTS = 2 ** 20
-
-# Sweep size and seed of the L estimate behind every Gronwall bound.
-GRONWALL_TRIALS = 2000
-GRONWALL_SEED = 0
+# The delta = beta - alpha grid of estimate_L, in units of the scale width:
+# 0, then 256 geometric points from 1e-6 to 1.  Neighbours differ by a factor
+# 1.0557, so the bound exceeds the sup it covers by at most 1.0557^q.
+_DELTA_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 256)])
+# Each computed term is within a few ulps of its exact value and a sum of n
+# terms within about n more, so rounding can leave the computed bound below
+# the exact one by roughly (n + 5) * 1.1e-16 relative.  This pad covers
+# columns of up to about 4000 entries.
+_ROUNDING_PAD = 5e-13
 
 
 @dataclass
@@ -84,93 +87,46 @@ def induced_matrix(graph: GeometricGraph, B: float, k: float) -> FiniteRangeMatr
     return FiniteRangeMatrix(entries=entries, graph=graph, bound_C=B, bound_k=k)
 
 
-@dataclass(frozen=True)
-class OvsCertificate:
-    """Record of an empirical scale-norm bound check."""
+def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
+    """Upper bound L on (beta-alpha)^q ||Q||_{l1_alpha -> l1_beta} over all
+    alpha_star <= alpha < beta <= alpha_top, computed on a fixed delta grid.
 
-    q: float
-    L: float
-    trials: int
-    max_ratio: float
-    seed: int
-
-    @property
-    def valid(self) -> bool:
-        return self.max_ratio <= self.L
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self) | {"valid": self.valid}, indent=2)
-
-
-def _sample_pair(rng: np.random.Generator, scale: ScaleInterval):
-    a = rng.uniform(scale.alpha_star, scale.alpha_top)
-    b = rng.uniform(scale.alpha_star, scale.alpha_top)
-    lo, hi = min(a, b), max(a, b)
-    if hi - lo < 1e-9 * scale.width:
-        hi = min(lo + 0.5 * scale.width, scale.alpha_top)
-        lo = hi - 0.5 * scale.width
-    return lo, hi
-
-
-def estimate_L(Q: FiniteRangeMatrix, q: float, trials: int, seed: int,
-               scale: ScaleInterval) -> float:
-    """Empirical constant for the (beta-alpha)^-q norm bound, with 10% headroom.
-
-    The sup over vectors at fixed (alpha, beta) is evaluated exactly via
-    column sums; (alpha, beta) itself is swept over a grid plus random draws.
+    The norm of an l1 -> l1 map is attained at a basis vector, so it is
+    F(alpha, beta) = max_y sum_x |Q_xy| e^{-beta|x| + alpha|y|}.
     """
     if not (0 < q < 1):
         raise ParameterError(f"q must be in (0,1), got {q}")
+    # Why the grid value bounds the sup over the whole scale:
+    # 1. At fixed delta = beta - alpha, each term |Q_xy| e^{-delta|x|} *
+    #    e^{alpha(|y|-|x|)} is convex in alpha, so F (a max of sums of them)
+    #    is convex too, and its max over alpha is at an end of the range:
+    #    alpha = alpha_star or beta = alpha_top.
+    # 2. Along either end family F does not grow with delta: at alpha =
+    #    alpha_star, e^{-beta|x|} falls as beta grows; at beta = alpha_top,
+    #    e^{alpha|y|} falls as alpha shrinks.
+    # 3. So with G(delta) the larger of the two end values, delta^q F <=
+    #    delta_{i+1}^q G(delta_i) for every delta in [delta_i, delta_{i+1}],
+    #    and the max over i of the right side bounds the sup.
+    # Each entry is evaluated in log space: an entry within range rho has
+    # ||y| - |x|| <= rho, so no factor overflows however far out x lies.
+    abs_q = abs(Q.csr()).tocsc()
     radii = Q.graph.radii()
-    abs_t = sp.csr_matrix(abs(Q.csr())).T
-    rng = np.random.default_rng(seed)
-    pairs = []
-    # Deterministic sweep including the extreme pair, where diagonal
-    # operators attain their sup.
-    grid = np.linspace(scale.alpha_star, scale.alpha_top, 25)
-    for i, a in enumerate(grid):
-        for b in grid[i + 1:]:
-            pairs.append((float(a), float(b)))
-    for _ in range(max(0, trials)):
-        pairs.append(_sample_pair(rng, scale))
-    alphas, betas = np.asarray(pairs).T
-    # Sup over z of the norm ratio for an l1 -> l1 map is attained at a
-    # basis vector, so each pair reduces to a weighted column sum of |Q|;
-    # one column of the block per pair.
-    block = max(1, _PAIR_BLOCK_ELEMENTS // max(1, radii.size))
-    best = 0.0
-    for lo in range(0, alphas.size, block):
-        a, b = alphas[lo:lo + block], betas[lo:lo + block]
-        col = abs_t @ np.exp(np.outer(radii, -b))
-        col *= np.exp(np.outer(radii, a))
-        # A pair whose weights over- and underflow to inf * 0 is NaN and is
-        # skipped, as max() over single pairs skips it.
-        best = float(np.nanmax((b - a) ** q * col.max(axis=0), initial=best))
-    return (1.0 + _ESTIMATE_MARGIN) * best
-
-
-def verify_ovs_bound(Q: FiniteRangeMatrix, q: float, L: float, trials: int,
-                     seed: int, scale: ScaleInterval) -> OvsCertificate:
-    """Check the (beta-alpha)^-q bound with constant L on random trials."""
-    if not (0 < q < 1):
-        raise ParameterError(f"q must be in (0,1), got {q}")
-    if not L > 0:
-        raise ParameterError(f"L must be positive, got {L}")
-    Q.validate()
-    radii = Q.graph.radii()
-    csr = Q.csr()
-    n = Q.graph.n_sites
-    rng = np.random.default_rng(seed)
-    max_ratio = 0.0
-    for _ in range(trials):
-        a, b = _sample_pair(rng, scale)
-        z = rng.standard_normal(n)
-        nz = norm_l1_dense(z, radii, a)
-        if nz == 0.0:
-            continue
-        ratio = norm_l1_dense(csr @ z, radii, b) * (b - a) ** q / nz
-        max_ratio = max(max_ratio, ratio)
-    return OvsCertificate(q=q, L=L, trials=trials, max_ratio=max_ratio, seed=seed)
+    r_x = radii[abs_q.indices]
+    r_diff = np.repeat(radii, np.diff(abs_q.indptr)) - r_x
+    # Row y of col_sums adds up the entries of column y of |Q|.
+    col_sums = sp.csr_matrix((abs_q.data, np.arange(abs_q.nnz), abs_q.indptr),
+                             shape=(Q.graph.n_sites, abs_q.nnz))
+    deltas = scale.width * _DELTA_GRID
+    m = deltas.size - 1
+    d = np.tile(deltas[:-1], 2)
+    a = np.concatenate([np.full(m, scale.alpha_star), scale.alpha_top - deltas[:-1]])
+    block = max(1, _PAIR_BLOCK_ELEMENTS // max(1, abs_q.nnz))
+    F = np.empty(2 * m)
+    for lo in range(0, 2 * m, block):
+        e = np.exp(np.outer(-r_x, d[lo:lo + block]) + np.outer(r_diff, a[lo:lo + block]))
+        F[lo:lo + block] = (col_sums @ e).max(axis=0, initial=0.0)
+    G = np.maximum(F[:m], F[m:])
+    return (1.0 + _ROUNDING_PAD) * float(np.max(deltas[1:] ** q * G))
 
 
 def k_series(L: float, T: float, q: float, alpha: float, beta: float,
@@ -300,15 +256,14 @@ def nonneg_l1_norm(b_vec: WeightedSeq, radii: np.ndarray, alpha: float) -> float
 
 def gronwall_bound(B: float, k: float, graph: GeometricGraph, b_vec: WeightedSeq,
                    alpha: float, beta: float, T: float, q: float,
-                   scale: ScaleInterval, trials: int = GRONWALL_TRIALS,
-                   seed: int = GRONWALL_SEED) -> float:
+                   scale: ScaleInterval) -> float:
     """Weighted-sup bound K_T(alpha, beta) * ||b||_{l1_alpha} for the
     integral inequality with kernel B n_x^k on closed neighbourhoods."""
     if beta <= alpha:
         raise ParameterError("beta must exceed alpha")
     b_norm = nonneg_l1_norm(b_vec, graph.radii(), alpha)
     Q = induced_matrix(graph, B, k)
-    L = estimate_L(Q, q, trials, seed, scale)
+    L = estimate_L(Q, q, scale)
     return k_series(L, T, q, alpha, beta) * b_norm
 
 

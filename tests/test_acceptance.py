@@ -20,7 +20,7 @@ from spindyn import (ChainParams, FiniteRangeMatrix, RandomInit, ScaleInterval,
                      lattice_configuration, make_field, make_model, moment_p,
                      norm_lp, radial_volumes, reversibility_test, run_nested,
                      sample_poisson, series_solve, tagged_particle_solve,
-                     validate_assumptions, verify_ovs_bound)
+                     validate_assumptions)
 from spindyn.engine import weighted_uniform_moment
 
 
@@ -57,6 +57,19 @@ def test_01_growth_series_closed_forms():
     report(1, "K_T series closed forms vs 200-digit oracle", ok)
 
 
+def sampled_max_ratio(Q, q, scale, trials, seed):
+    """Largest (beta-alpha)^q ||Qz||_beta / ||z||_alpha over random pairs
+    alpha < beta of the scale and random normal vectors z."""
+    rng = np.random.default_rng(seed)
+    radii = Q.graph.radii()
+    a, b = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, (2, trials)),
+                   axis=0)
+    z = rng.standard_normal((Q.graph.n_sites, trials))
+    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q.csr() @ z), axis=0)
+    den = np.sum(np.exp(-np.outer(radii, a)) * np.abs(z), axis=0)
+    return float(np.max((b - a) ** q * num / den))
+
+
 def test_02_operator_bound_certification():
     scale = ScaleInterval(0.1, 1.0)
     rng = np.random.default_rng(20)
@@ -76,11 +89,10 @@ def test_02_operator_bound_certification():
             for y in g.closed_neighborhood(x):
                 entries[(x, y)] = rng.uniform(-cap, cap)
         Q = FiniteRangeMatrix(entries=entries, graph=g, bound_C=C, bound_k=k)
-        L = estimate_L(Q, q, trials=100, seed=trial, scale=scale)
-        cert = verify_ovs_bound(Q, q, L, trials=10 ** 4, seed=trial + 1,
-                                scale=scale)
-        ok &= cert.valid
-    report(2, "operator-bound certification, zero violations on fresh trials", ok)
+        L = estimate_L(Q, q, scale)
+        ok &= np.isfinite(L) and sampled_max_ratio(Q, q, scale, 10 ** 4,
+                                                   trial + 1) <= L
+    report(2, "computed operator bound, zero violations on fresh trials", ok)
 
 
 def test_03_series_solution_vs_matrix_exponential():
@@ -123,8 +135,7 @@ def test_04_comparison_and_gronwall():
                               for t in times], axis=1)
         rep = comparison_check(Q, times, gvals, z, T)
         ok &= rep.hypothesis_ok and rep.bound_ok
-        bound = gronwall_bound(B, 1.0, g, z, alpha, beta, T, q, scale,
-                               trials=50, seed=trial)
+        bound = gronwall_bound(B, 1.0, g, z, alpha, beta, T, q, scale)
         gw = WeightedSeq.from_dense(np.abs(gvals).max(axis=1), g)
         sup_norm = norm_lp(gw, beta, 1.0, scale)
         ok &= sup_norm <= bound * (1 + 1e-12)

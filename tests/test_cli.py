@@ -5,11 +5,11 @@ import pytest
 import yaml
 
 from spindyn import (RandomInit, ScaleInterval, SimPlan, WeightedSeq,
-                     build_graph, gronwall_bound, lattice_configuration,
-                     make_field, moment_p, radial_volumes, run_nested)
+                     build_graph, estimate_L, gronwall_bound, induced_matrix,
+                     k_series, lattice_configuration, make_field, moment_p,
+                     radial_volumes, run_nested)
 from spindyn import cli
 from spindyn.cli import main
-from spindyn.ovsbound import GRONWALL_SEED, GRONWALL_TRIALS
 
 
 def write_cfg(tmp_path, cfg, name="run.yaml"):
@@ -106,6 +106,25 @@ class TestSimulateCommand:
                           ["ensemble_hash"])
         assert hashes[0] == hashes[1]
 
+    def test_M_tilde_reaches_linear_noise(self, tmp_path):
+        hashes = {}
+        for m_tilde in (1.0, 3.0):
+            cfg = lattice_graph_cfg(-3, 3, 1.5)
+            cfg["field"] = {"drift": "cubic", "coupling": "linear_pair", "J": 0.2,
+                            "noise": "linear_noise", "M_tilde": m_tilde}
+            cfg["plan"] = {"dt": 0.01, "T": 0.2, "replicas": 4,
+                           "master_seed": 5, "p": 4}
+            cfg["init"] = {"type": "random", "dist": "normal", "a": 0.0, "b": 1.0}
+            out = tmp_path / str(m_tilde)
+            assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+            hashes[m_tilde] = json.loads((out / "manifest.json").read_text())[
+                "ensemble_hash"]
+        assert hashes[3.0] != hashes[1.0]
+        # M_tilde = 1 is the default, the weight every run used before the
+        # key was read.
+        assert hashes[1.0] == ("01b167f175c42ae7fba6c10d47bb53b9"
+                               "b5f0d355128286ecc578a48617043af8")
+
     def test_bad_scheme_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, simulate_cfg(scheme="rk4"))
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -195,8 +214,7 @@ class TestConvergeCommand:
             b = np.where(volumes.mask(int(n)), 0.0, moment)
             assert bound == gronwall_bound(
                 a_bar, 1.0, graph, WeightedSeq.from_dense(b, graph), 0.2, beta,
-                0.5, 0.5, ScaleInterval(0.1, 1.0), trials=GRONWALL_TRIALS,
-                seed=GRONWALL_SEED)
+                0.5, 0.5, ScaleInterval(0.1, 1.0))
 
     @pytest.fixture
     def no_simulation(self, monkeypatch):
@@ -227,19 +245,34 @@ class TestConvergeCommand:
 
 
 class TestOvsCommand:
-    def test_certificate_valid(self, tmp_path):
-        cfg = lattice_graph_cfg(-5, 5, 1.5)
+    def ovs_cfg(self, lo, hi):
+        cfg = lattice_graph_cfg(lo, hi, 1.5)
         cfg["scale"] = {"alpha_star": 0.1, "alpha_top": 1.0}
-        cfg["ovs"] = {"B": 0.2, "k": 1, "q": 0.5, "trials": 500, "seed": 2,
-                      "T": 1.0, "widths": [0.3, 0.9]}
+        cfg["ovs"] = {"B": 0.2, "k": 1, "q": 0.5, "T": 1.0, "widths": [0.3, 0.9]}
+        return cfg
+
+    def test_kt_table_records_computed_L(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["ovs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-        cert = json.loads((out / "certificate.json").read_text())
-        assert cert["valid"] is True
+        assert main(["ovs", write_cfg(tmp_path, self.ovs_cfg(-5, 5)),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["kt_table.csv",
+                                                         "manifest.json"]
         table = np.loadtxt(out / "kt_table.csv", delimiter=",", skiprows=1,
                            ndmin=2)
+        graph = build_graph(lattice_configuration(-5, 5), 1.5)
+        L = estimate_L(induced_matrix(graph, 0.2, 1.0), 0.5, ScaleInterval(0.1, 1.0))
         assert table.shape == (2, 5)
-        assert np.all(table[:, 4] >= 1.0)
+        assert np.all(table[:, 0] == L)
+        assert list(table[:, 4]) == [k_series(L, 1.0, 0.5, 0.0, w) for w in (0.3, 0.9)]
+
+    def test_wide_window_exits_0(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self.ovs_cfg(-800, 800)
+        cfg["ovs"]["B"] = 0.3
+        assert main(["ovs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        table = np.loadtxt(out / "kt_table.csv", delimiter=",", skiprows=1,
+                           ndmin=2)
+        assert np.all(np.isfinite(table))
 
 
 class TestGibbsCommand:
