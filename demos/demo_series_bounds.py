@@ -25,7 +25,7 @@ def main():
     L = estimate_L(Q, q, scale)
     print(f"computed L = {L:.4f}")
     rng = np.random.default_rng(1)
-    radii, csr = g.radii(), Q.csr()
+    radii, csr = g.radii(), Q.matrix
     max_ratio = 0.0
     for _ in range(5000):
         a, b = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, 2))

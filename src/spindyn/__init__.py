@@ -16,7 +16,7 @@ from .spaces import (ScaleInterval, WeightedSeq, embedding_check, norm_lp,
                      weighted_seq_from_csv, weighted_seq_to_csv)
 from .ovsbound import (ComparisonReport, FiniteRangeMatrix, comparison_check,
                        estimate_L, gronwall_bound, induced_matrix, k_series,
-                       matrix_from_csv, matrix_to_csv, series_solve)
+                       series_solve)
 from .coeffs import (AssumptionReport, CoefficientField, SinglePotentialDrift,
                      eval_diffusion, eval_drift, make_field,
                      validate_assumptions)

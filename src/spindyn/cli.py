@@ -22,7 +22,7 @@ from .coeffs import make_field
 from .engine import (NestedEnsemble, RandomInit, SimPlan, cauchy_gap,
                      radial_volumes, run_nested)
 from .errors import (ConfigError, ConstructionError, HypothesisError,
-                     NumericError, ParameterError)
+                     IntegrityError, NumericError, ParameterError)
 from .gibbs import ChainParams, make_model
 from .spaces import ScaleInterval, WeightedSeq
 
@@ -31,9 +31,34 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_HYPOTHESIS = 4
 
+# Every dotted config key the subcommands read.  A config may set only these,
+# so a misspelt or retired key fails instead of being silently ignored.
+_CONFIG_KEYS = frozenset("""
+    graph.source graph.rho graph.lattice.lo graph.lattice.hi graph.lattice.dim
+    graph.poisson.intensity graph.poisson.window graph.poisson.seed graph.csv.path
+    plan.dt plan.T plan.scheme plan.replicas plan.master_seed plan.p field.drift
+    field.coupling field.noise field.J field.M_tilde init.type init.value init.dist
+    init.a init.b init.path volumes.radii scale.alpha_star scale.alpha_top
+    converge.betas converge.q converge.alpha ovs.B ovs.k ovs.q ovs.T ovs.widths
+    gibbs.potential gibbs.J gibbs.coupling gibbs.chain.steps gibbs.chain.burn_in
+    gibbs.chain.step_size gibbs.chain.seed gibbs.eta gibbs.observable_sites
+    gibbs.outer_samples gibbs.t
+""".split())
+
+
+def _leaf_keys(node: dict, prefix: str = ""):
+    """The dotted path of every non-mapping value in a nested mapping."""
+    for name, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}"
+
 
 def _get(cfg: dict, key: str, expect=None, default=KeyError):
     """Fetch cfg[key] with a dotted path, naming the offending key on error."""
+    if key not in _CONFIG_KEYS:
+        raise KeyError(f"config key '{key}' is read but not in _CONFIG_KEYS")
     node = cfg
     for part in key.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -57,6 +82,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid YAML: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    unknown = [key for key in _leaf_keys(cfg) if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(f"'{k}'" for k in unknown))
     return cfg
 
 
@@ -369,7 +397,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as e:
+    except (NumericError, IntegrityError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (HypothesisError, ConstructionError) as e:

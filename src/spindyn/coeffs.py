@@ -65,16 +65,11 @@ class CoefficientField:
     S: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = self.graph
         for name, op in (("drift_weights", "A"), ("diff_weights", "S")):
-            w = np.asarray(getattr(self, name), dtype=float)
-            if w.shape != g.indices.shape:
-                raise ParameterError(f"{name} must have one entry per ordered edge")
-            mat = sp.csr_matrix((w, g.indices, g.indptr), shape=(g.n_sites,) * 2,
-                                copy=True)
-            mat.eliminate_zeros()
-            object.__setattr__(self, name, w)
-            object.__setattr__(self, op, mat)
+            try:
+                object.__setattr__(self, op, self.graph.operator(getattr(self, name)))
+            except ParameterError as e:
+                raise ParameterError(f"{name}: {e}") from None
 
     @property
     def a_bar(self) -> float:
@@ -133,14 +128,6 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def _record(name, slack, args) -> CheckResult:
-    i = int(np.argmin(slack))
-    worst = float(slack.flat[i] if slack.ndim else slack)
-    cx = tuple(float(np.asarray(a).flat[i]) for a in args) if worst < 0 else None
-    return CheckResult(name=name, passed=worst >= -1e-9, worst_margin=worst,
-                       counterexample=cx)
-
-
 def validate_assumptions(field_: CoefficientField, trials: int = DEFAULT_TRIALS,
                          box: float = DEFAULT_BOX, seed: int = 0) -> AssumptionReport:
     """Randomised falsification of the declared bounds.
@@ -159,33 +146,36 @@ def validate_assumptions(field_: CoefficientField, trials: int = DEFAULT_TRIALS,
     checks = []
 
     s = rng.uniform(-box, box, size=trials)
-    checks.append(_record(
-        "phi_growth", d.c * (1 + np.abs(s) ** d.R) - np.abs(d.phi(s)), (s,)))
+    checks.append(_Worst("phi_growth").update(
+        d.c * (1 + np.abs(s) ** d.R) - np.abs(d.phi(s)), (s,)).result())
 
     s1 = rng.uniform(-box, box, size=trials)
     s2 = rng.uniform(-box, box, size=trials)
-    checks.append(_record(
-        "phi_dissipative",
-        d.b * (s1 - s2) ** 2 - (s1 - s2) * (d.phi(s1) - d.phi(s2)), (s1, s2)))
+    checks.append(_Worst("phi_dissipative").update(
+        d.b * (s1 - s2) ** 2 - (s1 - s2) * (d.phi(s1) - d.phi(s2)), (s1, s2)).result())
 
     checks.extend(_site_inequalities(field_, rng, trials, box))
     return AssumptionReport(checks=tuple(checks))
 
 
 class _Worst:
-    """Tracks the most negative slack and one offending argument pair."""
+    """Tracks the most negative slack and one offending argument pair.
+
+    A NaN slack cannot be checked, so it is the worst and stays so.
+    """
 
     def __init__(self, name):
         self.name = name
         self.worst = np.inf
         self.cx = None
 
-    def update(self, slack, args):
+    def update(self, slack, args) -> "_Worst":
         i = int(np.argmin(slack))
         w = float(slack.flat[i])
-        if w < self.worst:
+        if np.isnan(w) or w < self.worst:
             self.worst = w
             self.cx = tuple(float(np.asarray(a).flat[i]) for a in args)
+        return self
 
     def result(self) -> CheckResult:
         ok = self.worst >= -1e-9
@@ -209,7 +199,7 @@ def _site_inequalities(field_: CoefficientField, rng, trials, box, chunk=4000):
     # The open (self-less) adjacency: sums over the neighbours y != x.
     weights = np.ones(g.indices.size)
     weights[g.indptr[:-1]] = 0.0
-    adj = sp.csr_matrix((weights, g.indices, g.indptr), shape=(n, n))
+    adj = g.operator(weights)
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
@@ -235,7 +225,8 @@ def _site_inequalities(field_: CoefficientField, rng, trials, box, chunk=4000):
             (z1, z2))
 
     psi0 = field_.diffusion_all(np.zeros(n))
-    out = [_record("site_diff_at_zero", M * nbar - np.abs(psi0), (np.zeros(n),))]
+    out = [_Worst("site_diff_at_zero").update(M * nbar - np.abs(psi0),
+                                              (np.zeros(n),)).result()]
     out.extend(a.result() for a in accs.values())
     return out
 

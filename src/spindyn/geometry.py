@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+# After scipy.spatial: importing scipy.sparse first adds about 30 ms to start-up.
+import scipy.sparse as sp
 
 from .errors import ParameterError
 from .rng import generator
@@ -98,6 +100,18 @@ class GeometricGraph:
     def entry_rows(self) -> np.ndarray:
         """Row site of every CSR entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n_sites), self.nbar_count)
+
+    def operator(self, weights) -> sp.csr_matrix:
+        """The (N, N) sparse matrix with one weight per CSR entry, aligned
+        with ``indices``; zero weights are dropped."""
+        w = np.asarray(weights, dtype=float)
+        if w.shape != self.indices.shape:
+            raise ParameterError(f"weights must have shape {self.indices.shape}, got {w.shape}")
+        # copy=True: eliminate_zeros works in place and must not edit the graph.
+        mat = sp.csr_matrix((w, self.indices, self.indptr), shape=(self.n_sites,) * 2,
+                            copy=True)
+        mat.eliminate_zeros()
+        return mat
 
     def edges(self) -> np.ndarray:
         """Unordered neighbour pairs as an (E, 2) array, rows (a, b) with

@@ -1,5 +1,9 @@
 """Norm-bound certification for finite-range operators on the weighted-l1 scale.
 
+A finite-range matrix holds one weight per CSR entry of the graph, aligned
+with ``graph.indices``, so an entry beyond the interaction radius cannot be
+written down; its growth bound |Q_xy| <= C n_x^k is checked once, when built.
+
 Contains the growth-series evaluator K_T, the series solution of the linear
 integral equation f = z + int Q f, a computed upper bound on the scale-norm
 constant L, a comparison check for integral inequalities with non-negative
@@ -31,60 +35,39 @@ _DELTA_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 256)])
 _ROUNDING_PAD = 5e-13
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteRangeMatrix:
     """Sparse site-to-site matrix vanishing beyond the interaction radius.
 
-    Entries are bounded by ``bound_C * n_x**bound_k`` where n_x counts the
-    closed neighbourhood of the row site.
+    ``weights`` holds one entry per CSR entry of ``graph``, aligned with
+    ``graph.indices``; ``matrix`` is the sparse matrix they make, zeros
+    dropped.  Construction raises ``IntegrityError`` unless every entry obeys
+    |Q_xy| <= ``bound_C * n_x**bound_k``, where n_x counts the closed
+    neighbourhood of the row site x.
     """
 
-    entries: dict
     graph: GeometricGraph
+    weights: np.ndarray
     bound_C: float
     bound_k: float
-    _csr: sp.csr_matrix = field(default=None, repr=False, compare=False)
+    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
-        pos = self.graph.config.positions
-        rho = self.graph.rho
-        nbar = self.graph.nbar_count
-        for (x, y), v in self.entries.items():
-            if v == 0.0:
-                continue
-            dist = float(np.linalg.norm(pos[x] - pos[y]))
-            if dist > rho * (1 + 1e-12):
-                raise IntegrityError(
-                    f"entry ({x},{y}) nonzero at distance {dist:.6g} > rho={rho}")
-            cap = self.bound_C * float(nbar[x]) ** self.bound_k
-            if abs(v) > cap * (1 + 1e-12):
-                raise IntegrityError(
-                    f"entry ({x},{y})={v:.6g} exceeds C*n_x^k={cap:.6g}")
-
-    def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            n = self.graph.n_sites
-            if self.entries:
-                rows, cols = zip(*self.entries.keys())
-                vals = list(self.entries.values())
-            else:
-                rows, cols, vals = [], [], []
-            self._csr = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._csr
-
-    def dense(self) -> np.ndarray:
-        return self.csr().toarray()
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.csr() @ vec
+    def __post_init__(self):
+        mat = self.graph.operator(self.weights)
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        cap = self.bound_C * self.graph.nbar_count[rows].astype(float) ** self.bound_k
+        bad = np.flatnonzero(~(np.abs(mat.data) <= cap * (1 + 1e-12)))
+        if bad.size:
+            i = bad[0]
+            raise IntegrityError(f"entry ({rows[i]},{mat.indices[i]})={mat.data[i]:.6g} "
+                                 f"exceeds C*n_x^k={cap[i]:.6g}")
+        object.__setattr__(self, "matrix", mat)
 
 
 def induced_matrix(graph: GeometricGraph, B: float, k: float) -> FiniteRangeMatrix:
     """The kernel Q_{x,y} = B n_x^k on the closed neighbourhood of x."""
-    rows = graph.entry_rows()
-    vals = (B * graph.nbar_count.astype(float) ** k)[rows]
-    entries = dict(zip(zip(rows.tolist(), graph.indices.tolist()), vals.tolist()))
-    return FiniteRangeMatrix(entries=entries, graph=graph, bound_C=B, bound_k=k)
+    weights = (B * graph.nbar_count.astype(float) ** k)[graph.entry_rows()]
+    return FiniteRangeMatrix(graph=graph, weights=weights, bound_C=abs(B), bound_k=k)
 
 
 def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
@@ -109,7 +92,7 @@ def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
     #    and the max over i of the right side bounds the sup.
     # Each entry is evaluated in log space: an entry within range rho has
     # ||y| - |x|| <= rho, so no factor overflows however far out x lies.
-    abs_q = abs(Q.csr()).tocsc()
+    abs_q = abs(Q.matrix).tocsc()
     radii = Q.graph.radii()
     r_x = radii[abs_q.indices]
     r_diff = np.repeat(radii, np.diff(abs_q.indptr)) - r_x
@@ -176,13 +159,12 @@ def series_solve(Q: FiniteRangeMatrix, z0: WeightedSeq, t: float,
         raise ParameterError(f"t must be >= 0, got {t}")
     radii = Q.graph.radii()
     alpha_norm = scale.alpha_top if scale is not None else 0.0
-    csr = Q.csr()
     term = z0.to_dense()
     total = term.copy()
     if t == 0.0:
         return WeightedSeq.from_dense(total, Q.graph, keep_zeros=True)
     for n in range(1, n_max + 1):
-        term = (t / n) * (csr @ term)
+        term = (t / n) * (Q.matrix @ term)
         total += term
         if norm_l1_dense(term, radii, alpha_norm) < \
                 _SERIES_TERM_CUTOFF * max(norm_l1_dense(total, radii, alpha_norm), 1e-300):
@@ -216,8 +198,7 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
     the same grid; a failure yields a hypothesis-violated report rather than
     an exception.
     """
-    entries = Q.csr()
-    if entries.nnz and entries.min() < 0:
+    if Q.matrix.nnz and Q.matrix.min() < 0:
         raise ParameterError("comparison check requires a non-negative kernel")
     times = np.asarray(times, dtype=float)
     g = np.asarray(g_values, dtype=float)
@@ -227,7 +208,7 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
         raise ParameterError("times must be increasing within [0, T]")
     zd = z.to_dense()
 
-    qg = entries @ g
+    qg = Q.matrix @ g
     integral = np.zeros_like(g)
     dt = np.diff(times)
     integral[:, 1:] = np.cumsum(0.5 * dt * (qg[:, :-1] + qg[:, 1:]), axis=1)
@@ -265,18 +246,3 @@ def gronwall_bound(B: float, k: float, graph: GeometricGraph, b_vec: WeightedSeq
     Q = induced_matrix(graph, B, k)
     L = estimate_L(Q, q, scale)
     return k_series(L, T, q, alpha, beta) * b_norm
-
-
-def matrix_to_csv(Q: FiniteRangeMatrix, path) -> None:
-    rows = [(x, y, v) for (x, y), v in sorted(Q.entries.items())]
-    arr = np.asarray(rows, dtype=float).reshape(len(rows), 3)
-    np.savetxt(path, arr, fmt=["%d", "%d", "%.17g"], delimiter=",",
-               header="a,b,value", comments="")
-
-
-def matrix_from_csv(path, graph: GeometricGraph, bound_C: float,
-                    bound_k: float) -> FiniteRangeMatrix:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    entries = {(int(r[0]), int(r[1])): float(r[2]) for r in data} if data.size else {}
-    return FiniteRangeMatrix(entries=entries, graph=graph,
-                             bound_C=bound_C, bound_k=bound_k)

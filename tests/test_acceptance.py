@@ -65,7 +65,7 @@ def sampled_max_ratio(Q, q, scale, trials, seed):
     a, b = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, (2, trials)),
                    axis=0)
     z = rng.standard_normal((Q.graph.n_sites, trials))
-    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q.csr() @ z), axis=0)
+    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q.matrix @ z), axis=0)
     den = np.sum(np.exp(-np.outer(radii, a)) * np.abs(z), axis=0)
     return float(np.max((b - a) ** q * num / den))
 
@@ -83,12 +83,9 @@ def test_02_operator_bound_certification():
         C = rng.uniform(0.5, 3.0)
         k = rng.uniform(0.0, 2.0)
         q = rng.uniform(0.2, 0.8)
-        entries = {}
-        for x in range(g.n_sites):
-            cap = C * float(g.nbar_count[x]) ** k
-            for y in g.closed_neighborhood(x):
-                entries[(x, y)] = rng.uniform(-cap, cap)
-        Q = FiniteRangeMatrix(entries=entries, graph=g, bound_C=C, bound_k=k)
+        cap = (C * g.nbar_count.astype(float) ** k)[g.entry_rows()]
+        Q = FiniteRangeMatrix(graph=g, weights=rng.uniform(-cap, cap),
+                              bound_C=C, bound_k=k)
         L = estimate_L(Q, q, scale)
         ok &= np.isfinite(L) and sampled_max_ratio(Q, q, scale, 10 ** 4,
                                                    trial + 1) <= L
@@ -101,15 +98,12 @@ def test_03_series_solution_vs_matrix_exponential():
     for trial in range(10):
         n = int(rng.integers(2, 9))
         g = build_graph(lattice_configuration(0, n - 1), float(rng.uniform(1.0, 3.0)))
-        entries = {}
-        for x in range(g.n_sites):
-            for y in g.closed_neighborhood(x):
-                entries[(x, y)] = rng.uniform(-1.5, 1.5)
-        Q = FiniteRangeMatrix(entries=entries, graph=g, bound_C=2.0, bound_k=1.0)
+        Q = FiniteRangeMatrix(graph=g, weights=rng.uniform(-1.5, 1.5, g.indices.size),
+                              bound_C=2.0, bound_k=1.0)
         z0 = WeightedSeq.from_dense(rng.standard_normal(n), g)
         t = rng.uniform(0.1, 2.0)
         got = series_solve(Q, z0, t).to_dense()
-        want = expm(t * Q.dense()) @ z0.to_dense()
+        want = expm(t * Q.matrix.toarray()) @ z0.to_dense()
         ok &= np.max(np.abs(got - want)) <= 1e-10
     report(3, "series solution matches dense matrix exponential", ok)
 

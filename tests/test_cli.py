@@ -1,4 +1,7 @@
 import json
+import re
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +277,13 @@ class TestOvsCommand:
                            ndmin=2)
         assert np.all(np.isfinite(table))
 
+    def test_nan_B_exits_3(self, tmp_path, capsys):
+        # A NaN kernel obeys no growth bound; the CLI reports it, no traceback.
+        cfg = self.ovs_cfg(-5, 5)
+        cfg["ovs"]["B"] = float("nan")
+        assert main(["ovs", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "entry (0,0)=nan" in capsys.readouterr().err
+
 
 class TestGibbsCommand:
     def test_gaussian_report(self, tmp_path):
@@ -311,3 +321,33 @@ class TestGibbsCommand:
         assert main(["gibbs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         assert f"gibbs.{key}" in capsys.readouterr().err
         assert not (out / "gibbs_report.json").exists()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("ovs", lattice_graph_cfg() | {"ovs": {"B": 0.2}}, "ovs.trials"),
+        ("simulate", simulate_cfg(replicas=2, dt=0.1), "field.M_tilda"),
+    ])
+    def test_unknown_key_exits_2_before_output(self, tmp_path, capsys, command,
+                                               cfg, key):
+        section, name = key.split(".")
+        cfg[section][name] = 500
+        out = tmp_path / "out"
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_set_is_exactly_the_keys_read(self):
+        # A key in the set that no subcommand reads would be accepted and
+        # ignored, the fault the set exists to stop.
+        source = Path(cli.__file__).read_text()
+        read = set(re.findall(r'(?:_get|_site_list)\(cfg, "([\w.]+)"', source))
+        assert read == cli._CONFIG_KEYS
+
+    def test_benchmark_configs_load(self, tmp_path):
+        # Executed from its source, so nothing is written next to it.
+        src = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        inputs = types.ModuleType("perfbench_inputs")
+        exec(compile(src.read_text(), str(src), "exec"), inputs.__dict__)
+        for workload in inputs.WORKLOADS:
+            cli._load_config(str(inputs.generate(workload, 1, tmp_path / workload)))

@@ -90,6 +90,19 @@ def test_growth_violation_detected(graph):
     assert not report["phi_growth"].passed
 
 
+def test_nan_slack_fails_its_check(graph):
+    # phi is NaN beyond |s| = 5: a slack that cannot be evaluated must not
+    # pass, in the single-site checks and the per-site ones alike.
+    nan_phi = SinglePotentialDrift(phi=lambda s: np.where(np.abs(s) > 5, np.nan, -s),
+                                   c=1.0, R=2.0, b=0.0)
+    field = dataclasses.replace(make_field(graph), drift=nan_phi)
+    report = validate_assumptions(field, trials=2000, seed=0)
+    for name in ("phi_growth", "phi_dissipative", "site_drift_growth",
+                 "site_drift_pairing"):
+        assert not report[name].passed and np.isnan(report[name].worst_margin)
+    assert report["site_diff_lipschitz"].passed
+
+
 def test_linear_preset_passes(graph):
     field = make_field(graph, drift="linear", coupling="zero")
     assert validate_assumptions(field, trials=10000, seed=3).passed

@@ -7,9 +7,8 @@ from scipy.linalg import expm
 from spindyn import (Configuration, FiniteRangeMatrix, IntegrityError,
                      NumericError, ParameterError, ScaleInterval, WeightedSeq,
                      build_graph, comparison_check, estimate_L, gronwall_bound,
-                     induced_matrix, k_series, lattice_configuration,
-                     matrix_from_csv, matrix_to_csv, norm_lp, sample_poisson,
-                     series_solve)
+                     induced_matrix, k_series, lattice_configuration, norm_lp,
+                     sample_poisson, series_solve)
 from spindyn import ovsbound
 
 SCALE = ScaleInterval(0.1, 1.0)
@@ -18,6 +17,20 @@ SCALE = ScaleInterval(0.1, 1.0)
 @pytest.fixture(scope="module")
 def graph():
     return build_graph(lattice_configuration(-5, 5), 1.5)
+
+
+def slot(graph, x, y):
+    """Index of the CSR entry (x, y) in ``graph.indices``."""
+    return graph.indptr[x] + graph.closed_neighborhood(x).index(y)
+
+
+def matrix_with(graph, entries):
+    """A matrix holding the given {(x, y): value} entries and zeros elsewhere,
+    with growth bound |Q_xy| <= 1."""
+    w = np.zeros(graph.indices.size)
+    for (x, y), v in entries.items():
+        w[slot(graph, x, y)] = v
+    return FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=0.0)
 
 
 def kt_oracle(L, T, q, width, terms=400):
@@ -71,14 +84,14 @@ def column_norm(Q, alpha, beta):
     """F(alpha, beta) = max_y sum_x |Q_xy| e^{-beta|x| + alpha|y|}, the
     l1_alpha -> l1_beta norm of Q, for one pair."""
     radii = Q.graph.radii()
-    col = abs(Q.csr()).T @ np.exp(-beta * radii)
+    col = abs(Q.matrix).T @ np.exp(-beta * radii)
     return float(np.max(col * np.exp(alpha * radii), initial=0.0))
 
 
 def grid_sup(Q, q, scale, m):
     """max of (beta-alpha)^q F(alpha, beta) over an m x m grid of the scale."""
     radii = Q.graph.radii()
-    abs_t = abs(Q.csr()).T
+    abs_t = abs(Q.matrix).T
     grid = np.linspace(scale.alpha_star, scale.alpha_top, m)
     best = 0.0
     for i, a in enumerate(grid[:-1]):
@@ -96,7 +109,7 @@ def sampled_max_ratio(Q, q, scale, trials, rng_seed):
     a, b = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, (2, trials)),
                    axis=0)
     z = rng.standard_normal((Q.graph.n_sites, trials))
-    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q.csr() @ z), axis=0)
+    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q.matrix @ z), axis=0)
     den = np.sum(np.exp(-np.outer(radii, a)) * np.abs(z), axis=0)
     return float(np.max((b - a) ** q * num / den))
 
@@ -112,10 +125,8 @@ def signed_operators(draw):
     config = Configuration(positions=rng.uniform(-side, side, size=(n, dim)),
                            window=np.array([[-side, side]] * dim))
     graph = build_graph(config, draw(st.floats(0.3, 3.0)))
-    vals = rng.uniform(-3.0, 3.0, graph.indices.size)
-    entries = dict(zip(zip(graph.entry_rows().tolist(), graph.indices.tolist()),
-                       vals.tolist()))
-    Q = FiniteRangeMatrix(entries=entries, graph=graph, bound_C=3.0, bound_k=0.0)
+    Q = FiniteRangeMatrix(graph=graph, weights=rng.uniform(-3.0, 3.0, graph.indices.size),
+                          bound_C=3.0, bound_k=0.0)
     lo = draw(st.floats(0.0, 1.0))
     scale = ScaleInterval(lo, lo + draw(st.floats(0.05, 2.0)))
     pairs = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, (20, 2)), axis=1)
@@ -153,15 +164,16 @@ class TestCertification:
             assert sup <= L <= 1.05 * sup
 
     def test_zero_matrix(self, graph):
-        Q = FiniteRangeMatrix(entries={}, graph=graph, bound_C=1.0, bound_k=0.0)
+        Q = matrix_with(graph, {})
         assert estimate_L(Q, 0.5, SCALE) == 0.0
 
     def test_diagonal_matrix_exact_constant(self, graph):
         # Q = c I: F(alpha, beta) = c at the origin site for every pair, so
         # the sup is c width^q, attained at the widest pair.
         c = 2.0
-        entries = {(x, x): c for x in range(graph.n_sites)}
-        Q = FiniteRangeMatrix(entries=entries, graph=graph, bound_C=c, bound_k=0.0)
+        w = np.zeros(graph.indices.size)
+        w[graph.indptr[:-1]] = c
+        Q = FiniteRangeMatrix(graph=graph, weights=w, bound_C=c, bound_k=0.0)
         L = estimate_L(Q, 0.5, SCALE)
         exact = c * SCALE.width ** 0.5
         assert L >= exact
@@ -176,8 +188,7 @@ class TestCertification:
         origin, x = 5, 6
         q = 0.5
         entry = (x, origin) if outward else (origin, x)
-        Q = FiniteRangeMatrix(entries={entry: 1.0}, graph=graph, bound_C=1.0,
-                              bound_k=0.0)
+        Q = matrix_with(graph, {entry: 1.0})
         exact = q ** q * np.exp(-SCALE.alpha_star - q if outward
                                 else SCALE.alpha_top - q)
         L = estimate_L(Q, q, SCALE)
@@ -211,39 +222,56 @@ class TestCertification:
         g = build_graph(lattice_configuration(-12, 12, dim=2), 1.5)
         Q = induced_matrix(g, 0.3, 1.0)
         columns = 2 * (ovsbound._DELTA_GRID.size - 1)
-        assert Q.csr().nnz * columns > 2 * ovsbound._PAIR_BLOCK_ELEMENTS
+        assert Q.matrix.nnz * columns > 2 * ovsbound._PAIR_BLOCK_ELEMENTS
         blocked = estimate_L(Q, 0.5, SCALE)
         monkeypatch.setattr(ovsbound, "_PAIR_BLOCK_ELEMENTS", 2 ** 62)
         assert estimate_L(Q, 0.5, SCALE) == blocked
 
-    def test_validate_catches_range_violation(self, graph):
-        Q = FiniteRangeMatrix(entries={(0, 10): 1.0}, graph=graph,
-                              bound_C=10.0, bound_k=1.0)
-        with pytest.raises(IntegrityError):
-            Q.validate()
+    def test_weights_of_wrong_length_rejected(self, graph):
+        # One weight per CSR entry is the only layout, so an entry beyond
+        # rho, such as (0, 10), has no slot to go in.
+        e = graph.indices.size
+        for bad in (np.ones(e - 1), np.ones(e + 1), np.ones((1, e))):
+            with pytest.raises(ParameterError):
+                FiniteRangeMatrix(graph=graph, weights=bad, bound_C=10.0, bound_k=1.0)
 
-    def test_validate_catches_growth_violation(self, graph):
-        Q = FiniteRangeMatrix(entries={(5, 6): 100.0}, graph=graph,
-                              bound_C=1.0, bound_k=1.0)
-        with pytest.raises(IntegrityError):
-            Q.validate()
+    def test_construction_catches_growth_violation(self, graph):
+        # n_5 = 3, so row 5 may hold at most C n_5^k = 3; NaN obeys no bound.
+        w = np.zeros(graph.indices.size)
+        w[slot(graph, 5, 6)] = 100.0
+        with pytest.raises(IntegrityError, match=r"\(5,6\)=100 exceeds C\*n_x\^k=3"):
+            FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=1.0)
+        w[slot(graph, 5, 6)] = np.nan
+        with pytest.raises(IntegrityError, match=r"\(5,6\)=nan"):
+            FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=1.0)
+        w[slot(graph, 5, 6)] = -3.0
+        Q = FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=1.0)
+        assert Q.matrix.nnz == 1 and Q.matrix[5, 6] == -3.0
 
+    @pytest.mark.parametrize("lo, hi, B, scale, want", [
+        # the converge_chain kernel: 201 sites, B = a_bar = 1
+        (-100, 100, 1.0, ScaleInterval(0.0, 1.0), "0x1.59b47cae31744p+2"),
+        # the kernel of `spindyn ovs` on the -5..5 chain
+        (-5, 5, 0.2, ScaleInterval(0.1, 1.0), "0x1.1491692fed2d1p+0"),
+    ])
+    def test_L_is_pinned_bit_for_bit(self, lo, hi, B, scale, want):
+        # The values the (x, y) -> value dict layout gave; the CSR layout
+        # must reproduce them, since they reach gaps.csv and kt_table.csv.
+        g = build_graph(lattice_configuration(lo, hi), 1.5)
+        assert estimate_L(induced_matrix(g, B, 1.0), 0.5, scale).hex() == want
 
 class TestSeriesSolve:
     def test_matches_matrix_exponential(self, graph):
         rng = np.random.default_rng(2)
         small = build_graph(lattice_configuration(0, 7), 1.5)
         for _ in range(10):
-            entries = {}
-            for x in range(small.n_sites):
-                for y in small.closed_neighborhood(x):
-                    entries[(x, y)] = rng.uniform(-1, 1)
-            Q = FiniteRangeMatrix(entries=entries, graph=small,
+            Q = FiniteRangeMatrix(graph=small,
+                                  weights=rng.uniform(-1, 1, small.indices.size),
                                   bound_C=1.0, bound_k=0.0)
             z0 = WeightedSeq.from_dense(rng.standard_normal(small.n_sites), small)
             t = rng.uniform(0.1, 1.5)
             got = series_solve(Q, z0, t).to_dense()
-            want = expm(t * Q.dense()) @ z0.to_dense()
+            want = expm(t * Q.matrix.toarray()) @ z0.to_dense()
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_t_zero_identity(self, graph):
@@ -252,7 +280,7 @@ class TestSeriesSolve:
         assert np.array_equal(series_solve(Q, z0, 0.0).to_dense(), z0.to_dense())
 
     def test_zero_matrix_constant(self, graph):
-        Q = FiniteRangeMatrix(entries={}, graph=graph, bound_C=1.0, bound_k=0.0)
+        Q = matrix_with(graph, {})
         z0 = WeightedSeq({3: 2.0}, graph)
         assert np.array_equal(series_solve(Q, z0, 5.0).to_dense(), z0.to_dense())
 
@@ -296,8 +324,7 @@ class TestComparison:
         assert rep.max_hypothesis_violation > 0
 
     def test_negative_kernel_rejected(self, graph):
-        Q = FiniteRangeMatrix(entries={(0, 1): -1.0}, graph=graph,
-                              bound_C=1.0, bound_k=0.0)
+        Q = matrix_with(graph, {(0, 1): -1.0})
         z = WeightedSeq({}, graph)
         times = np.linspace(0, 1, 10)
         with pytest.raises(ParameterError):
@@ -325,12 +352,3 @@ class TestGronwall:
         b = WeightedSeq({0: -1.0}, graph)
         with pytest.raises(ParameterError):
             gronwall_bound(0.1, 1.0, graph, b, 0.2, 0.9, 1.0, 0.5, SCALE)
-
-
-def test_matrix_csv_round_trip(tmp_path, graph):
-    Q = induced_matrix(graph, 0.25, 1.0)
-    p = tmp_path / "q.csv"
-    matrix_to_csv(Q, p)
-    back = matrix_from_csv(p, graph, bound_C=0.25, bound_k=1.0)
-    assert back.entries == Q.entries
-    back.validate()
