@@ -19,7 +19,7 @@ def main():
 
     print("== kernel sampling (Gaussian model) ==")
     model = make_model(g, potential="gaussian", J=0.2)
-    s = kernel_sample(model, {4, 5, 6}, WeightedSeq({}, g), chain)
+    s = kernel_sample(model, {4, 5, 6}, WeightedSeq(np.zeros(g.n_sites), g), chain)
     print(f"acceptance {s.acceptance_rate:.3f}, tuned step {s.step_size:.3f}, "
           f"ESS {s.ess:.0f}")
     print(f"per-site means: {np.round(s.samples.mean(axis=0), 3)}")

@@ -44,7 +44,7 @@ def main():
 
     print("\n== a-priori bound vs actual solution ==")
     alpha, beta, T = 0.3, 0.9, 1.0
-    z = WeightedSeq.from_dense(np.abs(np.sin(np.arange(g.n_sites))), g)
+    z = WeightedSeq(np.abs(np.sin(np.arange(g.n_sites))), g)
     bound = gronwall_bound(0.15, 1.0, g, z, alpha, beta, T, q, scale)
     sup_norm = max(norm_lp(series_solve(Q, z, t), beta, 1.0, scale)
                    for t in np.linspace(0, T, 21))

@@ -11,6 +11,7 @@ violated.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -69,7 +70,16 @@ def _get(cfg: dict, key: str, expect=None, default=KeyError):
     if expect is not None and not isinstance(node, expect):
         raise ConfigError(f"config key '{key}' has wrong type "
                           f"(expected {expect.__name__ if not isinstance(expect, tuple) else expect})")
+    if isinstance(node, (float, list)) and not _finite_numbers(node):
+        raise ConfigError(f"config key '{key}' must hold finite numbers, got {node}")
     return node
+
+
+def _finite_numbers(node) -> bool:
+    """True for a finite number, or a (nested) list of finite numbers."""
+    if isinstance(node, list):
+        return all(map(_finite_numbers, node))
+    return isinstance(node, (int, float)) and math.isfinite(node)
 
 
 def _load_config(path: str) -> dict:
@@ -140,12 +150,14 @@ def _build_init(cfg: dict, graph):
     kind = _get(cfg, "init.type", str, default="constant")
     if kind == "constant":
         value = float(_get(cfg, "init.value", (int, float), default=0.0))
-        return WeightedSeq({i: value for i in range(graph.n_sites)} if value else {},
-                           graph)
+        return WeightedSeq(np.full(graph.n_sites, value), graph)
     if kind == "random":
-        return RandomInit(dist=_get(cfg, "init.dist", str, default="normal"),
-                          a=float(_get(cfg, "init.a", (int, float), default=0.0)),
-                          b=float(_get(cfg, "init.b", (int, float), default=1.0)))
+        try:
+            return RandomInit(dist=_get(cfg, "init.dist", str, default="normal"),
+                              a=float(_get(cfg, "init.a", (int, float), default=0.0)),
+                              b=float(_get(cfg, "init.b", (int, float), default=1.0)))
+        except ParameterError as e:
+            raise ConfigError(f"init.dist: {e}")
     if kind == "csv":
         from .spaces import weighted_seq_from_csv
         return weighted_seq_from_csv(_get(cfg, "init.path", str), graph)
@@ -153,10 +165,7 @@ def _build_init(cfg: dict, graph):
 
 
 def _build_volumes(cfg: dict, graph):
-    radii = _get(cfg, "volumes.radii", list, default=None)
-    if radii is None:
-        return radial_volumes(graph, [])
-    return radial_volumes(graph, [float(r) for r in radii])
+    return radial_volumes(graph, _get(cfg, "volumes.radii", list, default=[]))
 
 
 def _sha256(path: Path) -> str:
@@ -282,11 +291,10 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
 
 def _tail_vector(ens, volumes, n, graph) -> WeightedSeq:
     """Per-site p-th moment of the initial data outside volume n."""
-    mask = volumes.mask(n)
     init0 = ens.trajectories[:, -1, :, 0]  # (replicas, sites) initial states
     vals = np.mean(np.abs(init0) ** ens.plan.p, axis=0) + 1.0
-    vals[mask] = 0.0
-    return WeightedSeq.from_dense(vals, graph)
+    vals[volumes.masks[n]] = 0.0
+    return WeightedSeq(vals, graph)
 
 
 def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
@@ -338,7 +346,7 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
     sites = _site_list(cfg, "gibbs.observable_sites", graph.n_sites,
                        default=[0, graph.n_sites - 1])
     report = {}
-    zero = WeightedSeq({}, graph)
+    zero = WeightedSeq(np.zeros(graph.n_sites), graph)
     sample = gibbs.kernel_sample(model, range(graph.n_sites), zero, chain)
     report["kernel"] = {
         "acceptance_rate": sample.acceptance_rate,

@@ -96,13 +96,13 @@ def eval_drift(field_: CoefficientField, state: WeightedSeq, x: int) -> float:
     """phi(z_x) + (A z)_x."""
     if not (0 <= x < field_.graph.n_sites):
         raise ParameterError(f"site {x} out of range")
-    return float(field_.drift_all(state.to_dense())[x])
+    return float(field_.drift_all(state.values)[x])
 
 
 def eval_diffusion(field_: CoefficientField, state: WeightedSeq, x: int) -> float:
     if not (0 <= x < field_.graph.n_sites):
         raise ParameterError(f"site {x} out of range")
-    return float(field_.diffusion_all(state.to_dense())[x])
+    return float(field_.diffusion_all(state.values)[x])
 
 
 @dataclass(frozen=True)

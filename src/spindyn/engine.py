@@ -1,5 +1,9 @@
 """Finite-volume SDE integration with common random numbers across volumes.
 
+Per-site data is dense: a volume sequence is one (volumes, sites) boolean
+mask array, and initial data is one site array (a ``WeightedSeq``), a
+(replicas, sites) array or a ``RandomInit`` law.
+
 Sites outside the active volume stay frozen at their initial value exactly;
 the Wiener increment for (replica, site, step) comes from a keyed
 counter-based stream, so every volume sees identical noise.  Every
@@ -72,44 +76,33 @@ class SimPlan:
 
 @dataclass(frozen=True)
 class VolumeSequence:
-    """Strictly nested site sets ending in the full window."""
+    """Strictly nested site sets ending in the full window, held as one
+    read-only (volumes, sites) boolean mask array."""
 
-    volumes: tuple
-    n_sites: int
+    masks: np.ndarray
 
     def __post_init__(self):
-        vols = tuple(frozenset(int(s) for s in v) for v in self.volumes)
-        if not vols:
-            raise ParameterError("at least one volume is required")
-        full = frozenset(range(self.n_sites))
-        for v in vols:
-            if not v <= full:
-                raise ParameterError("volume contains unknown site ids")
-        for a, b in zip(vols, vols[1:]):
-            if not (a < b):
-                raise ParameterError("volumes must be strictly nested")
-        if vols[-1] != full:
+        m = np.array(self.masks)
+        if m.dtype != bool or m.ndim != 2 or not len(m):
+            raise ParameterError("volumes must be a non-empty 2-d boolean mask array")
+        if np.any(m[:-1] & ~m[1:]) or not np.all(np.any(m[1:] & ~m[:-1], axis=1)):
+            raise ParameterError("volumes must be strictly nested")
+        if not m[-1].all():
             raise ParameterError("final volume must cover the full window")
-        object.__setattr__(self, "volumes", vols)
+        m.flags.writeable = False
+        object.__setattr__(self, "masks", m)
 
     def __len__(self) -> int:
-        return len(self.volumes)
-
-    def mask(self, idx: int) -> np.ndarray:
-        m = np.zeros(self.n_sites, dtype=bool)
-        m[list(self.volumes[idx])] = True
-        return m
+        return len(self.masks)
 
 
 def radial_volumes(graph: GeometricGraph, radii) -> VolumeSequence:
     """Volumes of sites with |x| <= r for an ascending list of radii,
     with the full window appended as the final volume."""
-    r = graph.radii()
-    vols = [set(np.nonzero(r <= rad)[0].tolist()) for rad in radii]
-    full = set(range(graph.n_sites))
-    if not vols or vols[-1] != full:
-        vols.append(full)
-    return VolumeSequence(volumes=tuple(vols), n_sites=graph.n_sites)
+    masks = graph.radii() <= np.asarray(radii, dtype=float).reshape(-1, 1)
+    if not (len(masks) and masks[-1].all()):
+        masks = np.vstack([masks, np.ones(graph.n_sites, dtype=bool)])
+    return VolumeSequence(masks)
 
 
 @dataclass(frozen=True)
@@ -120,16 +113,18 @@ class RandomInit:
     a: float = 0.0  # mean (normal) or lower bound (uniform)
     b: float = 1.0  # std dev (normal) or upper bound (uniform)
 
+    def __post_init__(self):
+        if self.dist not in ("normal", "uniform"):
+            raise ParameterError(f"unknown initial distribution '{self.dist}'")
+
     def draw(self, master_seed: int, replica: int, n_sites: int) -> np.ndarray:
         out = np.empty(n_sites)
         for s in range(n_sites):
             g = generator(master_seed, TAG_INIT, replica, s)
             if self.dist == "normal":
                 out[s] = self.a + self.b * g.standard_normal()
-            elif self.dist == "uniform":
-                out[s] = g.uniform(self.a, self.b)
             else:
-                raise ParameterError(f"unknown initial distribution '{self.dist}'")
+                out[s] = g.uniform(self.a, self.b)
         return out
 
 
@@ -139,8 +134,7 @@ def _initial_states(init, graph, plan, replica_ids) -> np.ndarray:
     if isinstance(init, np.ndarray):
         return init[list(replica_ids)]
     if isinstance(init, WeightedSeq):
-        base = init.to_dense()
-        return np.tile(base, (len(replica_ids), 1))
+        return np.tile(init.values, (len(replica_ids), 1))
     if isinstance(init, RandomInit):
         return np.stack([init.draw(plan.master_seed, r, graph.n_sites)
                          for r in replica_ids])
@@ -305,8 +299,7 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
     if plan.p < max(2.0, field_.drift.R):
         raise ParameterError(
             f"moment order p={plan.p} must be >= max(2, R={field_.drift.R})")
-    masks = [volumes.mask(i) for i in range(len(volumes))]
-    traj = integrate_replicas(field_, masks, init, plan, range(plan.replicas),
+    traj = integrate_replicas(field_, volumes.masks, init, plan, range(plan.replicas),
                               plan.n_steps, n_threads=n_threads)
     return NestedEnsemble(trajectories=traj, volumes=volumes, plan=plan,
                           graph=field_.graph, times=plan.times())
@@ -373,7 +366,7 @@ def semigroup_apply(field_: CoefficientField, f, zeta: WeightedSeq, t: float,
     """Monte Carlo estimate of E f(state at time t) started from zeta."""
     j = plan.time_index(t)
     if j == 0:
-        return float(f(zeta.to_dense())), 0.0
+        return float(f(zeta.values)), 0.0
     final = integrate_replicas(field_, [None], zeta, plan, range(plan.replicas), j,
                                paths=False)[:, 0]
     vals = np.array([f(s) for s in final], dtype=float)

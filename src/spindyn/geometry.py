@@ -90,9 +90,6 @@ class GeometricGraph:
     def n_sites(self) -> int:
         return self.config.n_sites
 
-    def degree(self, x: int) -> int:
-        return int(self.nbar_count[x]) - 1
-
     def closed_neighborhood(self, x: int) -> list:
         """gamma-bar of x: the site itself plus its neighbours."""
         return self.indices[self.indptr[x]:self.indptr[x + 1]].tolist()

@@ -114,15 +114,11 @@ def local_energy(model: GibbsModel, eta, sigma_eta, z: WeightedSeq) -> float:
     Each unordered pair inside eta counts once; every (interior, exterior)
     neighbour pair contributes with the frozen exterior value.
     """
-    eta = sorted(int(s) for s in eta)
+    target = _EtaTarget(model, eta, z.values)
     sigma = np.asarray(sigma_eta, dtype=float)
-    if sigma.shape != (len(eta),):
+    if sigma.shape != (len(target.eta),):
         raise ParameterError("sigma_eta must have one value per eta site")
-    val = z.to_dense()
-    val[eta] = sigma
-    x, y, w, inner = _eta_rows(model, eta)
-    once = ~inner | (x < y)
-    return float(np.sum(w[once] * val[x[once]] * val[y[once]]))
+    return float(target.interaction(sigma))
 
 
 class _EtaTarget:
@@ -154,9 +150,12 @@ class _EtaTarget:
         self.K = K
         self.bconst = bconst if z_dense.ndim > 1 else bconst[0]
 
+    def interaction(self, s: np.ndarray) -> np.ndarray:
+        """Pair and boundary terms of the energy, s.K.s / 2 + bconst.s."""
+        return 0.5 * np.sum(s * (s @ self.K), axis=-1) + np.sum(self.bconst * s, axis=-1)
+
     def energy(self, s: np.ndarray) -> np.ndarray:
-        quad = 0.5 * np.sum(s * (s @ self.K), axis=-1)
-        return np.sum(self.model.V(s), axis=-1) + quad + np.sum(self.bconst * s, axis=-1)
+        return np.sum(self.model.V(s), axis=-1) + self.interaction(s)
 
     def grad(self, s: np.ndarray) -> np.ndarray:
         return self.model.grad_V(s) + s @ self.K + self.bconst
@@ -265,7 +264,7 @@ def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,
         return SpecKernelSample(eta=(), boundary=boundary,
                                 samples=np.zeros((0, 0)), acceptance_rate=1.0,
                                 ess=0.0, step_size=chain.step_size)
-    target = _EtaTarget(model, eta, boundary.to_dense())
+    target = _EtaTarget(model, eta, boundary.values)
     rng = np.random.default_rng(chain.seed ^ 0x5eed)
     init = rng.standard_normal((n_chains, len(eta)))
     samples, rate, h = _mala_run(target, init, chain, collect=True)
@@ -286,8 +285,7 @@ def sample_window_measure(model: GibbsModel, n_samples: int,
     """Independent draws from the finite-window Gibbs measure (zero boundary):
     one MALA chain per draw, final state after burn-in."""
     g = model.graph
-    zero = WeightedSeq({}, g)
-    target = _EtaTarget(model, range(g.n_sites), zero.to_dense())
+    target = _EtaTarget(model, range(g.n_sites), np.zeros(g.n_sites))
     rng = np.random.default_rng(chain.seed ^ 0xA11)
     init = rng.standard_normal((n_samples, g.n_sites))
     states, rate, _ = _mala_run(target, init, chain, collect=False)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .errors import IntegrityError, NumericError, ParameterError
 from .geometry import GeometricGraph
-from .spaces import ScaleInterval, WeightedSeq, norm_l1_dense
+from .spaces import ScaleInterval, WeightedSeq
 
 _SERIES_TERM_CUTOFF = 1e-14
 _COMPARISON_TOL = 1e-9
@@ -157,18 +157,17 @@ def series_solve(Q: FiniteRangeMatrix, z0: WeightedSeq, t: float,
     """
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
-    radii = Q.graph.radii()
-    alpha_norm = scale.alpha_top if scale is not None else 0.0
-    term = z0.to_dense()
-    total = term.copy()
     if t == 0.0:
-        return WeightedSeq.from_dense(total, Q.graph, keep_zeros=True)
+        return z0
+    w = np.exp(-(scale.alpha_top if scale is not None else 0.0) * Q.graph.radii())
+    term = z0.values
+    total = term.copy()
     for n in range(1, n_max + 1):
         term = (t / n) * (Q.matrix @ term)
         total += term
-        if norm_l1_dense(term, radii, alpha_norm) < \
-                _SERIES_TERM_CUTOFF * max(norm_l1_dense(total, radii, alpha_norm), 1e-300):
-            return WeightedSeq.from_dense(total, Q.graph, keep_zeros=True)
+        if np.sum(w * np.abs(term)) < \
+                _SERIES_TERM_CUTOFF * max(np.sum(w * np.abs(total)), 1e-300):
+            return WeightedSeq(total, Q.graph)
     raise NumericError(f"series solution did not reach tolerance within {n_max} terms")
 
 
@@ -206,13 +205,12 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
         raise ParameterError("g_values must have shape (n_sites, len(times))")
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[-1] > T + 1e-12:
         raise ParameterError("times must be increasing within [0, T]")
-    zd = z.to_dense()
 
     qg = Q.matrix @ g
     integral = np.zeros_like(g)
     dt = np.diff(times)
     integral[:, 1:] = np.cumsum(0.5 * dt * (qg[:, :-1] + qg[:, 1:]), axis=1)
-    hyp_gap = g - (zd[:, None] + integral)
+    hyp_gap = g - (z.values[:, None] + integral)
     max_hyp = float(np.max(hyp_gap))
     hypothesis_ok = max_hyp <= tol
     if not hypothesis_ok:
@@ -220,7 +218,7 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
 
     f = np.empty_like(g)
     for j, tj in enumerate(times):
-        f[:, j] = series_solve(Q, z, float(tj), scale=scale).to_dense()
+        f[:, j] = series_solve(Q, z, float(tj), scale=scale).values
     gap = g - f
     max_bound = float(np.max(gap))
     return ComparisonReport(True, max_bound <= tol, max_hyp, max_bound,
@@ -229,10 +227,9 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
 
 def nonneg_l1_norm(b_vec: WeightedSeq, radii: np.ndarray, alpha: float) -> float:
     """||b||_{l1_alpha} of a componentwise non-negative sequence."""
-    dense_b = b_vec.to_dense()
-    if np.any(dense_b < 0):
+    if np.any(b_vec.values < 0):
         raise ParameterError("b_vec must be componentwise non-negative")
-    return norm_l1_dense(dense_b, radii, alpha)
+    return float(np.sum(np.exp(-alpha * radii) * b_vec.values))
 
 
 def gronwall_bound(B: float, k: float, graph: GeometricGraph, b_vec: WeightedSeq,

@@ -1,8 +1,9 @@
 """Weighted sequence norms over site-indexed vectors.
 
-The norm at index ``alpha`` weights site x by exp(-alpha |x|), so norms are
-non-increasing in alpha and the spaces form a nested scale on the interval
-[alpha_star, alpha_top].
+A sequence on the window is one dense float64 array with a value for each
+site, in site order.  The norm at index ``alpha`` weights site x by
+exp(-alpha |x|), so norms are non-increasing in alpha and the spaces form a
+nested scale on the interval [alpha_star, alpha_top].
 """
 
 from dataclasses import dataclass
@@ -36,38 +37,22 @@ class ScaleInterval:
 
 @dataclass(frozen=True)
 class WeightedSeq:
-    """Sparse site-indexed real vector; absent sites are zero."""
+    """Site-indexed real vector: ``values`` is a read-only float64 copy with
+    one finite value per site of ``graph``."""
 
-    values: dict
+    values: np.ndarray
     graph: GeometricGraph
 
     def __post_init__(self):
+        vals = np.array(self.values, dtype=float)
         n = self.graph.n_sites
-        for k, v in self.values.items():
-            if not (0 <= int(k) < n):
-                raise ParameterError(f"site_id {k} outside 0..{n - 1}")
-            if not np.isfinite(v):
-                raise ParameterError(f"non-finite value at site {k}")
-
-    @classmethod
-    def from_dense(cls, vec, graph: GeometricGraph, keep_zeros: bool = False) -> "WeightedSeq":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (graph.n_sites,):
-            raise ParameterError("dense vector length must equal the site count")
-        items = enumerate(vec) if keep_zeros else ((i, v) for i, v in enumerate(vec) if v != 0.0)
-        return cls(values={int(i): float(v) for i, v in items}, graph=graph)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.graph.n_sites)
-        for k, v in self.values.items():
-            out[int(k)] = v
-        return out
-
-    def __getitem__(self, site_id: int) -> float:
-        return self.values.get(int(site_id), 0.0)
-
-    def scaled(self, c: float) -> "WeightedSeq":
-        return WeightedSeq({k: c * v for k, v in self.values.items()}, self.graph)
+        if vals.shape != (n,):
+            raise ParameterError(f"values must have shape ({n},), got {vals.shape}")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise ParameterError(f"non-finite value at site {np.argmax(bad)}")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
 
 def norm_lp(z: WeightedSeq, alpha: float, p: float, scale: ScaleInterval) -> float:
@@ -76,17 +61,8 @@ def norm_lp(z: WeightedSeq, alpha: float, p: float, scale: ScaleInterval) -> flo
         raise ParameterError(f"alpha={alpha} outside scale [{scale.alpha_star}, {scale.alpha_top}]")
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
-    if not z.values:
-        return 0.0
-    ids = np.fromiter(z.values.keys(), dtype=np.int64)
-    vals = np.fromiter(z.values.values(), dtype=float)
-    r = z.graph.radii()[ids]
-    return float(np.sum(np.exp(-alpha * r) * np.abs(vals) ** p) ** (1.0 / p))
-
-
-def norm_l1_dense(vec: np.ndarray, radii: np.ndarray, alpha: float) -> float:
-    """Fast path used by the operator-bound code: l^1_alpha norm of a dense vector."""
-    return float(np.sum(np.exp(-alpha * radii) * np.abs(vec)))
+    w = np.exp(-alpha * z.graph.radii())
+    return float(np.sum(w * np.abs(z.values) ** p) ** (1.0 / p))
 
 
 def embedding_check(z: WeightedSeq, alphas, p: float, scale: ScaleInterval) -> bool:
@@ -99,14 +75,24 @@ def embedding_check(z: WeightedSeq, alphas, p: float, scale: ScaleInterval) -> b
 
 
 def weighted_seq_to_csv(z: WeightedSeq, path) -> None:
-    ids = sorted(z.values)
-    rows = np.asarray([[i, z.values[i]] for i in ids], dtype=float).reshape(len(ids), 2)
-    np.savetxt(path, rows, fmt=["%d", "%.17g"], delimiter=",",
-               header="site_id,value", comments="")
+    """Write the nonzero sites of ``z`` as ``site_id,value`` rows, ascending."""
+    ids = np.flatnonzero(z.values)
+    np.savetxt(path, np.column_stack([ids, z.values[ids]]), fmt=["%d", "%.17g"],
+               delimiter=",", header="site_id,value", comments="")
 
 
 def weighted_seq_from_csv(path, graph: GeometricGraph) -> WeightedSeq:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.size == 0:
-        return WeightedSeq({}, graph)
-    return WeightedSeq({int(r[0]): float(r[1]) for r in data}, graph)
+    """Read ``site_id,value`` rows; absent sites are zero.  A site id outside
+    0..N-1 or given twice is rejected by name."""
+    ids, rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1)).T
+    n = graph.n_sites
+    bad = ~((ids >= 0) & (ids < n) & (ids == np.floor(ids)))
+    if bad.any():
+        raise ParameterError(f"{path}: site_id {ids[bad][0]:g} outside 0..{n - 1}")
+    ids = ids.astype(np.int64)
+    seen, counts = np.unique(ids, return_counts=True)
+    if np.any(counts > 1):
+        raise ParameterError(f"{path}: site_id {seen[counts > 1][0]} is repeated")
+    vals = np.zeros(n)
+    vals[ids] = rows
+    return WeightedSeq(vals, graph)

@@ -100,10 +100,10 @@ def test_03_series_solution_vs_matrix_exponential():
         g = build_graph(lattice_configuration(0, n - 1), float(rng.uniform(1.0, 3.0)))
         Q = FiniteRangeMatrix(graph=g, weights=rng.uniform(-1.5, 1.5, g.indices.size),
                               bound_C=2.0, bound_k=1.0)
-        z0 = WeightedSeq.from_dense(rng.standard_normal(n), g)
+        z0 = WeightedSeq(rng.standard_normal(n), g)
         t = rng.uniform(0.1, 2.0)
-        got = series_solve(Q, z0, t).to_dense()
-        want = expm(t * Q.matrix.toarray()) @ z0.to_dense()
+        got = series_solve(Q, z0, t).values
+        want = expm(t * Q.matrix.toarray()) @ z0.values
         ok &= np.max(np.abs(got - want)) <= 1e-10
     report(3, "series solution matches dense matrix exponential", ok)
 
@@ -118,19 +118,19 @@ def test_04_comparison_and_gronwall():
     for trial in range(50):
         B = rng.uniform(0.02, 0.2)
         Q = induced_matrix(g, B, 1.0)
-        z = WeightedSeq.from_dense(rng.uniform(0.0, 1.0, g.n_sites), g)
-        f = np.stack([series_solve(Q, z, float(t)).to_dense() for t in times],
+        z = WeightedSeq(rng.uniform(0.0, 1.0, g.n_sites), g)
+        f = np.stack([series_solve(Q, z, float(t)).values for t in times],
                      axis=1)
         if trial % 2 == 0:
             gvals = rng.uniform(0.1, 1.0) * f
         else:
             kappa = rng.uniform(0.1, 1.0)
-            gvals = np.stack([series_solve(Q, z, float(kappa * t)).to_dense()
+            gvals = np.stack([series_solve(Q, z, float(kappa * t)).values
                               for t in times], axis=1)
         rep = comparison_check(Q, times, gvals, z, T)
         ok &= rep.hypothesis_ok and rep.bound_ok
         bound = gronwall_bound(B, 1.0, g, z, alpha, beta, T, q, scale)
-        gw = WeightedSeq.from_dense(np.abs(gvals).max(axis=1), g)
+        gw = WeightedSeq(np.abs(gvals).max(axis=1), g)
         sup_norm = norm_lp(gw, beta, 1.0, scale)
         ok &= sup_norm <= bound * (1 + 1e-12)
     report(4, "comparison inequality and weighted-sup bound, 50 instances", ok)
@@ -141,7 +141,7 @@ def test_05_sde_engine_correctness():
     field = make_field(single, drift="linear", noise="additive")
     plan = SimPlan(dt=1e-3, T=2.0, replicas=10 ** 4, master_seed=5)
     ens = run_nested(field, radial_volumes(single, []),
-                     WeightedSeq({}, single), plan)
+                     WeightedSeq(np.zeros(single.n_sites), single), plan)
     mean, se = moment_p(ens, 0, 0, 2.0)
     target = (1 - np.exp(-4.0)) / 2
     ok = abs(mean - target) <= 3 * se
@@ -152,10 +152,10 @@ def test_05_sde_engine_correctness():
                         noise="linear_noise", M_tilde=0.0)
     dt = 0.01
     dplan = SimPlan(dt=dt, T=1.0, master_seed=0, p=4.0)
-    init = WeightedSeq.from_dense(np.linspace(-1.0, 1.0, chain.n_sites), chain)
+    init = WeightedSeq(np.linspace(-1.0, 1.0, chain.n_sites), chain)
     traj = integrate_truncated(dfield, range(chain.n_sites), init, dplan, 0)
     sol = solve_ivp(lambda t, y: dfield.drift_all(y), (0, 1.0),
-                    init.to_dense(), rtol=1e-10, atol=1e-12, t_eval=[1.0])
+                    init.values, rtol=1e-10, atol=1e-12, t_eval=[1.0])
     ok &= np.max(np.abs(traj[:, -1] - sol.y[:, 0])) <= 5 * dt
     report(5, "Ornstein-Uhlenbeck moment and deterministic ODE oracle", ok)
 
@@ -211,7 +211,7 @@ def test_08_frozen_site_and_determinism():
     g = build_graph(lattice_configuration(-4, 4), 1.5)
     field = make_field(g, drift="cubic", coupling="linear_pair", J=0.2)
     plan = SimPlan(dt=0.01, T=0.3, replicas=32, master_seed=8, p=4.0)
-    init = WeightedSeq({i: 0.8 for i in range(g.n_sites)}, g)
+    init = WeightedSeq(np.full(g.n_sites, 0.8), g)
     traj = integrate_truncated(field, {3, 4, 5}, init, plan, replica=0)
     outside = [x for x in range(g.n_sites) if x not in {3, 4, 5}]
     ok = bool(np.all(traj[outside, :] == 0.8))
@@ -228,7 +228,7 @@ def test_09_gibbs_kernel_correctness():
 
     single = build_graph(lattice_configuration(0, 0), 1.0)
     m1 = make_model(single, potential="gaussian")
-    s = kernel_sample(m1, {0}, WeightedSeq({}, single),
+    s = kernel_sample(m1, {0}, WeightedSeq(np.zeros(single.n_sites), single),
                       ChainParams(steps=6000, burn_in=1000, seed=9))
     x = s.samples[:, 0]
     ess_x = max(_autocorr_ess(x), 10.0)
@@ -239,7 +239,7 @@ def test_09_gibbs_kernel_correctness():
     pair = build_graph(lattice_configuration(0, 1), 1.5)
     J = 0.4
     m2 = make_model(pair, potential="gaussian", J=J)
-    s2 = kernel_sample(m2, {0, 1}, WeightedSeq({}, pair),
+    s2 = kernel_sample(m2, {0, 1}, WeightedSeq(np.zeros(pair.n_sites), pair),
                        ChainParams(steps=20000, burn_in=1000, seed=11))
     want = np.linalg.inv(np.array([[1.0, J], [J, 1.0]]))
     cov = np.cov(s2.samples.T)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
-from spindyn import (RandomInit, ScaleInterval, SimPlan, WeightedSeq,
-                     build_graph, estimate_L, gronwall_bound, induced_matrix,
-                     k_series, lattice_configuration, make_field, moment_p,
-                     radial_volumes, run_nested)
+from spindyn import (ParameterError, RandomInit, ScaleInterval, SimPlan,
+                     WeightedSeq, build_graph, estimate_L, gronwall_bound,
+                     induced_matrix, k_series, lattice_configuration, make_field,
+                     moment_p, radial_volumes, run_nested)
 from spindyn import cli
 from spindyn.cli import main
 
@@ -214,9 +214,9 @@ class TestConvergeCommand:
         moment = np.mean(np.abs(init0) ** 4, axis=0) + 1.0
         volumes = radial_volumes(graph, [2.0, 5.0, 8.0])
         for n, _, beta, _, _, bound in rows:
-            b = np.where(volumes.mask(int(n)), 0.0, moment)
+            b = np.where(volumes.masks[int(n)], 0.0, moment)
             assert bound == gronwall_bound(
-                a_bar, 1.0, graph, WeightedSeq.from_dense(b, graph), 0.2, beta,
+                a_bar, 1.0, graph, WeightedSeq(b, graph), 0.2, beta,
                 0.5, 0.5, ScaleInterval(0.1, 1.0))
 
     @pytest.fixture
@@ -277,12 +277,13 @@ class TestOvsCommand:
                            ndmin=2)
         assert np.all(np.isfinite(table))
 
-    def test_nan_B_exits_3(self, tmp_path, capsys):
-        # A NaN kernel obeys no growth bound; the CLI reports it, no traceback.
+    def test_nan_B_exits_2(self, tmp_path, capsys):
+        # A NaN kernel constant is a config error, named before any work.
         cfg = self.ovs_cfg(-5, 5)
         cfg["ovs"]["B"] = float("nan")
-        assert main(["ovs", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "entry (0,0)=nan" in capsys.readouterr().err
+        out = str(tmp_path / "o")
+        assert main(["ovs", write_cfg(tmp_path, cfg), "--out", out]) == 2
+        assert "config key 'ovs.B' must hold finite numbers" in capsys.readouterr().err
 
 
 class TestGibbsCommand:
@@ -336,6 +337,40 @@ class TestConfigKeys:
         assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "field.J", float("nan")),
+        ("simulate", "plan.dt", float("inf")),
+        ("simulate", "volumes.radii", [float("nan")]),
+        ("simulate", "init.value", -float("inf")),
+        ("ovs", "ovs.widths", [0.5, float("nan")]),
+        ("graph", "graph.poisson.window", [[-4.0, 4.0], [-4.0, float("inf")]]),
+    ])
+    def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, command,
+                                                 key, value):
+        cfg = simulate_cfg(replicas=2, dt=0.1)
+        if command == "graph":
+            cfg = {"graph": {"source": "poisson", "rho": 1.0,
+                             "poisson": {"intensity": 1.0, "seed": 1}}}
+        section, *path, name = key.split(".")
+        node = cfg.setdefault(section, {})
+        for part in path:
+            node = node[part]
+        node[name] = value
+        out = tmp_path / "out"
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config key '{key}' must hold finite numbers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_unknown_init_dist_names_key(self, tmp_path, capsys):
+        cfg = simulate_cfg(replicas=2, dt=0.1)
+        cfg["init"] = {"type": "random", "dist": "gaussian"}
+        out = tmp_path / "out"
+        assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "init.dist: unknown initial distribution 'gaussian'" \
+            in capsys.readouterr().err
+        with pytest.raises(ParameterError, match="gaussian"):
+            RandomInit("gaussian")
 
     def test_key_set_is_exactly_the_keys_read(self):
         # A key in the set that no subcommand reads would be accepted and

@@ -26,7 +26,7 @@ def test_drift_constants_validated():
 
 def test_cubic_drift_with_linear_pair_closed_form(graph):
     field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.5)
-    state = WeightedSeq.from_dense(np.arange(graph.n_sites, dtype=float), graph)
+    state = WeightedSeq(np.arange(graph.n_sites, dtype=float), graph)
     # site 3 (interior): neighbours 2 and 4, closed neighbourhood {3,2,4}
     # Phi_3 = -27 + 0.5*(3 + 2 + 4)
     assert eval_drift(field, state, 3) == pytest.approx(-27.0 + 0.5 * 9.0)
@@ -36,15 +36,15 @@ def test_cubic_drift_with_linear_pair_closed_form(graph):
 
 def test_additive_noise_is_unit(graph):
     field = make_field(graph, drift="cubic", coupling="zero", noise="additive")
-    state = WeightedSeq.from_dense(np.random.default_rng(0).standard_normal(
-        graph.n_sites), graph)
+    state = WeightedSeq(np.random.default_rng(0).standard_normal(graph.n_sites),
+                        graph)
     for x in range(graph.n_sites):
         assert eval_diffusion(field, state, x) == pytest.approx(1.0)
 
 
 def test_linear_noise_sums_neighbourhood(graph):
     field = make_field(graph, drift="linear", noise="linear_noise", M_tilde=2.0)
-    state = WeightedSeq.from_dense(np.ones(graph.n_sites), graph)
+    state = WeightedSeq(np.ones(graph.n_sites), graph)
     # Psi_x = 2 * nbar_x for the all-ones state
     for x in range(graph.n_sites):
         assert eval_diffusion(field, state, x) == pytest.approx(
@@ -57,7 +57,7 @@ def test_vectorised_matches_sitewise(graph):
     states = rng.standard_normal((4, graph.n_sites))
     block = field.drift_all(states)
     for i in range(4):
-        z = WeightedSeq.from_dense(states[i], graph)
+        z = WeightedSeq(states[i], graph)
         for x in range(graph.n_sites):
             assert block[i, x] == pytest.approx(eval_drift(field, z, x))
 
@@ -127,7 +127,7 @@ def test_unknown_presets_rejected(graph):
 
 def test_site_out_of_range(graph):
     field = make_field(graph)
-    z = WeightedSeq({}, graph)
+    z = WeightedSeq(np.zeros(graph.n_sites), graph)
     with pytest.raises(ParameterError):
         eval_drift(field, z, graph.n_sites)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import sparse_seq, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
                      ScaleInterval, SimPlan, SinglePotentialDrift,
                      VolumeSequence, WeightedSeq, build_graph, cauchy_gap,
@@ -25,9 +26,7 @@ def single():
 
 
 def constant_init(graph, value=0.0):
-    if value == 0.0:
-        return WeightedSeq({}, graph)
-    return WeightedSeq({i: value for i in range(graph.n_sites)}, graph)
+    return WeightedSeq(np.full(graph.n_sites, value), graph)
 
 
 class TestPlanAndVolumes:
@@ -59,13 +58,19 @@ class TestPlanAndVolumes:
 
     def test_volume_nesting_enforced(self, chain):
         n = chain.n_sites
-        with pytest.raises(ParameterError):
-            VolumeSequence(volumes=({0, 1}, {0, 1}), n_sites=n)
-        with pytest.raises(ParameterError):
-            VolumeSequence(volumes=({0, 1},), n_sites=n)  # not the full window
+        with pytest.raises(ParameterError, match="strictly nested"):
+            volumes_of(n, {0, 1}, {0, 1}, range(n))  # equal consecutive volumes
+        with pytest.raises(ParameterError, match="strictly nested"):
+            volumes_of(n, {0, 1}, {1, 2}, range(n))  # unequal, not nested
+        with pytest.raises(ParameterError, match="full window"):
+            volumes_of(n, {0, 1})
+        with pytest.raises(ParameterError, match="boolean mask"):
+            VolumeSequence(np.ones((1, n), dtype=int))  # ids or 0/1, not a mask
         vols = radial_volumes(chain, [1.0, 3.0])
         assert len(vols) == 3
-        assert vols.volumes[-1] == frozenset(range(n))
+        assert vols.masks[-1].all() and not vols.masks.flags.writeable
+        radii = chain.radii()
+        assert np.array_equal(vols.masks, [radii <= 1.0, radii <= 3.0, radii >= 0])
 
     def test_run_nested_enforces_p_vs_R(self, chain):
         field = make_field(chain, drift="cubic")
@@ -87,7 +92,7 @@ class TestIntegration:
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2,
                            noise="additive")
         plan = SimPlan(dt=0.01, T=0.3, master_seed=5, p=4.0)
-        init = WeightedSeq({i: 1.5 for i in range(chain.n_sites)}, chain)
+        init = WeightedSeq(np.full(chain.n_sites, 1.5), chain)
         volume = {3, 4, 5}
         traj = integrate_truncated(field, volume, init, plan, replica=0)
         outside = [x for x in range(chain.n_sites) if x not in volume]
@@ -121,11 +126,10 @@ class TestIntegration:
                            noise="linear_noise", M_tilde=0.0)
         dt = 0.01
         plan = SimPlan(dt=dt, T=1.0, master_seed=0, scheme=scheme, p=4.0)
-        init = WeightedSeq.from_dense(
-            np.linspace(-1.2, 1.2, chain.n_sites), chain)
+        init = WeightedSeq(np.linspace(-1.2, 1.2, chain.n_sites), chain)
         traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
         sol = solve_ivp(lambda t, y: field.drift_all(y), (0, 1.0),
-                        init.to_dense(), rtol=1e-10, atol=1e-12,
+                        init.values, rtol=1e-10, atol=1e-12,
                         t_eval=[1.0])
         err = np.max(np.abs(traj[:, -1] - sol.y[:, 0]))
         assert err <= 5 * dt
@@ -139,7 +143,7 @@ class TestIntegration:
                                    c=100.0, R=2.0, b=100.0)
         field = dataclasses.replace(base, drift=bad)
         plan = SimPlan(dt=0.9, T=1.8, scheme="split_step_implicit", master_seed=0)
-        init = WeightedSeq({0: 2.0}, single)
+        init = sparse_seq(single, {0: 2.0})
         with pytest.raises(NumericError, match="site"):
             integrate_truncated(field, {0}, init, plan, 0)
 
@@ -155,7 +159,7 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"zero or non-finite at site 0 \(step 0\)"):
-                integrate_truncated(field, {0}, WeightedSeq({0: 1.0}, single), plan, 0)
+                integrate_truncated(field, {0}, sparse_seq(single, {0: 1.0}), plan, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_state_names_global_replica(self, single, monkeypatch):
@@ -234,8 +238,8 @@ class TestDeterminismAndCoupling:
         plan = SimPlan(dt=0.02, T=0.3, replicas=4, master_seed=2, p=4.0)
         vols = radial_volumes(chain, [1.0, 3.0])
         ens = run_nested(field, vols, constant_init(chain, 1.0), plan)
-        diff = ens.trajectories[:, 0, list(vols.volumes[0]), :] \
-            - ens.trajectories[:, 2, list(vols.volumes[0]), :]
+        diff = ens.trajectories[:, 0, vols.masks[0], :] \
+            - ens.trajectories[:, 2, vols.masks[0], :]
         assert np.all(diff == 0.0)
 
 
@@ -264,7 +268,7 @@ class TestTaggedParticle:
 class TestSemigroup:
     def test_t_zero_exact(self, chain):
         field = make_field(chain, drift="cubic")
-        zeta = WeightedSeq({0: 2.0}, chain)
+        zeta = sparse_seq(chain, {0: 2.0})
         plan = SimPlan(dt=0.1, T=1.0, replicas=10, master_seed=0, p=4.0)
         val, se = semigroup_apply(field, lambda s: float(np.sum(s ** 2)),
                                   zeta, 0.0, plan)
@@ -274,15 +278,14 @@ class TestSemigroup:
         field = make_field(chain, drift="cubic")
         plan = SimPlan(dt=0.05, T=0.2, replicas=16, master_seed=1, p=4.0)
         val, se = semigroup_apply(field, lambda s: 1.0,
-                                  WeightedSeq({}, chain), 0.2, plan)
+                                  constant_init(chain), 0.2, plan)
         assert val == 1.0 and se == 0.0
 
     def test_matches_moment_estimate(self, single):
         field = make_field(single, drift="linear", noise="additive")
         plan = SimPlan(dt=0.005, T=1.0, replicas=1000, master_seed=8)
         val, se = semigroup_apply(field, lambda s: float(s[0] ** 2),
-                                  WeightedSeq({}, single), 1.0, plan)
-        ens = run_nested(field, radial_volumes(single, []),
-                         WeightedSeq({}, single), plan)
+                                  constant_init(single), 1.0, plan)
+        ens = run_nested(field, radial_volumes(single, []), constant_init(single), plan)
         mean, _ = moment_p(ens, 0, 0, 1.0)
         assert val == pytest.approx(mean, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from helpers import sparse_seq
 from spindyn import (ChainParams, ConstructionError, GibbsModel,
                      ParameterError, SimPlan, WeightedSeq, build_graph,
                      constant_coupling, dlr_residual, gradient_dynamics_field,
@@ -50,21 +51,23 @@ class TestModel:
 class TestLocalEnergy:
     def test_isolated_site_zero(self, chain):
         m = make_model(chain, potential="gaussian", J=0.4)
-        z = WeightedSeq({}, chain)
+        z = WeightedSeq(np.zeros(chain.n_sites), chain)
         # pick a site and empty exterior contribution by zero boundary, but a
         # genuinely isolated configuration has no pairs at all
         iso = build_graph(lattice_configuration(0, 0), 1.0)
         m_iso = make_model(iso, potential="gaussian", J=0.4)
-        assert local_energy(m_iso, {0}, [1.7], WeightedSeq({}, iso)) == 0.0
+        zero = WeightedSeq(np.zeros(iso.n_sites), iso)
+        assert local_energy(m_iso, {0}, [1.7], zero) == 0.0
 
     def test_two_site_pair(self, pair_graph):
         m = make_model(pair_graph, potential="gaussian", J=0.3)
-        e = local_energy(m, {0, 1}, [2.0, -1.0], WeightedSeq({}, pair_graph))
+        zero = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
+        e = local_energy(m, {0, 1}, [2.0, -1.0], zero)
         assert e == pytest.approx(0.3 * 2.0 * -1.0)
 
     def test_boundary_terms(self, chain):
         m = make_model(chain, potential="gaussian", J=0.25)
-        z = WeightedSeq({2: 3.0}, chain)  # exterior neighbour of site 1
+        z = sparse_seq(chain, {2: 3.0})  # exterior neighbour of site 1
         e = local_energy(m, {0, 1}, [1.0, 2.0], z)
         # interior pair (0,1): 0.25*1*2; boundary pair (1,2): 0.25*2*3
         assert e == pytest.approx(0.25 * 2.0 + 0.25 * 6.0)
@@ -78,7 +81,7 @@ class TestLocalEnergy:
             eta = sorted(rng.choice(g.n_sites, size=8, replace=False).tolist())
             sig = rng.standard_normal(len(eta))
             zd = rng.standard_normal(g.n_sites)
-            z = WeightedSeq.from_dense(zd, g)
+            z = WeightedSeq(zd, g)
             # brute force over all ordered pairs
             val = dict(zip(eta, sig))
             total = 0.0
@@ -97,7 +100,7 @@ class TestLocalEnergy:
 
     def test_relabel_symmetry(self, pair_graph):
         m = make_model(pair_graph, potential="gaussian", J=0.3)
-        z = WeightedSeq({}, pair_graph)
+        z = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
         assert local_energy(m, [0, 1], [1.0, 2.0], z) == \
             local_energy(m, [1, 0], [1.0, 2.0], z)
 
@@ -134,7 +137,7 @@ class TestKernelSample:
     def test_single_site_standard_normal(self):
         g = build_graph(lattice_configuration(0, 0), 1.0)
         m = make_model(g, potential="gaussian")
-        s = kernel_sample(m, {0}, WeightedSeq({}, g), CHAIN)
+        s = kernel_sample(m, {0}, WeightedSeq(np.zeros(g.n_sites), g), CHAIN)
         n_eff = max(s.ess, 10.0)
         assert abs(s.samples.mean()) <= 3.0 / np.sqrt(n_eff)
         # the variance estimate decorrelates at the rate of the squared series
@@ -147,7 +150,8 @@ class TestKernelSample:
     def test_two_site_gaussian_covariance(self, pair_graph):
         J = 0.4
         m = make_model(pair_graph, potential="gaussian", J=J)
-        s = kernel_sample(m, {0, 1}, WeightedSeq({}, pair_graph),
+        zero = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
+        s = kernel_sample(m, {0, 1}, zero,
                           ChainParams(steps=8000, burn_in=1000, seed=3))
         cov = np.cov(s.samples.T)
         want = np.linalg.inv(np.array([[1.0, J], [J, 1.0]]))
@@ -161,15 +165,16 @@ class TestKernelSample:
         shifted = GibbsModel(graph=g, coupling=constant_coupling(0.0, 1.0),
                              V=lambda u: u ** 2 / 2 + 17.0, dV=lambda u: u,
                              tau=2.0, a_V=0.5, b_V=20.0)
-        s1 = kernel_sample(base, {0}, WeightedSeq({}, g), CHAIN)
-        s2 = kernel_sample(shifted, {0}, WeightedSeq({}, g), CHAIN)
+        s1 = kernel_sample(base, {0}, WeightedSeq(np.zeros(g.n_sites), g), CHAIN)
+        s2 = kernel_sample(shifted, {0}, WeightedSeq(np.zeros(g.n_sites), g), CHAIN)
         n_eff = max(min(s1.ess, s2.ess), 10.0)
         assert abs(s1.samples.var() - s2.samples.var()) \
             <= 3 * 2 * np.sqrt(2.0 / n_eff)
 
     def test_empty_eta(self, chain):
         m = make_model(chain, potential="gaussian")
-        s = kernel_sample(m, set(), WeightedSeq({}, chain), CHAIN)
+        s = kernel_sample(m, set(), WeightedSeq(np.zeros(chain.n_sites), chain),
+                          CHAIN)
         assert s.samples.shape == (0, 0)
 
 
@@ -269,7 +274,8 @@ class TestGradientDynamics:
         field = gradient_dynamics_field(m, validate_trials=500)
         from spindyn import moment_p, radial_volumes, run_nested
         plan = SimPlan(dt=0.01, T=6.0, replicas=1500, master_seed=4)
-        ens = run_nested(field, radial_volumes(g, []), WeightedSeq({}, g), plan)
+        ens = run_nested(field, radial_volumes(g, []),
+                         WeightedSeq(np.zeros(g.n_sites), g), plan)
         mean, se = moment_p(ens, 0, 0, 6.0)
         assert abs(mean - 1.0) <= 3 * se + 0.02
 

@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from helpers import sparse_seq
 from spindyn import (Configuration, FiniteRangeMatrix, IntegrityError,
                      NumericError, ParameterError, ScaleInterval, WeightedSeq,
                      build_graph, comparison_check, estimate_L, gronwall_bound,
@@ -268,37 +269,37 @@ class TestSeriesSolve:
             Q = FiniteRangeMatrix(graph=small,
                                   weights=rng.uniform(-1, 1, small.indices.size),
                                   bound_C=1.0, bound_k=0.0)
-            z0 = WeightedSeq.from_dense(rng.standard_normal(small.n_sites), small)
+            z0 = WeightedSeq(rng.standard_normal(small.n_sites), small)
             t = rng.uniform(0.1, 1.5)
-            got = series_solve(Q, z0, t).to_dense()
-            want = expm(t * Q.matrix.toarray()) @ z0.to_dense()
+            got = series_solve(Q, z0, t).values
+            want = expm(t * Q.matrix.toarray()) @ z0.values
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_t_zero_identity(self, graph):
         Q = induced_matrix(graph, 0.5, 1.0)
-        z0 = WeightedSeq({3: 2.0}, graph)
-        assert np.array_equal(series_solve(Q, z0, 0.0).to_dense(), z0.to_dense())
+        z0 = sparse_seq(graph, {3: 2.0})
+        assert np.array_equal(series_solve(Q, z0, 0.0).values, z0.values)
 
     def test_zero_matrix_constant(self, graph):
         Q = matrix_with(graph, {})
-        z0 = WeightedSeq({3: 2.0}, graph)
-        assert np.array_equal(series_solve(Q, z0, 5.0).to_dense(), z0.to_dense())
+        z0 = sparse_seq(graph, {3: 2.0})
+        assert np.array_equal(series_solve(Q, z0, 5.0).values, z0.values)
 
 
 class TestComparison:
     def comparison_instance(self, graph, seed, kind):
         rng = np.random.default_rng(seed)
         Q = induced_matrix(graph, rng.uniform(0.05, 0.3), 1.0)
-        z = WeightedSeq.from_dense(rng.uniform(0.0, 1.0, graph.n_sites), graph)
+        z = WeightedSeq(rng.uniform(0.0, 1.0, graph.n_sites), graph)
         T = 1.0
         times = np.linspace(0, T, 201)
-        f = np.stack([series_solve(Q, z, float(t)).to_dense() for t in times], axis=1)
+        f = np.stack([series_solve(Q, z, float(t)).values for t in times], axis=1)
         if kind == "scaled":
             lam = rng.uniform(0.1, 1.0)
             g = lam * f
         else:  # time-dilated
             kappa = rng.uniform(0.1, 1.0)
-            g = np.stack([series_solve(Q, z, float(kappa * t)).to_dense()
+            g = np.stack([series_solve(Q, z, float(kappa * t)).values
                           for t in times], axis=1)
         return Q, times, g, z, T
 
@@ -316,7 +317,7 @@ class TestComparison:
 
     def test_violating_g_is_reported_not_raised(self, graph):
         Q = induced_matrix(graph, 0.1, 1.0)
-        z = WeightedSeq.from_dense(np.ones(graph.n_sites), graph)
+        z = WeightedSeq(np.ones(graph.n_sites), graph)
         times = np.linspace(0, 1.0, 50)
         g = 10.0 * np.ones((graph.n_sites, times.size))  # breaks the hypothesis
         rep = comparison_check(Q, times, g, z, 1.0)
@@ -325,7 +326,7 @@ class TestComparison:
 
     def test_negative_kernel_rejected(self, graph):
         Q = matrix_with(graph, {(0, 1): -1.0})
-        z = WeightedSeq({}, graph)
+        z = WeightedSeq(np.zeros(graph.n_sites), graph)
         times = np.linspace(0, 1, 10)
         with pytest.raises(ParameterError):
             comparison_check(Q, times, np.zeros((graph.n_sites, 10)), z, 1.0)
@@ -339,7 +340,7 @@ class TestGronwall:
         scale = ScaleInterval(0.1, 1.0)
         for _ in range(5):
             B, k = rng.uniform(0.05, 0.3), 1.0
-            b = WeightedSeq.from_dense(rng.uniform(0, 1, graph.n_sites), graph)
+            b = WeightedSeq(rng.uniform(0, 1, graph.n_sites), graph)
             alpha, beta, T, q = 0.2, 0.9, 1.0, 0.5
             bound = gronwall_bound(B, k, graph, b, alpha, beta, T, q, scale)
             Q = induced_matrix(graph, B, k)
@@ -349,6 +350,6 @@ class TestGronwall:
             assert sup_norm <= bound * (1 + 1e-9)
 
     def test_negative_b_rejected(self, graph):
-        b = WeightedSeq({0: -1.0}, graph)
+        b = sparse_seq(graph, {0: -1.0})
         with pytest.raises(ParameterError):
             gronwall_bound(0.1, 1.0, graph, b, 0.2, 0.9, 1.0, 0.5, SCALE)

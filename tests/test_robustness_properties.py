@@ -13,9 +13,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import spindyn.engine as engine
+from helpers import sparse_seq, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
-                     SimPlan, SinglePotentialDrift, VolumeSequence, WeightedSeq,
-                     build_graph, lattice_configuration, make_field, run_nested,
+                     SimPlan, SinglePotentialDrift, build_graph,
+                     lattice_configuration, make_field, run_nested,
                      semigroup_apply)
 from spindyn.engine import SCHEMES
 
@@ -79,11 +80,11 @@ def test_blow_up_names_global_replica_site_and_step(case):
             pytest.raises(NonFiniteState) as err:
         if case["via"] == "run_nested":
             # the blown-up site may lie outside the inner volume
-            vols = VolumeSequence((case["inner"], range(N)), N)
+            vols = volumes_of(N, case["inner"], range(N))
             run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan,
                        n_threads=case["threads"])
         else:
-            semigroup_apply(field, lambda s: 0.0, WeightedSeq({0: 1.0}, CHAIN),
+            semigroup_apply(field, lambda s: 0.0, sparse_seq(CHAIN, {0: 1.0}),
                             plan.T, plan)
     want = (case["replica"], case["site"], case["step"] + 1)
     assert (err.value.replica, err.value.site, err.value.step) == want
@@ -107,7 +108,7 @@ def test_zero_newton_denominator_raises_without_warning(k, n_steps, replicas, in
     field = dataclasses.replace(base, drift=lin)
     plan = SimPlan(dt=dt, T=dt * n_steps, scheme="split_step_implicit",
                    replicas=replicas, master_seed=5)
-    vols = VolumeSequence((inner, range(N)), N)
+    vols = volumes_of(N, inner, range(N))
     with warnings.catch_warnings(), \
             mock.patch.object(engine, "_CHUNK_ELEMENTS", chunk):
         warnings.simplefilter("error")

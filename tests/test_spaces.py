@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import sparse_seq
 from spindyn import (ParameterError, ScaleInterval, WeightedSeq, build_graph,
                      embedding_check, lattice_configuration, norm_lp,
                      weighted_seq_from_csv, weighted_seq_to_csv)
@@ -25,24 +26,24 @@ def test_scale_interval_validation():
 
 def test_norm_single_site_closed_form(graph):
     # One nonzero entry at position x: norm = e^{-alpha |x| / p} |z_x|
-    z = WeightedSeq({8: 3.0}, graph)  # site 8 sits at coordinate 3
+    z = sparse_seq(graph, {8: 3.0})  # site 8 sits at coordinate 3
     for alpha, p in [(0.0, 1.0), (0.5, 1.0), (0.5, 2.0), (1.5, 4.0)]:
         expected = (np.exp(-alpha * 3.0) * 3.0 ** p) ** (1 / p)
         assert norm_lp(z, alpha, p, SCALE) == pytest.approx(expected, rel=1e-12)
 
 
 def test_norm_hand_sum(graph):
-    z = WeightedSeq({5: 1.0, 6: -2.0}, graph)  # positions 0 and 1
+    z = sparse_seq(graph, {5: 1.0, 6: -2.0})  # positions 0 and 1
     expected = 1.0 + np.exp(-0.7) * 2.0
     assert norm_lp(z, 0.7, 1.0, SCALE) == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_vector_norm(graph):
-    assert norm_lp(WeightedSeq({}, graph), 1.0, 2.0, SCALE) == 0.0
+    assert norm_lp(WeightedSeq(np.zeros(graph.n_sites), graph), 1.0, 2.0, SCALE) == 0.0
 
 
 def test_alpha_outside_scale_rejected(graph):
-    z = WeightedSeq({0: 1.0}, graph)
+    z = sparse_seq(graph, {0: 1.0})
     with pytest.raises(ParameterError):
         norm_lp(z, 3.0, 2.0, SCALE)
     with pytest.raises(ParameterError):
@@ -52,7 +53,7 @@ def test_alpha_outside_scale_rejected(graph):
 def test_norms_non_increasing_in_alpha(graph):
     rng = np.random.default_rng(3)
     for _ in range(20):
-        z = WeightedSeq.from_dense(rng.standard_normal(graph.n_sites), graph)
+        z = WeightedSeq(rng.standard_normal(graph.n_sites), graph)
         alphas = np.sort(rng.uniform(0.0, 2.0, size=5))
         alphas = np.unique(alphas)
         if len(alphas) < 2:
@@ -61,28 +62,59 @@ def test_norms_non_increasing_in_alpha(graph):
 
 
 def test_embedding_check_requires_ascending(graph):
-    z = WeightedSeq({0: 1.0}, graph)
+    z = sparse_seq(graph, {0: 1.0})
     with pytest.raises(ParameterError):
         embedding_check(z, [1.0, 0.5], 2.0, SCALE)
 
 
 def test_dense_round_trip(graph):
     vec = np.arange(graph.n_sites, dtype=float) - 5
-    z = WeightedSeq.from_dense(vec, graph)
-    assert np.array_equal(z.to_dense(), vec)
-    assert z[0] == -5.0 and z[10] == 5.0
+    z = WeightedSeq(vec, graph)
+    assert np.array_equal(z.values, vec)
+    assert z.values[0] == -5.0 and z.values[10] == 5.0
+    # a read-only copy: neither the caller's array nor z can change the other
+    vec[0] = 99.0
+    assert z.values[0] == -5.0 and vec.flags.writeable
+    with pytest.raises(ValueError):
+        z.values[1] = 0.0
 
 
-def test_out_of_range_site_rejected(graph):
-    with pytest.raises(ParameterError):
-        WeightedSeq({99: 1.0}, graph)
-    with pytest.raises(ParameterError):
-        WeightedSeq({0: np.inf}, graph)
+def test_wrong_length_rejected(graph):
+    n = graph.n_sites
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n)), 0.0):
+        with pytest.raises(ParameterError, match="shape"):
+            WeightedSeq(bad, graph)
 
 
+def test_non_finite_value_names_its_site(graph):
+    for bad in (np.inf, -np.inf, np.nan):
+        vec = np.zeros(graph.n_sites)
+        vec[[4, 7]] = bad
+        with pytest.raises(ParameterError, match="non-finite value at site 4$"):
+            WeightedSeq(vec, graph)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 def test_csv_round_trip(tmp_path, graph):
-    z = WeightedSeq({0: 1.5, 7: -2.25}, graph)
+    z = sparse_seq(graph, {0: 1.5, 7: -2.25})
     p = tmp_path / "z.csv"
     weighted_seq_to_csv(z, p)
+    assert p.read_text() == "site_id,value\n0,1.5\n7,-2.25\n"
     back = weighted_seq_from_csv(p, graph)
-    assert back.values == z.values
+    assert np.array_equal(back.values, z.values)
+    weighted_seq_to_csv(sparse_seq(graph, {}), p)
+    assert p.read_text() == "site_id,value\n"
+    assert not weighted_seq_from_csv(p, graph).values.any()
+
+
+@pytest.mark.parametrize("rows, named", [
+    ("11,1.0\n", "site_id 11 outside 0..10"),
+    ("-1,1.0\n", "site_id -1 outside 0..10"),
+    ("2.5,1.0\n", "site_id 2.5 outside 0..10"),
+    ("3,1.0\n5,2.0\n3,4.0\n", "site_id 3 is repeated"),
+])
+def test_csv_malformed_site_ids_rejected(tmp_path, graph, rows, named):
+    p = tmp_path / "z.csv"
+    p.write_text("site_id,value\n" + rows)
+    with pytest.raises(ParameterError, match=named):
+        weighted_seq_from_csv(p, graph)
