@@ -70,6 +70,16 @@ def _configs(tmp_path):
                       "eta": [2, 3, 4], "outer_samples": 20, "t": 0.1,
                       "observable_sites": [2, 4]},
             "plan": {"dt": 0.01, "T": 0.1, "replicas": 50, "master_seed": 13}},
+        # Lengths 1 and sqrt(2) within rho: two distinct tent weights.
+        "gibbs_tent": {
+            "graph": {"source": "lattice", "rho": 1.5,
+                      "lattice": {"lo": -2, "hi": 2, "dim": 2}},
+            "gibbs": {"potential": "quartic", "J": 0.3, "coupling": "tent",
+                      "chain": {"steps": 200, "burn_in": 100, "step_size": 0.5,
+                                "seed": 4},
+                      "eta": [6, 7, 12], "outer_samples": 20, "t": 0.05,
+                      "observable_sites": [7, 12]},
+            "plan": {"dt": 0.01, "T": 0.05, "replicas": 30, "master_seed": 17}},
         "graph": {
             "graph": {"source": "poisson", "rho": 1.0,
                       "poisson": {"intensity": 1.5,
@@ -101,6 +111,10 @@ PINS = {
         "gibbs_report.json":
             "3f8deb97e296023a32f1fdd89e9fbab203cfa1a2e0e8237d1a59bf9b58d0b262",
     },
+    "gibbs_tent": {
+        "gibbs_report.json":
+            "626a3164420f3cbaa84d99eae1c11ea4c0ea9b82f4c8e8f6445bdd0533b9c287",
+    },
     "graph": {
         "configuration.csv":
             "a372b4bda76c9e311e2d7e64c276557242b5c5c43de25144cfac460b319c825c",
@@ -118,10 +132,12 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("command", ["simulate", "converge", "gibbs", "graph", "ovs"])
-def test_outputs_match_pins(tmp_path, command):
+@pytest.mark.parametrize("case", ["simulate", "converge", "gibbs", "gibbs_tent", "graph",
+                                  "ovs"])
+def test_outputs_match_pins(tmp_path, case):
+    command = case.split("_")[0]
     cfg_path = tmp_path / "run.yaml"
-    cfg_path.write_text(yaml.safe_dump(_configs(tmp_path)[command]))
+    cfg_path.write_text(yaml.safe_dump(_configs(tmp_path)[case]))
     out = tmp_path / "out"
     assert main([command, str(cfg_path), "--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -130,4 +146,4 @@ def test_outputs_match_pins(tmp_path, command):
     assert manifest["outputs"] == got
     if "ensemble_hash" in manifest:
         got["ensemble_hash"] = manifest["ensemble_hash"]
-    assert got == PINS[command]
+    assert got == PINS[case]
