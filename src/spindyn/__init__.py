@@ -5,9 +5,9 @@ convergence diagnostics, operator-bound certification on a scale of
 weighted sequence spaces, and Gibbs-measure reversibility tests.
 """
 
-from .errors import (ConfigError, ConstructionError, HypothesisError,
-                     IntegrityError, NonFiniteState, NumericError,
-                     ParameterError, SpindynError)
+from .errors import (ConfigError, ConstructionError, IntegrityError,
+                     NonFiniteState, NumericError, ParameterError,
+                     SpindynError)
 from .geometry import (Configuration, GeometricGraph, build_graph,
                        configuration_from_csv, configuration_to_csv,
                        fit_degree_constant, graph_to_csv,
@@ -25,9 +25,9 @@ from .engine import (NestedEnsemble, RandomInit, SimPlan, VolumeSequence,
                      radial_volumes, run_nested, semigroup_apply,
                      tagged_particle_solve, weighted_uniform_moment)
 from .gibbs import (ChainParams, DlrReport, GibbsModel, SpecKernelSample,
-                    constant_coupling, dlr_residual, gradient_dynamics_field,
-                    kernel_sample, local_energy, make_model,
-                    reversibility_test, sample_window_measure, tent_coupling)
+                    dlr_residual, gradient_dynamics_field, kernel_sample,
+                    local_energy, make_model, reversibility_test,
+                    sample_window_measure)
 
 __version__ = "0.1.0"
 

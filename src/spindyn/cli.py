@@ -22,8 +22,8 @@ from . import geometry, gibbs, ovsbound
 from .coeffs import make_field
 from .engine import (NestedEnsemble, RandomInit, SimPlan, cauchy_gap,
                      radial_volumes, run_nested)
-from .errors import (ConfigError, ConstructionError, HypothesisError,
-                     IntegrityError, NumericError, ParameterError)
+from .errors import (ConfigError, ConstructionError, IntegrityError,
+                     NumericError, ParameterError)
 from .gibbs import ChainParams, make_model
 from .spaces import ScaleInterval, WeightedSeq
 
@@ -239,7 +239,7 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
                fmt=["%d", "%.17g", "%.17g", "%.17g", "%.17g"],
                header="site_id,t,p,mean,stderr", comments="")
     np.savez_compressed(out / "trajectories.npz",
-                        trajectories=ens.trajectories, times=ens.times)
+                        trajectories=ens.trajectories, times=ens.plan.times())
     _write_manifest(out, cfg, graph, extra={"ensemble_hash": ens.content_hash()})
     print(f"simulate: {plan.replicas} replicas x {len(volumes)} volumes, "
           f"ensemble hash {ens.content_hash()[:16]}")
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except (NumericError, IntegrityError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (HypothesisError, ConstructionError) as e:
+    except ConstructionError as e:
         print(f"hypothesis violated: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ParameterError as e:

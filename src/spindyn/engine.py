@@ -16,7 +16,7 @@ final states pass ``paths=False`` and get no path array back.
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,8 +269,14 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
 
 def integrate_truncated(field_: CoefficientField, volume, init, plan: SimPlan,
                         replica: int) -> np.ndarray:
-    """One replica of the volume-truncated system; shape (sites, steps+1)."""
-    mask = np.isin(np.arange(field_.graph.n_sites), list(volume))
+    """One replica of the volume-truncated system; shape (sites, steps+1).
+    ``volume`` holds site ids in 0..N-1."""
+    n = field_.graph.n_sites
+    sites = np.array(list(volume))
+    outside = sites[~np.isin(sites, np.arange(n))]
+    if outside.size:
+        raise ParameterError(f"volume site id {outside[0]} is outside 0..{n - 1}")
+    mask = np.isin(np.arange(n), sites)
     return integrate_replicas(field_, [mask], init, plan, [replica],
                               plan.n_steps)[0, 0]
 
@@ -280,10 +286,8 @@ class NestedEnsemble:
     """Trajectories of every (replica, volume) pair on a shared time grid."""
 
     trajectories: np.ndarray  # (replicas, volumes, sites, steps+1)
-    volumes: VolumeSequence
     plan: SimPlan
     graph: GeometricGraph
-    times: np.ndarray = field(default=None)
 
     def content_hash(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.trajectories).tobytes()).hexdigest()
@@ -301,8 +305,7 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
             f"moment order p={plan.p} must be >= max(2, R={field_.drift.R})")
     traj = integrate_replicas(field_, volumes.masks, init, plan, range(plan.replicas),
                               plan.n_steps, n_threads=n_threads)
-    return NestedEnsemble(trajectories=traj, volumes=volumes, plan=plan,
-                          graph=field_.graph, times=plan.times())
+    return NestedEnsemble(trajectories=traj, plan=plan, graph=field_.graph)
 
 
 def moment_p(ens: NestedEnsemble, volume_idx: int, x: int, t: float,

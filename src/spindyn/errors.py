@@ -47,7 +47,3 @@ class ConstructionError(SpindynError):
 
 class ConfigError(SpindynError):
     """A run configuration failed schema validation."""
-
-
-class HypothesisError(SpindynError):
-    """A precondition of a certified inequality failed at run time."""

@@ -1,10 +1,11 @@
 """Finite-volume Gibbs kernels, MCMC sampling, DLR residuals and the
 reversibility test for the induced gradient dynamics.
 
-The pair potential is W_xy(u, v) = a(x - y) u v with a supported inside the
-interaction radius; the single-site potential V carries a polynomial lower
-bound.  The kernel on a finite site set eta with frozen exterior z has
-density proportional to exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
+The pair potential is W_xy(u, v) = a_xy u v, with one coupling a_xy per CSR
+entry of the graph, so a pair beyond the interaction radius has none; the
+single-site potential V carries a polynomial lower bound.  The kernel on a
+finite site set eta with frozen exterior z has density proportional to
+exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
 """
 
 from dataclasses import dataclass, replace
@@ -28,17 +29,19 @@ _ACCEPT_HEALTHY = (0.05, 0.99)
 
 @dataclass(frozen=True)
 class GibbsModel:
-    """Pair potential W_xy(u,v) = a(x-y) u v plus single-site potential V.
+    """Pair potential W_xy(u,v) = a_xy u v plus single-site potential V.
 
-    The growth certificate (a_V, b_V, tau) lower-bounds V and (I_W, J_W, r)
-    upper-bounds |W| on the validation box; both are checked at
-    construction, as is tau > r and the support of the coupling.
+    ``weights`` holds a_xy for every CSR entry of the graph, aligned with
+    ``graph.indices``; it is stored as a read-only float64 copy, finite,
+    with 0 on the self entries.  The growth certificate (a_V, b_V, tau)
+    lower-bounds V and (I_W, J_W, r) upper-bounds |W| on the validation box
+    with max |a_xy|; both are checked at construction, as is tau > r.
     ``drift_c`` and ``drift_b`` are the growth/dissipativity constants
     declared for the induced gradient drift -V'/2.
     """
 
     graph: GeometricGraph
-    coupling: callable  # displacement rows (m, d) -> coefficients (m,)
+    weights: np.ndarray
     V: callable
     tau: float
     a_V: float = 0.25
@@ -51,6 +54,19 @@ class GibbsModel:
     drift_b: float = 0.0
 
     def __post_init__(self):
+        w = np.array(self.weights, dtype=float)
+        if w.shape != self.graph.indices.shape:
+            raise ParameterError(f"weights must have shape {self.graph.indices.shape}, "
+                                 f"got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ParameterError(f"weights must be finite, entry "
+                                 f"{np.argmin(np.isfinite(w))} is not")
+        self_w = w[self.graph.indptr[:-1]]
+        if np.any(self_w != 0):
+            raise ParameterError(f"self entry of site {np.argmax(self_w != 0)} "
+                                 f"must have weight 0")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
         if self.a_V <= 0 or self.b_V <= 0:
             raise ParameterError("a_V and b_V must be positive")
         if min(self.I_W, self.J_W, self.r) < 0:
@@ -60,38 +76,17 @@ class GibbsModel:
         u = np.linspace(-_VALIDATE_BOX, _VALIDATE_BOX, 201)
         if np.any(self.V(u) < self.a_V * np.abs(u) ** self.tau - self.b_V - 1e-9):
             raise ParameterError("V violates its declared lower bound on the test set")
-        w = edge_couplings(self)
         w_max = float(np.max(np.abs(w))) if w.size else 0.0
         uu, vv = np.meshgrid(u[::8], u[::8])
         lhs = w_max * np.abs(uu * vv)
         rhs = self.I_W * (np.abs(uu) ** self.r + np.abs(vv) ** self.r) + self.J_W
         if np.any(lhs > rhs + 1e-9):
             raise ParameterError("pair potential violates its declared growth bound")
-        # Support check: random displacements beyond rho must give zero.
-        d = self.graph.config.dim
-        rng = np.random.default_rng(0)
-        dirs = rng.standard_normal((64, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        far = dirs * rng.uniform(1.001, 3.0, size=(64, 1)) * self.graph.rho
-        if np.any(np.abs(np.asarray(self.coupling(far))) > 0):
-            raise ParameterError("coupling must vanish beyond the interaction radius")
 
     def grad_V(self, u):
         if self.dV is not None:
             return self.dV(u)
         return (self.V(u + _FD_H) - self.V(u - _FD_H)) / (2 * _FD_H)
-
-
-def edge_couplings(model: GibbsModel) -> np.ndarray:
-    """a(x - y) for every CSR entry of the graph, aligned with the closed
-    neighbourhood enumeration used by CoefficientField (self entries 0)."""
-    g = model.graph
-    pos = g.config.positions
-    if g.indices.size == 0:
-        return np.zeros(0)
-    w = np.asarray(model.coupling(pos[g.entry_rows()] - pos[g.indices]), dtype=float)
-    w[g.indptr[:-1]] = 0.0
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +95,12 @@ def edge_couplings(model: GibbsModel) -> np.ndarray:
 
 def _eta_rows(model: GibbsModel, eta):
     """The CSR rows of the sites in ``eta`` without their self entries:
-    (x, y, a(x - y), whether y lies in eta), in CSR order."""
+    (x, y, a_xy, whether y lies in eta), in CSR order."""
     g = model.graph
     rows = g.entry_rows()
     keep = np.isin(rows, eta) & (rows != g.indices)
     y = g.indices[keep]
-    return rows[keep], y, edge_couplings(model)[keep], np.isin(y, eta)
+    return rows[keep], y, model.weights[keep], np.isin(y, eta)
 
 
 def local_energy(model: GibbsModel, eta, sigma_eta, z: WeightedSeq) -> float:
@@ -169,10 +164,9 @@ class ChainParams:
     burn_in: int
     step_size: float = 0.1
     seed: int = 0
-    thin: int = 1
 
     def __post_init__(self):
-        if min(self.steps, self.burn_in, self.thin) < 1 or self.step_size <= 0:
+        if min(self.steps, self.burn_in) < 1 or self.step_size <= 0:
             raise ParameterError("chain parameters must be positive")
 
 
@@ -249,7 +243,7 @@ def _mala_run(target: _EtaTarget, init: np.ndarray, chain: ChainParams,
         else:
             accepted += int(np.sum(take))
             proposed += n_chains
-            if collect and (step - chain.burn_in) % chain.thin == 0:
+            if collect:
                 out.append(s.copy())
     rate = accepted / max(1, proposed)
     states = np.concatenate(out, axis=0) if collect else s
@@ -257,8 +251,9 @@ def _mala_run(target: _EtaTarget, init: np.ndarray, chain: ChainParams,
 
 
 def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,
-                  chain: ChainParams, n_chains: int = 1) -> SpecKernelSample:
-    """Sample the conditional Gibbs kernel on eta with frozen boundary."""
+                  chain: ChainParams) -> SpecKernelSample:
+    """Sample the conditional Gibbs kernel on eta with frozen boundary, by
+    one MALA chain."""
     eta = sorted(int(s) for s in eta)
     if not eta:
         return SpecKernelSample(eta=(), boundary=boundary,
@@ -266,11 +261,9 @@ def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,
                                 ess=0.0, step_size=chain.step_size)
     target = _EtaTarget(model, eta, boundary.values)
     rng = np.random.default_rng(chain.seed ^ 0x5eed)
-    init = rng.standard_normal((n_chains, len(eta)))
+    init = rng.standard_normal((1, len(eta)))
     samples, rate, h = _mala_run(target, init, chain, collect=True)
-    per_chain = samples.reshape(-1, n_chains, len(eta))
-    ess = float(min(_autocorr_ess(per_chain[:, c, i])
-                    for c in range(n_chains) for i in range(len(eta))))
+    ess = float(min(_autocorr_ess(samples[:, i]) for i in range(len(eta))))
     warnings = ()
     if not (_ACCEPT_HEALTHY[0] < rate < _ACCEPT_HEALTHY[1]):
         warnings = (f"acceptance rate {rate:.3f} outside healthy range "
@@ -381,41 +374,36 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
 # Gradient dynamics and reversibility
 
 
-def gradient_dynamics_field(model: GibbsModel, validate: bool = True,
-                            validate_trials: int = 2000) -> CoefficientField:
+def gradient_dynamics_field(model: GibbsModel) -> CoefficientField:
     """SDE coefficients whose stationary law is the Gibbs measure.
 
-    Single-site drift -V'(s)/2, pair drift -a(x-y) v / 2 toward each
-    neighbour, unit additive noise.
+    Single-site drift -V'(s)/2, pair drift -a_xy v / 2 toward each
+    neighbour, unit additive noise; checked by ``validate_assumptions``.
     """
     g = model.graph
     R = max(model.tau - 1.0, 2.0)
     drift = SinglePotentialDrift(phi=lambda s: -0.5 * model.grad_V(s),
                                  c=model.drift_c, R=R, b=model.drift_b)
     field_ = CoefficientField(drift=drift, graph=g,
-                              drift_weights=-0.5 * edge_couplings(model),
+                              drift_weights=-0.5 * model.weights,
                               diff_weights=np.zeros(g.indices.size), diff_const=1.0)
-    if validate:
-        report = validate_assumptions(field_, trials=validate_trials,
-                                      box=_VALIDATE_BOX)
-        if not report.passed:
-            bad = [c.name for c in report.checks if not c.passed]
-            raise ConstructionError(
-                f"gradient dynamics field fails coefficient checks: {bad}",
-                report=report)
+    report = validate_assumptions(field_, trials=2000, box=_VALIDATE_BOX)
+    if not report.passed:
+        bad = [c.name for c in report.checks if not c.passed]
+        raise ConstructionError(f"gradient dynamics field fails coefficient checks: {bad}",
+                                report=report)
     return field_
 
 
 def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
-                       nu_chain: ChainParams, field_: CoefficientField = None):
+                       nu_chain: ChainParams):
     """Detailed-balance check for the gradient dynamics under the Gibbs law.
 
     Draws initial states from the finite-window Gibbs measure, evolves each
     to time t, and compares E[f(start) g(end)] with E[f(end) g(start)].
     Returns (lhs, rhs, standard error of the difference).
     """
-    if field_ is None:
-        field_ = gradient_dynamics_field(model)
+    field_ = gradient_dynamics_field(model)
     zeta = sample_window_measure(model, plan.replicas, nu_chain)
     j = plan.time_index(t)
     final = zeta if j == 0 else integrate_replicas(
@@ -434,17 +422,6 @@ def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
 # ---------------------------------------------------------------------------
 # Presets
 
-def constant_coupling(J: float, radius: float):
-    return lambda disp: J * (np.linalg.norm(np.atleast_2d(disp), axis=-1) <= radius)
-
-
-def tent_coupling(J: float, radius: float):
-    def a(disp):
-        d = np.linalg.norm(np.atleast_2d(disp), axis=-1)
-        return J * np.maximum(0.0, 1.0 - d / radius)
-    return a
-
-
 _POTENTIALS = {
     "quartic": dict(V=lambda u: (u * u) * (u * u) / 4.0,
                     dV=lambda u: u * u * u, tau=4.0, a_V=0.25, b_V=1.0),
@@ -454,25 +431,25 @@ _POTENTIALS = {
 
 
 def make_model(graph: GeometricGraph, potential: str = "quartic", J: float = 0.0,
-               coupling_type: str = "constant", radius: float = None) -> GibbsModel:
-    """Assemble a Gibbs model from named presets."""
+               coupling_type: str = "constant") -> GibbsModel:
+    """Assemble a Gibbs model from named presets; the coupling of each entry
+    is J ('constant') or J (1 - |x - y| / rho) ('tent'), 0 on self entries."""
     if potential not in _POTENTIALS:
         raise ParameterError(f"unknown potential preset '{potential}'")
-    if radius is None:
-        radius = graph.rho
-    if radius > graph.rho:
-        raise ParameterError("coupling radius cannot exceed the graph radius")
+    pos = graph.config.positions
+    d = np.linalg.norm(pos[graph.entry_rows()] - pos[graph.indices], axis=-1)
     if coupling_type == "constant":
-        a = constant_coupling(J, radius)
+        w = J * (d <= graph.rho)
     elif coupling_type == "tent":
-        a = tent_coupling(J, radius)
+        w = J * np.maximum(0.0, 1.0 - d / graph.rho)
     else:
         raise ParameterError(f"unknown coupling type '{coupling_type}'")
+    w[graph.indptr[:-1]] = 0.0
     preset = _POTENTIALS[potential]
     if J == 0.0:
         I_W, J_W, r = 0.0, 0.0, 0.0
     else:
         I_W, J_W, r = abs(J) * _VALIDATE_BOX, abs(J), 1.0
-    return GibbsModel(graph=graph, coupling=a, V=preset["V"], dV=preset["dV"],
+    return GibbsModel(graph=graph, weights=w, V=preset["V"], dV=preset["dV"],
                       tau=preset["tau"], a_V=preset["a_V"], b_V=preset["b_V"],
                       I_W=I_W, J_W=J_W, r=r)

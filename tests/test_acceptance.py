@@ -15,7 +15,7 @@ import spindyn as sd
 from spindyn import (ChainParams, FiniteRangeMatrix, RandomInit, ScaleInterval,
                      SimPlan, WeightedSeq, build_graph, cauchy_gap,
                      comparison_check, dlr_residual, estimate_L,
-                     gradient_dynamics_field, gronwall_bound, induced_matrix,
+                     gronwall_bound, induced_matrix,
                      integrate_truncated, k_series, kernel_sample,
                      lattice_configuration, make_field, make_model, moment_p,
                      norm_lp, radial_volumes, reversibility_test, run_nested,
@@ -267,7 +267,6 @@ def test_10_reversibility():
     model = make_model(g, potential="quartic", J=0.1)
     plan = SimPlan(dt=0.005, T=0.5, replicas=10 ** 4, master_seed=10, p=3.0)
     nu_chain = ChainParams(steps=1, burn_in=600, step_size=0.5, seed=12)
-    field = gradient_dynamics_field(model, validate_trials=2000)
 
     obs_pairs = [
         (lambda z: np.tanh(z[1]), lambda z: np.tanh(z[6])),
@@ -276,14 +275,12 @@ def test_10_reversibility():
     ]
     ok = True
     for f, g_ in obs_pairs:
-        lhs, rhs, se = reversibility_test(model, f, g_, 0.5, plan, nu_chain,
-                                          field_=field)
+        lhs, rhs, se = reversibility_test(model, f, g_, 0.5, plan, nu_chain)
         ok &= abs(lhs - rhs) <= 3 * se
 
     lhs0, rhs0, se0 = reversibility_test(
         model, obs_pairs[0][0], obs_pairs[0][1], 0.0,
-        SimPlan(dt=0.005, T=0.5, replicas=500, master_seed=3, p=3.0), nu_chain,
-        field_=field)
+        SimPlan(dt=0.005, T=0.5, replicas=500, master_seed=3, p=3.0), nu_chain)
     ok &= lhs0 == rhs0 and se0 == 0.0
     report(10, "detailed balance within 3 SE for 3 observable pairs", ok)
 

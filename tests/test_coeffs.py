@@ -199,7 +199,7 @@ def test_computed_pair_constants_equal_preset_values(graph, kwargs, a_bar, M):
 @pytest.mark.parametrize("J", [0.0, 0.3, 3.0])
 def test_gradient_dynamics_pair_constants(graph, J):
     model = make_model(graph, potential="quartic", J=J)
-    field = gradient_dynamics_field(model, validate=False)
+    field = gradient_dynamics_field(model)
     assert field.a_bar == max(abs(J) / 2, 1.0)
     assert field.M == 1.0
 

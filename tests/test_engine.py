@@ -100,6 +100,16 @@ class TestIntegration:
         # active sites actually move
         assert np.any(traj[list(volume), -1] != 1.5)
 
+    def test_volume_site_outside_window_rejected(self, chain):
+        # Ids 0..8 on the -4..4 chain; an unknown id must not freeze the run.
+        field = make_field(chain, drift="cubic")
+        plan = SimPlan(dt=0.01, T=0.1, master_seed=5)
+        init = constant_init(chain, 0.5)
+        for volume, bad in (([2, 99, -3], "99"), ([-3], "-3"), ([9], "9"),
+                            ([1, 2.5], "2.5")):
+            with pytest.raises(ParameterError, match=f"site id {bad} is outside 0..8"):
+                integrate_truncated(field, volume, init, plan, replica=0)
+
     def test_ou_second_moment(self, single):
         field = make_field(single, drift="linear", noise="additive")
         plan = SimPlan(dt=1e-3, T=1.0, replicas=4000, master_seed=2)

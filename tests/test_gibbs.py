@@ -5,7 +5,7 @@ from scipy.spatial.distance import cdist
 from helpers import sparse_seq
 from spindyn import (ChainParams, ConstructionError, GibbsModel,
                      ParameterError, SimPlan, WeightedSeq, build_graph,
-                     constant_coupling, dlr_residual, gradient_dynamics_field,
+                     dlr_residual, gradient_dynamics_field,
                      kernel_sample, lattice_configuration, local_energy,
                      make_model, reversibility_test, sample_window_measure)
 from spindyn.gibbs import energy_distance_test
@@ -27,22 +27,46 @@ CHAIN = ChainParams(steps=4000, burn_in=800, step_size=0.5, seed=0)
 class TestModel:
     def test_tau_must_exceed_r(self, chain):
         with pytest.raises(ParameterError):
-            GibbsModel(graph=chain, coupling=constant_coupling(0.0, 1.0),
+            GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
                        V=lambda u: u ** 2 / 2, tau=2.0, r=2.0)
 
     def test_lower_bound_checked(self, chain):
         with pytest.raises(ParameterError):
-            GibbsModel(graph=chain, coupling=constant_coupling(0.0, 1.0),
+            GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
                        V=lambda u: -u ** 2, tau=2.0, a_V=1.0)
 
-    def test_coupling_support_checked(self, chain):
-        with pytest.raises(ParameterError):
-            GibbsModel(graph=chain, coupling=lambda d: np.ones(len(np.atleast_2d(d))),
-                       V=lambda u: u ** 2 / 2, tau=2.0, a_V=0.4,
-                       I_W=10.0, J_W=10.0, r=1.0)
+    def _model(self, graph, weights):
+        return GibbsModel(graph=graph, weights=weights, V=lambda u: u ** 2 / 2,
+                          tau=2.0, a_V=0.4, I_W=10.0, J_W=10.0, r=1.0)
+
+    def test_weights_stored_read_only(self, chain):
+        w = np.where(chain.entry_rows() == chain.indices, 0.0, 0.5)
+        m = self._model(chain, w)
+        assert m.weights.dtype == np.float64 and not m.weights.flags.writeable
+        w[1] = 7.0
+        assert m.weights[1] == 0.5
+
+    def test_weights_of_wrong_length_rejected(self, chain):
+        e = chain.indices.size
+        for bad in (np.zeros(e - 1), np.zeros(e + 1), np.zeros((1, e))):
+            with pytest.raises(ParameterError, match="shape"):
+                self._model(chain, bad)
+
+    def test_nan_weight_rejected(self, chain):
+        # A NaN makes max|a_xy| NaN, which no growth comparison catches.
+        w = np.zeros(chain.indices.size)
+        w[5] = np.nan
+        with pytest.raises(ParameterError, match="entry 5"):
+            self._model(chain, w)
+
+    def test_nonzero_self_entry_rejected(self, chain):
+        w = np.zeros(chain.indices.size)
+        w[chain.indptr[3]] = 0.1
+        with pytest.raises(ParameterError, match="site 3"):
+            self._model(chain, w)
 
     def test_numeric_gradient_fallback(self, chain):
-        m = GibbsModel(graph=chain, coupling=constant_coupling(0.0, 1.0),
+        m = GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
                        V=lambda u: u ** 4 / 4, tau=4.0, a_V=0.25)
         u = np.linspace(-2, 2, 9)
         assert np.allclose(m.grad_V(u), u ** 3, atol=1e-6)
@@ -121,7 +145,8 @@ class TestLocalEnergy:
             bconst = np.zeros((4, len(eta)))
             for i, x in enumerate(eta):
                 for y in g.closed_neighborhood(x)[1:]:
-                    w = float(m.coupling((pos[x] - pos[y])[None, :])[0])
+                    d = np.linalg.norm(pos[x] - pos[y])
+                    w = 0.15 * max(0.0, 1.0 - d / g.rho)
                     if w == 0.0:
                         continue
                     if y in eta:
@@ -162,7 +187,7 @@ class TestKernelSample:
     def test_constant_shift_invariance(self):
         g = build_graph(lattice_configuration(0, 0), 1.0)
         base = make_model(g, potential="gaussian")
-        shifted = GibbsModel(graph=g, coupling=constant_coupling(0.0, 1.0),
+        shifted = GibbsModel(graph=g, weights=np.zeros(g.indices.size),
                              V=lambda u: u ** 2 / 2 + 17.0, dV=lambda u: u,
                              tau=2.0, a_V=0.5, b_V=20.0)
         s1 = kernel_sample(base, {0}, WeightedSeq(np.zeros(g.n_sites), g), CHAIN)
@@ -237,14 +262,14 @@ def test_energy_distance_matches_split_by_split_loop(seed):
 class TestGradientDynamics:
     def test_quartic_decoupled_drift(self, chain):
         m = make_model(chain, potential="quartic", J=0.0)
-        field = gradient_dynamics_field(m, validate_trials=2000)
+        field = gradient_dynamics_field(m)
         s = np.linspace(-2, 2, 9)
         assert np.allclose(field.drift.phi(s), -s ** 3 / 2)
         assert field.drift.R == 3.0 and field.drift.b == 0.0
 
     def test_drift_descends_potential(self, chain):
         m = make_model(chain, potential="quartic")
-        field = gradient_dynamics_field(m, validate=False)
+        field = gradient_dynamics_field(m)
         s = np.array([-1.5, -0.1, 0.1, 1.5])
         # drift sign opposite to V' = s^3
         assert np.all(field.drift.phi(s) * s ** 3 <= 0)
@@ -252,17 +277,17 @@ class TestGradientDynamics:
     def test_pair_drift_sign(self, pair_graph):
         J = 0.3
         m = make_model(pair_graph, potential="gaussian", J=J)
-        field = gradient_dynamics_field(m, validate=False)
+        field = gradient_dynamics_field(m)
         state = np.array([0.0, 2.0])
         # Phi_0 = -V'(0)/2 - J/2 * z_1 = -0.3
         assert field.drift_all(state)[0] == pytest.approx(-J / 2 * 2.0)
 
     def test_validation_failure_carries_report(self, chain):
-        m = GibbsModel(graph=chain, coupling=constant_coupling(0.0, 1.0),
+        m = GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
                        V=lambda u: u ** 2 / 2, dV=lambda u: u,
                        tau=2.0, a_V=0.4, drift_c=1e-9)  # absurd growth claim
         with pytest.raises(ConstructionError) as exc:
-            gradient_dynamics_field(m, validate_trials=2000)
+            gradient_dynamics_field(m)
         assert exc.value.report is not None
         assert not exc.value.report.passed
 
@@ -271,7 +296,7 @@ class TestGradientDynamics:
         # noise, stationary variance 1 = variance of exp(-V).
         g = build_graph(lattice_configuration(0, 0), 1.0)
         m = make_model(g, potential="gaussian")
-        field = gradient_dynamics_field(m, validate_trials=500)
+        field = gradient_dynamics_field(m)
         from spindyn import moment_p, radial_volumes, run_nested
         plan = SimPlan(dt=0.01, T=6.0, replicas=1500, master_seed=4)
         ens = run_nested(field, radial_volumes(g, []),
