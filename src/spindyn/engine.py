@@ -5,8 +5,8 @@ mask array, and initial data is one site array (a ``WeightedSeq``), a
 (replicas, sites) array or a ``RandomInit`` law.
 
 Sites outside the active volume stay frozen at their initial value exactly;
-the Wiener increment for (replica, site, step) comes from a keyed
-counter-based stream, so every volume sees identical noise.  Every
+the Wiener increment for (replica, site, step) is the Philox word at that
+counter (``spindyn.rng``), so every volume sees identical noise.  Every
 integration steps with ``_step``; all but the tagged single-site equation
 run their replicas through ``integrate_replicas``.  A replica depends on its
 own keys alone (the implicit solve stops per entry), so output is
@@ -19,11 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .coeffs import CoefficientField
 from .errors import NonFiniteState, NumericError, ParameterError
 from .geometry import GeometricGraph
-from .rng import TAG_INIT, generator, noise_matrix
+from .rng import TAG_INIT, keyed_draws, noise_matrix
 from .spaces import ScaleInterval, WeightedSeq
 
 _NEWTON_MAX_ITERS = 50
@@ -107,7 +108,8 @@ def radial_volumes(graph: GeometricGraph, radii) -> VolumeSequence:
 
 @dataclass(frozen=True)
 class RandomInit:
-    """I.i.d. scalar initial data, drawn from the keyed stream per site."""
+    """I.i.d. scalar initial data; site x of replica r is a transform of the
+    ``TAG_INIT`` uniform at counter (0, x, r, 0)."""
 
     dist: str  # 'normal' | 'uniform'
     a: float = 0.0  # mean (normal) or lower bound (uniform)
@@ -117,15 +119,17 @@ class RandomInit:
         if self.dist not in ("normal", "uniform"):
             raise ParameterError(f"unknown initial distribution '{self.dist}'")
 
-    def draw(self, master_seed: int, replica: int, n_sites: int) -> np.ndarray:
-        out = np.empty(n_sites)
-        for s in range(n_sites):
-            g = generator(master_seed, TAG_INIT, replica, s)
-            if self.dist == "normal":
-                out[s] = self.a + self.b * g.standard_normal()
-            else:
-                out[s] = g.uniform(self.a, self.b)
-        return out
+    def draw(self, master_seed: int, replica, n_sites: int) -> np.ndarray:
+        """Initial states, (n_sites,) for an int ``replica`` and
+        (replicas, n_sites) for a 1-d array of replica ids."""
+        if self.dist == "normal":
+            def transform(u):
+                return self.a + self.b * ndtri(u)
+        else:
+            def transform(u):
+                return self.a + (self.b - self.a) * u
+        return keyed_draws(master_seed, TAG_INIT, replica, range(n_sites), 1,
+                           transform)[..., 0]
 
 
 def _initial_states(init, graph, plan, replica_ids) -> np.ndarray:
@@ -136,8 +140,7 @@ def _initial_states(init, graph, plan, replica_ids) -> np.ndarray:
     if isinstance(init, WeightedSeq):
         return np.tile(init.values, (len(replica_ids), 1))
     if isinstance(init, RandomInit):
-        return np.stack([init.draw(plan.master_seed, r, graph.n_sites)
-                         for r in replica_ids])
+        return init.draw(plan.master_seed, np.asarray(replica_ids), graph.n_sites)
     raise ParameterError("init must be a WeightedSeq or a RandomInit")
 
 
@@ -233,9 +236,9 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     ``paths=False`` only the final states (replicas, masks, sites).
 
     Chunks of at most ``_CHUNK_ELEMENTS`` noise entries run on ``n_threads``;
-    each regenerates its noise and initial states from the replica keys and
-    fills its own output rows, so the result is bit-identical for any thread
-    count and chunk size.
+    each computes its noise and initial states from their (replica, site,
+    step) counters, one call each, and fills its own output rows, so the
+    result is bit-identical for any thread count and chunk size.
     """
     n = field_.graph.n_sites
     ids = list(replica_ids)
@@ -245,11 +248,7 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
 
     def work(lo):
         reps = ids[lo:lo + chunk]
-        # Filled stream by stream, so each stream's array is freed before the
-        # next is drawn instead of a chunk's worth being held for one stack.
-        noise = np.empty((len(reps), n, n_steps))
-        for i, r in enumerate(reps):
-            noise[i] = noise_matrix(plan.master_seed, r, range(n), n_steps)
+        noise = noise_matrix(plan.master_seed, np.asarray(reps), range(n), n_steps)
         init_states = _initial_states(init, field_.graph, plan, reps)
         for k, mask in enumerate(masks):
             try:

@@ -33,9 +33,10 @@ class GibbsModel:
 
     ``weights`` holds a_xy for every CSR entry of the graph, aligned with
     ``graph.indices``; it is stored as a read-only float64 copy, finite,
-    with 0 on the self entries.  The growth certificate (a_V, b_V, tau)
-    lower-bounds V and (I_W, J_W, r) upper-bounds |W| on the validation box
-    with max |a_xy|; both are checked at construction, as is tau > r.
+    symmetric (a_xy = a_yx) and with 0 on the self entries.  The growth
+    certificate (a_V, b_V, tau) lower-bounds V and (I_W, J_W, r) upper-bounds
+    |W| on the validation box with max |a_xy|; both are checked at
+    construction, as is tau > r.
     ``drift_c`` and ``drift_b`` are the growth/dissipativity constants
     declared for the induced gradient drift -V'/2.
     """
@@ -65,6 +66,11 @@ class GibbsModel:
         if np.any(self_w != 0):
             raise ParameterError(f"self entry of site {np.argmax(self_w != 0)} "
                                  f"must have weight 0")
+        op = self.graph.operator(w)
+        x, y = (op != op.T).nonzero()
+        if x.size:
+            raise ParameterError(f"weights must be symmetric: a_xy != a_yx at "
+                                 f"(x, y) = ({x[0]}, {y[0]})")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         if self.a_V <= 0 or self.b_V <= 0:

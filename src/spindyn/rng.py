@@ -1,19 +1,47 @@
-"""Counter-based noise streams keyed by (master_seed, replica, site, purpose).
+"""Counter-based noise addressed by (master_seed, purpose, replica, site, step).
 
-Every Gaussian increment used anywhere in the simulation engine is
-addressable by its key, so truncated runs over different volumes can share
-noise exactly (common random numbers) without storing or passing arrays
-between them.  Streams are backed by numpy's Philox generator; element ``j``
-of a stream is the step-``j`` increment.
+Every random number the engine uses is one word of Philox4x64-10 (Salmon,
+Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+computed on demand in numpy:
+
+- key: ``stream_key(master_seed, tag)``, with tag ``TAG_WIENER`` for the
+  driving noise and ``TAG_INIT`` for the initial data;
+- counter: the four 64-bit words (step // 4, site, replica, 0);
+- draw: word step % 4 of that block, w, taken to u = ((w >> 11) + 1/2) 2^-53
+  in (0, 1) and to the standard normal ``ndtri(u)``.
+
+So any (replica, site, step) entry is computed alone, and a truncated run
+over any volume, or any batch of replicas, sees exactly the increments of
+the full run (common random numbers) without storing arrays between them.
+``_philox`` agrees word for word with numpy's ``np.random.Philox``, which
+computes block c + 1 for counter c.  These values replaced per-stream
+``np.random.Philox`` generators (one per (replica, site), drawn in sequence)
+when the core was vectorised; every output that depends on the noise
+changed then.  ``generator`` remains for the one non-engine draw, the
+Poisson configuration of ``geometry.poisson_points``.
 """
 
 import numpy as np
+from scipy.special import ndtri
+
+from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 
 # Purpose tags keep the driving noise and the initial-data draws disjoint.
 TAG_WIENER = 0
 TAG_INIT = 1
+
+# Philox4x64 round multipliers and Weyl key bumps (Salmon et al., SC'11).
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+# Philox blocks per vectorised sub-block.  Each temporary is one word per
+# block, 64 KiB, below glibc's 128 KiB mmap threshold: a freed mmap'd
+# temporary would raise that threshold for the rest of the process.
+_SUB_BLOCK = 8192
 
 
 def _splitmix64(z: int) -> int:
@@ -38,14 +66,81 @@ def generator(master_seed: int, *fields: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, *fields)))
 
 
-def noise_matrix(master_seed: int, replica: int, site_ids, n_steps: int) -> np.ndarray:
-    """Standard-normal increments, shape (len(site_ids), n_steps).
+def _mulhilo(m: np.uint64, a: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit product m * a, the high word
+    assembled from 32-bit partial products."""
+    m_lo, m_hi = m & _LO32, m >> _S32
+    a_lo, a_hi = a & _LO32, a >> _S32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+    return hi, a * m
 
-    Row i holds the stream of site ``site_ids[i]``; identical for every
-    volume that requests it, which is what couples the truncated runs.
+
+def _philox(key: int, c0, c1, c2, c3):
+    """Philox4x64-10 of the 128-bit ``key`` on counters (c0, c1, c2, c3),
+    uint64 arrays that broadcast together; returns the four output words."""
+    k0, k1 = key & _MASK64, (key >> 64) & _MASK64
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3))
+    with np.errstate(over="ignore"):  # 0-d operands wrap with a warning
+        for i in range(_PHILOX_ROUNDS):
+            if i:
+                k0 = (k0 + _PHILOX_W[0]) & _MASK64
+                k1 = (k1 + _PHILOX_W[1]) & _MASK64
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(k0), lo1,
+                              hi0 ^ c3 ^ np.uint64(k1), lo0)
+    return c0, c1, c2, c3
+
+
+def _ids(name: str, values) -> np.ndarray:
+    """``values`` as a uint64 id array; a negative or non-integer id raises."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ParameterError(f"{name} ids must be integers, got {a.dtype}")
+    if a.size and a.dtype.kind == "i" and a.min() < 0:
+        raise ParameterError(f"{name} id {a[a < 0].flat[0]} is negative")
+    return a.astype(np.uint64)
+
+
+def keyed_draws(master_seed: int, tag: int, replica, site_ids, n_steps: int,
+                transform=ndtri) -> np.ndarray:
+    """``transform`` of the uniforms of (replica, site, step) under ``tag``
+    for every site in ``site_ids`` and every step < ``n_steps``.
+
+    For an int ``replica`` the shape is (sites, steps); for a 1-d array of
+    replica ids it is (replicas, sites, steps).  Rows (replica, site) are
+    filled in groups of at most ``_SUB_BLOCK`` Philox blocks, so the
+    temporaries stay small whatever the output size.
     """
-    out = np.empty((len(site_ids), n_steps))
-    for i, s in enumerate(site_ids):
-        out[i] = generator(master_seed, TAG_WIENER, replica,
-                           int(s)).standard_normal(n_steps)
-    return out
+    reps, sites = _ids("replica", np.atleast_1d(replica)), _ids("site", site_ids)
+    key = stream_key(master_seed, tag)
+    out = np.empty((reps.size, sites.size, n_steps))
+    n_blocks = -(-n_steps // 4)
+    if out.size:
+        rows = out.reshape(-1, n_steps)
+        per_row = max(1, _SUB_BLOCK // n_blocks)
+        per_col = min(n_blocks, _SUB_BLOCK)
+        for r0 in range(0, rows.shape[0], per_row):
+            r = np.arange(r0, min(r0 + per_row, rows.shape[0]))
+            rep, site = reps[r // sites.size, None], sites[r % sites.size, None]
+            for b0 in range(0, n_blocks, per_col):
+                b = np.arange(b0, min(b0 + per_col, n_blocks), dtype=np.uint64)
+                for w, word in enumerate(_philox(key, b, site, rep, 0)):
+                    dest = rows[r0:r0 + r.size, 4 * b0 + w:4 * (b0 + b.size):4]
+                    u = ((word[:, :dest.shape[1]] >> np.uint64(11)).astype(float)
+                         + 0.5) * 2.0 ** -53
+                    dest[...] = transform(u)
+    return out[0] if np.ndim(replica) == 0 else out
+
+
+def noise_matrix(master_seed: int, replica, site_ids, n_steps: int) -> np.ndarray:
+    """Standard-normal Wiener increments of (replica, site, step).
+
+    For an int ``replica`` the shape is (len(site_ids), n_steps); for a 1-d
+    array of replica ids it is (replicas, len(site_ids), n_steps).  Entry
+    (replica, site, step) is the same whatever else is requested with it,
+    which is what couples the truncated runs.
+    """
+    return keyed_draws(master_seed, TAG_WIENER, replica, site_ids, n_steps)

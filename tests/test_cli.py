@@ -125,8 +125,8 @@ class TestSimulateCommand:
         assert hashes[3.0] != hashes[1.0]
         # M_tilde = 1 is the default, the weight every run used before the
         # key was read.
-        assert hashes[1.0] == ("01b167f175c42ae7fba6c10d47bb53b9"
-                               "b5f0d355128286ecc578a48617043af8")
+        assert hashes[1.0] == ("5f0df15f799614cbd84549a6acc90ef3"
+                               "45ae5bd9d7134dde1df6770cce06ae0f")
 
     def test_bad_scheme_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, simulate_cfg(scheme="rk4"))

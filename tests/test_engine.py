@@ -12,7 +12,8 @@ from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
                      integrate_truncated, lattice_configuration, make_field,
                      moment_p, radial_volumes, run_nested, semigroup_apply,
                      tagged_particle_solve)
-from spindyn.engine import SCHEMES
+from spindyn.engine import SCHEMES, integrate_ensemble
+from spindyn.rng import noise_matrix
 
 
 @pytest.fixture(scope="module")
@@ -173,14 +174,13 @@ class TestIntegration:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_state_names_global_replica(self, single, monkeypatch):
-        # |x|^3 overflows for |x| > 5.6e102: the tamed step turns those
-        # replicas to NaN at step 1.
+        # |x|^3 overflows for |x| > 5.6e102: the tamed step turns replicas
+        # 3 and 6 to NaN at step 1, and the first of them is named.
         field = make_field(single, drift="cubic")
-        init = RandomInit("normal", 0.0, 1e103)
+        init = np.full((8, 1), 0.5)
+        init[[3, 6]] = 1e103
         plan = SimPlan(dt=0.01, T=0.02, replicas=8, master_seed=0, p=4.0)
-        starts = [init.draw(0, r, 1)[0] for r in range(8)]
-        want = next(r for r, x in enumerate(starts) if not np.isfinite(x * x * x))
-        assert want > 0
+        want = 3
         # one replica per chunk, so the id must carry the chunk offset
         monkeypatch.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
         for threads in (1, 2):
@@ -299,3 +299,59 @@ class TestSemigroup:
         ens = run_nested(field, radial_volumes(single, []), constant_init(single), plan)
         mean, _ = moment_p(ens, 0, 0, 1.0)
         assert val == pytest.approx(mean, rel=1e-12)
+
+
+class TestStrongOrder:
+    """Strong convergence order of both schemes, fitted over a dt ladder.
+
+    Every run follows one Brownian path per replica: the coarse run with
+    dt = k dt_f is driven by the fine increments of ``noise_matrix`` summed
+    in groups of k and scaled by 1/sqrt(k), so its sqrt(dt)-scaled
+    increments are exact sums of the fine ones.  The error at T is the RMS
+    over replicas and sites against the finest run (dt_f = T/2048); the
+    ladder k = 16..128 keeps that reference at least 16 times finer, which
+    moves an order-1 slope by about log(127/15)/log(8) - 1 = 0.03.
+
+    Bands:
+    - additive noise (c = 1, S = 0): the diffusion is constant, so the
+      Milstein correction vanishes and Euler-Maruyama is Milstein's scheme,
+      of strong order 1 (Kloeden & Platen, sec. 10.3).  Taming moves each
+      step's drift by dt^2 |f| f / (1 + dt |f|), O(dt) over the run
+      (Hutzenthaler, Jentzen & Kloeden, Ann. Appl. Probab. 22(4), 2012), and
+      the split-step implicit scheme is order 1 for additive noise by the
+      same argument (Higham, Mao & Stuart, SIAM J. Numer. Anal. 40(3),
+      2002).  Band [0.75, 1.25]: order 1 with +-1/4 for the fit over four
+      rungs of one seed.
+    - linear noise (S = M_tilde on every CSR entry, c = 0): the diffusion
+      depends on the state, the iterated Ito integrals that Milstein adds
+      are missing, and both schemes have strong order 1/2 (same sources).
+      On coarse steps the O(dt) drift error still shows, so the fitted
+      slope lies between 1/2 and 1.  Band [0.4, 0.9]: 1/2 less 0.1 for fit
+      noise below, and clear of order 1 above.
+    """
+
+    T, R, FINE, KS = 0.5, 256, 2048, (16, 32, 64, 128)
+
+    def _slope(self, graph, noise, scheme):
+        field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2,
+                           noise=noise)
+        reps = np.arange(self.R)
+        fine = noise_matrix(1, reps, range(graph.n_sites), self.FINE)
+        init = RandomInit("normal", 0.0, 1.0).draw(1, reps, graph.n_sites)
+
+        def final(k):
+            plan = SimPlan(dt=k * self.T / self.FINE, T=self.T, scheme=scheme,
+                           replicas=self.R, master_seed=1)
+            dW = fine.reshape(self.R, graph.n_sites, -1, k).sum(-1) / np.sqrt(k)
+            return integrate_ensemble(field, None, init, plan, dW)[..., -1]
+
+        ref = final(1)
+        err = [np.sqrt(np.mean((final(k) - ref) ** 2)) for k in self.KS]
+        return np.polyfit(np.log(self.KS), np.log(err), 1)[0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("noise, band", [("additive", (0.75, 1.25)),
+                                             ("linear_noise", (0.4, 0.9))])
+    def test_strong_order(self, chain, noise, band, scheme):
+        slope = self._slope(chain, noise, scheme)
+        assert band[0] <= slope <= band[1], (noise, scheme, slope)

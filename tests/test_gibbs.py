@@ -65,6 +65,12 @@ class TestModel:
         with pytest.raises(ParameterError, match="site 3"):
             self._model(chain, w)
 
+    def test_asymmetric_weights_rejected(self, pair_graph):
+        # CSR rows of the 0..1 chain: (0, 1) and (1, 0); a_01 = 0.3, a_10 = -0.3.
+        with pytest.raises(ParameterError, match=r"\(x, y\) = \(0, 1\)"):
+            self._model(pair_graph, np.array([0.0, 0.3, 0.0, -0.3]))
+        self._model(pair_graph, np.array([0.0, 0.3, 0.0, 0.3]))
+
     def test_numeric_gradient_fallback(self, chain):
         m = GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
                        V=lambda u: u ** 4 / 4, tau=4.0, a_V=0.25)

@@ -1,0 +1,127 @@
+"""The counter-addressed Philox core: bit-exact against numpy's Philox,
+addressable entry by entry, independent of the sub-block size, standard
+normal in distribution, and strict about the ids it is given."""
+
+import numpy as np
+import pytest
+from scipy import stats
+from scipy.special import ndtri
+
+import spindyn.rng as rng
+from spindyn import ParameterError, RandomInit
+from spindyn.rng import TAG_INIT, TAG_WIENER, _philox, keyed_draws, noise_matrix
+
+_M64 = (1 << 64) - 1
+
+
+def _words(counter: int):
+    return [np.uint64((counter >> (64 * i)) & _M64) for i in range(4)]
+
+
+def _numpy_block(key: int, counter: int) -> np.ndarray:
+    # numpy's Philox increments its counter before it computes a block.
+    return np.random.Philox(key=key, counter=(counter - 1) % (1 << 256)).random_raw(4)
+
+
+class TestOracle:
+    COUNTERS = [0, 1, 7, _M64, 1 << 64, (1 << 192) + 5, (1 << 255) + (3 << 128) + 11,
+                (1 << 256) - 1]
+
+    def test_matches_numpy_philox(self):
+        g = np.random.default_rng(2026)
+        keys = [0, 1, _M64, (1 << 128) - 1] + [
+            int(g.integers(0, 1 << 62)) << 66 | int(g.integers(0, 1 << 62))
+            for _ in range(6)]
+        for key in keys:
+            for counter in self.COUNTERS:
+                got = np.array(_philox(key, *_words(counter)), dtype=np.uint64)
+                np.testing.assert_array_equal(got, _numpy_block(key, counter),
+                                              err_msg=f"key {key:#x}, counter {counter:#x}")
+
+    def test_vectorised_over_counters(self):
+        key = rng.stream_key(9, TAG_WIENER)
+        c = np.array([_words(x) for x in self.COUNTERS], dtype=np.uint64)
+        got = np.stack(_philox(key, *c.T), axis=-1)
+        want = np.stack([_numpy_block(key, x) for x in self.COUNTERS])
+        np.testing.assert_array_equal(got, want)
+
+    def test_noise_is_ndtri_of_the_addressed_word(self):
+        # (replica 5, site 3, step 6) is word 6 % 4 of block (6 // 4, 3, 5, 0).
+        w = _numpy_block(rng.stream_key(4, TAG_WIENER), 1 | 3 << 64 | 5 << 128)[2]
+        u = ((int(w) >> 11) + 0.5) * 2.0 ** -53
+        assert noise_matrix(4, 5, [3], 7)[0, 6] == ndtri(u)
+
+
+class TestAddressability:
+    def test_any_subset_equals_the_full_matrix(self):
+        full = noise_matrix(7, np.arange(6), range(10), 13)
+        reps, sites = [4, 0, 5], [9, 2, 3]
+        for steps in (1, 4, 5, 13):
+            sub = noise_matrix(7, np.array(reps), sites, steps)
+            np.testing.assert_array_equal(sub, full[np.ix_(reps, sites)][..., :steps])
+
+    def test_single_row_equals_its_row_of_the_batch(self):
+        full = noise_matrix(7, np.arange(6), range(10), 13)
+        for r, x in [(0, 0), (2, 7), (5, 9)]:
+            np.testing.assert_array_equal(noise_matrix(7, r, [x], 13)[0], full[r, x])
+
+    def test_init_draws_batched_equal_per_replica(self):
+        for init in (RandomInit("normal", 0.3, 2.0), RandomInit("uniform", -1.0, 3.0)):
+            batch = init.draw(5, np.arange(4), 11)
+            assert batch.shape == (4, 11)
+            for r in range(4):
+                np.testing.assert_array_equal(init.draw(5, r, 11), batch[r])
+
+    @pytest.mark.parametrize("n_steps", [1, 4, 13])
+    def test_sub_block_size_does_not_change_a_bit(self, monkeypatch, n_steps):
+        want = noise_matrix(3, np.arange(5), range(7), n_steps)
+        for size in (1, 3):
+            monkeypatch.setattr(rng, "_SUB_BLOCK", size)
+            np.testing.assert_array_equal(noise_matrix(3, np.arange(5), range(7), n_steps),
+                                          want)
+
+    def test_empty_requests(self):
+        assert noise_matrix(1, 0, [], 5).shape == (0, 5)
+        assert noise_matrix(1, np.arange(3), range(4), 0).shape == (3, 4, 0)
+
+
+class TestDistribution:
+    def test_moments_and_ks_on_a_million_draws(self):
+        z = noise_matrix(20261018, np.arange(100), range(100), 100).ravel()
+        n = z.size
+        assert abs(z.mean()) < 5 / np.sqrt(n)
+        # var of the sample variance of N(0, 1) draws is 2 / (n - 1)
+        assert abs(z.var(ddof=1) - 1.0) < 5 * np.sqrt(2 / (n - 1))
+        assert stats.kstest(z, "norm").pvalue > 1e-3
+
+    def test_uniform_init_lies_in_its_interval(self):
+        u = RandomInit("uniform", -1.0, 3.0).draw(8, np.arange(200), 50).ravel()
+        assert np.all((u > -1.0) & (u < 3.0))
+        assert stats.kstest(u, "uniform", args=(-1.0, 4.0)).pvalue > 1e-3
+
+    def test_tags_give_different_draws(self):
+        wiener = noise_matrix(2, np.arange(3), range(50), 1)
+        init = keyed_draws(2, TAG_INIT, np.arange(3), range(50), 1)
+        assert not np.any(wiener == init)
+        np.testing.assert_array_equal(RandomInit("normal").draw(2, np.arange(3), 50),
+                                      init[..., 0])
+
+
+class TestBadIds:
+    def test_negative_replica_named(self):
+        with pytest.raises(ParameterError, match="replica id -1 is negative"):
+            noise_matrix(0, -1, range(3), 4)
+        with pytest.raises(ParameterError, match="replica id -2 is negative"):
+            noise_matrix(0, np.array([0, -2, 1]), range(3), 4)
+        with pytest.raises(ParameterError, match="replica id -3 is negative"):
+            RandomInit("normal").draw(0, -3, 5)
+
+    def test_negative_site_named(self):
+        with pytest.raises(ParameterError, match="site id -4 is negative"):
+            noise_matrix(0, 0, [1, -4], 4)
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(ParameterError, match="site ids must be integers"):
+            noise_matrix(0, 0, [1.5], 4)
+        with pytest.raises(ParameterError, match="replica ids must be integers"):
+            noise_matrix(0, np.array([0.0]), range(3), 4)

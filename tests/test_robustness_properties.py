@@ -70,9 +70,10 @@ def test_blow_up_names_global_replica_site_and_step(case):
     clean = engine.noise_matrix
 
     def noise(master_seed, replica, site_ids, n_steps):
+        # one batched call per replica chunk: (replicas, sites, steps)
         out = clean(master_seed, replica, site_ids, n_steps)
-        if replica == case["replica"]:
-            out[case["site"], case["step"]] = case["value"]
+        out[np.asarray(replica) == case["replica"], case["site"], case["step"]] = \
+            case["value"]
         return out
 
     with mock.patch.object(engine, "noise_matrix", noise), \
