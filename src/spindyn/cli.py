@@ -235,9 +235,8 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     times = [plan.dt * j for j in
              np.linspace(0, plan.n_steps, n_times).astype(int)]
     table = _moments_table(ens, plan.p, times)
-    np.savetxt(out / "moments.csv", table, delimiter=",",
-               fmt=["%d", "%.17g", "%.17g", "%.17g", "%.17g"],
-               header="site_id,t,p,mean,stderr", comments="")
+    geometry.write_csv(out / "moments.csv", "site_id,t,p,mean,stderr", table,
+                       ["%d"] + ["%.17g"] * 4)
     np.savez_compressed(out / "trajectories.npz",
                         trajectories=ens.trajectories, times=ens.plan.times())
     _write_manifest(out, cfg, graph, extra={"ensemble_hash": ens.content_hash()})
@@ -281,9 +280,8 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
              k_T[beta] * b_norms[n]]
             for beta in betas for n in range(m)]
     arr = np.asarray(rows).reshape(len(rows), 6)
-    np.savetxt(out / "gaps.csv", arr, delimiter=",",
-               fmt=["%d", "%d", "%.17g", "%.17g", "%.17g", "%.17g"],
-               header="n,m,beta,p,gap,bound", comments="")
+    geometry.write_csv(out / "gaps.csv", "n,m,beta,p,gap,bound", arr,
+                       ["%d", "%d"] + ["%.17g"] * 4)
     _write_manifest(out, cfg, graph, extra={"ensemble_hash": ens.content_hash()})
     print(f"converge: {len(rows)} gap rows over {m} volume pairs")
     return EXIT_OK
@@ -310,8 +308,8 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
     widths = [float(w) for w in _get(cfg, "ovs.widths", list,
                                      default=[scale.width / 2, scale.width])]
     rows = [[L, T, q, w, ovsbound.k_series(L, T, q, 0.0, w)] for w in widths]
-    np.savetxt(out / "kt_table.csv", np.asarray(rows), delimiter=",",
-               fmt="%.17g", header="L,T,q,width,K_T", comments="")
+    geometry.write_csv(out / "kt_table.csv", "L,T,q,width,K_T",
+                       np.asarray(rows), ["%.17g"] * 5)
     _write_manifest(out, cfg, graph)
     print(f"ovs: L={L:.6g}, K_T at {len(widths)} widths")
     return EXIT_OK

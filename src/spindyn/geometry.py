@@ -9,6 +9,7 @@ table and kernel walks the same entries in the same order.  The graph is
 immutable once built and safe to share across threads.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,15 +128,19 @@ def build_graph(config: Configuration, rho: float) -> GeometricGraph:
         raise ParameterError(f"rho must be positive, got {rho}")
     n = config.n_sites
     a, b = cKDTree(config.positions).query_pairs(float(rho), output_type="ndarray").T
-    sites = np.arange(n)
-    src = np.concatenate([sites, a, b])
-    dst = np.concatenate([sites, b, a])
-    # Row by row: the self entry first, then the neighbours ascending.
-    order = np.lexsort((dst, src != dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return GeometricGraph(config=config, rho=float(rho), indptr=indptr,
-                          indices=dst[order])
+    # One int64 key per entry, row * (n + 1) + (0 for the self entry, else
+    # column + 1): sorted, each row holds its self entry first, then the
+    # neighbours ascending.  The key is below (n + 1)^2, exact for n < 3e9.
+    m = n + 1
+    key = np.concatenate([np.arange(n, dtype=np.int64) * m, a * m + b + 1,
+                          b * m + a + 1])
+    key.sort()
+    indptr = np.zeros(m, dtype=np.int64)
+    np.cumsum(np.bincount(key // m, minlength=n), out=indptr[1:])
+    key %= m
+    key -= 1
+    key[indptr[:-1]] = np.arange(n)
+    return GeometricGraph(config=config, rho=float(rho), indptr=indptr, indices=key)
 
 
 def sample_poisson(intensity: float, window, seed: int) -> Configuration:
@@ -169,18 +174,63 @@ def fit_degree_constant(graph: GeometricGraph) -> float:
     return float(np.max(graph.nbar_count / (1.0 + np.log1p(r))))
 
 
+# Rows formatted per `%`.  Blocks of 4096 rows were no faster, and their
+# Python objects raised the peak RSS of `spindyn simulate` by 0.7 MiB.
+_CSV_BLOCK_ROWS = 512
+
+
+def write_csv(path, header: str, rows, fmts) -> None:
+    """Write ``header`` and the rows of a 2-D array as comma-separated text,
+    column j formatted with the ``%`` format ``fmts[j]``.
+
+    The bytes are those numpy's ``savetxt`` writes with ``fmt=fmts``,
+    ``delimiter=","`` and ``comments=""``: it applies the same ``%``
+    formatting one row at a time.  Here one ``%`` formats a block of rows,
+    which removes the per-row Python work; the block size bounds the memory.
+    """
+    rows = np.asarray(rows)
+    line = ",".join(fmts) + "\n"
+    with open(path, "w", encoding="latin1", newline="") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def configuration_to_csv(config: Configuration, path) -> None:
     d = config.dim
     header = "site_id," + ",".join(f"x{i}" for i in range(d))
     rows = np.column_stack([np.arange(config.n_sites), config.positions])
-    fmt = ["%d"] + ["%.17g"] * d
-    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    write_csv(path, header, rows, ["%d"] + ["%.17g"] * d)
 
 
 def configuration_from_csv(path, window=None) -> Configuration:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(data[:, 0])
-    pos = data[order, 1:]
+    """Read ``site_id,x0,...`` rows.  The site ids must be a permutation of
+    0..N-1 and index the rows of the configuration; a malformed table, a
+    bad id or a non-finite position is rejected naming the file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # header-only input
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as e:
+        raise ParameterError(f"{path}: {e}") from None
+    if data.shape[0] == 0 or data.shape[1] < 2:
+        raise ParameterError(f"{path}: expected site_id,x0,... rows with at least "
+                             "one coordinate")
+    ids = data[:, 0]
+    n = ids.size
+    bad = ~((ids >= 0) & (ids < n) & (ids == np.floor(ids)))
+    if bad.any():
+        raise ParameterError(f"{path}: site_id {ids[bad][0]:g} outside 0..{n - 1}")
+    ids = ids.astype(np.int64)
+    repeated = np.bincount(ids, minlength=n)[ids] > 1
+    if repeated.any():
+        raise ParameterError(f"{path}: site_id {ids[repeated][0]} is repeated")
+    pos = np.empty((n, data.shape[1] - 1))
+    pos[ids] = data[:, 1:]
+    finite = np.isfinite(pos).all(axis=1)
+    if not finite.all():
+        raise ParameterError(f"{path}: site {np.argmin(finite)} has a non-finite position")
     if window is None:
         lo = pos.min(axis=0) - 0.5
         hi = pos.max(axis=0) + 0.5
@@ -191,7 +241,6 @@ def configuration_from_csv(path, window=None) -> Configuration:
 def graph_to_csv(graph: GeometricGraph, degrees_path, edges_path) -> None:
     """Write the `site_id,degree,nbar` table and the `a,b` edge list."""
     nbar = graph.nbar_count
-    np.savetxt(degrees_path, np.column_stack([np.arange(graph.n_sites), nbar - 1, nbar]),
-               fmt="%d", delimiter=",", header="site_id,degree,nbar", comments="")
-    np.savetxt(edges_path, graph.edges(), fmt="%d", delimiter=",", header="a,b",
-               comments="")
+    write_csv(degrees_path, "site_id,degree,nbar",
+              np.column_stack([np.arange(graph.n_sites), nbar - 1, nbar]), ["%d"] * 3)
+    write_csv(edges_path, "a,b", graph.edges(), ["%d"] * 2)

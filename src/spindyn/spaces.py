@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import GeometricGraph
+from .geometry import GeometricGraph, write_csv
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def embedding_check(z: WeightedSeq, alphas, p: float, scale: ScaleInterval) -> b
 def weighted_seq_to_csv(z: WeightedSeq, path) -> None:
     """Write the nonzero sites of ``z`` as ``site_id,value`` rows, ascending."""
     ids = np.flatnonzero(z.values)
-    np.savetxt(path, np.column_stack([ids, z.values[ids]]), fmt=["%d", "%.17g"],
-               delimiter=",", header="site_id,value", comments="")
+    write_csv(path, "site_id,value", np.column_stack([ids, z.values[ids]]),
+              ["%d", "%.17g"])
 
 
 def weighted_seq_from_csv(path, graph: GeometricGraph) -> WeightedSeq:

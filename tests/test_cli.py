@@ -11,7 +11,7 @@ from spindyn import (ParameterError, RandomInit, ScaleInterval, SimPlan,
                      WeightedSeq, build_graph, estimate_L, gronwall_bound,
                      induced_matrix, k_series, lattice_configuration, make_field,
                      moment_p, radial_volumes, run_nested)
-from spindyn import cli
+from spindyn import cli, geometry
 from spindyn.cli import main
 
 
@@ -66,6 +66,52 @@ class TestGraphCommand:
     def test_missing_file(self, tmp_path):
         assert main(["graph", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_poisson_csv_tables_match_savetxt(self, tmp_path):
+        # More than 4096 sites and edges, so every table spans several of
+        # the writer's blocks.
+        points = geometry.sample_poisson(2.0, [[-25.0, 25.0], [-25.0, 25.0]], 9)
+        assert points.n_sites > 4096
+        pts = tmp_path / "points.csv"
+        np.savetxt(pts, np.column_stack([np.arange(points.n_sites), points.positions]),
+                   fmt=["%d", "%.17g", "%.17g"], delimiter=",",
+                   header="site_id,x0,x1", comments="")
+        cfg = write_cfg(tmp_path, {"graph": {"source": "csv", "rho": 1.0,
+                                             "csv": {"path": str(pts)}}})
+        out = tmp_path / "out"
+        assert main(["graph", cfg, "--out", str(out)]) == 0
+        g = build_graph(geometry.configuration_from_csv(pts), 1.0)
+        assert g.edges().shape[0] > 4096
+        want = tmp_path / "want"
+        want.mkdir()
+        np.savetxt(want / "configuration.csv",
+                   np.column_stack([np.arange(g.n_sites), g.config.positions]),
+                   fmt=["%d", "%.17g", "%.17g"], delimiter=",",
+                   header="site_id,x0,x1", comments="")
+        np.savetxt(want / "degrees.csv",
+                   np.column_stack([np.arange(g.n_sites), g.nbar_count - 1, g.nbar_count]),
+                   fmt="%d", delimiter=",", header="site_id,degree,nbar", comments="")
+        np.savetxt(want / "edges.csv", g.edges(), fmt="%d", delimiter=",",
+                   header="a,b", comments="")
+        for name in ("configuration.csv", "degrees.csv", "edges.csv"):
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("body, named", [
+        ("0,0\n5,1\n5,2\n", "site_id 5"),
+        ("0,0\n2.5,1\n-1,2\n", "site_id 2.5"),
+        ("", "rows"),
+        ("0,0\n1,abc\n", "row 1"),
+        ("0,0\n1,nan\n", "site 1"),
+    ])
+    def test_malformed_point_csv_exits_2(self, tmp_path, capsys, body, named):
+        pts = tmp_path / "points.csv"
+        pts.write_text("site_id,x0\n" + body)
+        cfg = write_cfg(tmp_path, {"graph": {"source": "csv", "rho": 1.0,
+                                             "csv": {"path": str(pts)}}})
+        assert main(["graph", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(pts) in err and named in err
+        assert not (tmp_path / "o" / "configuration.csv").exists()
 
 
 def simulate_cfg(**plan):

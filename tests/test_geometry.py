@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from spindyn import (Configuration, ParameterError, build_graph,
                      configuration_from_csv, configuration_to_csv,
                      fit_degree_constant, graph_to_csv, lattice_configuration,
                      sample_poisson)
+from spindyn import geometry
 
 
 def test_lattice_neighbors_radius_1_5():
@@ -85,6 +87,20 @@ def _reference_neighbourhoods(pos, rho):
     return out
 
 
+def _lexsort_csr(pos, rho):
+    """The CSR arrays of the earlier construction, which lexsorted the
+    entries by (row, not the self entry, column)."""
+    n = pos.shape[0]
+    a, b = cKDTree(pos).query_pairs(float(rho), output_type="ndarray").T
+    sites = np.arange(n)
+    src = np.concatenate([sites, a, b])
+    dst = np.concatenate([sites, b, a])
+    order = np.lexsort((dst, src != dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
+
+
 @seed(20240611)
 @settings(max_examples=200, deadline=None, database=None)
 @given(point_sets())
@@ -93,6 +109,8 @@ def _reference_neighbourhoods(pos, rho):
 @example((np.array([[0.0], [1.0], [2.0], [1.0]]), 1.0))
 @example((np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), float(np.sqrt(2.0))))
 @example((np.random.default_rng(7).uniform(-20, 20, size=(2500, 2)), 1.3))
+@example((np.zeros((5, 1)), 0.5))
+@example((np.array([[0.0], [5.0], [10.0]]), 1.0))
 def test_build_graph_matches_quadratic_reference(case):
     pos, rho = case
     dim = pos.shape[1]
@@ -106,6 +124,8 @@ def test_build_graph_matches_quadratic_reference(case):
     edges = g.edges()
     assert edges.shape[1] == 2 and edges.dtype == np.int64
     assert edges.tolist() == [[x, y] for x, v in enumerate(want) for y in v[1:] if x < y]
+    indptr, indices = _lexsort_csr(pos, rho)
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
 
 
 def test_poisson_deterministic_and_in_window():
@@ -158,3 +178,71 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(deg[:, 2], g.nbar_count)
     edges = np.loadtxt(tmp_path / "edges.csv", delimiter=",", skiprows=1, ndmin=2)
     assert len(edges) == 6
+
+
+_INT_SPECIALS = [-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 1, 2 ** 63 - 2, -1, 0]
+_FLOAT_SPECIALS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 2.0 ** 63, -2.0 ** 63]
+_NONFINITE = [np.inf, -np.inf, np.nan]
+_B = geometry._CSV_BLOCK_ROWS
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None, database=None)
+@given(n_rows=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 8 * _B - 1, 8 * _B, 8 * _B + 1])
+       | st.integers(0, 40),
+       n_cols=st.integers(1, 5), is_int=st.booleans(),
+       fmt_bits=st.integers(0, 31), n_specials=st.integers(0, 12),
+       table_seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_matches_savetxt(tmp_path_factory, n_rows, n_cols, is_int,
+                                   fmt_bits, n_specials, table_seed):
+    rng = np.random.default_rng(table_seed)
+    fmts = ["%d" if fmt_bits >> j & 1 else "%.17g" for j in range(n_cols)]
+    if is_int:
+        rows = rng.integers(-2 ** 63, 2 ** 63 - 1, size=(n_rows, n_cols),
+                            dtype=np.int64, endpoint=True)
+        specials = _INT_SPECIALS
+    else:
+        rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
+            -320, 308, size=(n_rows, n_cols))
+        specials = _FLOAT_SPECIALS
+    if n_rows:
+        for _ in range(n_specials):
+            r, c = rng.integers(n_rows), rng.integers(n_cols)
+            pool = specials + (_NONFINITE if not is_int and fmts[c] == "%.17g" else [])
+            rows[r, c] = pool[rng.integers(len(pool))]
+    header = ",".join(f"c{j}" for j in range(n_cols))
+    d = tmp_path_factory.mktemp("csv")
+    np.savetxt(d / "want.csv", rows, fmt=fmts, delimiter=",", header=header, comments="")
+    geometry.write_csv(d / "got.csv", header, rows, fmts)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def _points_csv(path, text):
+    path.write_text("site_id,x0\n" + text)
+    return path
+
+
+def test_csv_reader_places_rows_by_site_id(tmp_path):
+    p = _points_csv(tmp_path / "p.csv", "2,0.5\n0,1.5\n1,-2\n")
+    assert configuration_from_csv(p).positions[:, 0].tolist() == [1.5, -2.0, 0.5]
+
+
+@pytest.mark.parametrize("body, named", [
+    ("0,0\n5,1\n5,2\n", "site_id 5 outside 0..2"),
+    ("0,0\n2.5,1\n-1,2\n", "site_id 2.5 outside 0..2"),
+    ("0,0\n-1,1\n", "site_id -1 outside 0..1"),
+    ("1,0\n1,1\n", "site_id 1 is repeated"),
+    ("nan,0\n", "site_id nan outside 0..0"),
+    ("0,0\n1,nan\n", "site 1 has a non-finite position"),
+    ("1,inf\n0,0\n", "site 1 has a non-finite position"),
+    ("", "expected site_id,x0,... rows"),
+    ("0,0\n1,abc\n", "could not convert string 'abc'"),
+    ("0,0\n1,1,1\n", "number of columns changed"),
+])
+def test_csv_reader_rejects_malformed_table(tmp_path, body, named):
+    p = _points_csv(tmp_path / "p.csv", body)
+    with pytest.raises(ParameterError) as info:
+        configuration_from_csv(p)
+    assert str(info.value).startswith(f"{p}: ")
+    assert named in str(info.value)
