@@ -12,14 +12,12 @@ from .geometry import (Configuration, GeometricGraph, build_graph,
                        configuration_from_csv, configuration_to_csv,
                        fit_degree_constant, graph_to_csv,
                        lattice_configuration, sample_poisson)
-from .spaces import (ScaleInterval, WeightedSeq, embedding_check, norm_lp,
-                     weighted_seq_from_csv, weighted_seq_to_csv)
+from .spaces import ScaleInterval, WeightedSeq, norm_lp, weighted_seq_from_csv
 from .ovsbound import (ComparisonReport, FiniteRangeMatrix, comparison_check,
                        estimate_L, gronwall_bound, induced_matrix, k_series,
                        series_solve)
 from .coeffs import (AssumptionReport, CoefficientField, SinglePotentialDrift,
-                     eval_diffusion, eval_drift, make_field,
-                     validate_assumptions)
+                     make_field, validate_assumptions)
 from .engine import (NestedEnsemble, RandomInit, SimPlan, VolumeSequence,
                      cauchy_gap, integrate_truncated, moment_p,
                      radial_volumes, run_nested, semigroup_apply,

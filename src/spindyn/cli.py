@@ -20,12 +20,12 @@ import yaml
 
 from . import geometry, gibbs, ovsbound
 from .coeffs import make_field
-from .engine import (NestedEnsemble, RandomInit, SimPlan, cauchy_gap,
-                     radial_volumes, run_nested)
+from .engine import (RandomInit, SimPlan, cauchy_gap, moment_p, radial_volumes,
+                     run_nested)
 from .errors import (ConfigError, ConstructionError, IntegrityError,
                      NumericError, ParameterError)
 from .gibbs import ChainParams, make_model
-from .spaces import ScaleInterval, WeightedSeq
+from .spaces import ScaleInterval, WeightedSeq, weighted_seq_from_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,6 +133,15 @@ def _build_plan(cfg: dict) -> SimPlan:
         raise ConfigError(f"plan: {e}")
 
 
+def _build_scale(cfg: dict) -> ScaleInterval:
+    try:
+        return ScaleInterval(
+            float(_get(cfg, "scale.alpha_star", (int, float), default=0.0)),
+            float(_get(cfg, "scale.alpha_top", (int, float), default=1.0)))
+    except ParameterError as e:
+        raise ConfigError(f"scale: {e}")
+
+
 def _build_field(cfg: dict, graph):
     try:
         return make_field(graph,
@@ -159,7 +168,6 @@ def _build_init(cfg: dict, graph):
         except ParameterError as e:
             raise ConfigError(f"init.dist: {e}")
     if kind == "csv":
-        from .spaces import weighted_seq_from_csv
         return weighted_seq_from_csv(_get(cfg, "init.path", str), graph)
     raise ConfigError(f"config key 'init.type' must be constant|random|csv, got '{kind}'")
 
@@ -211,19 +219,6 @@ def cmd_graph(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _moments_table(ens: NestedEnsemble, p: float, times) -> np.ndarray:
-    """Rows (site, t, p, mean, stderr) of the last volume, as ``moment_p``
-    gives them, ordered by site then time."""
-    cols = [ens.plan.time_index(t) for t in times]
-    vals = np.abs(ens.trajectories[:, -1][:, :, cols]) ** p  # (rep, site, time)
-    n_rep, n_sites, n_times = vals.shape
-    se = (np.std(vals, axis=0, ddof=1) / np.sqrt(n_rep) if n_rep > 1
-          else np.zeros((n_sites, n_times)))
-    return np.column_stack([np.repeat(np.arange(n_sites), n_times),
-                            np.tile(times, n_sites), np.full(vals[0].size, p),
-                            np.mean(vals, axis=0).ravel(), se.ravel()])
-
-
 def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     graph = _build_graph(cfg)
     plan = _build_plan(cfg)
@@ -234,7 +229,10 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     n_times = min(11, plan.n_steps + 1)
     times = [plan.dt * j for j in
              np.linspace(0, plan.n_steps, n_times).astype(int)]
-    table = _moments_table(ens, plan.p, times)
+    mean, se = moment_p(ens, -1, times)
+    table = np.column_stack([np.repeat(np.arange(graph.n_sites), n_times),
+                             np.tile(times, graph.n_sites), np.full(mean.size, plan.p),
+                             mean.ravel(), se.ravel()])
     geometry.write_csv(out / "moments.csv", "site_id,t,p,mean,stderr", table,
                        ["%d"] + ["%.17g"] * 4)
     np.savez_compressed(out / "trajectories.npz",
@@ -251,8 +249,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     field_ = _build_field(cfg, graph)
     volumes = _build_volumes(cfg, graph)
     init = _build_init(cfg, graph)
-    scale = ScaleInterval(float(_get(cfg, "scale.alpha_star", (int, float), default=0.0)),
-                          float(_get(cfg, "scale.alpha_top", (int, float), default=1.0)))
+    scale = _build_scale(cfg)
     betas = [float(b) for b in _get(cfg, "converge.betas", list,
                                     default=[scale.alpha_top])]
     q = float(_get(cfg, "converge.q", (int, float), default=0.5))
@@ -267,15 +264,17 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     # L depends on neither beta nor n, and K_T(alpha, beta) not on the
     # ensemble: certify before simulating, so an overflow costs no run.
     Q = ovsbound.induced_matrix(graph, field_.a_bar, 1.0)
-    L = ovsbound.estimate_L(Q, q, scale)
+    try:
+        L = ovsbound.estimate_L(Q, q, scale)
+    except ParameterError as e:
+        raise ConfigError(f"converge.q: {e}")
     k_T = {beta: ovsbound.k_series(L, plan.T, q, alpha, beta) for beta in betas}
     ens = run_nested(field_, volumes, init, plan, n_threads=threads)
     m = len(volumes) - 1
     # Tail bound input: weighted p-th moment of the initial data outside
     # volume n, via the degree-growth kernel.
-    radii = graph.radii()
-    b_norms = [ovsbound.nonneg_l1_norm(_tail_vector(ens, volumes, n, graph),
-                                       radii, alpha) for n in range(m)]
+    b_norms = [ovsbound.nonneg_l1_norm(_tail_vector(ens, volumes, n, graph), alpha)
+               for n in range(m)]
     rows = [[n, m, beta, plan.p, cauchy_gap(ens, n, m, beta, plan.p, scale),
              k_T[beta] * b_norms[n]]
             for beta in betas for n in range(m)]
@@ -297,14 +296,16 @@ def _tail_vector(ens, volumes, n, graph) -> WeightedSeq:
 
 def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
     graph = _build_graph(cfg)
-    scale = ScaleInterval(float(_get(cfg, "scale.alpha_star", (int, float), default=0.0)),
-                          float(_get(cfg, "scale.alpha_top", (int, float), default=1.0)))
+    scale = _build_scale(cfg)
     B = float(_get(cfg, "ovs.B", (int, float), default=0.2))
     k = float(_get(cfg, "ovs.k", (int, float), default=1.0))
     q = float(_get(cfg, "ovs.q", (int, float), default=0.5))
     T = float(_get(cfg, "ovs.T", (int, float), default=1.0))
     Q = ovsbound.induced_matrix(graph, B, k)
-    L = ovsbound.estimate_L(Q, q, scale)
+    try:
+        L = ovsbound.estimate_L(Q, q, scale)
+    except ParameterError as e:
+        raise ConfigError(f"ovs.q: {e}")
     widths = [float(w) for w in _get(cfg, "ovs.widths", list,
                                      default=[scale.width / 2, scale.width])]
     rows = [[L, T, q, w, ovsbound.k_series(L, T, q, 0.0, w)] for w in widths]
@@ -335,11 +336,14 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
                                               default="constant"))
     except ParameterError as e:
         raise ConfigError(f"gibbs: {e}")
-    chain = ChainParams(steps=int(_get(cfg, "gibbs.chain.steps", int, default=2000)),
-                        burn_in=int(_get(cfg, "gibbs.chain.burn_in", int, default=500)),
-                        step_size=float(_get(cfg, "gibbs.chain.step_size",
-                                             (int, float), default=0.5)),
-                        seed=int(_get(cfg, "gibbs.chain.seed", int, default=0)))
+    try:
+        chain = ChainParams(steps=int(_get(cfg, "gibbs.chain.steps", int, default=2000)),
+                            burn_in=int(_get(cfg, "gibbs.chain.burn_in", int, default=500)),
+                            step_size=float(_get(cfg, "gibbs.chain.step_size",
+                                                 (int, float), default=0.5)),
+                            seed=int(_get(cfg, "gibbs.chain.seed", int, default=0)))
+    except ParameterError as e:
+        raise ConfigError(f"gibbs.chain: {e}")
     eta = _site_list(cfg, "gibbs.eta", graph.n_sites, default=None)
     sites = _site_list(cfg, "gibbs.observable_sites", graph.n_sites,
                        default=[0, graph.n_sites - 1])

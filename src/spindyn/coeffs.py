@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from .errors import ParameterError
 from .geometry import GeometricGraph
-from .spaces import WeightedSeq
 
 DEFAULT_TRIALS = 10 ** 5
 DEFAULT_BOX = 10.0
@@ -90,19 +89,6 @@ class CoefficientField:
         """S z + c at every site, for ``state`` of shape (sites,) or
         (replicas, sites)."""
         return (self.S @ state.T).T + self.diff_const
-
-
-def eval_drift(field_: CoefficientField, state: WeightedSeq, x: int) -> float:
-    """phi(z_x) + (A z)_x."""
-    if not (0 <= x < field_.graph.n_sites):
-        raise ParameterError(f"site {x} out of range")
-    return float(field_.drift_all(state.values)[x])
-
-
-def eval_diffusion(field_: CoefficientField, state: WeightedSeq, x: int) -> float:
-    if not (0 <= x < field_.graph.n_sites):
-        raise ParameterError(f"site {x} out of range")
-    return float(field_.diffusion_all(state.values)[x])
 
 
 @dataclass(frozen=True)

@@ -266,16 +266,14 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     return out
 
 
-def integrate_truncated(field_: CoefficientField, volume, init, plan: SimPlan,
+def integrate_truncated(field_: CoefficientField, mask, init, plan: SimPlan,
                         replica: int) -> np.ndarray:
-    """One replica of the volume-truncated system; shape (sites, steps+1).
-    ``volume`` holds site ids in 0..N-1."""
+    """One replica of the system truncated to the sites where the boolean
+    ``mask`` of shape (sites,) is True; shape (sites, steps+1)."""
+    mask = np.asarray(mask)
     n = field_.graph.n_sites
-    sites = np.array(list(volume))
-    outside = sites[~np.isin(sites, np.arange(n))]
-    if outside.size:
-        raise ParameterError(f"volume site id {outside[0]} is outside 0..{n - 1}")
-    mask = np.isin(np.arange(n), sites)
+    if mask.dtype != bool or mask.shape != (n,):
+        raise ParameterError(f"volume must be a boolean mask of shape ({n},)")
     return integrate_replicas(field_, [mask], init, plan, [replica],
                               plan.n_steps)[0, 0]
 
@@ -307,15 +305,15 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
     return NestedEnsemble(trajectories=traj, plan=plan, graph=field_.graph)
 
 
-def moment_p(ens: NestedEnsemble, volume_idx: int, x: int, t: float,
-             p: float | None = None):
-    """Monte Carlo p-th absolute moment at (volume, site, time): (mean, stderr)."""
+def moment_p(ens: NestedEnsemble, volume_idx: int, times, p: float | None = None):
+    """Monte Carlo p-th absolute moments of one volume at the grid ``times``:
+    (mean, stderr), each of shape (sites, len(times))."""
     p = ens.plan.p if p is None else p
-    j = ens.plan.time_index(t)
-    vals = np.abs(ens.trajectories[:, volume_idx, x, j]) ** p
-    n = vals.size
-    se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(vals)), se
+    cols = [ens.plan.time_index(t) for t in times]
+    vals = np.abs(ens.trajectories[:, volume_idx][:, :, cols]) ** p  # (rep, site, time)
+    se = (np.std(vals, axis=0, ddof=1) / np.sqrt(len(vals)) if len(vals) > 1
+          else np.zeros(vals.shape[1:]))
+    return np.mean(vals, axis=0), se
 
 
 def cauchy_gap(ens: NestedEnsemble, n: int, m: int, beta: float, p: float,

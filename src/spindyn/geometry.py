@@ -204,21 +204,18 @@ def configuration_to_csv(config: Configuration, path) -> None:
     write_csv(path, header, rows, ["%d"] + ["%.17g"] * d)
 
 
-def configuration_from_csv(path, window=None) -> Configuration:
-    """Read ``site_id,x0,...`` rows.  The site ids must be a permutation of
-    0..N-1 and index the rows of the configuration; a malformed table, a
-    bad id or a non-finite position is rejected naming the file."""
+def read_site_rows(path, n_sites: int | None = None, usecols=None):
+    """Site ids and the other ``usecols`` of a ``site_id,...`` CSV table with
+    a header line; the ids must be distinct integers in 0..n_sites-1 (default:
+    the row count).  A malformed table or a bad id is rejected naming the file."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # header-only input
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
     except (OSError, ValueError) as e:
         raise ParameterError(f"{path}: {e}") from None
-    if data.shape[0] == 0 or data.shape[1] < 2:
-        raise ParameterError(f"{path}: expected site_id,x0,... rows with at least "
-                             "one coordinate")
     ids = data[:, 0]
-    n = ids.size
+    n = ids.size if n_sites is None else n_sites
     bad = ~((ids >= 0) & (ids < n) & (ids == np.floor(ids)))
     if bad.any():
         raise ParameterError(f"{path}: site_id {ids[bad][0]:g} outside 0..{n - 1}")
@@ -226,16 +223,24 @@ def configuration_from_csv(path, window=None) -> Configuration:
     repeated = np.bincount(ids, minlength=n)[ids] > 1
     if repeated.any():
         raise ParameterError(f"{path}: site_id {ids[repeated][0]} is repeated")
-    pos = np.empty((n, data.shape[1] - 1))
-    pos[ids] = data[:, 1:]
+    return ids, data[:, 1:]
+
+
+def configuration_from_csv(path) -> Configuration:
+    """Read ``site_id,x0,...`` rows, the ids a permutation of 0..N-1 that index
+    the points, in their bounding box widened by 0.5; a malformed table, a bad
+    id or a non-finite position is rejected naming the file."""
+    ids, coords = read_site_rows(path)
+    if coords.size == 0:
+        raise ParameterError(f"{path}: expected site_id,x0,... rows with at least "
+                             "one coordinate")
+    pos = np.empty(coords.shape)
+    pos[ids] = coords
     finite = np.isfinite(pos).all(axis=1)
     if not finite.all():
         raise ParameterError(f"{path}: site {np.argmin(finite)} has a non-finite position")
-    if window is None:
-        lo = pos.min(axis=0) - 0.5
-        hi = pos.max(axis=0) + 0.5
-        window = np.stack([lo, hi], axis=1)
-    return Configuration(positions=pos, window=np.asarray(window, dtype=float))
+    window = np.stack([pos.min(axis=0) - 0.5, pos.max(axis=0) + 0.5], axis=1)
+    return Configuration(positions=pos, window=window)
 
 
 def graph_to_csv(graph: GeometricGraph, degrees_path, edges_path) -> None:

@@ -225,11 +225,11 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
                             float(-np.max(gap)))
 
 
-def nonneg_l1_norm(b_vec: WeightedSeq, radii: np.ndarray, alpha: float) -> float:
+def nonneg_l1_norm(b_vec: WeightedSeq, alpha: float) -> float:
     """||b||_{l1_alpha} of a componentwise non-negative sequence."""
     if np.any(b_vec.values < 0):
         raise ParameterError("b_vec must be componentwise non-negative")
-    return float(np.sum(np.exp(-alpha * radii) * b_vec.values))
+    return float(np.sum(np.exp(-alpha * b_vec.graph.radii()) * b_vec.values))
 
 
 def gronwall_bound(B: float, k: float, graph: GeometricGraph, b_vec: WeightedSeq,
@@ -239,7 +239,7 @@ def gronwall_bound(B: float, k: float, graph: GeometricGraph, b_vec: WeightedSeq
     integral inequality with kernel B n_x^k on closed neighbourhoods."""
     if beta <= alpha:
         raise ParameterError("beta must exceed alpha")
-    b_norm = nonneg_l1_norm(b_vec, graph.radii(), alpha)
+    b_norm = nonneg_l1_norm(b_vec, alpha)
     Q = induced_matrix(graph, B, k)
     L = estimate_L(Q, q, scale)
     return k_series(L, T, q, alpha, beta) * b_norm

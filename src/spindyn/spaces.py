@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import GeometricGraph, write_csv
+from .geometry import GeometricGraph, read_site_rows
 
 
 @dataclass(frozen=True)
@@ -65,34 +65,13 @@ def norm_lp(z: WeightedSeq, alpha: float, p: float, scale: ScaleInterval) -> flo
     return float(np.sum(w * np.abs(z.values) ** p) ** (1.0 / p))
 
 
-def embedding_check(z: WeightedSeq, alphas, p: float, scale: ScaleInterval) -> bool:
-    """True iff the norm sequence is non-increasing along ascending alphas."""
-    alphas = list(alphas)
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ParameterError("alphas must be strictly ascending")
-    norms = [norm_lp(z, a, p, scale) for a in alphas]
-    return all(nb <= na * (1 + 1e-12) + 1e-300 for na, nb in zip(norms, norms[1:]))
-
-
-def weighted_seq_to_csv(z: WeightedSeq, path) -> None:
-    """Write the nonzero sites of ``z`` as ``site_id,value`` rows, ascending."""
-    ids = np.flatnonzero(z.values)
-    write_csv(path, "site_id,value", np.column_stack([ids, z.values[ids]]),
-              ["%d", "%.17g"])
-
-
 def weighted_seq_from_csv(path, graph: GeometricGraph) -> WeightedSeq:
-    """Read ``site_id,value`` rows; absent sites are zero.  A site id outside
-    0..N-1 or given twice is rejected by name."""
-    ids, rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1)).T
-    n = graph.n_sites
-    bad = ~((ids >= 0) & (ids < n) & (ids == np.floor(ids)))
-    if bad.any():
-        raise ParameterError(f"{path}: site_id {ids[bad][0]:g} outside 0..{n - 1}")
-    ids = ids.astype(np.int64)
-    seen, counts = np.unique(ids, return_counts=True)
-    if np.any(counts > 1):
-        raise ParameterError(f"{path}: site_id {seen[counts > 1][0]} is repeated")
-    vals = np.zeros(n)
-    vals[ids] = rows
-    return WeightedSeq(vals, graph)
+    """Read ``site_id,value`` rows, absent sites zero; a malformed table, a bad
+    or repeated site id or a non-finite value is rejected naming the file."""
+    ids, rows = read_site_rows(path, graph.n_sites, usecols=(0, 1))
+    vals = np.zeros(graph.n_sites)
+    vals[ids] = rows[:, 0]
+    try:
+        return WeightedSeq(vals, graph)
+    except ParameterError as e:
+        raise ParameterError(f"{path}: {e}") from None

@@ -197,21 +197,43 @@ class TestSimulateCommand:
         assert "replica 0, site 4, step 1" in capsys.readouterr().err
         assert not (out / "moments.csv").exists()
 
-    def test_moments_table_matches_moment_p(self):
+    def test_moment_p_matches_per_entry_formula(self):
+        # Oracle: the mean and the ddof=1 standard error over replicas of
+        # |xi|^p, one (site, time) entry at a time.
         graph = build_graph(lattice_configuration(-3, 3), 1.5)
         field_ = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
         plan = SimPlan(dt=0.05, T=0.5, replicas=9, master_seed=4, p=3.0)
-        ens = run_nested(field_, radial_volumes(graph, [1.0]),
+        ens = run_nested(field_, radial_volumes(graph, [1.0, 2.0]),
                          RandomInit("normal", 0.3, 1.2), plan)
         times = [0.0, 0.15, 0.5]
-        table = cli._moments_table(ens, plan.p, times)
-        assert table.shape == (graph.n_sites * len(times), 5)
-        for (x, t, p, mean, se), (x_want, t_want) in zip(
-                table, [(x, t) for x in range(graph.n_sites) for t in times]):
-            want_mean, want_se = moment_p(ens, 1, x_want, t_want, plan.p)
-            assert (x, t, p) == (x_want, t_want, plan.p)
-            assert mean == pytest.approx(want_mean, rel=1e-12)
-            assert se == pytest.approx(want_se, rel=1e-12)
+        for volume, p in ((1, None), (-1, 4.5)):
+            mean, se = moment_p(ens, volume, times, p)
+            assert mean.shape == se.shape == (graph.n_sites, len(times))
+            for x in range(graph.n_sites):
+                for j, t in enumerate(times):
+                    vals = np.abs(ens.trajectories[:, volume, x, plan.time_index(t)]) \
+                        ** (plan.p if p is None else p)
+                    assert mean[x, j] == pytest.approx(np.mean(vals), rel=1e-12)
+                    assert se[x, j] == pytest.approx(
+                        np.std(vals, ddof=1) / np.sqrt(vals.size), rel=1e-12)
+
+    @pytest.mark.parametrize("body, named", [
+        ("0,1.0\n1,abc\n", "could not convert string 'abc'"),
+        ("0,1.0\n2,nan\n", "non-finite value at site 2"),
+        ("0,1.0\n1\n", "at row 2"),
+        ("1,1.0\n1,2.0\n", "site_id 1 is repeated"),
+    ])
+    def test_malformed_init_csv_exits_2(self, tmp_path, capsys, body, named):
+        init = tmp_path / "init.csv"
+        init.write_text("site_id,value\n" + body)
+        cfg = simulate_cfg(replicas=2, dt=0.1)
+        cfg["graph"]["lattice"] = {"lo": 0, "hi": 2}
+        cfg["init"] = {"type": "csv", "path": str(init)}
+        out = tmp_path / "out"
+        assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {init}: " in err and named in err
+        assert list(out.iterdir()) == []
 
 
 class TestConvergeCommand:
@@ -371,6 +393,29 @@ class TestGibbsCommand:
 
 
 class TestConfigKeys:
+    @pytest.mark.parametrize("command, key, value", [
+        ("converge", "scale", {"alpha_star": 1.0, "alpha_top": 0.5}),
+        ("ovs", "scale", {"alpha_star": 1.0, "alpha_top": 0.5}),
+        ("converge", "converge.q", 1.5),
+        ("ovs", "ovs.q", 1.5),
+        ("gibbs", "gibbs.chain", {"steps": 0}),
+    ])
+    def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command,
+                                              key, value):
+        cfg = lattice_graph_cfg(-3, 3)
+        cfg["field"] = {"drift": "cubic", "coupling": "linear_pair", "J": 0.2}
+        cfg["plan"] = {"dt": 0.05, "T": 0.1, "replicas": 2, "p": 4}
+        cfg["gibbs"] = {"chain": {"steps": 10, "burn_in": 10}}
+        section, *name = key.split(".")
+        if name:
+            cfg.setdefault(section, {})[name[0]] = value
+        else:
+            cfg[section] = value
+        out = tmp_path / "out"
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, cfg, key", [
         ("ovs", lattice_graph_cfg() | {"ovs": {"B": 0.2}}, "ovs.trials"),
         ("simulate", simulate_cfg(replicas=2, dt=0.1), "field.M_tilda"),

@@ -6,8 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from spindyn import (CoefficientField, Configuration, ParameterError,
-                     SinglePotentialDrift, WeightedSeq, build_graph,
-                     eval_diffusion, eval_drift, gradient_dynamics_field,
+                     SinglePotentialDrift, build_graph, gradient_dynamics_field,
                      lattice_configuration, make_field, make_model,
                      validate_assumptions)
 
@@ -26,29 +25,25 @@ def test_drift_constants_validated():
 
 def test_cubic_drift_with_linear_pair_closed_form(graph):
     field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.5)
-    state = WeightedSeq(np.arange(graph.n_sites, dtype=float), graph)
+    drift = field.drift_all(np.arange(graph.n_sites, dtype=float))
     # site 3 (interior): neighbours 2 and 4, closed neighbourhood {3,2,4}
     # Phi_3 = -27 + 0.5*(3 + 2 + 4)
-    assert eval_drift(field, state, 3) == pytest.approx(-27.0 + 0.5 * 9.0)
+    assert drift[3] == pytest.approx(-27.0 + 0.5 * 9.0)
     # endpoint site 0: neighbourhood {0, 1}
-    assert eval_drift(field, state, 0) == pytest.approx(0.0 + 0.5 * 1.0)
+    assert drift[0] == pytest.approx(0.0 + 0.5 * 1.0)
 
 
 def test_additive_noise_is_unit(graph):
     field = make_field(graph, drift="cubic", coupling="zero", noise="additive")
-    state = WeightedSeq(np.random.default_rng(0).standard_normal(graph.n_sites),
-                        graph)
-    for x in range(graph.n_sites):
-        assert eval_diffusion(field, state, x) == pytest.approx(1.0)
+    state = np.random.default_rng(0).standard_normal(graph.n_sites)
+    assert field.diffusion_all(state) == pytest.approx(np.ones(graph.n_sites))
 
 
 def test_linear_noise_sums_neighbourhood(graph):
     field = make_field(graph, drift="linear", noise="linear_noise", M_tilde=2.0)
-    state = WeightedSeq(np.ones(graph.n_sites), graph)
     # Psi_x = 2 * nbar_x for the all-ones state
-    for x in range(graph.n_sites):
-        assert eval_diffusion(field, state, x) == pytest.approx(
-            2.0 * graph.nbar_count[x])
+    assert field.diffusion_all(np.ones(graph.n_sites)) == pytest.approx(
+        2.0 * graph.nbar_count)
 
 
 def test_vectorised_matches_sitewise(graph):
@@ -57,9 +52,7 @@ def test_vectorised_matches_sitewise(graph):
     states = rng.standard_normal((4, graph.n_sites))
     block = field.drift_all(states)
     for i in range(4):
-        z = WeightedSeq(states[i], graph)
-        for x in range(graph.n_sites):
-            assert block[i, x] == pytest.approx(eval_drift(field, z, x))
+        assert block[i] == pytest.approx(field.drift_all(states[i]))
 
 
 def test_cubic_preset_passes_validator(graph):
@@ -123,13 +116,6 @@ def test_unknown_presets_rejected(graph):
         make_field(graph, coupling="magnetic")
     with pytest.raises(ParameterError):
         make_field(graph, noise="multiplicative")
-
-
-def test_site_out_of_range(graph):
-    field = make_field(graph)
-    z = WeightedSeq(np.zeros(graph.n_sites), graph)
-    with pytest.raises(ParameterError):
-        eval_drift(field, z, graph.n_sites)
 
 
 @st.composite

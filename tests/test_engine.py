@@ -30,6 +30,10 @@ def constant_init(graph, value=0.0):
     return WeightedSeq(np.full(graph.n_sites, value), graph)
 
 
+def all_sites(graph):
+    return np.ones(graph.n_sites, dtype=bool)
+
+
 class TestPlanAndVolumes:
     def test_plan_validation(self):
         with pytest.raises(ParameterError):
@@ -85,7 +89,7 @@ class TestIntegration:
         field = make_field(chain, drift="linear", noise="linear_noise", M_tilde=0.0)
         # kill the drift too by freezing every site except none: use zero init
         plan = SimPlan(dt=0.05, T=0.5, replicas=3, master_seed=1)
-        traj = integrate_truncated(field, range(chain.n_sites),
+        traj = integrate_truncated(field, all_sites(chain),
                                    constant_init(chain, 0.0), plan, replica=0)
         assert np.all(traj == 0.0)
 
@@ -94,21 +98,24 @@ class TestIntegration:
                            noise="additive")
         plan = SimPlan(dt=0.01, T=0.3, master_seed=5, p=4.0)
         init = WeightedSeq(np.full(chain.n_sites, 1.5), chain)
-        volume = {3, 4, 5}
+        volume = np.isin(np.arange(chain.n_sites), [3, 4, 5])
         traj = integrate_truncated(field, volume, init, plan, replica=0)
-        outside = [x for x in range(chain.n_sites) if x not in volume]
-        assert np.all(traj[outside, :] == 1.5)
+        assert np.all(traj[~volume, :] == 1.5)
         # active sites actually move
-        assert np.any(traj[list(volume), -1] != 1.5)
+        assert np.any(traj[volume, -1] != 1.5)
 
     def test_volume_site_outside_window_rejected(self, chain):
-        # Ids 0..8 on the -4..4 chain; an unknown id must not freeze the run.
+        # The volume is a boolean mask over the 9 sites of the -4..4 chain.
+        # Site ids, in range or not, must fail: ~[3, 4, 5] would index
+        # sites from the end and freeze the wrong ones without a word.
         field = make_field(chain, drift="cubic")
         plan = SimPlan(dt=0.01, T=0.1, master_seed=5)
         init = constant_init(chain, 0.5)
-        for volume, bad in (([2, 99, -3], "99"), ([-3], "-3"), ([9], "9"),
-                            ([1, 2.5], "2.5")):
-            with pytest.raises(ParameterError, match=f"site id {bad} is outside 0..8"):
+        for volume in ([3, 4, 5], {0}, range(9), [2, 99, -3], [1, 2.5],
+                       np.arange(9), np.ones(9), [True] * 9 + [False],
+                       np.ones(8, dtype=bool), np.ones((1, 9), dtype=bool)):
+            with pytest.raises(ParameterError,
+                               match=r"volume must be a boolean mask of shape \(9,\)"):
                 integrate_truncated(field, volume, init, plan, replica=0)
 
     def test_ou_second_moment(self, single):
@@ -116,9 +123,9 @@ class TestIntegration:
         plan = SimPlan(dt=1e-3, T=1.0, replicas=4000, master_seed=2)
         ens = run_nested(field, radial_volumes(single, []),
                          constant_init(single), plan)
-        mean, se = moment_p(ens, 0, 0, 1.0)
+        mean, se = moment_p(ens, 0, [1.0])
         target = (1 - np.exp(-2.0)) / 2
-        assert abs(mean - target) <= 3 * se + 1e-3
+        assert abs(mean[0, 0] - target) <= 3 * se[0, 0] + 1e-3
 
     def test_split_step_ou_moment(self, single):
         field = make_field(single, drift="linear", noise="additive")
@@ -126,9 +133,9 @@ class TestIntegration:
                        scheme="split_step_implicit")
         ens = run_nested(field, radial_volumes(single, []),
                          constant_init(single), plan)
-        mean, se = moment_p(ens, 0, 0, 1.0)
+        mean, se = moment_p(ens, 0, [1.0])
         target = (1 - np.exp(-2.0)) / 2
-        assert abs(mean - target) <= 3 * se + 2e-3
+        assert abs(mean[0, 0] - target) <= 3 * se[0, 0] + 2e-3
 
     @pytest.mark.parametrize("scheme", ["tamed_em", "split_step_implicit"])
     def test_deterministic_mode_matches_ode_oracle(self, chain, scheme):
@@ -138,7 +145,7 @@ class TestIntegration:
         dt = 0.01
         plan = SimPlan(dt=dt, T=1.0, master_seed=0, scheme=scheme, p=4.0)
         init = WeightedSeq(np.linspace(-1.2, 1.2, chain.n_sites), chain)
-        traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
+        traj = integrate_truncated(field, all_sites(chain), init, plan, 0)
         sol = solve_ivp(lambda t, y: field.drift_all(y), (0, 1.0),
                         init.values, rtol=1e-10, atol=1e-12,
                         t_eval=[1.0])
@@ -156,7 +163,7 @@ class TestIntegration:
         plan = SimPlan(dt=0.9, T=1.8, scheme="split_step_implicit", master_seed=0)
         init = sparse_seq(single, {0: 2.0})
         with pytest.raises(NumericError, match="site"):
-            integrate_truncated(field, {0}, init, plan, 0)
+            integrate_truncated(field, all_sites(single), init, plan, 0)
 
 
     def test_newton_zero_denominator_raises_without_warning(self, single):
@@ -170,7 +177,8 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"zero or non-finite at site 0 \(step 0\)"):
-                integrate_truncated(field, {0}, sparse_seq(single, {0: 1.0}), plan, 0)
+                integrate_truncated(field, all_sites(single),
+                                    sparse_seq(single, {0: 1.0}), plan, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_state_names_global_replica(self, single, monkeypatch):
@@ -207,7 +215,7 @@ class TestDeterminismAndCoupling:
                 ens.append(run_nested(field, vols, init, plan, n_threads=2))
             h = [e.content_hash() for e in ens]
             assert h[0] == h[1] == h[2] == h[3], scheme
-            lone = integrate_truncated(field, range(chain.n_sites), init, plan,
+            lone = integrate_truncated(field, all_sites(chain), init, plan,
                                        replica=11)
             assert np.array_equal(lone, ens[0].trajectories[11, -1]), scheme
 
@@ -259,7 +267,7 @@ class TestTaggedParticle:
         init = constant_init(chain, 0.7)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=13, p=4.0, scheme=scheme)
-            traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
+            traj = integrate_truncated(field, all_sites(chain), init, plan, 0)
             x = 4
             eta = tagged_particle_solve(field, x, traj, 0.7, plan, replica=0)
             assert np.array_equal(eta, traj[x]), scheme
@@ -269,7 +277,7 @@ class TestTaggedParticle:
         init = constant_init(chain, 0.5)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
-            traj = integrate_truncated(field, range(chain.n_sites), init, plan, 0)
+            traj = integrate_truncated(field, all_sites(chain), init, plan, 0)
             eta = tagged_particle_solve(field, 4, traj, 0.5, plan, replica=0)
             # identical equation, step rule and noise -> identical path
             assert np.array_equal(eta, traj[4]), scheme
@@ -297,8 +305,8 @@ class TestSemigroup:
         val, se = semigroup_apply(field, lambda s: float(s[0] ** 2),
                                   constant_init(single), 1.0, plan)
         ens = run_nested(field, radial_volumes(single, []), constant_init(single), plan)
-        mean, _ = moment_p(ens, 0, 0, 1.0)
-        assert val == pytest.approx(mean, rel=1e-12)
+        mean, _ = moment_p(ens, 0, [1.0])
+        assert val == pytest.approx(mean[0, 0], rel=1e-12)
 
 
 class TestStrongOrder:

@@ -169,8 +169,9 @@ def test_csv_round_trip(tmp_path):
     cfg = lattice_configuration(-3, 3)
     p = tmp_path / "conf.csv"
     configuration_to_csv(cfg, p)
-    back = configuration_from_csv(p, window=cfg.window)
+    back = configuration_from_csv(p)
     assert np.allclose(back.positions, cfg.positions)
+    assert np.array_equal(back.window, cfg.window)  # the box padded by 0.5
     g = build_graph(cfg, 1.5)
     graph_to_csv(g, tmp_path / "deg.csv", tmp_path / "edges.csv")
     deg = np.loadtxt(tmp_path / "deg.csv", delimiter=",", skiprows=1)

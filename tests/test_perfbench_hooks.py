@@ -9,9 +9,7 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-# The CLI builds its moments table in one vectorised pass and no longer
-# imports moment_p, so this hook is stale until the benchmark changes.
-STALE = {"engine.moment_p"}
+STALE = set()
 
 
 def _targets():
