@@ -24,7 +24,7 @@ from .engine import (NestedEnsemble, RandomInit, SimPlan, VolumeSequence,
                      tagged_particle_solve, weighted_uniform_moment)
 from .gibbs import (ChainParams, DlrReport, GibbsModel, SpecKernelSample,
                     dlr_residual, gradient_dynamics_field, kernel_sample,
-                    local_energy, make_model, reversibility_test,
+                    make_model, reversibility_test,
                     sample_window_measure)
 
 __version__ = "0.1.0"

@@ -105,6 +105,10 @@ def _build_graph(cfg: dict) -> geometry.GeometricGraph:
         lo = int(_get(cfg, "graph.lattice.lo", int))
         hi = int(_get(cfg, "graph.lattice.hi", int))
         dim = int(_get(cfg, "graph.lattice.dim", int, default=1))
+        if dim < 1:
+            raise ConfigError(f"graph.lattice.dim: need dim >= 1, got {dim}")
+        if lo > hi:
+            raise ConfigError(f"graph.lattice: need lo <= hi, got lo={lo}, hi={hi}")
         config = geometry.lattice_configuration(lo, hi, dim=dim)
     elif source == "poisson":
         intensity = float(_get(cfg, "graph.poisson.intensity", (int, float)))
@@ -255,6 +259,9 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     q = float(_get(cfg, "converge.q", (int, float), default=0.5))
     alpha = float(_get(cfg, "converge.alpha", (int, float),
                        default=scale.alpha_star))
+    if not scale.contains(alpha):
+        raise ConfigError(f"converge.alpha: alpha={alpha} outside the scale "
+                          f"[{scale.alpha_star}, {scale.alpha_top}] that L covers")
     for beta in betas:
         if not scale.contains(beta):
             raise ConfigError(f"converge.betas: beta={beta} outside the scale")
@@ -301,6 +308,8 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
     k = float(_get(cfg, "ovs.k", (int, float), default=1.0))
     q = float(_get(cfg, "ovs.q", (int, float), default=0.5))
     T = float(_get(cfg, "ovs.T", (int, float), default=1.0))
+    if not T > 0:
+        raise ConfigError(f"ovs.T: need T > 0, got {T}")
     Q = ovsbound.induced_matrix(graph, B, k)
     try:
         L = ovsbound.estimate_L(Q, q, scale)
@@ -308,6 +317,10 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
         raise ConfigError(f"ovs.q: {e}")
     widths = [float(w) for w in _get(cfg, "ovs.widths", list,
                                      default=[scale.width / 2, scale.width])]
+    for w in widths:
+        if not 0 < w <= scale.width:
+            raise ConfigError(f"ovs.widths: width={w} outside (0, {scale.width}], "
+                              f"the scale width that L covers")
     rows = [[L, T, q, w, ovsbound.k_series(L, T, q, 0.0, w)] for w in widths]
     geometry.write_csv(out / "kt_table.csv", "L,T,q,width,K_T",
                        np.asarray(rows), ["%.17g"] * 5)
@@ -316,13 +329,16 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _site_list(cfg: dict, key: str, n_sites: int, default):
-    """A non-empty list of site ids in [0, n_sites), or ``default`` if absent."""
+def _site_list(cfg: dict, key: str, n_sites: int, default, distinct=False):
+    """A non-empty list of site ids in [0, n_sites), with no repeats if
+    ``distinct``, or ``default`` if absent."""
     sites = _get(cfg, key, list, default=default)
     if sites is not None and not (sites and all(
             type(s) is int and 0 <= s < n_sites for s in sites)):
         raise ConfigError(f"config key '{key}' must be a non-empty list of "
                           f"site ids in [0, {n_sites}), got {sites}")
+    if distinct and sites is not None and len(set(sites)) < len(sites):
+        raise ConfigError(f"config key '{key}' lists a site twice: {sites}")
     return sites
 
 
@@ -344,9 +360,19 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
                             seed=int(_get(cfg, "gibbs.chain.seed", int, default=0)))
     except ParameterError as e:
         raise ConfigError(f"gibbs.chain: {e}")
-    eta = _site_list(cfg, "gibbs.eta", graph.n_sites, default=None)
+    eta = _site_list(cfg, "gibbs.eta", graph.n_sites, default=None, distinct=True)
     sites = _site_list(cfg, "gibbs.observable_sites", graph.n_sites,
                        default=[0, graph.n_sites - 1])
+    outer = int(_get(cfg, "gibbs.outer_samples", int, default=50))
+    if outer < 1:
+        raise ConfigError(f"gibbs.outer_samples: need at least 1, got {outer}")
+    t = float(_get(cfg, "gibbs.t", (int, float), default=0.0))
+    if t != 0:
+        plan = _build_plan(cfg)
+        try:
+            plan.time_index(t)
+        except ParameterError as e:
+            raise ConfigError(f"gibbs.t: {e}")
     report = {}
     zero = WeightedSeq(np.zeros(graph.n_sites), graph)
     sample = gibbs.kernel_sample(model, range(graph.n_sites), zero, chain)
@@ -360,15 +386,12 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
         "warnings": list(sample.warnings)}
 
     if eta is not None:
-        outer = int(_get(cfg, "gibbs.outer_samples", int, default=50))
         dlr = gibbs.dlr_residual(model, eta, chain, outer)
         report["dlr"] = {"statistic": dlr.statistic, "p_value": dlr.p_value,
                          "acceptance_rate": dlr.acceptance_rate,
                          "warnings": list(dlr.warnings)}
 
-    t = float(_get(cfg, "gibbs.t", (int, float), default=0.0))
     if t > 0:
-        plan = _build_plan(cfg)
         x1, x2 = sites[0], sites[-1]
         f = lambda z: np.tanh(z[x1])
         g_ = lambda z: np.tanh(z[x2])

@@ -71,7 +71,8 @@ class SimPlan:
     def time_index(self, t: float) -> int:
         j = int(round(t / self.dt))
         if not (0 <= j <= self.n_steps) or abs(j * self.dt - t) > 1e-9 * max(1.0, self.T):
-            raise ParameterError(f"t={t} is not on the simulation grid")
+            raise ParameterError(f"t={t} is not on the simulation grid, the "
+                                 f"multiples of dt={self.dt} in [0, T={self.T}]")
         return j
 
 

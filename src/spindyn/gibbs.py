@@ -8,9 +8,10 @@ finite site set eta with frozen exterior z has density proportional to
 exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from .coeffs import (CoefficientField, SinglePotentialDrift,
@@ -33,12 +34,11 @@ class GibbsModel:
 
     ``weights`` holds a_xy for every CSR entry of the graph, aligned with
     ``graph.indices``; it is stored as a read-only float64 copy, finite,
-    symmetric (a_xy = a_yx) and with 0 on the self entries.  The growth
-    certificate (a_V, b_V, tau) lower-bounds V and (I_W, J_W, r) upper-bounds
-    |W| on the validation box with max |a_xy|; both are checked at
-    construction, as is tau > r.
-    ``drift_c`` and ``drift_b`` are the growth/dissipativity constants
-    declared for the induced gradient drift -V'/2.
+    symmetric (a_xy = a_yx) and with 0 on the self entries.  ``A`` is the
+    sparse coupling operator built from it once, the only place the Gibbs
+    layer reads pair couplings from.  The growth certificate (a_V, b_V, tau)
+    lower-bounds V and (I_W, J_W, r) upper-bounds |W| on the validation box
+    with max |a_xy|; both are checked at construction, as is tau > r.
     """
 
     graph: GeometricGraph
@@ -51,14 +51,11 @@ class GibbsModel:
     J_W: float = 0.0
     r: float = 0.0
     dV: callable = None
-    drift_c: float = 1.0
-    drift_b: float = 0.0
+    A: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.shape != self.graph.indices.shape:
-            raise ParameterError(f"weights must have shape {self.graph.indices.shape}, "
-                                 f"got {w.shape}")
+        A = self.graph.operator(w)  # raises on a wrong shape
         if not np.all(np.isfinite(w)):
             raise ParameterError(f"weights must be finite, entry "
                                  f"{np.argmin(np.isfinite(w))} is not")
@@ -66,13 +63,13 @@ class GibbsModel:
         if np.any(self_w != 0):
             raise ParameterError(f"self entry of site {np.argmax(self_w != 0)} "
                                  f"must have weight 0")
-        op = self.graph.operator(w)
-        x, y = (op != op.T).nonzero()
+        x, y = (A != A.T).nonzero()
         if x.size:
             raise ParameterError(f"weights must be symmetric: a_xy != a_yx at "
                                  f"(x, y) = ({x[0]}, {y[0]})")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "A", A)
         if self.a_V <= 0 or self.b_V <= 0:
             raise ParameterError("a_V and b_V must be positive")
         if min(self.I_W, self.J_W, self.r) < 0:
@@ -96,60 +93,30 @@ class GibbsModel:
 
 
 # ---------------------------------------------------------------------------
-# Local energy and the conditional target on a finite site set
-
-
-def _eta_rows(model: GibbsModel, eta):
-    """The CSR rows of the sites in ``eta`` without their self entries:
-    (x, y, a_xy, whether y lies in eta), in CSR order."""
-    g = model.graph
-    rows = g.entry_rows()
-    keep = np.isin(rows, eta) & (rows != g.indices)
-    y = g.indices[keep]
-    return rows[keep], y, model.weights[keep], np.isin(y, eta)
-
-
-def local_energy(model: GibbsModel, eta, sigma_eta, z: WeightedSeq) -> float:
-    """Interaction energy of values sigma on eta with frozen exterior z.
-
-    Each unordered pair inside eta counts once; every (interior, exterior)
-    neighbour pair contributes with the frozen exterior value.
-    """
-    target = _EtaTarget(model, eta, z.values)
-    sigma = np.asarray(sigma_eta, dtype=float)
-    if sigma.shape != (len(target.eta),):
-        raise ParameterError("sigma_eta must have one value per eta site")
-    return float(target.interaction(sigma))
+# The conditional target on a finite site set
 
 
 class _EtaTarget:
     """Quadratic-coupling conditional density on eta, vectorised over chains.
 
-    Energy U(s) = sum V(s_i) + sum_pairs w s_i s_j + sum_i bconst_i s_i,
-    where bconst collects the frozen boundary contributions (may vary per
-    chain when ``z_dense`` has a leading chain axis).
+    Energy U(s) = sum V(s_i) + sum_pairs a_ij s_i s_j + sum_i bconst_i s_i,
+    where bconst_i = sum_{y not in eta} a_iy z_y collects the frozen boundary
+    (one row per chain when ``z_dense`` has a leading chain axis).
     """
 
     def __init__(self, model: GibbsModel, eta, z_dense: np.ndarray):
         self.model = model
         self.eta = sorted(int(s) for s in eta)
-        k = len(self.eta)
-        x, y, w, inner = _eta_rows(model, self.eta)
-        nz = w != 0.0
-        x, y, w, inner = x[nz], y[nz], w[nz], inner[nz]
-        i = np.searchsorted(self.eta, x)
-        pair = inner & (x < y)
-        j = np.searchsorted(self.eta, y[pair])
-        K = np.zeros((k, k))
-        K[i[pair], j] = w[pair]
-        K[j, i[pair]] = w[pair]
-        z = np.atleast_2d(z_dense)
-        bconst = np.zeros((z.shape[0], k))
-        # np.add.at adds one term at a time in CSR order, so each boundary
-        # constant sums its terms in ascending neighbour order.
-        np.add.at(bconst, (slice(None), i[~inner]), w[~inner] * z[:, y[~inner]])
-        self.K = K
-        self.bconst = bconst if z_dense.ndim > 1 else bconst[0]
+        for a, b in zip(self.eta, self.eta[1:]):
+            if a == b:
+                raise ParameterError(f"eta lists site {a} twice")
+        rows = model.A[self.eta]
+        self.K = rows[:, self.eta].toarray()
+        z = np.array(z_dense, dtype=float)
+        z[..., self.eta] = 0.0
+        # A CSR product sums each row from 0 in ascending column order; the
+        # zeroed eta columns add only signed zeros.
+        self.bconst = (rows @ z.T).T
 
     def interaction(self, s: np.ndarray) -> np.ndarray:
         """Pair and boundary terms of the energy, s.K.s / 2 + bconst.s."""
@@ -340,6 +307,16 @@ class DlrReport:
     warnings: tuple = ()
 
 
+def _battery(model: GibbsModel, eta, sig: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """DLR observables per chain: the eta values sig, then a_xy sig_x z_y for
+    every boundary entry (x in eta, y outside) of ``model.A``, in CSR order."""
+    b = model.A[eta].tocoo()
+    outside = np.ones(model.graph.n_sites, dtype=bool)
+    outside[eta] = False
+    out = outside[b.col]
+    return np.hstack([sig, b.data[out] * sig[:, b.row[out]] * z[:, b.col[out]]])
+
+
 def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
                  outer_samples: int, n_perms: int = 1000) -> DlrReport:
     """Resampling consistency of the conditional kernel on eta.
@@ -359,15 +336,9 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
     resampled, rate, _ = _mala_run(target, outer[:, eta].copy(), inner_chain,
                                    collect=False)
 
-    x, y, w, inner = _eta_rows(model, eta)
-    col, y, w = np.searchsorted(eta, x[~inner]), y[~inner], w[~inner]
-
-    def battery(sig):
-        return np.hstack([sig, w * sig[:, col] * outer[:, y]])
-
-    A = battery(outer[:, eta])
-    B = battery(resampled)
-    statistic, p = energy_distance_test(A, B, n_perms=n_perms, seed=chain.seed + 2)
+    statistic, p = energy_distance_test(_battery(model, eta, outer[:, eta], outer),
+                                        _battery(model, eta, resampled, outer),
+                                        n_perms=n_perms, seed=chain.seed + 2)
     warnings = ()
     if not (_ACCEPT_HEALTHY[0] < rate < _ACCEPT_HEALTHY[1]):
         warnings = (f"inner-chain acceptance rate {rate:.3f} unhealthy",)
@@ -389,7 +360,7 @@ def gradient_dynamics_field(model: GibbsModel) -> CoefficientField:
     g = model.graph
     R = max(model.tau - 1.0, 2.0)
     drift = SinglePotentialDrift(phi=lambda s: -0.5 * model.grad_V(s),
-                                 c=model.drift_c, R=R, b=model.drift_b)
+                                 c=1.0, R=R, b=0.0)
     field_ = CoefficientField(drift=drift, graph=g,
                               drift_weights=-0.5 * model.weights,
                               diff_weights=np.zeros(g.indices.size), diff_const=1.0)

@@ -378,7 +378,8 @@ class TestGibbsCommand:
         assert rep["reversibility"]["within_3se"]
 
     @pytest.mark.parametrize("key, sites", [("eta", [-1, 0]), ("eta", [0, 99]),
-                                            ("observable_sites", [0, 50])])
+                                            ("observable_sites", [0, 50]),
+                                            ("eta", [2, 2])])
     def test_bad_sites_exit_2_without_report(self, tmp_path, capsys, key, sites):
         cfg = lattice_graph_cfg(-10, 10, 1.5)
         cfg["gibbs"] = {"potential": "quartic", "J": 0.1,
@@ -399,18 +400,28 @@ class TestConfigKeys:
         ("converge", "converge.q", 1.5),
         ("ovs", "ovs.q", 1.5),
         ("gibbs", "gibbs.chain", {"steps": 0}),
+        ("graph", "graph.lattice.dim", 0),
+        ("graph", "graph.lattice", {"lo": 3, "hi": -3}),
+        ("gibbs", "gibbs.outer_samples", 0),
+        ("gibbs", "gibbs.t", 0.123),  # beyond T
+        ("gibbs", "gibbs.t", 0.07),  # between grid points
+        ("gibbs", "gibbs.t", -0.1),
+        ("ovs", "ovs.T", 0.0),
+        # (alpha, beta) and widths outside the scale that L covers
+        ("converge", "converge.alpha", -0.5),
+        ("ovs", "ovs.widths", [0.5, 2.0]),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command,
                                               key, value):
         cfg = lattice_graph_cfg(-3, 3)
         cfg["field"] = {"drift": "cubic", "coupling": "linear_pair", "J": 0.2}
         cfg["plan"] = {"dt": 0.05, "T": 0.1, "replicas": 2, "p": 4}
-        cfg["gibbs"] = {"chain": {"steps": 10, "burn_in": 10}}
-        section, *name = key.split(".")
-        if name:
-            cfg.setdefault(section, {})[name[0]] = value
-        else:
-            cfg[section] = value
+        cfg["gibbs"] = {"chain": {"steps": 10, "burn_in": 10}, "eta": [2, 3]}
+        *path, name = key.split(".")
+        node = cfg
+        for part in path:
+            node = node.setdefault(part, {})
+        node[name] = value
         out = tmp_path / "out"
         assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         assert f"config error: {key}: " in capsys.readouterr().err

@@ -6,9 +6,9 @@ from helpers import sparse_seq
 from spindyn import (ChainParams, ConstructionError, GibbsModel,
                      ParameterError, SimPlan, WeightedSeq, build_graph,
                      dlr_residual, gradient_dynamics_field,
-                     kernel_sample, lattice_configuration, local_energy,
-                     make_model, reversibility_test, sample_window_measure)
-from spindyn.gibbs import energy_distance_test
+                     kernel_sample, lattice_configuration, make_model,
+                     reversibility_test, sample_window_measure)
+from spindyn.gibbs import _battery, _EtaTarget, energy_distance_test
 
 
 @pytest.fixture(scope="module")
@@ -78,27 +78,29 @@ class TestModel:
         assert np.allclose(m.grad_V(u), u ** 3, atol=1e-6)
 
 
+def interaction(model, eta, sigma, z):
+    """Pair and boundary energy of values sigma on eta with frozen exterior z."""
+    return float(_EtaTarget(model, eta, z.values).interaction(np.asarray(sigma)))
+
+
 class TestLocalEnergy:
-    def test_isolated_site_zero(self, chain):
-        m = make_model(chain, potential="gaussian", J=0.4)
-        z = WeightedSeq(np.zeros(chain.n_sites), chain)
-        # pick a site and empty exterior contribution by zero boundary, but a
-        # genuinely isolated configuration has no pairs at all
+    def test_isolated_site_zero(self):
+        # a genuinely isolated configuration has no pairs at all
         iso = build_graph(lattice_configuration(0, 0), 1.0)
         m_iso = make_model(iso, potential="gaussian", J=0.4)
         zero = WeightedSeq(np.zeros(iso.n_sites), iso)
-        assert local_energy(m_iso, {0}, [1.7], zero) == 0.0
+        assert interaction(m_iso, {0}, [1.7], zero) == 0.0
 
     def test_two_site_pair(self, pair_graph):
         m = make_model(pair_graph, potential="gaussian", J=0.3)
         zero = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
-        e = local_energy(m, {0, 1}, [2.0, -1.0], zero)
+        e = interaction(m, {0, 1}, [2.0, -1.0], zero)
         assert e == pytest.approx(0.3 * 2.0 * -1.0)
 
     def test_boundary_terms(self, chain):
         m = make_model(chain, potential="gaussian", J=0.25)
         z = sparse_seq(chain, {2: 3.0})  # exterior neighbour of site 1
-        e = local_energy(m, {0, 1}, [1.0, 2.0], z)
+        e = interaction(m, {0, 1}, [1.0, 2.0], z)
         # interior pair (0,1): 0.25*1*2; boundary pair (1,2): 0.25*2*3
         assert e == pytest.approx(0.25 * 2.0 + 0.25 * 6.0)
 
@@ -126,20 +128,19 @@ class TestLocalEnergy:
                             total += a * sig[i] * val[y]
                     else:
                         total += a * sig[i] * zd[y]
-            assert local_energy(m, eta, sig, z) == pytest.approx(total, abs=1e-12)
+            assert interaction(m, eta, sig, z) == pytest.approx(total, abs=1e-12)
 
     def test_relabel_symmetry(self, pair_graph):
         m = make_model(pair_graph, potential="gaussian", J=0.3)
         z = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
-        assert local_energy(m, [0, 1], [1.0, 2.0], z) == \
-            local_energy(m, [1, 0], [1.0, 2.0], z)
+        assert interaction(m, [0, 1], [1.0, 2.0], z) == \
+            interaction(m, [1, 0], [1.0, 2.0], z)
 
 
     def test_eta_target_matches_pair_loop(self):
         # The conditional target's coupling matrix and boundary constants
         # against a per-pair reference loop; each entry is computed with the
         # same arithmetic in the same order, so they agree exactly.
-        from spindyn.gibbs import _EtaTarget
         g = build_graph(lattice_configuration(-2, 2, dim=2), 1.5)
         m = make_model(g, potential="quartic", J=0.15, coupling_type="tent")
         pos = g.config.positions
@@ -162,6 +163,15 @@ class TestLocalEnergy:
             target = _EtaTarget(m, eta, z)
             assert np.array_equal(target.K, K)
             assert np.array_equal(target.bconst, bconst)
+            # One boundary, as kernel_sample passes it: no chain axis.
+            target = _EtaTarget(m, eta, z[0])
+            assert target.bconst.shape == (len(eta),)
+            assert np.array_equal(target.bconst, bconst[0])
+
+    def test_repeated_eta_site_rejected(self, chain):
+        m = make_model(chain, potential="gaussian", J=0.2)
+        with pytest.raises(ParameterError, match="site 4"):
+            _EtaTarget(m, [3, 4, 4], np.zeros(chain.n_sites))
 
 
 class TestKernelSample:
@@ -220,6 +230,28 @@ class TestDlr:
         chain_p = ChainParams(steps=200, burn_in=600, step_size=0.5, seed=4)
         rep = dlr_residual(m, {4, 5, 6}, chain_p, outer_samples=60, n_perms=500)
         assert rep.p_value > 0.01
+
+    def test_battery_matches_pair_loop(self):
+        # The eta values, then a_xy s_x z_y for every x in eta and neighbour
+        # y outside it, x ascending and y ascending within x: the same
+        # products in the same order as a per-pair loop, so they agree exactly.
+        g = build_graph(lattice_configuration(-2, 2, dim=2), 1.5)
+        m = make_model(g, potential="quartic", J=0.15, coupling_type="tent")
+        pos = g.config.positions
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            eta = sorted(rng.choice(g.n_sites, size=6, replace=False).tolist())
+            z = rng.standard_normal((4, g.n_sites))
+            sig = rng.standard_normal((4, len(eta)))
+            cols = list(sig.T)
+            for i, x in enumerate(eta):
+                for y in g.closed_neighborhood(x)[1:]:
+                    if y not in eta:
+                        d = np.linalg.norm(pos[x] - pos[y])
+                        w = 0.15 * max(0.0, 1.0 - d / g.rho)
+                        cols.append(w * sig[:, i] * z[:, y])
+            assert len(cols) > len(eta)
+            assert np.array_equal(_battery(m, eta, sig, z), np.column_stack(cols))
 
     def test_wrong_kernel_detected(self, chain):
         # Resampling with a mismatched potential must shift the statistic:
@@ -289,9 +321,9 @@ class TestGradientDynamics:
         assert field.drift_all(state)[0] == pytest.approx(-J / 2 * 2.0)
 
     def test_validation_failure_carries_report(self, chain):
+        # -V'/2 = -u^7/2 outgrows the drift exponent R = tau - 1 = 3.
         m = GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
-                       V=lambda u: u ** 2 / 2, dV=lambda u: u,
-                       tau=2.0, a_V=0.4, drift_c=1e-9)  # absurd growth claim
+                       V=lambda u: u ** 8 / 8, dV=lambda u: u ** 7, tau=4.0)
         with pytest.raises(ConstructionError) as exc:
             gradient_dynamics_field(m)
         assert exc.value.report is not None
