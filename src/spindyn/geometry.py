@@ -9,6 +9,7 @@ table and kernel walks the same entries in the same order.  The graph is
 immutable once built and safe to share across threads.
 """
 
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,14 +42,13 @@ class Configuration:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.size == 0:
             pos = pos.reshape(0, win.shape[0])
-        if pos.shape[0] > 0:
-            if pos.shape[1] != win.shape[0]:
-                raise ParameterError("positions and window dimension mismatch")
-            if not np.all(np.isfinite(pos)):
-                raise ParameterError("positions must be finite")
-            inside = (pos >= win[None, :, 0] - 1e-12) & (pos <= win[None, :, 1] + 1e-12)
-            if not np.all(inside):
-                raise ParameterError("all points must lie inside the window")
+        if pos.shape[1] != win.shape[0]:
+            raise ParameterError("positions and window dimension mismatch")
+        if not np.all(np.isfinite(pos)):
+            raise ParameterError("positions must be finite")
+        inside = (pos >= win[None, :, 0] - 1e-12) & (pos <= win[None, :, 1] + 1e-12)
+        if not np.all(inside):
+            raise ParameterError("all points must lie inside the window")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "window", win)
 
@@ -62,8 +62,6 @@ class Configuration:
 
     def radii(self) -> np.ndarray:
         """Euclidean norm |x| of every site position."""
-        if self.n_sites == 0:
-            return np.zeros(0)
         return np.linalg.norm(self.positions, axis=1)
 
 
@@ -157,12 +155,16 @@ def sample_poisson(intensity: float, window, seed: int) -> Configuration:
     return Configuration(positions=pts, window=win)
 
 
-def lattice_configuration(lo: int, hi: int, dim: int = 1, pad: float = 0.5) -> Configuration:
-    """Integer lattice {lo..hi}^dim as a configuration (helper for presets)."""
+def lattice_configuration(lo: int, hi: int, dim: int = 1) -> Configuration:
+    """Integer lattice {lo..hi}^dim in its bounding box widened by 0.5."""
+    if dim < 1:
+        raise ParameterError(f"dim must be >= 1, got {dim}")
+    if lo > hi:
+        raise ParameterError(f"need lo <= hi, got lo={lo}, hi={hi}")
     axis = np.arange(lo, hi + 1, dtype=float)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     pos = np.stack([g.ravel() for g in grids], axis=-1)
-    win = np.asarray([[lo - pad, hi + pad]] * dim, dtype=float)
+    win = np.asarray([[lo - 0.5, hi + 0.5]] * dim, dtype=float)
     return Configuration(positions=pos, window=win)
 
 
@@ -170,8 +172,7 @@ def fit_degree_constant(graph: GeometricGraph) -> float:
     """Smallest C with n_x <= C (1 + log(1 + |x|)) over all sites."""
     if graph.n_sites == 0:
         raise ParameterError("degree constant is undefined for an empty graph")
-    r = graph.radii()
-    return float(np.max(graph.nbar_count / (1.0 + np.log1p(r))))
+    return float(np.max(graph.nbar_count / (1.0 + np.log1p(graph.radii()))))
 
 
 # Rows formatted per `%`.  Blocks of 4096 rows were no faster, and their
@@ -204,16 +205,40 @@ def configuration_to_csv(config: Configuration, path) -> None:
     write_csv(path, header, rows, ["%d"] + ["%.17g"] * d)
 
 
+def _load_rows(source, usecols):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header-only input
+        return np.loadtxt(source, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
+
+
+def _first_bad_line(path, usecols) -> int:
+    """The line of ``path``, from 1 at the header, where loading first fails.
+    numpy's own row count skips blank lines and starts at 0 or 1 by message."""
+    with open(path, encoding="latin1") as fh:
+        lines = fh.read().splitlines()
+    good, bad = 1, len(lines)  # lines[:good] load, lines[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _load_rows(lines[:mid], usecols)
+            good = mid
+        except ValueError:
+            bad = mid
+    return bad
+
+
 def read_site_rows(path, n_sites: int | None = None, usecols=None):
     """Site ids and the other ``usecols`` of a ``site_id,...`` CSV table with
     a header line; the ids must be distinct integers in 0..n_sites-1 (default:
-    the row count).  A malformed table or a bad id is rejected naming the file."""
+    the row count).  A malformed table or a bad id is rejected naming the file
+    and, for a malformed row, its line."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # header-only input
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
-    except (OSError, ValueError) as e:
+        data = _load_rows(path, usecols)
+    except OSError as e:
         raise ParameterError(f"{path}: {e}") from None
+    except ValueError as e:
+        why = re.sub(r" at row \d+", "", str(e))
+        raise ParameterError(f"{path}: line {_first_bad_line(path, usecols)}: {why}") from None
     ids = data[:, 0]
     n = ids.size if n_sites is None else n_sites
     bad = ~((ids >= 0) & (ids < n) & (ids == np.floor(ids)))

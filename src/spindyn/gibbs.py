@@ -325,6 +325,8 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
     compares the observable battery (eta values plus boundary-edge pair
     products) before and after via the energy-distance permutation test.
     """
+    if outer_samples < 1:
+        raise ParameterError(f"outer_samples must be >= 1, got {outer_samples}")
     eta = sorted(int(s) for s in eta)
     if not eta:
         return DlrReport(statistic=0.0, p_value=1.0, eta=(), outer_samples=0,

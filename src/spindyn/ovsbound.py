@@ -21,6 +21,9 @@ from .geometry import GeometricGraph
 from .spaces import ScaleInterval, WeightedSeq
 
 _SERIES_TERM_CUTOFF = 1e-14
+_SERIES_MAX_TERMS = 10 ** 4
+_K_SERIES_REL_TOL = 1e-12
+_K_SERIES_MAX_TERMS = 10 ** 5
 _COMPARISON_TOL = 1e-9
 # Cap on the (CSR entries x grid columns) temporaries of one estimate_L block.
 _PAIR_BLOCK_ELEMENTS = 2 ** 20
@@ -112,17 +115,14 @@ def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
     return (1.0 + _ROUNDING_PAD) * float(np.max(deltas[1:] ** q * G))
 
 
-def k_series(L: float, T: float, q: float, alpha: float, beta: float,
-             rel_tol: float = 1e-12, n_cap: int = 10 ** 5) -> float:
+def k_series(L: float, T: float, q: float, alpha: float, beta: float) -> float:
     """Partial sum of sum_n L^n T^n (beta-alpha)^(-qn) n^(qn) / n!.
 
     The n = 0 term is 1 (0^0 = 1 convention); terms are added until the
-    last term is below rel_tol relative to the partial sum.
+    last term is below 1e-12 relative to the partial sum.
     """
     if beta <= alpha:
         raise ParameterError(f"beta must exceed alpha, got alpha={alpha}, beta={beta}")
-    if rel_tol <= 0:
-        raise ParameterError("rel_tol must be positive")
     if L < 0 or T <= 0 or not (0 <= q < 1):
         raise ParameterError("need L >= 0, T > 0, 0 <= q < 1")
     if L == 0.0:
@@ -130,7 +130,7 @@ def k_series(L: float, T: float, q: float, alpha: float, beta: float,
     log_base = math.log(L) + math.log(T) - q * math.log(beta - alpha)
     total = 1.0
     prev_term = math.inf
-    for n in range(1, n_cap + 1):
+    for n in range(1, _K_SERIES_MAX_TERMS + 1):
         log_term = n * log_base + q * n * math.log(n) - math.lgamma(n + 1)
         if log_term > 700:
             raise NumericError(
@@ -142,33 +142,28 @@ def k_series(L: float, T: float, q: float, alpha: float, beta: float,
                 "K_T series exceeds double-precision range for these parameters")
         # The log-terms are concave in n, so once the ratio test fires past
         # the mode the tail is negligible.
-        if term <= prev_term and term < rel_tol * total:
+        if term <= prev_term and term < _K_SERIES_REL_TOL * total:
             return total
         prev_term = term
-    raise NumericError(f"K_T series did not converge within {n_cap} terms")
+    raise NumericError(f"K_T series did not converge within {_K_SERIES_MAX_TERMS} terms")
 
 
-def series_solve(Q: FiniteRangeMatrix, z0: WeightedSeq, t: float,
-                 n_max: int = 10 ** 4, scale: ScaleInterval | None = None) -> WeightedSeq:
-    """sum_{n<=N} t^n/n! Q^n z0, truncated once the last term is negligible.
-
-    The cutoff norm is l^1 at the top of the scale when one is supplied,
-    otherwise the unweighted l^1 norm (which is the stricter choice).
-    """
+def series_solve(Q: FiniteRangeMatrix, z0: WeightedSeq, t: float) -> WeightedSeq:
+    """sum_{n<=N} t^n/n! Q^n z0, truncated once the last term is negligible
+    in the unweighted l^1 norm."""
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return z0
-    w = np.exp(-(scale.alpha_top if scale is not None else 0.0) * Q.graph.radii())
     term = z0.values
     total = term.copy()
-    for n in range(1, n_max + 1):
+    for n in range(1, _SERIES_MAX_TERMS + 1):
         term = (t / n) * (Q.matrix @ term)
         total += term
-        if np.sum(w * np.abs(term)) < \
-                _SERIES_TERM_CUTOFF * max(np.sum(w * np.abs(total)), 1e-300):
+        if np.sum(np.abs(term)) < _SERIES_TERM_CUTOFF * max(np.sum(np.abs(total)), 1e-300):
             return WeightedSeq(total, Q.graph)
-    raise NumericError(f"series solution did not reach tolerance within {n_max} terms")
+    raise NumericError(
+        f"series solution did not reach tolerance within {_SERIES_MAX_TERMS} terms")
 
 
 @dataclass(frozen=True)
@@ -187,8 +182,7 @@ class ComparisonReport:
 
 
 def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
-                     T: float, scale: ScaleInterval | None = None,
-                     tol: float = _COMPARISON_TOL) -> ComparisonReport:
+                     T: float) -> ComparisonReport:
     """Verify g <= f where f solves the equality version of g's inequality.
 
     ``times`` is the sample grid of g in [0, T]; ``g_values`` has shape
@@ -212,17 +206,15 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
     integral[:, 1:] = np.cumsum(0.5 * dt * (qg[:, :-1] + qg[:, 1:]), axis=1)
     hyp_gap = g - (z.values[:, None] + integral)
     max_hyp = float(np.max(hyp_gap))
-    hypothesis_ok = max_hyp <= tol
-    if not hypothesis_ok:
+    if not max_hyp <= _COMPARISON_TOL:
         return ComparisonReport(False, False, max_hyp, math.inf, -math.inf)
 
     f = np.empty_like(g)
     for j, tj in enumerate(times):
-        f[:, j] = series_solve(Q, z, float(tj), scale=scale).values
-    gap = g - f
-    max_bound = float(np.max(gap))
-    return ComparisonReport(True, max_bound <= tol, max_hyp, max_bound,
-                            float(-np.max(gap)))
+        f[:, j] = series_solve(Q, z, float(tj)).values
+    max_bound = float(np.max(g - f))
+    return ComparisonReport(True, max_bound <= _COMPARISON_TOL, max_hyp, max_bound,
+                            -max_bound)
 
 
 def nonneg_l1_norm(b_vec: WeightedSeq, alpha: float) -> float:

@@ -311,6 +311,5 @@ def test_11_assumption_validators():
                    noise="linear_noise", M_tilde=0.5),
     ]
     for field in presets:
-        r = validate_assumptions(field, trials=10 ** 5, seed=2)
-        ok &= r["site_drift_pairing"].passed
+        ok &= validate_assumptions(field, trials=10 ** 5, seed=2).passed
     report(11, "coefficient validators accept presets, reject phi = s^2", ok)

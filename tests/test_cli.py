@@ -100,7 +100,7 @@ class TestGraphCommand:
         ("0,0\n5,1\n5,2\n", "site_id 5"),
         ("0,0\n2.5,1\n-1,2\n", "site_id 2.5"),
         ("", "rows"),
-        ("0,0\n1,abc\n", "row 1"),
+        ("0,0\n1,abc\n", "line 3"),
         ("0,0\n1,nan\n", "site 1"),
     ])
     def test_malformed_point_csv_exits_2(self, tmp_path, capsys, body, named):
@@ -220,7 +220,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("body, named", [
         ("0,1.0\n1,abc\n", "could not convert string 'abc'"),
         ("0,1.0\n2,nan\n", "non-finite value at site 2"),
-        ("0,1.0\n1\n", "at row 2"),
+        ("0,1.0\n1\n", "line 3"),
         ("1,1.0\n1,2.0\n", "site_id 1 is repeated"),
     ])
     def test_malformed_init_csv_exits_2(self, tmp_path, capsys, body, named):

@@ -60,7 +60,8 @@ def test_cubic_preset_passes_validator(graph):
     report = validate_assumptions(field, trials=20000, seed=0)
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert report["phi_dissipative"].passed
-    assert report["site_drift_pairing"].passed
+    # The per-site inequalities follow from these two; none is sampled.
+    assert [c.name for c in report.checks] == ["phi_growth", "phi_dissipative"]
 
 
 def test_quadratic_drift_rejected_with_counterexample(graph):
@@ -85,15 +86,14 @@ def test_growth_violation_detected(graph):
 
 def test_nan_slack_fails_its_check(graph):
     # phi is NaN beyond |s| = 5: a slack that cannot be evaluated must not
-    # pass, in the single-site checks and the per-site ones alike.
+    # pass, and its arguments are the counterexample.
     nan_phi = SinglePotentialDrift(phi=lambda s: np.where(np.abs(s) > 5, np.nan, -s),
                                    c=1.0, R=2.0, b=0.0)
     field = dataclasses.replace(make_field(graph), drift=nan_phi)
     report = validate_assumptions(field, trials=2000, seed=0)
-    for name in ("phi_growth", "phi_dissipative", "site_drift_growth",
-                 "site_drift_pairing"):
+    for name in ("phi_growth", "phi_dissipative"):
         assert not report[name].passed and np.isnan(report[name].worst_margin)
-    assert report["site_diff_lipschitz"].passed
+        assert max(abs(s) for s in report[name].counterexample) > 5
 
 
 def test_linear_preset_passes(graph):
@@ -166,6 +166,60 @@ def test_operators_match_entrywise_loop(case):
         c = field.diff_const
         assert np.all(np.abs(got_drift - (phi + a)) <= 1e-12 * (np.abs(phi) + a_abs))
         assert np.all(np.abs(got_diff - (s + c)) <= 1e-12 * (s_abs + abs(c)))
+
+
+# (phi, c, R, b): the first two meet both hypotheses; s^2 breaks the one-sided
+# Lipschitz bound, and 100 s^2 with b = 100 the growth bound.
+_PHIS = [(lambda s: -s ** 3, 1.0, 3.0, 0.0), (lambda s: -s, 1.0, 2.0, 0.0),
+         (lambda s: s ** 2, 1.0, 2.0, 0.0), (lambda s: 100.0 * s ** 2, 1.0, 2.0, 100.0)]
+
+
+def _site_slacks(field, z1, z2):
+    """The four per-site inequalities for Phi and Psi at the state pairs
+    (z1, z2), written out as slacks (>= 0 where they hold)."""
+    g, d, a_bar, M = field.graph, field.drift, field.a_bar, field.M
+    n = g.nbar_count.astype(float)
+    open_w = np.ones(g.indices.size)
+    open_w[g.indptr[:-1]] = 0.0
+    adj = g.operator(open_w)  # sums over the neighbours y != x
+
+    dz = z1 - z2
+    phi1, phi2 = field.drift_all(z1), field.drift_all(z2)
+    psi1, psi2 = field.diffusion_all(z1), field.diffusion_all(z2)
+    return {
+        "site_diff_lipschitz": M * (n + 1) * np.abs(dz) + M * (adj @ np.abs(dz).T).T
+        - np.abs(psi1 - psi2),
+        "site_diff_at_zero": M * n - np.abs(field.diffusion_all(np.zeros(g.n_sites))),
+        "site_drift_growth": d.c * (1 + np.abs(z1) ** d.R) + a_bar * n * (1 + 2 * np.abs(z1))
+        + a_bar * (adj @ np.abs(z1).T).T - np.abs(phi1),
+        "site_drift_pairing": (d.b + 0.5 + 4 * a_bar ** 2 * n ** 2) * dz ** 2
+        + 0.5 * a_bar ** 2 * n * (adj @ (dz * dz).T).T - dz * (phi1 - phi2),
+    }
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None, database=None)
+@given(weighted_fields(), st.sampled_from(_PHIS), st.floats(-2.0, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_site_inequalities_fail_only_where_phi_checks_fail(case, phi, log_scale, state_seed):
+    # validate_assumptions samples only phi; its docstring derives the four
+    # per-site inequalities from phi's two.  Check that derivation on random
+    # fields, weight scales from 1e-2 to 1e3 and state pairs in [-10, 10].
+    field, _ = case
+    f, c, R, b = phi
+    scale = 10.0 ** log_scale
+    field = dataclasses.replace(field, drift=SinglePotentialDrift(phi=f, c=c, R=R, b=b),
+                                drift_weights=scale * field.drift_weights,
+                                diff_weights=scale * field.diff_weights)
+    rng = np.random.default_rng(state_seed)
+    z1, z2 = rng.uniform(-10.0, 10.0, size=(2, 500, field.graph.n_sites))
+    slacks = _site_slacks(field, z1, z2)
+    phi_growth = c * (1 + np.abs(z1) ** R) - np.abs(f(z1))
+    phi_dissipative = b * (z1 - z2) ** 2 - (z1 - z2) * (f(z1) - f(z2))
+    assert np.all(slacks["site_diff_lipschitz"] >= -1e-9)
+    assert np.all(slacks["site_diff_at_zero"] >= -1e-9)
+    assert np.all((slacks["site_drift_growth"] >= -1e-9) | (phi_growth < -1e-9))
+    assert np.all((slacks["site_drift_pairing"] >= -1e-9) | (phi_dissipative < -1e-9))
 
 
 @pytest.mark.parametrize("kwargs, a_bar, M", [

@@ -49,6 +49,16 @@ def test_rho_must_be_positive():
         build_graph(cfg, 0.0)
 
 
+@pytest.mark.parametrize("lo, hi, dim, named", [
+    (0, 3, 0, "dim must be >= 1, got 0"),
+    (0, 3, -2, "dim must be >= 1, got -2"),
+    (3, 0, 1, "need lo <= hi, got lo=3, hi=0"),
+])
+def test_lattice_arguments_checked(lo, hi, dim, named):
+    with pytest.raises(ParameterError, match=named):
+        lattice_configuration(lo, hi, dim=dim)
+
+
 def test_points_outside_window_rejected():
     with pytest.raises(ParameterError):
         Configuration(positions=np.array([[5.0]]), window=np.array([[0.0, 1.0]]))
@@ -247,3 +257,23 @@ def test_csv_reader_rejects_malformed_table(tmp_path, body, named):
         configuration_from_csv(p)
     assert str(info.value).startswith(f"{p}: ")
     assert named in str(info.value)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0,0\n1,abc\n", 3),
+    ("0,0\n1\n", 3),
+    ("0,0\n1,1,1\n", 3),
+    ("abc,0\n", 2),
+    ("\n0,0\n# note\n\n1,x\n2,2\n", 6),  # blank and comment lines are lines too
+    pytest.param("".join(f"{i},{i}\n" for i in range(40)) + "40,?\n", 42,
+                 id="last-of-41-rows-42"),
+])
+def test_csv_reader_names_the_file_line(tmp_path, body, line):
+    # The header is line 1; numpy's own row count starts at 0 or 1 by error
+    # and skips blank lines, so it must not be passed through.
+    p = _points_csv(tmp_path / "p.csv", body)
+    with pytest.raises(ParameterError) as info:
+        configuration_from_csv(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: line {line}: ")
+    assert "row" not in message[len(str(p)):]

@@ -225,6 +225,12 @@ class TestDlr:
         rep = dlr_residual(m, set(), CHAIN, outer_samples=10)
         assert rep.statistic == 0.0 and rep.p_value == 1.0
 
+    def test_outer_samples_must_be_positive(self, chain):
+        m = make_model(chain, potential="quartic")
+        for eta in ({2, 3}, set()):
+            with pytest.raises(ParameterError, match="outer_samples must be >= 1, got 0"):
+                dlr_residual(m, eta, CHAIN, outer_samples=0)
+
     def test_gaussian_model_consistent(self, chain):
         m = make_model(chain, potential="gaussian", J=0.2)
         chain_p = ChainParams(steps=200, burn_in=600, step_size=0.5, seed=4)

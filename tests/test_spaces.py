@@ -106,3 +106,18 @@ def test_csv_malformed_site_ids_rejected(tmp_path, graph, rows, named):
     p.write_text("site_id,value\n" + rows)
     with pytest.raises(ParameterError, match=named):
         weighted_seq_from_csv(p, graph)
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("0,1.0\n1,abc\n", 3),
+    ("0,1.0\n1\n", 3),
+    ("0,1.0\n\n# note\n2\n", 5),
+    ("3\n", 2),
+])
+def test_csv_malformed_row_names_its_line(tmp_path, graph, rows, line):
+    p = tmp_path / "z.csv"
+    p.write_text("site_id,value\n" + rows)
+    with pytest.raises(ParameterError) as info:
+        weighted_seq_from_csv(p, graph)
+    assert str(info.value).startswith(f"{p}: line {line}: ")
+    assert "row" not in str(info.value)[len(str(p)):]
