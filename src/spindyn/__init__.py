@@ -19,9 +19,8 @@ from .ovsbound import (ComparisonReport, FiniteRangeMatrix, comparison_check,
 from .coeffs import (AssumptionReport, CoefficientField, SinglePotentialDrift,
                      make_field, validate_assumptions)
 from .engine import (NestedEnsemble, RandomInit, SimPlan, VolumeSequence,
-                     cauchy_gap, integrate_truncated, moment_p,
-                     radial_volumes, run_nested, semigroup_apply,
-                     tagged_particle_solve, weighted_uniform_moment)
+                     cauchy_gap, moment_p, radial_volumes, run_nested,
+                     tagged_particle_solve)
 from .gibbs import (ChainParams, DlrReport, GibbsModel, SpecKernelSample,
                     dlr_residual, gradient_dynamics_field, kernel_sample,
                     make_model, reversibility_test,

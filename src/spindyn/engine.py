@@ -8,9 +8,9 @@ Sites outside the active volume stay frozen at their initial value exactly;
 the Wiener increment for (replica, site, step) is the Philox word at that
 counter (``spindyn.rng``), so every volume sees identical noise.  Every
 integration steps with ``_step``; all but the tagged single-site equation
-run their replicas through ``integrate_replicas``.  A replica depends on its
-own keys alone (the implicit solve stops per entry), so output is
-bit-identical for any thread count and chunk size.  Callers that read only
+run replicas 0..plan.replicas-1 through ``integrate_replicas``.  A replica
+depends on its own keys alone (the implicit solve stops per entry), so
+output is bit-identical for any thread count and chunk size.  Callers that read only
 final states pass ``paths=False`` and get no path array back.
 """
 
@@ -133,15 +133,15 @@ class RandomInit:
                            transform)[..., 0]
 
 
-def _initial_states(init, graph, plan, replica_ids) -> np.ndarray:
-    """Rows of initial states for ``replica_ids``; an (R, sites) array
-    ``init`` holds one row per replica, in replica order."""
+def _initial_states(init, graph, plan, reps) -> np.ndarray:
+    """Rows of initial states for the replica ids ``reps``; an (R, sites)
+    array ``init`` holds one row per replica, in replica order."""
     if isinstance(init, np.ndarray):
-        return init[list(replica_ids)]
+        return init[reps]
     if isinstance(init, WeightedSeq):
-        return np.tile(init.values, (len(replica_ids), 1))
+        return np.tile(init.values, (len(reps), 1))
     if isinstance(init, RandomInit):
-        return init.draw(plan.master_seed, np.asarray(replica_ids), graph.n_sites)
+        return init.draw(plan.master_seed, reps, graph.n_sites)
     raise ParameterError("init must be a WeightedSeq or a RandomInit")
 
 
@@ -191,7 +191,7 @@ def _step(field_, state, dW, dt, scheme, active, j):
 
 
 def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
-                       plan: SimPlan, noise, n_steps: int | None = None) -> np.ndarray:
+                       plan: SimPlan, noise, n_steps: int) -> np.ndarray:
     """Advance a (replicas, sites) block; returns (replicas, sites, steps+1).
 
     ``noise`` holds the standard-normal increments, shape
@@ -201,7 +201,6 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
     counted within the block, under either scheme: it takes precedence over
     the Newton failure that a non-finite state causes one step later.
     """
-    n_steps = plan.n_steps if n_steps is None else n_steps
     state = np.asarray(init_states, dtype=float).copy()
     n_rep, n = state.shape
     mask = np.ones(n, dtype=bool) if volume_mask is None else np.asarray(volume_mask)
@@ -230,10 +229,10 @@ def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
 
 
 def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
-                       replica_ids, n_steps: int, paths: bool = True,
+                       n_steps: int, paths: bool = True,
                        n_threads: int = 1) -> np.ndarray:
-    """Integrate consecutive replicas under every volume mask (None: all
-    sites active); returns (replicas, masks, sites, steps+1), or with
+    """Integrate replicas 0..plan.replicas-1 under every volume mask (None:
+    all sites active); returns (replicas, masks, sites, steps+1), or with
     ``paths=False`` only the final states (replicas, masks, sites).
 
     Chunks of at most ``_CHUNK_ELEMENTS`` noise entries run on ``n_threads``;
@@ -242,41 +241,28 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     result is bit-identical for any thread count and chunk size.
     """
     n = field_.graph.n_sites
-    ids = list(replica_ids)
-    out = np.empty((len(ids), len(masks), n) + ((n_steps + 1,) if paths else ()))
+    out = np.empty((plan.replicas, len(masks), n) + ((n_steps + 1,) if paths else ()))
     last = slice(None) if paths else -1
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n_steps))
 
     def work(lo):
-        reps = ids[lo:lo + chunk]
-        noise = noise_matrix(plan.master_seed, np.asarray(reps), range(n), n_steps)
+        reps = np.arange(lo, min(lo + chunk, plan.replicas))
+        noise = noise_matrix(plan.master_seed, reps, range(n), n_steps)
         init_states = _initial_states(init, field_.graph, plan, reps)
         for k, mask in enumerate(masks):
             try:
                 out[lo:lo + chunk, k] = integrate_ensemble(
                     field_, mask, init_states, plan, noise, n_steps)[..., last]
             except NonFiniteState as e:
-                raise e.shifted(reps[0]) from None
+                raise e.shifted(lo) from None
 
-    starts = range(0, len(ids), chunk)
+    starts = range(0, plan.replicas, chunk)
     if n_threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(work, starts))
     else:
         list(map(work, starts))
     return out
-
-
-def integrate_truncated(field_: CoefficientField, mask, init, plan: SimPlan,
-                        replica: int) -> np.ndarray:
-    """One replica of the system truncated to the sites where the boolean
-    ``mask`` of shape (sites,) is True; shape (sites, steps+1)."""
-    mask = np.asarray(mask)
-    n = field_.graph.n_sites
-    if mask.dtype != bool or mask.shape != (n,):
-        raise ParameterError(f"volume must be a boolean mask of shape ({n},)")
-    return integrate_replicas(field_, [mask], init, plan, [replica],
-                              plan.n_steps)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -301,28 +287,30 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
     if plan.p < max(2.0, field_.drift.R):
         raise ParameterError(
             f"moment order p={plan.p} must be >= max(2, R={field_.drift.R})")
-    traj = integrate_replicas(field_, volumes.masks, init, plan, range(plan.replicas),
-                              plan.n_steps, n_threads=n_threads)
+    width, n = volumes.masks.shape[1], field_.graph.n_sites
+    if width != n:
+        raise ParameterError(f"volume masks cover {width} sites, the graph has {n}")
+    traj = integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
+                              n_threads=n_threads)
     return NestedEnsemble(trajectories=traj, plan=plan, graph=field_.graph)
 
 
-def moment_p(ens: NestedEnsemble, volume_idx: int, times, p: float | None = None):
-    """Monte Carlo p-th absolute moments of one volume at the grid ``times``:
-    (mean, stderr), each of shape (sites, len(times))."""
-    p = ens.plan.p if p is None else p
+def moment_p(ens: NestedEnsemble, volume_idx: int, times):
+    """Monte Carlo moments of |xi|^p, p = ``ens.plan.p``, of one volume at the
+    grid ``times``: (mean, stderr), each of shape (sites, len(times))."""
     cols = [ens.plan.time_index(t) for t in times]
-    vals = np.abs(ens.trajectories[:, volume_idx][:, :, cols]) ** p  # (rep, site, time)
+    vals = np.abs(ens.trajectories[:, volume_idx][:, :, cols]) ** ens.plan.p
     se = (np.std(vals, axis=0, ddof=1) / np.sqrt(len(vals)) if len(vals) > 1
           else np.zeros(vals.shape[1:]))
     return np.mean(vals, axis=0), se
 
 
 def cauchy_gap(ens: NestedEnsemble, n: int, m: int, beta: float, p: float,
-               scale: ScaleInterval | None = None) -> float:
+               scale: ScaleInterval) -> float:
     """sup over grid times of E sum_x e^{-beta|x|} |xi^n - xi^m|^p."""
     if n > m:
         raise ParameterError("need n <= m")
-    if scale is not None and not scale.contains(beta):
+    if not scale.contains(beta):
         raise ParameterError(f"beta={beta} outside the scale")
     if n == m:
         return 0.0
@@ -330,15 +318,6 @@ def cauchy_gap(ens: NestedEnsemble, n: int, m: int, beta: float, p: float,
     diff = ens.trajectories[:, n] - ens.trajectories[:, m]  # (rep, sites, time)
     per_rep_time = np.tensordot(w, np.abs(diff) ** p, axes=([0], [1]))  # (rep, time)
     return float(np.max(np.mean(per_rep_time, axis=0)))
-
-
-def weighted_uniform_moment(ens: NestedEnsemble, volume_idx: int, beta: float,
-                            p: float | None = None) -> float:
-    """sum_x e^{-beta|x|} sup_t (MC mean of |xi_x,t|^p) for one volume."""
-    p = ens.plan.p if p is None else p
-    w = np.exp(-beta * ens.graph.radii())
-    mom = np.mean(np.abs(ens.trajectories[:, volume_idx]) ** p, axis=0)  # (sites, time)
-    return float(np.sum(w * np.max(mom, axis=1)))
 
 
 def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,
@@ -360,16 +339,3 @@ def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,
         state[0, x] = eta[j]
         eta[j + 1] = _step(field_, state, dW[j], plan.dt, plan.scheme, only_x, j)[0, x]
     return eta
-
-
-def semigroup_apply(field_: CoefficientField, f, zeta: WeightedSeq, t: float,
-                    plan: SimPlan):
-    """Monte Carlo estimate of E f(state at time t) started from zeta."""
-    j = plan.time_index(t)
-    if j == 0:
-        return float(f(zeta.values)), 0.0
-    final = integrate_replicas(field_, [None], zeta, plan, range(plan.replicas), j,
-                               paths=False)[:, 0]
-    vals = np.array([f(s) for s in final], dtype=float)
-    se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return float(np.mean(vals)), se

@@ -237,7 +237,7 @@ def read_site_rows(path, n_sites: int | None = None, usecols=None):
     except OSError as e:
         raise ParameterError(f"{path}: {e}") from None
     except ValueError as e:
-        why = re.sub(r" at row \d+", "", str(e))
+        why = re.sub(r" at row \d+|; use `usecols`.*", "", str(e))
         raise ParameterError(f"{path}: line {_first_bad_line(path, usecols)}: {why}") from None
     ids = data[:, 0]
     n = ids.size if n_sites is None else n_sites

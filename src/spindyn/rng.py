@@ -18,7 +18,7 @@ computes block c + 1 for counter c.  These values replaced per-stream
 ``np.random.Philox`` generators (one per (replica, site), drawn in sequence)
 when the core was vectorised; every output that depends on the noise
 changed then.  ``generator`` remains for the one non-engine draw, the
-Poisson configuration of ``geometry.poisson_points``.
+Poisson configuration of ``geometry.sample_poisson``.
 """
 
 import numpy as np

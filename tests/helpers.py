@@ -3,6 +3,7 @@
 import numpy as np
 
 from spindyn import VolumeSequence, WeightedSeq
+from spindyn.engine import integrate_replicas
 
 
 def sparse_seq(graph, entries) -> WeightedSeq:
@@ -19,3 +20,8 @@ def volumes_of(n_sites, *site_sets) -> VolumeSequence:
     for mask, sites in zip(masks, site_sets):
         mask[list(sites)] = True
     return VolumeSequence(masks)
+
+
+def one_path(field, mask, init, plan):
+    """Replica 0's path under the boolean site ``mask``: (sites, steps+1)."""
+    return integrate_replicas(field, [mask], init, plan, plan.n_steps)[0, 0]

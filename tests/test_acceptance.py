@@ -12,16 +12,15 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import spindyn as sd
+from helpers import one_path
 from spindyn import (ChainParams, FiniteRangeMatrix, RandomInit, ScaleInterval,
                      SimPlan, WeightedSeq, build_graph, cauchy_gap,
                      comparison_check, dlr_residual, estimate_L,
-                     gronwall_bound, induced_matrix,
-                     integrate_truncated, k_series, kernel_sample,
+                     gronwall_bound, induced_matrix, k_series, kernel_sample,
                      lattice_configuration, make_field, make_model, moment_p,
                      norm_lp, radial_volumes, reversibility_test, run_nested,
                      sample_poisson, series_solve, tagged_particle_solve,
                      validate_assumptions)
-from spindyn.engine import weighted_uniform_moment
 
 
 def report(num, name, ok):
@@ -153,8 +152,7 @@ def test_05_sde_engine_correctness():
     dt = 0.01
     dplan = SimPlan(dt=dt, T=1.0, master_seed=0, p=4.0)
     init = WeightedSeq(np.linspace(-1.0, 1.0, chain.n_sites), chain)
-    traj = integrate_truncated(dfield, np.ones(chain.n_sites, dtype=bool), init,
-                               dplan, 0)
+    traj = one_path(dfield, np.ones(chain.n_sites, dtype=bool), init, dplan)
     sol = solve_ivp(lambda t, y: dfield.drift_all(y), (0, 1.0),
                     init.values, rtol=1e-10, atol=1e-12, t_eval=[1.0])
     ok &= np.max(np.abs(traj[:, -1] - sol.y[:, 0])) <= 5 * dt
@@ -180,7 +178,10 @@ def test_06_truncation_convergence():
         m = len(vols) - 1
         gaps = [cauchy_gap(ens, n, m, beta, 4.0, scale) for n in range(m)]
         ok &= all(a > b for a, b in zip(gaps, gaps[1:]))
-        moments = [weighted_uniform_moment(ens, n, beta) for n in range(m + 1)]
+        # sum_x e^{-beta|x|} sup_t of the Monte Carlo mean of |xi_x,t|^p
+        w = np.exp(-beta * g.radii())
+        moments = [float(np.sum(w * moment_p(ens, n, plan.times())[0].max(axis=1)))
+                   for n in range(m + 1)]
         ok &= all(np.isfinite(moments))
         ok &= max(moments) < 2.0 * moments[0]
     report(6, "finite-volume Cauchy gaps decrease; weighted moment stable", ok)
@@ -214,7 +215,7 @@ def test_08_frozen_site_and_determinism():
     plan = SimPlan(dt=0.01, T=0.3, replicas=32, master_seed=8, p=4.0)
     init = WeightedSeq(np.full(g.n_sites, 0.8), g)
     volume = np.isin(np.arange(g.n_sites), [3, 4, 5])
-    traj = integrate_truncated(field, volume, init, plan, replica=0)
+    traj = one_path(field, volume, init, plan)
     ok = bool(np.all(traj[~volume, :] == 0.8))
 
     vols = radial_volumes(g, [1.0, 3.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import types
@@ -206,13 +207,14 @@ class TestSimulateCommand:
         ens = run_nested(field_, radial_volumes(graph, [1.0, 2.0]),
                          RandomInit("normal", 0.3, 1.2), plan)
         times = [0.0, 0.15, 0.5]
-        for volume, p in ((1, None), (-1, 4.5)):
-            mean, se = moment_p(ens, volume, times, p)
+        # p is read from the plan: plan.p = 3, and 4.5 on a re-planned copy
+        ens_45 = dataclasses.replace(ens, plan=dataclasses.replace(plan, p=4.5))
+        for volume, e, p in ((1, ens, 3.0), (-1, ens_45, 4.5)):
+            mean, se = moment_p(e, volume, times)
             assert mean.shape == se.shape == (graph.n_sites, len(times))
             for x in range(graph.n_sites):
                 for j, t in enumerate(times):
-                    vals = np.abs(ens.trajectories[:, volume, x, plan.time_index(t)]) \
-                        ** (plan.p if p is None else p)
+                    vals = np.abs(ens.trajectories[:, volume, x, plan.time_index(t)]) ** p
                     assert mean[x, j] == pytest.approx(np.mean(vals), rel=1e-12)
                     assert se[x, j] == pytest.approx(
                         np.std(vals, ddof=1) / np.sqrt(vals.size), rel=1e-12)
@@ -233,6 +235,7 @@ class TestSimulateCommand:
         assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {init}: " in err and named in err
+        assert "usecols" not in err  # numpy's advice on its own argument
         assert list(out.iterdir()) == []
 
 

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import sparse_seq, volumes_of
+from helpers import one_path, sparse_seq, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
                      ScaleInterval, SimPlan, SinglePotentialDrift,
                      VolumeSequence, WeightedSeq, build_graph, cauchy_gap,
-                     integrate_truncated, lattice_configuration, make_field,
-                     moment_p, radial_volumes, run_nested, semigroup_apply,
-                     tagged_particle_solve)
-from spindyn.engine import SCHEMES, integrate_ensemble
+                     lattice_configuration, make_field, moment_p,
+                     radial_volumes, run_nested, tagged_particle_solve)
+from spindyn.engine import SCHEMES, integrate_ensemble, integrate_replicas
 from spindyn.rng import noise_matrix
 
 
@@ -89,8 +88,7 @@ class TestIntegration:
         field = make_field(chain, drift="linear", noise="linear_noise", M_tilde=0.0)
         # kill the drift too by freezing every site except none: use zero init
         plan = SimPlan(dt=0.05, T=0.5, replicas=3, master_seed=1)
-        traj = integrate_truncated(field, all_sites(chain),
-                                   constant_init(chain, 0.0), plan, replica=0)
+        traj = one_path(field, all_sites(chain), constant_init(chain, 0.0), plan)
         assert np.all(traj == 0.0)
 
     def test_frozen_sites_exact(self, chain):
@@ -99,24 +97,20 @@ class TestIntegration:
         plan = SimPlan(dt=0.01, T=0.3, master_seed=5, p=4.0)
         init = WeightedSeq(np.full(chain.n_sites, 1.5), chain)
         volume = np.isin(np.arange(chain.n_sites), [3, 4, 5])
-        traj = integrate_truncated(field, volume, init, plan, replica=0)
+        traj = one_path(field, volume, init, plan)
         assert np.all(traj[~volume, :] == 1.5)
         # active sites actually move
         assert np.any(traj[volume, -1] != 1.5)
 
-    def test_volume_site_outside_window_rejected(self, chain):
-        # The volume is a boolean mask over the 9 sites of the -4..4 chain.
-        # Site ids, in range or not, must fail: ~[3, 4, 5] would index
-        # sites from the end and freeze the wrong ones without a word.
+    def test_run_nested_rejects_volume_width(self, chain):
+        # Masks over 8 or 10 sites do not fit the 9 sites of the -4..4 chain.
         field = make_field(chain, drift="cubic")
-        plan = SimPlan(dt=0.01, T=0.1, master_seed=5)
-        init = constant_init(chain, 0.5)
-        for volume in ([3, 4, 5], {0}, range(9), [2, 99, -3], [1, 2.5],
-                       np.arange(9), np.ones(9), [True] * 9 + [False],
-                       np.ones(8, dtype=bool), np.ones((1, 9), dtype=bool)):
+        plan = SimPlan(dt=0.01, T=0.1, master_seed=5, p=4.0)
+        for width in (8, 10):
+            vols = VolumeSequence(np.ones((1, width), dtype=bool))
             with pytest.raises(ParameterError,
-                               match=r"volume must be a boolean mask of shape \(9,\)"):
-                integrate_truncated(field, volume, init, plan, replica=0)
+                               match=rf"volume masks cover {width} sites, the graph has 9"):
+                run_nested(field, vols, constant_init(chain, 0.5), plan)
 
     def test_ou_second_moment(self, single):
         field = make_field(single, drift="linear", noise="additive")
@@ -145,7 +139,7 @@ class TestIntegration:
         dt = 0.01
         plan = SimPlan(dt=dt, T=1.0, master_seed=0, scheme=scheme, p=4.0)
         init = WeightedSeq(np.linspace(-1.2, 1.2, chain.n_sites), chain)
-        traj = integrate_truncated(field, all_sites(chain), init, plan, 0)
+        traj = one_path(field, all_sites(chain), init, plan)
         sol = solve_ivp(lambda t, y: field.drift_all(y), (0, 1.0),
                         init.values, rtol=1e-10, atol=1e-12,
                         t_eval=[1.0])
@@ -163,7 +157,7 @@ class TestIntegration:
         plan = SimPlan(dt=0.9, T=1.8, scheme="split_step_implicit", master_seed=0)
         init = sparse_seq(single, {0: 2.0})
         with pytest.raises(NumericError, match="site"):
-            integrate_truncated(field, all_sites(single), init, plan, 0)
+            one_path(field, all_sites(single), init, plan)
 
 
     def test_newton_zero_denominator_raises_without_warning(self, single):
@@ -177,8 +171,7 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"zero or non-finite at site 0 \(step 0\)"):
-                integrate_truncated(field, all_sites(single),
-                                    sparse_seq(single, {0: 1.0}), plan, 0)
+                one_path(field, all_sites(single), sparse_seq(single, {0: 1.0}), plan)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_state_names_global_replica(self, single, monkeypatch):
@@ -215,9 +208,10 @@ class TestDeterminismAndCoupling:
                 ens.append(run_nested(field, vols, init, plan, n_threads=2))
             h = [e.content_hash() for e in ens]
             assert h[0] == h[1] == h[2] == h[3], scheme
-            lone = integrate_truncated(field, all_sites(chain), init, plan,
-                                       replica=11)
-            assert np.array_equal(lone, ens[0].trajectories[11, -1]), scheme
+            few = integrate_replicas(field, [all_sites(chain)], init,
+                                     dataclasses.replace(plan, replicas=12),
+                                     plan.n_steps)
+            assert np.array_equal(few[11, 0], ens[0].trajectories[11, -1]), scheme
 
     def test_noise_shared_across_volumes(self, chain):
         # The largest volume's trajectories must not depend on which smaller
@@ -267,7 +261,7 @@ class TestTaggedParticle:
         init = constant_init(chain, 0.7)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=13, p=4.0, scheme=scheme)
-            traj = integrate_truncated(field, all_sites(chain), init, plan, 0)
+            traj = one_path(field, all_sites(chain), init, plan)
             x = 4
             eta = tagged_particle_solve(field, x, traj, 0.7, plan, replica=0)
             assert np.array_equal(eta, traj[x]), scheme
@@ -277,36 +271,30 @@ class TestTaggedParticle:
         init = constant_init(chain, 0.5)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
-            traj = integrate_truncated(field, all_sites(chain), init, plan, 0)
+            traj = one_path(field, all_sites(chain), init, plan)
             eta = tagged_particle_solve(field, 4, traj, 0.5, plan, replica=0)
             # identical equation, step rule and noise -> identical path
             assert np.array_equal(eta, traj[4]), scheme
 
 
-class TestSemigroup:
-    def test_t_zero_exact(self, chain):
-        field = make_field(chain, drift="cubic")
-        zeta = sparse_seq(chain, {0: 2.0})
-        plan = SimPlan(dt=0.1, T=1.0, replicas=10, master_seed=0, p=4.0)
-        val, se = semigroup_apply(field, lambda s: float(np.sum(s ** 2)),
-                                  zeta, 0.0, plan)
-        assert val == 4.0 and se == 0.0
-
-    def test_constant_observable(self, chain):
-        field = make_field(chain, drift="cubic")
-        plan = SimPlan(dt=0.05, T=0.2, replicas=16, master_seed=1, p=4.0)
-        val, se = semigroup_apply(field, lambda s: 1.0,
-                                  constant_init(chain), 0.2, plan)
-        assert val == 1.0 and se == 0.0
-
-    def test_matches_moment_estimate(self, single):
-        field = make_field(single, drift="linear", noise="additive")
-        plan = SimPlan(dt=0.005, T=1.0, replicas=1000, master_seed=8)
-        val, se = semigroup_apply(field, lambda s: float(s[0] ** 2),
-                                  constant_init(single), 1.0, plan)
-        ens = run_nested(field, radial_volumes(single, []), constant_init(single), plan)
-        mean, _ = moment_p(ens, 0, [1.0])
-        assert val == pytest.approx(mean[0, 0], rel=1e-12)
+class TestFinalStates:
+    def test_final_states_equal_path_columns(self, chain, monkeypatch):
+        # paths=False stops at step j and keeps only the states there; they
+        # must be the paths=True run's column j bit for bit, whatever the
+        # chunks and threads of either run.
+        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
+        masks = [None, np.isin(np.arange(chain.n_sites), [3, 4, 5])]
+        init = RandomInit("normal", 0.0, 1.0)
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.02, T=0.2, replicas=6, master_seed=8, p=4.0,
+                           scheme=scheme)
+            paths = integrate_replicas(field, masks, init, plan, plan.n_steps)
+            with monkeypatch.context() as m:
+                m.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
+                for j in (1, 4, plan.n_steps):
+                    final = integrate_replicas(field, masks, init, plan, j,
+                                               paths=False, n_threads=2)
+                    assert np.array_equal(final, paths[..., j]), (scheme, j)
 
 
 class TestStrongOrder:
@@ -351,7 +339,7 @@ class TestStrongOrder:
             plan = SimPlan(dt=k * self.T / self.FINE, T=self.T, scheme=scheme,
                            replicas=self.R, master_seed=1)
             dW = fine.reshape(self.R, graph.n_sites, -1, k).sum(-1) / np.sqrt(k)
-            return integrate_ensemble(field, None, init, plan, dW)[..., -1]
+            return integrate_ensemble(field, None, init, plan, dW, plan.n_steps)[..., -1]
 
         ref = final(1)
         err = [np.sqrt(np.mean((final(k) - ref) ** 2)) for k in self.KS]

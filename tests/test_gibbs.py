@@ -357,6 +357,9 @@ class TestReversibility:
         g_ = lambda z: np.tanh(z[9])
         lhs, rhs, se = reversibility_test(m, f, g_, 0.0, plan, CHAIN)
         assert lhs == rhs and se == 0.0
+        # at t = 0 both sides are the mean of f g over the window-measure draws
+        zeta = sample_window_measure(m, plan.replicas, CHAIN)
+        assert lhs == np.mean([f(z) * g_(z) for z in zeta])
 
     def test_single_site_quartic(self):
         g = build_graph(lattice_configuration(0, 0), 1.0)

@@ -16,8 +16,7 @@ import spindyn.engine as engine
 from helpers import sparse_seq, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
                      SimPlan, SinglePotentialDrift, build_graph,
-                     lattice_configuration, make_field, run_nested,
-                     semigroup_apply)
+                     lattice_configuration, make_field, run_nested)
 from spindyn.engine import SCHEMES
 
 CHAIN = build_graph(lattice_configuration(-3, 3), 1.5)
@@ -50,7 +49,7 @@ def blow_ups(draw):
                 value=draw(st.sampled_from([np.inf, -np.inf, np.nan])),
                 chunk=draw(st.integers(1, 2 * N * n_steps * replicas)),
                 threads=draw(st.sampled_from([1, 2])),
-                via=draw(st.sampled_from(["run_nested", "semigroup_apply"])),
+                via=draw(st.sampled_from(["run_nested", "integrate_replicas"])),
                 scheme=draw(st.sampled_from(SCHEMES)),
                 inner=frozenset(draw(st.sets(st.integers(0, N - 2), min_size=1))))
 
@@ -85,8 +84,8 @@ def test_blow_up_names_global_replica_site_and_step(case):
             run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan,
                        n_threads=case["threads"])
         else:
-            semigroup_apply(field, lambda s: 0.0, sparse_seq(CHAIN, {0: 1.0}),
-                            plan.T, plan)
+            engine.integrate_replicas(field, [None], sparse_seq(CHAIN, {0: 1.0}),
+                                      plan, plan.n_steps, paths=False)
     want = (case["replica"], case["site"], case["step"] + 1)
     assert (err.value.replica, err.value.site, err.value.step) == want
     assert "replica {}, site {}, step {}".format(*want) in str(err.value)
