@@ -277,6 +277,20 @@ class TestTaggedParticle:
             assert np.array_equal(eta, traj[4]), scheme
 
 
+class TestSemigroup:
+    def test_t_zero_exact(self, chain):
+        # P_0 f = f: zero steps leave every replica at zeta, so the sample
+        # mean of f is f(zeta) exactly and its spread is zero.
+        field = make_field(chain, drift="cubic")
+        zeta = sparse_seq(chain, {0: 2.0})
+        plan = SimPlan(dt=0.1, T=1.0, replicas=10, master_seed=0, p=4.0)
+        final = integrate_replicas(field, [None], zeta, plan,
+                                   plan.time_index(0.0), paths=False)[:, 0]
+        vals = np.array([np.sum(s ** 2) for s in final])
+        assert np.all(final == zeta.values)
+        assert vals.mean() == 4.0 and vals.std() == 0.0
+
+
 class TestFinalStates:
     def test_final_states_equal_path_columns(self, chain, monkeypatch):
         # paths=False stops at step j and keeps only the states there; they
