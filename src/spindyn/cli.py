@@ -239,11 +239,14 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
                              mean.ravel(), se.ravel()])
     geometry.write_csv(out / "moments.csv", "site_id,t,p,mean,stderr", table,
                        ["%d"] + ["%.17g"] * 4)
-    np.savez_compressed(out / "trajectories.npz",
-                        trajectories=ens.trajectories, times=ens.plan.times())
-    _write_manifest(out, cfg, graph, extra={"ensemble_hash": ens.content_hash()})
+    # Stored, not deflated: float mantissas hardly compress, and deflate
+    # would cost more than the integration.
+    np.savez(out / "trajectories.npz", trajectories=ens.trajectories,
+             times=ens.plan.times())
+    ensemble_hash = ens.content_hash()
+    _write_manifest(out, cfg, graph, extra={"ensemble_hash": ensemble_hash})
     print(f"simulate: {plan.replicas} replicas x {len(volumes)} volumes, "
-          f"ensemble hash {ens.content_hash()[:16]}")
+          f"ensemble hash {ensemble_hash[:16]}")
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ counter (``spindyn.rng``), so every volume sees identical noise.  Every
 integration steps with ``_step``; all but the tagged single-site equation
 run replicas 0..plan.replicas-1 through ``integrate_replicas``.  A replica
 depends on its own keys alone (the implicit solve stops per entry), so
-output is bit-identical for any thread count and chunk size.  Callers that read only
-final states pass ``paths=False`` and get no path array back.
+output is bit-identical for any thread count and chunk size.  Callers that
+read only final states pass ``paths=False``: each block then holds only its
+current state.
 """
 
 import hashlib
@@ -190,42 +191,46 @@ def _step(field_, state, dW, dt, scheme, active, j):
     return theta + dt * pair_drift + diff * dW
 
 
+def _check_finite(state, j):
+    """Raise ``NonFiniteState`` at the first (replica, site) of a block's
+    step-j state, in C order, that is NaN or infinite."""
+    finite = np.isfinite(state)
+    if not finite.all():
+        replica, site = np.argwhere(~finite)[0].tolist()
+        raise NonFiniteState(replica, site, j)
+
+
 def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
-                       plan: SimPlan, noise, n_steps: int) -> np.ndarray:
-    """Advance a (replicas, sites) block; returns (replicas, sites, steps+1).
+                       plan: SimPlan, noise, n_steps: int, paths: bool) -> np.ndarray:
+    """Advance a (replicas, sites) block; returns its path (replicas, sites,
+    steps+1), or with ``paths=False`` only its final state (replicas, sites),
+    holding no more than the current state meanwhile.
 
     ``noise`` holds the standard-normal increments, shape
     (replicas, sites, >= n_steps); sites outside ``volume_mask`` are kept at
-    their initial value exactly.  A NaN or infinite entry anywhere in the
-    block raises ``NonFiniteState`` at its earliest step, with the replica
-    counted within the block, under either scheme: it takes precedence over
-    the Newton failure that a non-finite state causes one step later.
+    their initial value exactly.  Each step's state is checked as it is
+    made: a NaN or infinite entry raises ``NonFiniteState`` at its earliest
+    step, with the replica counted within the block, under either scheme,
+    before the Newton failure that it would cause one step later.
     """
-    state = np.asarray(init_states, dtype=float).copy()
+    state = np.array(init_states, dtype=float)
     n_rep, n = state.shape
     mask = np.ones(n, dtype=bool) if volume_mask is None else np.asarray(volume_mask)
     frozen = ~mask
-    out = np.empty((n_rep, n, n_steps + 1))
-    out[..., 0] = state
+    _check_finite(state, 0)
+    if paths:
+        out = np.empty((n_rep, n, n_steps + 1))
+        out[..., 0] = state
     sqdt = np.sqrt(plan.dt)
-    err = None
     for j in range(n_steps):
-        try:
-            new = _step(field_, state, noise[:, :, j] * sqdt, plan.dt, plan.scheme,
-                        mask, j)
-        except NumericError as e:  # a blown-up state trips the Newton screen first
-            err, out = e, out[..., :j + 1]
-            break
+        new = _step(field_, state, noise[:, :, j] * sqdt, plan.dt, plan.scheme,
+                    mask, j)
         new[:, frozen] = state[:, frozen]
+        _check_finite(new, j + 1)
         state = new
-        out[..., j + 1] = state
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = np.argwhere(~finite)
-        raise NonFiniteState(*bad[np.argmin(bad[:, 2])].tolist())
-    if err is not None:
-        raise err
-    return out
+        if paths:
+            out[..., j + 1] = state
+    return out if paths else state
 
 
 def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
@@ -241,8 +246,10 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     result is bit-identical for any thread count and chunk size.
     """
     n = field_.graph.n_sites
+    if isinstance(init, np.ndarray) and init.shape != (plan.replicas, n):
+        raise ParameterError(f"init array has shape {init.shape}, need (replicas, "
+                             f"sites) = {(plan.replicas, n)}")
     out = np.empty((plan.replicas, len(masks), n) + ((n_steps + 1,) if paths else ()))
-    last = slice(None) if paths else -1
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n_steps))
 
     def work(lo):
@@ -252,7 +259,7 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
         for k, mask in enumerate(masks):
             try:
                 out[lo:lo + chunk, k] = integrate_ensemble(
-                    field_, mask, init_states, plan, noise, n_steps)[..., last]
+                    field_, mask, init_states, plan, noise, n_steps, paths)
             except NonFiniteState as e:
                 raise e.shifted(lo) from None
 
@@ -274,7 +281,7 @@ class NestedEnsemble:
     graph: GeometricGraph
 
     def content_hash(self) -> str:
-        return hashlib.sha256(np.ascontiguousarray(self.trajectories).tobytes()).hexdigest()
+        return hashlib.sha256(np.ascontiguousarray(self.trajectories)).hexdigest()
 
 
 def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,

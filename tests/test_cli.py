@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import re
 import types
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,16 @@ class TestSimulateCommand:
         assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         traj = np.load(out / "trajectories.npz")["trajectories"]
         assert np.all(traj == 0.0)
+
+    def test_trajectories_stored_and_hashed_in_manifest(self, tmp_path):
+        cfg = write_cfg(tmp_path, simulate_cfg(replicas=4, dt=0.01))
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
+        with zipfile.ZipFile(out / "trajectories.npz") as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+        traj = np.load(out / "trajectories.npz")["trajectories"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert hashlib.sha256(traj.tobytes()).hexdigest() == manifest["ensemble_hash"]
 
     def test_threads_do_not_change_hash(self, tmp_path):
         cfg = write_cfg(tmp_path, simulate_cfg(replicas=64, dt=0.01))

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -111,6 +113,17 @@ class TestIntegration:
             with pytest.raises(ParameterError,
                                match=rf"volume masks cover {width} sites, the graph has 9"):
                 run_nested(field, vols, constant_init(chain, 0.5), plan)
+
+    def test_run_nested_rejects_init_array_shape(self, chain):
+        # An (R, sites) init needs one row per replica and one column per site.
+        field = make_field(chain, drift="cubic")
+        plan = SimPlan(dt=0.01, T=0.1, replicas=4, master_seed=5, p=4.0)
+        vols = radial_volumes(chain, [1.0])
+        for shape in ((2, 9), (4, 8)):
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"shape {shape}, need (replicas, "
+                                               f"sites) = (4, 9)")):
+                run_nested(field, vols, np.zeros(shape), plan)
 
     def test_ou_second_moment(self, single):
         field = make_field(single, drift="linear", noise="additive")
@@ -310,6 +323,22 @@ class TestFinalStates:
                                                paths=False, n_threads=2)
                     assert np.array_equal(final, paths[..., j]), (scheme, j)
 
+    def test_final_states_need_no_path_memory(self):
+        # The path of this run is 10.3 MB, as large as its noise; paths=False
+        # may hold the noise and the current states, not the path as well.
+        graph = build_graph(lattice_configuration(0, 49), 1.5)
+        field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
+        plan = SimPlan(dt=0.01, T=4.0, replicas=64, master_seed=3, p=4.0)
+        noise_bytes = plan.replicas * graph.n_sites * plan.n_steps * 8
+        tracemalloc.start()
+        try:
+            integrate_replicas(field, [None], RandomInit("normal", 0.0, 1.0),
+                               plan, plan.n_steps, paths=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * noise_bytes, (peak, noise_bytes)
+
 
 class TestStrongOrder:
     """Strong convergence order of both schemes, fitted over a dt ladder.
@@ -353,7 +382,8 @@ class TestStrongOrder:
             plan = SimPlan(dt=k * self.T / self.FINE, T=self.T, scheme=scheme,
                            replicas=self.R, master_seed=1)
             dW = fine.reshape(self.R, graph.n_sites, -1, k).sum(-1) / np.sqrt(k)
-            return integrate_ensemble(field, None, init, plan, dW, plan.n_steps)[..., -1]
+            return integrate_ensemble(field, None, init, plan, dW, plan.n_steps,
+                                      paths=False)
 
         ref = final(1)
         err = [np.sqrt(np.mean((final(k) - ref) ** 2)) for k in self.KS]

@@ -1,10 +1,15 @@
 """The benchmark tracer wraps functions by name and skips a name that no
 longer exists, which would leave that layer's metrics at 0.  Every span it
-declares must therefore resolve at one or more of its places."""
+declares must therefore resolve at one or more of its places, and a span's
+work-unit function may read only arguments that the function at each of
+those places takes: a renamed parameter would otherwise raise ``KeyError``
+in traced runs alone."""
 
 import importlib
+import inspect
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -36,3 +41,20 @@ def test_every_traced_span_resolves(span):
     places, _units = TARGETS[span]
     found = [p for p in places if callable(_resolve(*p))]
     assert found, f"{span}: none of {places} exists"
+
+
+@pytest.mark.parametrize("span", sorted(s for s, (_p, units) in TARGETS.items() if units))
+def test_work_units_read_only_hooked_parameters(span):
+    # The tracer hands the work-unit function the call's bound arguments;
+    # here every parameter of the hooked function is bound to a stand-in.
+    places, units = TARGETS[span]
+    for place in places:
+        fn = _resolve(*place)
+        if not callable(fn):
+            continue
+        bound = types.SimpleNamespace(arguments={
+            name: mock.MagicMock() for name in inspect.signature(fn).parameters})
+        try:
+            units(bound)
+        except KeyError as e:
+            pytest.fail(f"{span}: its work units read {e}, which {place} does not take")

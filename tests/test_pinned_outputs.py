@@ -93,13 +93,15 @@ def _configs(tmp_path):
 
 # Recorded with numpy 2.4.6 and scipy 1.17.1.  The simulate, converge,
 # gibbs and gibbs_tent pins were re-taken when the Wiener and initial draws
-# moved to the counter-addressed Philox core in ``spindyn.rng``.
+# moved to the counter-addressed Philox core in ``spindyn.rng``; simulate's
+# trajectories.npz was re-taken when it became a stored (not deflated) zip,
+# with its array, and so ``ensemble_hash``, unchanged.
 PINS = {
     "simulate": {
         "moments.csv":
             "409e0a9e17318a6b4a61b644a26a897a863b587f96bf7834b545899fb2a3a595",
         "trajectories.npz":
-            "76810c56fe16cd70bb0e3534736f5c9fbc3d7283442926051dbcd7c76a2737dc",
+            "129c26536712219220651d11beb15a96e9a77a5a591d294a748add7ee553bd2e",
         "ensemble_hash":
             "c334f830ee9ffeee209267220a9cfb0a13c68a82bb810c2a7f3c4bf083f0c079",
     },
