@@ -181,7 +181,8 @@ def _build_volumes(cfg: dict, graph):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with path.open("rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _graph_hash(graph) -> str:

@@ -118,15 +118,12 @@ class _EtaTarget:
         # zeroed eta columns add only signed zeros.
         self.bconst = (rows @ z.T).T
 
-    def interaction(self, s: np.ndarray) -> np.ndarray:
-        """Pair and boundary terms of the energy, s.K.s / 2 + bconst.s."""
-        return 0.5 * np.sum(s * (s @ self.K), axis=-1) + np.sum(self.bconst * s, axis=-1)
-
-    def energy(self, s: np.ndarray) -> np.ndarray:
-        return np.sum(self.model.V(s), axis=-1) + self.interaction(s)
-
-    def grad(self, s: np.ndarray) -> np.ndarray:
-        return self.model.grad_V(s) + s @ self.K + self.bconst
+    def energy_grad(self, s: np.ndarray):
+        """(U(s), grad U(s)), both from one product s @ K."""
+        sK = s @ self.K
+        U = self.model.V(s).sum(axis=-1) + (
+            0.5 * (s * sK).sum(axis=-1) + (self.bconst * s).sum(axis=-1))
+        return U, self.model.grad_V(s) + sK + self.bconst
 
 
 @dataclass(frozen=True)
@@ -165,12 +162,12 @@ def _autocorr_ess(series: np.ndarray) -> float:
     var = np.dot(x, x) / n
     if var == 0:
         return float(n)
-    acf = np.correlate(x, x, mode="full")[n - 1:] / (n * var)
     s = 0.0
-    for lag in range(1, min(n, 1000)):
-        if acf[lag] <= 0:
+    for lag in range(1, min(n, 1000)):  # only the lags up to the first <= 0
+        acf = np.dot(x[lag:], x[:n - lag]) / (n * var)
+        if acf <= 0:
             break
-        s += acf[lag]
+        s += acf
     return float(n / (1.0 + 2.0 * s))
 
 
@@ -185,27 +182,26 @@ def _mala_run(target: _EtaTarget, init: np.ndarray, chain: ChainParams,
     s = np.asarray(init, dtype=float).copy()
     n_chains, k = s.shape
     h = chain.step_size
-    U = target.energy(s)
+    U, G = target.energy_grad(s)
     acc_recent = []
     accepted = 0
-    proposed = 0
-    out = []
-    for step in range(chain.burn_in + (chain.steps if collect else 1)):
-        in_burn = step < chain.burn_in
-        grad = target.grad(s)
-        mu = s - 0.5 * h * grad
+    kept = chain.steps if collect else 1
+    out = np.empty((kept * n_chains, k)) if collect else None
+    for step in range(chain.burn_in + kept):
+        mu = s - 0.5 * h * G
         prop = mu + np.sqrt(h) * rng.standard_normal(s.shape)
-        U_prop = target.energy(prop)
-        mu_back = prop - 0.5 * h * target.grad(prop)
-        log_q_fwd = -np.sum((prop - mu) ** 2, axis=-1) / (2 * h)
-        log_q_back = -np.sum((s - mu_back) ** 2, axis=-1) / (2 * h)
+        U_prop, G_prop = target.energy_grad(prop)
+        mu_back = prop - 0.5 * h * G_prop
+        log_q_fwd = -((prop - mu) ** 2).sum(axis=-1) / (2 * h)
+        log_q_back = -((s - mu_back) ** 2).sum(axis=-1) / (2 * h)
         log_alpha = U - U_prop + log_q_back - log_q_fwd
         take = np.log(rng.uniform(size=n_chains)) < log_alpha
         s[take] = prop[take]
         U[take] = U_prop[take]
-        rate = float(np.mean(take))
-        if in_burn:
-            acc_recent.append(rate)
+        G[take] = G_prop[take]
+        n_take = np.count_nonzero(take)
+        if step < chain.burn_in:
+            acc_recent.append(n_take / max(1, n_chains))
             if len(acc_recent) >= _TUNE_EVERY:
                 avg = float(np.mean(acc_recent))
                 if avg > _TUNE_TARGET[1]:
@@ -214,13 +210,12 @@ def _mala_run(target: _EtaTarget, init: np.ndarray, chain: ChainParams,
                     h /= 1.3
                 acc_recent = []
         else:
-            accepted += int(np.sum(take))
-            proposed += n_chains
+            accepted += n_take
             if collect:
-                out.append(s.copy())
-    rate = accepted / max(1, proposed)
-    states = np.concatenate(out, axis=0) if collect else s
-    return states, rate, h
+                i = (step - chain.burn_in) * n_chains
+                out[i:i + n_chains] = s
+    rate = accepted / max(1, kept * n_chains)
+    return (out if collect else s), rate, h
 
 
 def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,

@@ -8,7 +8,8 @@ from spindyn import (ChainParams, ConstructionError, GibbsModel,
                      dlr_residual, gradient_dynamics_field,
                      kernel_sample, lattice_configuration, make_model,
                      reversibility_test, sample_window_measure)
-from spindyn.gibbs import _battery, _EtaTarget, energy_distance_test
+from spindyn.gibbs import (_autocorr_ess, _battery, _EtaTarget, _mala_run,
+                           energy_distance_test)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +80,17 @@ class TestModel:
 
 
 def interaction(model, eta, sigma, z):
-    """Pair and boundary energy of values sigma on eta with frozen exterior z."""
-    return float(_EtaTarget(model, eta, z.values).interaction(np.asarray(sigma)))
+    """Pair and boundary energy of values sigma on eta with frozen exterior z:
+    the conditional energy U less its single-site sum of V."""
+    sigma = np.asarray(sigma, dtype=float)
+    U, _ = _EtaTarget(model, eta, z.values).energy_grad(sigma)
+    return float(U - model.V(sigma).sum())
+
+
+@pytest.fixture(scope="module")
+def tent_lattice():
+    g = build_graph(lattice_configuration(-2, 2, dim=2), 1.5)  # 25 sites
+    return make_model(g, potential="quartic", J=0.15, coupling_type="tent")
 
 
 class TestLocalEnergy:
@@ -173,6 +183,134 @@ class TestLocalEnergy:
         with pytest.raises(ParameterError, match="site 4"):
             _EtaTarget(m, [3, 4, 4], np.zeros(chain.n_sites))
 
+    def test_gradient_is_derivative_of_energy(self, tent_lattice):
+        m = tent_lattice
+        rng = np.random.default_rng(11)
+        eta = sorted(rng.choice(m.graph.n_sites, size=9, replace=False).tolist())
+        target = _EtaTarget(m, eta, rng.standard_normal((3, m.graph.n_sites)))
+        s = rng.standard_normal((3, len(eta)))
+        _, G = target.energy_grad(s)
+        eps = 1e-5
+        for i in range(len(eta)):
+            e = np.zeros(len(eta))
+            e[i] = eps
+            up, _ = target.energy_grad(s + e)
+            down, _ = target.energy_grad(s - e)
+            assert np.allclose(G[:, i], (up - down) / (2 * eps), rtol=0, atol=1e-6)
+
+
+def _mala_reference(target, init, chain, collect):
+    """MALA as first written: the gradient of the current state recomputed
+    every step, the energy and gradient each from their own s @ K."""
+    def energy(s):
+        return (np.sum(target.model.V(s), axis=-1)
+                + (0.5 * np.sum(s * (s @ target.K), axis=-1)
+                   + np.sum(target.bconst * s, axis=-1)))
+
+    def grad(s):
+        return target.model.grad_V(s) + s @ target.K + target.bconst
+
+    rng = np.random.default_rng(chain.seed)
+    s = np.asarray(init, dtype=float).copy()
+    n_chains = s.shape[0]
+    h = chain.step_size
+    U = energy(s)
+    acc_recent, accepted, proposed, out = [], 0, 0, []
+    for step in range(chain.burn_in + (chain.steps if collect else 1)):
+        mu = s - 0.5 * h * grad(s)
+        prop = mu + np.sqrt(h) * rng.standard_normal(s.shape)
+        U_prop = energy(prop)
+        mu_back = prop - 0.5 * h * grad(prop)
+        log_q_fwd = -np.sum((prop - mu) ** 2, axis=-1) / (2 * h)
+        log_q_back = -np.sum((s - mu_back) ** 2, axis=-1) / (2 * h)
+        take = np.log(rng.uniform(size=n_chains)) < U - U_prop + log_q_back - log_q_fwd
+        s[take] = prop[take]
+        U[take] = U_prop[take]
+        if step < chain.burn_in:
+            acc_recent.append(float(np.mean(take)))
+            if len(acc_recent) >= 25:
+                avg = float(np.mean(acc_recent))
+                if avg > 0.7:
+                    h *= 1.3
+                elif avg < 0.5:
+                    h /= 1.3
+                acc_recent = []
+        else:
+            accepted += int(np.sum(take))
+            proposed += n_chains
+            if collect:
+                out.append(s.copy())
+    states = np.concatenate(out, axis=0) if collect else s
+    return states, accepted / max(1, proposed), h
+
+
+class TestMalaStepRule:
+    @pytest.mark.parametrize("n_chains", [1, 7])
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_matches_recomputing_reference(self, tent_lattice, n_chains, collect):
+        # Keeping the current state's energy and gradient changes no byte.
+        m = tent_lattice
+        rng = np.random.default_rng(20 + n_chains)
+        eta = sorted(rng.choice(m.graph.n_sites, size=9, replace=False).tolist())
+        z = rng.standard_normal((n_chains, m.graph.n_sites))
+        target = _EtaTarget(m, eta, z[0] if n_chains == 1 else z)
+        init = rng.standard_normal((n_chains, len(eta)))
+        chain_p = ChainParams(steps=300, burn_in=200, step_size=0.8, seed=n_chains)
+        states, rate, h = _mala_run(target, init, chain_p, collect)
+        want, want_rate, want_h = _mala_reference(target, init, chain_p, collect)
+        assert states.shape == want.shape
+        assert np.array_equal(states, want)
+        assert rate == want_rate and h == want_h
+        assert h != chain_p.step_size  # burn-in tuned the step
+        assert 0 < rate < 1 or not collect  # kept steps both accept and reject
+
+
+def _autocorr_ess_reference(series):
+    """The initial-positive-sequence ESS from the full np.correlate."""
+    n = series.size
+    if n < 4:
+        return float(n)
+    x = series - series.mean()
+    var = np.dot(x, x) / n
+    if var == 0:
+        return float(n)
+    acf = np.correlate(x, x, mode="full")[n - 1:] / (n * var)
+    s = 0.0
+    for lag in range(1, min(n, 1000)):
+        if acf[lag] <= 0:
+            break
+        s += acf[lag]
+    return float(n / (1.0 + 2.0 * s))
+
+
+class TestAutocorrEss:
+    @pytest.mark.parametrize("n", [4, 5, 17, 250, 999, 1000, 1001, 6000])
+    def test_ar1_matches_full_correlation(self, n):
+        e = np.random.default_rng(n).standard_normal(n)
+        for phi in (0.0, 0.5, 0.95, -0.6):
+            x = np.empty(n)
+            x[0] = e[0]
+            for i in range(1, n):
+                x[i] = phi * x[i - 1] + e[i]
+            assert _autocorr_ess(x) == _autocorr_ess_reference(x)
+
+    def test_constant_series(self):
+        x = np.full(50, 2.5)
+        assert _autocorr_ess(x) == _autocorr_ess_reference(x) == 50.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_short_series(self, n):
+        x = np.arange(n, dtype=float)
+        assert _autocorr_ess(x) == _autocorr_ess_reference(x) == float(n)
+
+    def test_lag_cap(self):
+        # A random walk's sample ACF stays positive past lag 999, so the
+        # sum stops at the cap, not at a non-positive lag.
+        x = np.cumsum(np.random.default_rng(2).standard_normal(5000))
+        c = x - x.mean()
+        assert np.all(np.correlate(c, c, mode="full")[5000:5999] > 0)
+        assert _autocorr_ess(x) == _autocorr_ess_reference(x)
+
 
 class TestKernelSample:
     def test_single_site_standard_normal(self):
@@ -182,7 +320,6 @@ class TestKernelSample:
         n_eff = max(s.ess, 10.0)
         assert abs(s.samples.mean()) <= 3.0 / np.sqrt(n_eff)
         # the variance estimate decorrelates at the rate of the squared series
-        from spindyn.gibbs import _autocorr_ess
         n_eff_sq = max(_autocorr_ess(s.samples[:, 0] ** 2), 10.0)
         assert abs(s.samples.var(ddof=1) - 1.0) <= 3.0 * np.sqrt(2.0 / n_eff_sq)
         assert 0.3 < s.acceptance_rate < 0.95
