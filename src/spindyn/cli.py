@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,16 @@ def _sha256(path: Path) -> str:
         return hashlib.file_digest(f, "sha256").hexdigest()
 
 
+def _write_npz(path: Path, **arrays) -> None:
+    """Write what ``np.savez`` writes, streaming each contiguous array's buffer."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, a in arrays.items():
+            header = np.lib.format.header_data_from_array_1_0(a)
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(fh, header)
+                fh.write(a.ravel("F" if header["fortran_order"] else "C").view(np.uint8))
+
+
 def _graph_hash(graph) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(graph.config.positions).tobytes())
@@ -242,8 +253,8 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
                        ["%d"] + ["%.17g"] * 4)
     # Stored, not deflated: float mantissas hardly compress, and deflate
     # would cost more than the integration.
-    np.savez(out / "trajectories.npz", trajectories=ens.trajectories,
-             times=ens.plan.times())
+    _write_npz(out / "trajectories.npz", trajectories=ens.trajectories,
+               times=ens.plan.times())
     ensemble_hash = ens.content_hash()
     _write_manifest(out, cfg, graph, extra={"ensemble_hash": ensemble_hash})
     print(f"simulate: {plan.replicas} replicas x {len(volumes)} volumes, "

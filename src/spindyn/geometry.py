@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-# After scipy.spatial: importing scipy.sparse first adds about 30 ms to start-up.
 import scipy.sparse as sp
 
 from .errors import ParameterError
@@ -120,12 +118,46 @@ class GeometricGraph:
         return self.config.radii()
 
 
+def _pairs(pos: np.ndarray, rho: float) -> np.ndarray:
+    """The (2, E) array of unordered pairs a, b with sum_k (x_k - y_k)^2 <= rho^2,
+    summed in axis order as scipy's k-d tree does up to d = 7.  On a linked-cell
+    grid over the (at most 3) widest axes, cells >= rho (1 + 2^-6) wide, <= 2^40
+    per axis and 2^60 in all, keep each pair within rho after rounding in one or
+    two neighbouring cells; a site meets its cell's later sites and the half-stencil."""
+    n, d = pos.shape
+    if n == 0:
+        return np.zeros((2, 0), dtype=np.int64)
+    # Halved coordinates: no difference overflows, and each rounds as before.
+    lo, span = pos.min(axis=0) / 2, np.ptp(pos / 2, axis=0)
+    axes = np.argsort(-span, kind="stable")[:3]
+    width = max(rho * (1 + 2.0 ** -6) / 2, span.max() * 2.0 ** -min(40, 60 // len(axes)))
+    # Cells 1..n_k in radix n_k + 2: a stencil step never carries to the next axis.
+    cell = ((pos[:, axes] / 2 - lo[axes]) / width).astype(np.int64) + 1
+    stride = np.cumprod(np.concatenate([[1], cell.max(axis=0)[:-1] + 2]))
+    order = np.argsort(cell @ stride)
+    key = (cell @ stride)[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    occupied, end = key[start], np.append(start[1:], n)
+    site_cell = np.repeat(np.arange(start.size), end - start)
+    offsets = (np.indices((3,) * len(axes)).reshape(len(axes), -1).T - 1) @ stride
+    kept = []
+    for off in offsets[offsets >= 0]:
+        at = np.minimum(np.searchsorted(occupied, occupied + off), start.size - 1)
+        last = np.where(occupied[at] == occupied + off, end[at], 0)[site_cell]
+        cnt = np.maximum(last - np.maximum(start[at][site_cell], np.arange(1, n + 1)), 0)
+        p = np.repeat(order, cnt)
+        q = order[np.arange(p.size) + np.repeat(last - np.cumsum(cnt), cnt)]
+        keep = sum((pos[p, k] - pos[q, k]) ** 2 for k in range(d)) <= rho * rho
+        kept.append(np.stack([p[keep], q[keep]]))
+    return np.concatenate(kept, axis=1)
+
+
 def build_graph(config: Configuration, rho: float) -> GeometricGraph:
     """Build the radius-rho geometric graph on a configuration."""
     if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     n = config.n_sites
-    a, b = cKDTree(config.positions).query_pairs(float(rho), output_type="ndarray").T
+    a, b = _pairs(config.positions, float(rho))
     # One int64 key per entry, row * (n + 1) + (0 for the self entry, else
     # column + 1): sorted, each row holds its self entry first, then the
     # neighbours ascending.  The key is below (n + 1)^2, exact for n < 3e9.

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import types
 import zipfile
 from pathlib import Path
@@ -55,6 +59,23 @@ class TestGraphCommand:
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
+
+    def test_runs_without_scipy_spatial(self, tmp_path):
+        # The neighbour search needs only numpy; scipy.spatial, with the 75
+        # modules it loads, would add about 10 MiB to every run.
+        cfg = write_cfg(tmp_path, lattice_graph_cfg())
+        code = ("import sys; from spindyn.cli import main; "
+                f"code = main(['graph', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial'))); "
+                "sys.exit(code)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        env.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
 
     def test_malformed_config_names_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"graph": {"source": "lattice", "rho": 1.5}})
@@ -249,6 +270,31 @@ class TestSimulateCommand:
         assert f"config error: {init}: " in err and named in err
         assert "usecols" not in err  # numpy's advice on its own argument
         assert list(out.iterdir()) == []
+
+
+class TestNpzWriter:
+    @pytest.mark.parametrize("array", [
+        np.random.default_rng(0).standard_normal((3, 4, 5)),
+        np.asfortranarray(np.random.default_rng(1).standard_normal((6, 7))),
+        np.zeros((0, 3)),
+        np.arange(9.0),
+    ], ids=["C-order", "F-order", "empty", "1-d"])
+    def test_bytes_equal_np_savez(self, tmp_path, array):
+        np.savez(tmp_path / "want.npz", trajectories=array, times=np.arange(3.0))
+        cli._write_npz(tmp_path / "got.npz", trajectories=array, times=np.arange(3.0))
+        assert (hashlib.sha256((tmp_path / "got.npz").read_bytes()).hexdigest()
+                == hashlib.sha256((tmp_path / "want.npz").read_bytes()).hexdigest())
+
+    def test_writes_16_mb_without_copying_it(self, tmp_path):
+        array = np.random.default_rng(2).standard_normal(2 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            cli._write_npz(tmp_path / "big.npz", trajectories=array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert np.array_equal(np.load(tmp_path / "big.npz")["trajectories"], array)
 
 
 class TestConvergeCommand:

@@ -43,6 +43,14 @@ def test_pair_at_exact_radius_is_adjacent():
     assert g.closed_neighborhood(0) == [0, 1]
 
 
+def test_sites_whose_distance_overflows():
+    # 2e308 is beyond the largest float; the pairs near each end remain.
+    cfg = Configuration(positions=np.array([[-1e308], [1e308], [1e308], [0.0], [0.5]]),
+                        window=np.array([[-1.5e308, 1.5e308]]))
+    g = build_graph(cfg, 1.0)
+    assert [g.closed_neighborhood(x) for x in range(5)] == [[0], [1, 2], [2, 1], [3, 4], [4, 3]]
+
+
 def test_rho_must_be_positive():
     cfg = lattice_configuration(0, 1)
     with pytest.raises(ParameterError):
@@ -71,21 +79,32 @@ def test_nonfinite_positions_rejected():
 
 @st.composite
 def point_sets(draw):
-    """(positions, rho): random 1-3 D points, or integer lattice points whose
-    pairs sit at exactly rho, with some sites repeated."""
-    dim = draw(st.integers(1, 3))
+    """(positions, rho): random 1-4 D points, or integer lattice points whose
+    pairs sit at exactly rho, with some sites repeated; then scaled by a
+    power of two and shifted, to |x| up to 1e12.  The lattice stays exact:
+    its pairs still sit at exactly rho, and rho = 1e-3 keeps only repeats."""
+    dim = draw(st.integers(1, 4))
     n = draw(st.integers(0, 120))
     if draw(st.booleans()):
         coords = st.integers(-3, 3).map(float)
-        rho = draw(st.sampled_from([1.0, 2.0, np.sqrt(2.0)]))
+        rho = draw(st.sampled_from([1.0, 2.0, np.sqrt(2.0), 1e-3]))
     else:
         coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
-        rho = draw(st.floats(0.05, 3.0))
+        rho = draw(st.floats(1e-3, 3.0))
     pos = np.asarray(draw(st.lists(coords, min_size=n * dim, max_size=n * dim)),
                      dtype=float).reshape(n, dim)
     if n:
         pos = np.vstack([pos, pos[draw(st.lists(st.integers(0, n - 1), max_size=4))]])
-    return pos, rho
+    scale = draw(st.sampled_from([1.0, 2.0 ** -10, 2.0 ** 38]))
+    shift = draw(st.sampled_from([0.0, 1e12, -3.5e11]))
+    return pos * scale + shift, rho * scale
+
+
+def _far_clusters():
+    """Tight 3-D clusters 1e9 apart: 2e12 cells of 1e-3 per axis."""
+    rng = np.random.default_rng(0)
+    centres = rng.uniform(-1e9, 1e9, size=(4, 3))
+    return centres[rng.integers(0, 4, 60)] + rng.uniform(-2e-3, 2e-3, size=(60, 3))
 
 
 def _reference_neighbourhoods(pos, rho):
@@ -121,6 +140,16 @@ def _lexsort_csr(pos, rho):
 @example((np.random.default_rng(7).uniform(-20, 20, size=(2500, 2)), 1.3))
 @example((np.zeros((5, 1)), 0.5))
 @example((np.array([[0.0], [5.0], [10.0]]), 1.0))
+@example((1e12 + np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.5, 1.0]]), 1.0))
+@example((np.full((3, 4), -1e12), 1e-3))
+@example((np.array([[-1e12], [1e12], [1e12 + 2.0 ** -12]]), 2.0 ** -12))
+# With cells exactly rho wide, rounding puts this pair two cells apart.
+@example((np.array([[-85650.08149445722], [17598.329571177157], [17599.116321646285]]),
+          0.7867504691286891))
+# With no cap on the cell count, these two lose their pair to rounding
+# (about 2^54 cells on one axis), and the next case overflows an int64 key.
+@example((np.array([[-1e12], [1000000000081.531], [1000000000081.5311]]), 2.0 ** -13))
+@example((_far_clusters(), 1e-3))
 def test_build_graph_matches_quadratic_reference(case):
     pos, rho = case
     dim = pos.shape[1]

@@ -8,6 +8,7 @@ from spindyn import (ChainParams, ConstructionError, GibbsModel,
                      dlr_residual, gradient_dynamics_field,
                      kernel_sample, lattice_configuration, make_model,
                      reversibility_test, sample_window_measure)
+from spindyn import gibbs
 from spindyn.gibbs import (_autocorr_ess, _battery, _EtaTarget, _mala_run,
                            energy_distance_test)
 
@@ -438,6 +439,21 @@ def test_energy_distance_matches_split_by_split_loop(seed):
     want_stat, want_p = _energy_distance_loop(A, B, 400, seed)
     assert p == want_p
     assert stat == pytest.approx(want_stat, rel=1e-12)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 7, 8, 9, 16, 29, 30])
+def test_energy_distance_equals_cdist_based_test(cols, monkeypatch):
+    # From 8 columns on, numpy's pairwise summation would reorder a naive
+    # ``.sum(axis=-1)`` of the squares; cdist adds them column by column.
+    rng = np.random.default_rng(300 + cols)
+    A = rng.standard_normal((50, cols))
+    B = 1.2 * rng.standard_normal((40, cols))
+    pooled = np.vstack([A, B])
+    assert np.array_equal(gibbs._distance_matrix(pooled), cdist(pooled, pooled))
+    got = energy_distance_test(A, B, n_perms=200, seed=cols)
+    monkeypatch.setattr(gibbs, "_distance_matrix", lambda pts: cdist(pts, pts))
+    assert energy_distance_test(A, B, n_perms=200, seed=cols) == got
+    assert got[1] == _energy_distance_loop(A, B, 200, cols)[1]
 
 
 class TestGradientDynamics:
