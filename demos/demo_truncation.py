@@ -8,11 +8,14 @@ single-site equation driven by the largest-volume environment reproduces
 that volume's path.
 """
 
+import dataclasses
+
 import numpy as np
 
 from spindyn import (RandomInit, ScaleInterval, SimPlan, build_graph,
                      cauchy_gap, lattice_configuration, make_field,
-                     radial_volumes, run_nested, tagged_particle_solve)
+                     nested_gap_sums, radial_volumes, run_nested,
+                     tagged_particle_solve)
 
 
 def main():
@@ -26,18 +29,22 @@ def main():
     sizes = vols.masks.sum(axis=1)
     print(f"volumes: {sizes.tolist()} sites")
 
-    ens = run_nested(field, vols, init, plan, n_threads=2)
-    scale = ScaleInterval(0.0, 1.0)
+    # The gaps are reduced step by step; no path is kept.
+    sums = nested_gap_sums(field, vols, init, plan, [0.8], ScaleInterval(0.0, 1.0),
+                           n_threads=2).sums
     m = len(vols) - 1
     print("\nweighted Cauchy gaps against the largest volume (beta = 0.8):")
     for n in range(m):
-        gap = cauchy_gap(ens, n, m, 0.8, plan.p, scale)
+        gap = cauchy_gap(sums[n, 0])
         print(f"  volume {n} ({sizes[n]:2d} sites): "
               f"gap = {gap:.6e}")
 
     print("\ntagged single-site equation vs the largest-volume path:")
     x = 25  # the origin site
-    env = ens.trajectories[0, m]
+    # Replica 0's path in the full window, the largest volume, alone.
+    ens = run_nested(field, radial_volumes(g, []), init,
+                     dataclasses.replace(plan, replicas=1))
+    env = ens.trajectories[0, 0]
     eta = tagged_particle_solve(field, x, env, float(env[x, 0]), plan, 0)
     print(f"  sup_t |eta - xi| at site {x}: "
           f"{np.max(np.abs(eta - env[x])):.3e} (identical noise, identical path)")

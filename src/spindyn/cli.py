@@ -21,8 +21,8 @@ import yaml
 
 from . import geometry, gibbs, ovsbound
 from .coeffs import make_field
-from .engine import (RandomInit, SimPlan, cauchy_gap, moment_p, radial_volumes,
-                     run_nested)
+from .engine import (RandomInit, SimPlan, cauchy_gap, moment_p, nested_gap_sums,
+                     radial_volumes, run_nested)
 from .errors import (ConfigError, ConstructionError, IntegrityError,
                      NumericError, ParameterError)
 from .gibbs import ChainParams, make_model
@@ -291,28 +291,30 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     except ParameterError as e:
         raise ConfigError(f"converge.q: {e}")
     k_T = {beta: ovsbound.k_series(L, plan.T, q, alpha, beta) for beta in betas}
-    ens = run_nested(field_, volumes, init, plan, n_threads=threads)
+    gaps = nested_gap_sums(field_, volumes, init, plan, betas, scale,
+                           n_threads=threads)
     m = len(volumes) - 1
     # Tail bound input: weighted p-th moment of the initial data outside
     # volume n, via the degree-growth kernel.
-    b_norms = [ovsbound.nonneg_l1_norm(_tail_vector(ens, volumes, n, graph), alpha)
-               for n in range(m)]
-    rows = [[n, m, beta, plan.p, cauchy_gap(ens, n, m, beta, plan.p, scale),
-             k_T[beta] * b_norms[n]]
-            for beta in betas for n in range(m)]
+    b_norms = [ovsbound.nonneg_l1_norm(
+        _tail_vector(gaps.initial, plan.p, volumes.masks[n], graph), alpha)
+        for n in range(m)]
+    rows = [[n, m, beta, plan.p, cauchy_gap(gaps.sums[n, b]), k_T[beta] * b_norms[n]]
+            for b, beta in enumerate(betas) for n in range(m)]
     arr = np.asarray(rows).reshape(len(rows), 6)
     geometry.write_csv(out / "gaps.csv", "n,m,beta,p,gap,bound", arr,
                        ["%d", "%d"] + ["%.17g"] * 4)
-    _write_manifest(out, cfg, graph, extra={"ensemble_hash": ens.content_hash()})
+    _write_manifest(out, cfg, graph,
+                    extra={"final_states_hash": gaps.final_states_hash()})
     print(f"converge: {len(rows)} gap rows over {m} volume pairs")
     return EXIT_OK
 
 
-def _tail_vector(ens, volumes, n, graph) -> WeightedSeq:
-    """Per-site p-th moment of the initial data outside volume n."""
-    init0 = ens.trajectories[:, -1, :, 0]  # (replicas, sites) initial states
-    vals = np.mean(np.abs(init0) ** ens.plan.p, axis=0) + 1.0
-    vals[volumes.masks[n]] = 0.0
+def _tail_vector(init0, p, mask, graph) -> WeightedSeq:
+    """Per-site p-th moment of the (replicas, sites) initial data ``init0``
+    outside the site ``mask``."""
+    vals = np.mean(np.abs(init0) ** p, axis=0) + 1.0
+    vals[mask] = 0.0
     return WeightedSeq(vals, graph)
 
 

@@ -8,16 +8,18 @@ Sites outside the active volume stay frozen at their initial value exactly;
 the Wiener increment for (replica, site, step) is the Philox word at that
 counter (``spindyn.rng``), so every volume sees identical noise.  Every
 integration steps with ``_step``; all but the tagged single-site equation
-run replicas 0..plan.replicas-1 through ``integrate_replicas``.  A replica
-depends on its own keys alone (the implicit solve stops per entry), so
-output is bit-identical for any thread count and chunk size.  Callers that
-read only final states pass ``paths=False``: each block then holds only its
-current state.
+run replicas 0..plan.replicas-1 through ``integrate_replicas``, which steps
+the volumes of a replica chunk in lockstep and hands every step's states to
+an optional observer.  ``run_nested`` keeps whole paths that way, and
+``nested_gap_sums`` reduces them to Cauchy-gap sums as it goes, holding no
+path.  A replica depends on its own keys alone (the implicit solve stops
+per entry), so output is bit-identical for any thread count and chunk size.
 """
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -31,8 +33,11 @@ from .spaces import ScaleInterval, WeightedSeq
 _NEWTON_MAX_ITERS = 50
 _NEWTON_TOL = 1e-12
 _FD_STEP = 1e-7
-# Replica-chunk size cap keeps noise + trajectory buffers bounded.
+# Replica-chunk size cap keeps each chunk's noise block bounded.
 _CHUNK_ELEMENTS = 20_000_000
+# Steps per noise draw, a multiple of the 4 steps of one Philox block, so
+# the noise a chunk holds does not grow with T.
+_NOISE_BLOCK = 64
 
 SCHEMES = ("tamed_em", "split_step_implicit")
 
@@ -200,68 +205,86 @@ def _check_finite(state, j):
         raise NonFiniteState(replica, site, j)
 
 
-def integrate_ensemble(field_: CoefficientField, volume_mask, init_states,
-                       plan: SimPlan, noise, n_steps: int, paths: bool) -> np.ndarray:
-    """Advance a (replicas, sites) block; returns its path (replicas, sites,
-    steps+1), or with ``paths=False`` only its final state (replicas, sites),
-    holding no more than the current state meanwhile.
+def integrate_ensemble(field_: CoefficientField, masks, init_states,
+                       plan: SimPlan, noise, n_steps: int, observe=None) -> np.ndarray:
+    """Advance a (replicas, volumes, sites) block ``n_steps`` steps, all
+    volumes in lockstep; returns the final states (replicas, volumes, sites).
 
-    ``noise`` holds the standard-normal increments, shape
-    (replicas, sites, >= n_steps); sites outside ``volume_mask`` are kept at
-    their initial value exactly.  Each step's state is checked as it is
-    made: a NaN or infinite entry raises ``NonFiniteState`` at its earliest
-    step, with the replica counted within the block, under either scheme,
-    before the Newton failure that it would cause one step later.
+    ``masks`` holds one boolean site mask per volume (None: all sites
+    active); sites outside a volume's mask keep their initial value exactly.
+    Each volume steps its own contiguous (replicas, sites) state, and all
+    volumes share one set of increments: ``noise(first_step, k)`` returns
+    the standard-normal increments of steps first_step..first_step+k-1,
+    shape (replicas, sites, k), and is asked for at most ``_NOISE_BLOCK``
+    steps at a time.  ``observe(j, states)``, if given, sees the
+    (replicas, volumes, sites) states of every step j = 0..n_steps; they
+    are overwritten by the next step, so it copies what it keeps.
+
+    Each step's state is checked as it is made: a NaN or infinite entry
+    raises ``NonFiniteState`` at its earliest step, with the replica counted
+    within the block, under either scheme, before the Newton failure that it
+    would cause one step later.
     """
-    state = np.array(init_states, dtype=float)
-    n_rep, n = state.shape
-    mask = np.ones(n, dtype=bool) if volume_mask is None else np.asarray(volume_mask)
-    frozen = ~mask
-    _check_finite(state, 0)
-    if paths:
-        out = np.empty((n_rep, n, n_steps + 1))
-        out[..., 0] = state
+    n_rep, n_vol, n = np.shape(init_states)
+    # (volumes, replicas, sites), a copy: each volume's state is one
+    # C-ordered block, updated in place.
+    cur = np.array(np.transpose(init_states, (1, 0, 2)), dtype=float, order="C")
+    active = np.array([np.ones(n, dtype=bool) if mask is None else mask
+                       for mask in masks])
+    for k in range(n_vol):
+        _check_finite(cur[k], 0)
+    states = cur.transpose(1, 0, 2)
+    if observe is not None:
+        observe(0, states)
     sqdt = np.sqrt(plan.dt)
-    for j in range(n_steps):
-        new = _step(field_, state, noise[:, :, j] * sqdt, plan.dt, plan.scheme,
-                    mask, j)
-        new[:, frozen] = state[:, frozen]
-        _check_finite(new, j + 1)
-        state = new
-        if paths:
-            out[..., j + 1] = state
-    return out if paths else state
+    for j0 in range(0, n_steps, _NOISE_BLOCK):
+        block = noise(j0, min(_NOISE_BLOCK, n_steps - j0))
+        for j in range(j0, j0 + block.shape[2]):
+            dW = block[:, :, j - j0] * sqdt
+            for k in range(n_vol):
+                new = _step(field_, cur[k], dW, plan.dt, plan.scheme, active[k], j)
+                np.copyto(cur[k], new, where=active[k])
+                _check_finite(cur[k], j + 1)
+            if observe is not None:
+                observe(j + 1, states)
+        del block  # before the next block is drawn
+    return states
 
 
 def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
-                       n_steps: int, paths: bool = True,
-                       n_threads: int = 1) -> np.ndarray:
+                       n_steps: int, observer=None, n_threads: int = 1) -> np.ndarray:
     """Integrate replicas 0..plan.replicas-1 under every volume mask (None:
-    all sites active); returns (replicas, masks, sites, steps+1), or with
-    ``paths=False`` only the final states (replicas, masks, sites).
+    all sites active); returns the final states (replicas, masks, sites).
 
-    Chunks of at most ``_CHUNK_ELEMENTS`` noise entries run on ``n_threads``;
-    each computes its noise and initial states from their (replica, site,
-    step) counters, one call each, and fills its own output rows, so the
-    result is bit-identical for any thread count and chunk size.
+    ``observer(rows, j, states)``, if given, sees each replica chunk's
+    (replicas, masks, sites) states at every step j = 0..n_steps, with the
+    chunk's replica ids as a slice.  Chunks of at most ``_CHUNK_ELEMENTS``
+    entries of one noise block run on ``n_threads``; each computes its noise
+    and initial states from their (replica, site, step) counters and writes
+    only its own rows, so the result, and whatever an observer writes into
+    its own rows, is bit-identical for any thread count and chunk size.
     """
     n = field_.graph.n_sites
     if isinstance(init, np.ndarray) and init.shape != (plan.replicas, n):
         raise ParameterError(f"init array has shape {init.shape}, need (replicas, "
                              f"sites) = {(plan.replicas, n)}")
-    out = np.empty((plan.replicas, len(masks), n) + ((n_steps + 1,) if paths else ()))
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n_steps))
+    out = np.empty((plan.replicas, len(masks), n))
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * min(_NOISE_BLOCK, n_steps)))
 
     def work(lo):
-        reps = np.arange(lo, min(lo + chunk, plan.replicas))
-        noise = noise_matrix(plan.master_seed, reps, range(n), n_steps)
+        rows = slice(lo, min(lo + chunk, plan.replicas))
+        reps = np.arange(rows.start, rows.stop)
         init_states = _initial_states(init, field_.graph, plan, reps)
-        for k, mask in enumerate(masks):
-            try:
-                out[lo:lo + chunk, k] = integrate_ensemble(
-                    field_, mask, init_states, plan, noise, n_steps, paths)
-            except NonFiniteState as e:
-                raise e.shifted(lo) from None
+        observe = None if observer is None else partial(observer, rows)
+        try:
+            out[rows] = integrate_ensemble(
+                field_, masks,
+                np.broadcast_to(init_states[:, None], (len(reps), len(masks), n)), plan,
+                lambda j0, k: noise_matrix(plan.master_seed, reps, range(n), k,
+                                           first_step=j0),
+                n_steps, observe)
+        except NonFiniteState as e:
+            raise e.shifted(lo) from None
 
     starts = range(0, plan.replicas, chunk)
     if n_threads > 1 and len(starts) > 1:
@@ -284,22 +307,95 @@ class NestedEnsemble:
         return hashlib.sha256(np.ascontiguousarray(self.trajectories)).hexdigest()
 
 
-def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
-               plan: SimPlan, n_threads: int = 1) -> NestedEnsemble:
-    """Integrate every volume for every replica with shared noise streams.
-
-    Output is bit-identical for any ``n_threads`` and any chunk schedule,
-    as ``integrate_replicas`` guarantees.
-    """
+def _check_nested(field_: CoefficientField, volumes: VolumeSequence, plan: SimPlan):
+    """The moment order must cover the drift's growth, and the volume masks
+    the graph's sites."""
     if plan.p < max(2.0, field_.drift.R):
         raise ParameterError(
             f"moment order p={plan.p} must be >= max(2, R={field_.drift.R})")
     width, n = volumes.masks.shape[1], field_.graph.n_sites
     if width != n:
         raise ParameterError(f"volume masks cover {width} sites, the graph has {n}")
-    traj = integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
-                              n_threads=n_threads)
+
+
+def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
+               plan: SimPlan, n_threads: int = 1) -> NestedEnsemble:
+    """Integrate every volume for every replica with shared noise streams,
+    keeping every path.
+
+    Output is bit-identical for any ``n_threads`` and any chunk schedule,
+    as ``integrate_replicas`` guarantees.
+    """
+    _check_nested(field_, volumes, plan)
+    traj = np.empty((plan.replicas, len(volumes), field_.graph.n_sites,
+                     plan.n_steps + 1))
+
+    def keep(rows, j, states):
+        traj[rows, ..., j] = states
+
+    integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
+                       observer=keep, n_threads=n_threads)
     return NestedEnsemble(trajectories=traj, plan=plan, graph=field_.graph)
+
+
+@dataclass(frozen=True)
+class GapSums:
+    """What ``converge`` reads of a nested run, reduced as it was made."""
+
+    sums: np.ndarray     # (volumes-1, betas, replicas, steps+1)
+    initial: np.ndarray  # (replicas, sites) step-0 states
+    final: np.ndarray    # (replicas, volumes, sites) time-T states
+
+    def final_states_hash(self) -> str:
+        return hashlib.sha256(np.ascontiguousarray(self.final)).hexdigest()
+
+
+def _column_blocks(a: np.ndarray) -> np.ndarray:
+    """The rows of a (rows, sites) array as the columns of zero-padded,
+    C-ordered (sites, 4) blocks.  OpenBLAS sums the last columns of a
+    (1, sites) x (sites, columns) product in another order when the column
+    count, or a thread's share of it, is not a multiple of 4; ``w @ blocks``
+    sums every row as a full 4-column block, whatever the chunk size.
+    """
+    rows, n = a.shape
+    out = np.zeros((-(-rows // 4), 4, n))
+    out.reshape(-1, n)[:rows] = a
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
+
+
+def nested_gap_sums(field_: CoefficientField, volumes: VolumeSequence, init,
+                    plan: SimPlan, betas, scale: ScaleInterval,
+                    n_threads: int = 1) -> GapSums:
+    """Integrate every volume for every replica, as ``run_nested`` does, and
+    keep only sums[n, b, r, j] = sum_x e^{-beta_b |x|} |xi^n - xi^m|^p, p =
+    ``plan.p``, of replica r at step j, for each volume n below the last
+    one, m, and each beta in ``betas``.
+
+    The sums, the step-0 and the time-T states are bit-identical for any
+    ``n_threads`` and any chunk schedule, as ``integrate_replicas``
+    guarantees.
+    """
+    _check_nested(field_, volumes, plan)
+    for beta in betas:
+        if not scale.contains(beta):
+            raise ParameterError(f"beta={beta} outside the scale")
+    weights = [np.exp(-beta * field_.graph.radii())[None, :] for beta in betas]
+    m = len(volumes) - 1
+    sums = np.empty((m, len(weights), plan.replicas, plan.n_steps + 1))
+    initial = np.empty((plan.replicas, field_.graph.n_sites))
+
+    def reduce(rows, j, states):
+        if j == 0:
+            initial[rows] = states[:, m]
+        n_rep = rows.stop - rows.start
+        for n in range(m):
+            blocks = _column_blocks(np.abs(states[:, n] - states[:, m]) ** plan.p)
+            for b, w in enumerate(weights):
+                sums[n, b, rows, j] = np.matmul(w, blocks).reshape(-1)[:n_rep]
+
+    final = integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
+                               observer=reduce, n_threads=n_threads)
+    return GapSums(sums=sums, initial=initial, final=final)
 
 
 def moment_p(ens: NestedEnsemble, volume_idx: int, times):
@@ -312,19 +408,10 @@ def moment_p(ens: NestedEnsemble, volume_idx: int, times):
     return np.mean(vals, axis=0), se
 
 
-def cauchy_gap(ens: NestedEnsemble, n: int, m: int, beta: float, p: float,
-               scale: ScaleInterval) -> float:
-    """sup over grid times of E sum_x e^{-beta|x|} |xi^n - xi^m|^p."""
-    if n > m:
-        raise ParameterError("need n <= m")
-    if not scale.contains(beta):
-        raise ParameterError(f"beta={beta} outside the scale")
-    if n == m:
-        return 0.0
-    w = np.exp(-beta * ens.graph.radii())
-    diff = ens.trajectories[:, n] - ens.trajectories[:, m]  # (rep, sites, time)
-    per_rep_time = np.tensordot(w, np.abs(diff) ** p, axes=([0], [1]))  # (rep, time)
-    return float(np.max(np.mean(per_rep_time, axis=0)))
+def cauchy_gap(sums: np.ndarray) -> float:
+    """sup over grid times of the replica mean of one (replicas, steps+1)
+    array of ``GapSums.sums``: E sum_x e^{-beta|x|} |xi^n - xi^m|^p."""
+    return float(np.max(np.mean(sums, axis=0)))
 
 
 def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,

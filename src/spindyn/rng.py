@@ -7,8 +7,9 @@ computed on demand in numpy:
 - key: ``stream_key(master_seed, tag)``, with tag ``TAG_WIENER`` for the
   driving noise and ``TAG_INIT`` for the initial data;
 - counter: the four 64-bit words (step // 4, site, replica, 0);
-- draw: word step % 4 of that block, w, taken to u = ((w >> 11) + 1/2) 2^-53
-  in (0, 1) and to the standard normal ``ndtri(u)``.
+- draw: word step % 4 of that block, w, taken to u = ((w >> 11) + 1/2) 2^-53,
+  clamped to 1 - 2^-53 (the top word would round to 1.0), and to the
+  standard normal ``ndtri(u)``.
 
 So any (replica, site, step) entry is computed alone, and a truncated run
 over any volume, or any batch of replicas, sees exactly the increments of
@@ -104,20 +105,35 @@ def _ids(name: str, values) -> np.ndarray:
     return a.astype(np.uint64)
 
 
+def _uniforms(word: np.ndarray) -> np.ndarray:
+    """u = ((w >> 11) + 1/2) 2^-53 of uint64 words, in (0, 1): the top word,
+    whose u rounds to 1.0, is clamped to the largest double below 1."""
+    u = (word >> np.uint64(11)).astype(float)
+    u += 0.5
+    u *= 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
+
+
 def keyed_draws(master_seed: int, tag: int, replica, site_ids, n_steps: int,
-                transform=ndtri) -> np.ndarray:
+                transform=ndtri, first_step: int = 0) -> np.ndarray:
     """``transform`` of the uniforms of (replica, site, step) under ``tag``
-    for every site in ``site_ids`` and every step < ``n_steps``.
+    for every site in ``site_ids`` and every step in
+    ``first_step``..``first_step + n_steps - 1``.
 
     For an int ``replica`` the shape is (sites, steps); for a 1-d array of
     replica ids it is (replicas, sites, steps).  Rows (replica, site) are
     filled in groups of at most ``_SUB_BLOCK`` Philox blocks, so the
     temporaries stay small whatever the output size.
     """
+    if first_step < 0:
+        raise ParameterError(f"first_step {first_step} is negative")
     reps, sites = _ids("replica", np.atleast_1d(replica)), _ids("site", site_ids)
     key = stream_key(master_seed, tag)
     out = np.empty((reps.size, sites.size, n_steps))
-    n_blocks = -(-n_steps // 4)
+    # Philox blocks b_lo..b_hi-1 hold the steps; step s is word s % 4 of
+    # block s // 4, output column s - first_step.
+    b_lo, b_hi = first_step // 4, -(-(first_step + n_steps) // 4)
+    n_blocks = b_hi - b_lo
     if out.size:
         rows = out.reshape(-1, n_steps)
         per_row = max(1, _SUB_BLOCK // n_blocks)
@@ -125,22 +141,27 @@ def keyed_draws(master_seed: int, tag: int, replica, site_ids, n_steps: int,
         for r0 in range(0, rows.shape[0], per_row):
             r = np.arange(r0, min(r0 + per_row, rows.shape[0]))
             rep, site = reps[r // sites.size, None], sites[r % sites.size, None]
-            for b0 in range(0, n_blocks, per_col):
-                b = np.arange(b0, min(b0 + per_col, n_blocks), dtype=np.uint64)
+            for b0 in range(b_lo, b_hi, per_col):
+                b1 = min(b0 + per_col, b_hi)
+                b = np.arange(b0, b1, dtype=np.uint64)
                 for w, word in enumerate(_philox(key, b, site, rep, 0)):
-                    dest = rows[r0:r0 + r.size, 4 * b0 + w:4 * (b0 + b.size):4]
-                    u = ((word[:, :dest.shape[1]] >> np.uint64(11)).astype(float)
-                         + 0.5) * 2.0 ** -53
-                    dest[...] = transform(u)
+                    c0 = 4 * b0 + w - first_step  # column of block b0's word w
+                    skip = int(c0 < 0)
+                    c_end = min(4 * b1 + w - first_step, n_steps)
+                    dest = rows[r0:r0 + r.size, c0 + 4 * skip:c_end:4]
+                    dest[...] = transform(_uniforms(word[:, skip:skip + dest.shape[1]]))
     return out[0] if np.ndim(replica) == 0 else out
 
 
-def noise_matrix(master_seed: int, replica, site_ids, n_steps: int) -> np.ndarray:
-    """Standard-normal Wiener increments of (replica, site, step).
+def noise_matrix(master_seed: int, replica, site_ids, n_steps: int,
+                 first_step: int = 0) -> np.ndarray:
+    """Standard-normal Wiener increments of (replica, site, step) for the
+    steps ``first_step``..``first_step + n_steps - 1``.
 
     For an int ``replica`` the shape is (len(site_ids), n_steps); for a 1-d
     array of replica ids it is (replicas, len(site_ids), n_steps).  Entry
     (replica, site, step) is the same whatever else is requested with it,
     which is what couples the truncated runs.
     """
-    return keyed_draws(master_seed, TAG_WIENER, replica, site_ids, n_steps)
+    return keyed_draws(master_seed, TAG_WIENER, replica, site_ids, n_steps,
+                       first_step=first_step)

@@ -24,4 +24,21 @@ def volumes_of(n_sites, *site_sets) -> VolumeSequence:
 
 def one_path(field, mask, init, plan):
     """Replica 0's path under the boolean site ``mask``: (sites, steps+1)."""
-    return integrate_replicas(field, [mask], init, plan, plan.n_steps)[0, 0]
+    path = np.empty((field.graph.n_sites, plan.n_steps + 1))
+
+    def keep(rows, j, states):
+        if rows.start == 0:
+            path[:, j] = states[0, 0]
+
+    integrate_replicas(field, [mask], init, plan, plan.n_steps, observer=keep)
+    return path
+
+
+def path_gap(ens, n, m, beta, p):
+    """The Cauchy gap sup_t E sum_x e^{-beta|x|} |xi^n - xi^m|^p computed
+    from the whole path array of a ``NestedEnsemble``: the reference for
+    the gaps that ``nested_gap_sums`` reduces step by step."""
+    w = np.exp(-beta * ens.graph.radii())
+    diff = ens.trajectories[:, n] - ens.trajectories[:, m]  # (rep, sites, time)
+    per_rep_time = np.tensordot(w, np.abs(diff) ** p, axes=([0], [1]))  # (rep, time)
+    return float(np.max(np.mean(per_rep_time, axis=0)))

@@ -18,7 +18,8 @@ from spindyn import (ChainParams, FiniteRangeMatrix, RandomInit, ScaleInterval,
                      comparison_check, dlr_residual, estimate_L,
                      gronwall_bound, induced_matrix, k_series, kernel_sample,
                      lattice_configuration, make_field, make_model, moment_p,
-                     norm_lp, radial_volumes, reversibility_test, run_nested,
+                     nested_gap_sums, norm_lp, radial_volumes,
+                     reversibility_test, run_nested,
                      sample_poisson, series_solve, tagged_particle_solve,
                      validate_assumptions)
 
@@ -174,10 +175,12 @@ def test_06_truncation_convergence():
     ok = True
     for seed in (1, 2, 3):
         g, field, plan, vols, init = _truncation_setup(seed)
-        ens = run_nested(field, vols, init, plan, n_threads=2)
         m = len(vols) - 1
-        gaps = [cauchy_gap(ens, n, m, beta, 4.0, scale) for n in range(m)]
+        sums = nested_gap_sums(field, vols, init, plan, [beta], scale,
+                               n_threads=2).sums
+        gaps = [cauchy_gap(sums[n, 0]) for n in range(m)]
         ok &= all(a > b for a, b in zip(gaps, gaps[1:]))
+        ens = run_nested(field, vols, init, plan, n_threads=2)
         # sum_x e^{-beta|x|} sup_t of the Monte Carlo mean of |xi_x,t|^p
         w = np.exp(-beta * g.radii())
         moments = [float(np.sum(w * moment_p(ens, n, plan.times())[0].max(axis=1)))

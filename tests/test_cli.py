@@ -350,9 +350,9 @@ class TestConvergeCommand:
 
     @pytest.fixture
     def no_simulation(self, monkeypatch):
-        def run_nested(*args, **kwargs):
-            raise AssertionError("run_nested must not be called")
-        monkeypatch.setattr(cli, "run_nested", run_nested)
+        def nested_gap_sums(*args, **kwargs):
+            raise AssertionError("nested_gap_sums must not be called")
+        monkeypatch.setattr(cli, "nested_gap_sums", nested_gap_sums)
 
     def test_kt_overflow_exits_3_before_simulation(self, tmp_path, capsys,
                                                      no_simulation):

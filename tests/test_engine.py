@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import tracemalloc
 import warnings
@@ -7,12 +8,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import one_path, sparse_seq, volumes_of
+from helpers import one_path, path_gap, sparse_seq, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
                      ScaleInterval, SimPlan, SinglePotentialDrift,
                      VolumeSequence, WeightedSeq, build_graph, cauchy_gap,
                      lattice_configuration, make_field, moment_p,
-                     radial_volumes, run_nested, tagged_particle_solve)
+                     nested_gap_sums, radial_volumes, run_nested,
+                     tagged_particle_solve)
 from spindyn.engine import SCHEMES, integrate_ensemble, integrate_replicas
 from spindyn.rng import noise_matrix
 
@@ -33,6 +35,20 @@ def constant_init(graph, value=0.0):
 
 def all_sites(graph):
     return np.ones(graph.n_sites, dtype=bool)
+
+
+def observed_paths(field, masks, init, plan, **kwargs):
+    """(replicas, masks, sites, steps+1) paths that ``integrate_replicas``
+    hands its observer, with the final states it returns."""
+    paths = np.empty((plan.replicas, len(masks), field.graph.n_sites,
+                      plan.n_steps + 1))
+
+    def keep(rows, j, states):
+        paths[rows, ..., j] = states
+
+    final = integrate_replicas(field, masks, init, plan, plan.n_steps,
+                               observer=keep, **kwargs)
+    return paths, final
 
 
 class TestPlanAndVolumes:
@@ -221,10 +237,10 @@ class TestDeterminismAndCoupling:
                 ens.append(run_nested(field, vols, init, plan, n_threads=2))
             h = [e.content_hash() for e in ens]
             assert h[0] == h[1] == h[2] == h[3], scheme
-            few = integrate_replicas(field, [all_sites(chain)], init,
-                                     dataclasses.replace(plan, replicas=12),
-                                     plan.n_steps)
-            assert np.array_equal(few[11, 0], ens[0].trajectories[11, -1]), scheme
+            few = run_nested(field, radial_volumes(chain, []), init,
+                             dataclasses.replace(plan, replicas=12))
+            assert np.array_equal(few.trajectories[11, 0],
+                                  ens[0].trajectories[11, -1]), scheme
 
     def test_noise_shared_across_volumes(self, chain):
         # The largest volume's trajectories must not depend on which smaller
@@ -248,14 +264,24 @@ class TestDeterminismAndCoupling:
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         plan = SimPlan(dt=0.02, T=0.5, replicas=16, master_seed=21, p=4.0)
         vols = radial_volumes(chain, [0.5, 2.0])
-        ens = run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan)
+        init = RandomInit("normal", 0.0, 1.0)
         scale = ScaleInterval(0.0, 1.0)
-        assert cauchy_gap(ens, 1, 1, 0.5, 4.0, scale) == 0.0
-        g0 = cauchy_gap(ens, 0, 2, 0.5, 4.0, scale)
-        g1 = cauchy_gap(ens, 1, 2, 0.5, 4.0, scale)
+        gaps = nested_gap_sums(field, vols, init, plan, [0.5], scale)
+        assert gaps.sums.shape == (2, 1, 16, plan.n_steps + 1)
+        # every volume starts from the same states
+        assert np.all(gaps.sums[..., 0] == 0.0)
+        g0 = cauchy_gap(gaps.sums[0, 0])
+        g1 = cauchy_gap(gaps.sums[1, 0])
         assert g0 > g1 >= 0.0
-        with pytest.raises(ParameterError):
-            cauchy_gap(ens, 2, 1, 0.5, 4.0, scale)
+        with pytest.raises(ParameterError, match=r"beta=1\.5 outside the scale"):
+            nested_gap_sums(field, vols, init, plan, [0.5, 1.5], scale)
+        # run_nested's checks guard the streamed path too
+        with pytest.raises(ParameterError, match="moment order"):
+            nested_gap_sums(field, vols, init, dataclasses.replace(plan, p=2.0),
+                            [0.5], scale)
+        with pytest.raises(ParameterError, match="volume masks cover 8 sites"):
+            nested_gap_sums(field, VolumeSequence(np.ones((1, 8), dtype=bool)),
+                            init, plan, [0.5], scale)
 
     def test_cauchy_gap_zero_for_decoupled_extra_sites(self, chain):
         # With zero coupling the extra sites never influence the shared ones.
@@ -266,6 +292,66 @@ class TestDeterminismAndCoupling:
         diff = ens.trajectories[:, 0, vols.masks[0], :] \
             - ens.trajectories[:, 2, vols.masks[0], :]
         assert np.all(diff == 0.0)
+
+
+class TestStreamedGaps:
+    def test_gaps_equal_path_reference(self, chain, monkeypatch):
+        # The gaps reduced step by step equal the path-array formula bit for
+        # bit, for any chunk size and thread count, and the time-T states
+        # hashed are the last column of the paths.
+        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
+        vols = radial_volumes(chain, [1.0, 2.0, 3.0])
+        init = RandomInit("normal", 0.0, 1.0)
+        betas, scale = [0.3, 0.8], ScaleInterval(0.0, 1.0)
+        m = len(vols) - 1
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.02, T=0.3, replicas=7, master_seed=4, p=4.0,
+                           scheme=scheme)
+            ens = run_nested(field, vols, init, plan)
+            want = np.array([[path_gap(ens, n, m, beta, plan.p) for beta in betas]
+                             for n in range(m)])
+            want_hash = hashlib.sha256(
+                np.ascontiguousarray(ens.trajectories[..., -1])).hexdigest()
+            runs = []
+            for chunk, threads in ((None, 1), (None, 2), (1, 1), (1, 2)):
+                with monkeypatch.context() as mp:
+                    if chunk is not None:
+                        mp.setattr("spindyn.engine._CHUNK_ELEMENTS", chunk)
+                    runs.append(nested_gap_sums(field, vols, init, plan, betas,
+                                                scale, n_threads=threads))
+            for gaps in runs:
+                got = np.array([[cauchy_gap(gaps.sums[n, b]) for b in range(2)]
+                                for n in range(m)])
+                assert np.array_equal(got, want), scheme
+                assert np.array_equal(gaps.sums, runs[0].sums), scheme
+                assert np.array_equal(gaps.initial, ens.trajectories[:, -1, :, 0])
+                assert gaps.final_states_hash() == want_hash, scheme
+
+    def test_noise_blocks_do_not_change_a_bit(self, chain, monkeypatch):
+        # 150 steps take three noise blocks of at most 64 steps; paths,
+        # final states and gap sums equal those of one 152-step block.
+        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
+        vols = radial_volumes(chain, [1.0, 3.0])
+        init = RandomInit("normal", 0.0, 1.0)
+        scale = ScaleInterval(0.0, 1.0)
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.01, T=1.5, replicas=5, master_seed=6, p=4.0,
+                           scheme=scheme)
+            runs = []
+            for block in (64, 152):
+                with monkeypatch.context() as mp:
+                    mp.setattr("spindyn.engine._NOISE_BLOCK", block)
+                    runs.append((
+                        run_nested(field, vols, init, plan, n_threads=2),
+                        integrate_replicas(field, vols.masks, init, plan,
+                                           plan.n_steps),
+                        nested_gap_sums(field, vols, init, plan, [0.5], scale)))
+            (ens_a, final_a, gaps_a), (ens_b, final_b, gaps_b) = runs
+            assert np.array_equal(ens_a.trajectories, ens_b.trajectories), scheme
+            assert np.array_equal(final_a, final_b), scheme
+            assert np.array_equal(final_a, ens_a.trajectories[..., -1]), scheme
+            assert np.array_equal(gaps_a.sums, gaps_b.sums), scheme
+            assert gaps_a.final_states_hash() == gaps_b.final_states_hash()
 
 
 class TestTaggedParticle:
@@ -298,7 +384,7 @@ class TestSemigroup:
         zeta = sparse_seq(chain, {0: 2.0})
         plan = SimPlan(dt=0.1, T=1.0, replicas=10, master_seed=0, p=4.0)
         final = integrate_replicas(field, [None], zeta, plan,
-                                   plan.time_index(0.0), paths=False)[:, 0]
+                                   plan.time_index(0.0))[:, 0]
         vals = np.array([np.sum(s ** 2) for s in final])
         assert np.all(final == zeta.values)
         assert vals.mean() == 4.0 and vals.std() == 0.0
@@ -306,8 +392,8 @@ class TestSemigroup:
 
 class TestFinalStates:
     def test_final_states_equal_path_columns(self, chain, monkeypatch):
-        # paths=False stops at step j and keeps only the states there; they
-        # must be the paths=True run's column j bit for bit, whatever the
+        # A run stopped at step j returns the states there; they must be
+        # column j of the paths an observer sees bit for bit, whatever the
         # chunks and threads of either run.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         masks = [None, np.isin(np.arange(chain.n_sites), [3, 4, 5])]
@@ -315,17 +401,19 @@ class TestFinalStates:
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.2, replicas=6, master_seed=8, p=4.0,
                            scheme=scheme)
-            paths = integrate_replicas(field, masks, init, plan, plan.n_steps)
+            paths, last = observed_paths(field, masks, init, plan)
+            assert np.array_equal(last, paths[..., -1]), scheme
             with monkeypatch.context() as m:
                 m.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
                 for j in (1, 4, plan.n_steps):
                     final = integrate_replicas(field, masks, init, plan, j,
-                                               paths=False, n_threads=2)
+                                               n_threads=2)
                     assert np.array_equal(final, paths[..., j]), (scheme, j)
 
     def test_final_states_need_no_path_memory(self):
-        # The path of this run is 10.3 MB, as large as its noise; paths=False
-        # may hold the noise and the current states, not the path as well.
+        # The path of this run is 10.3 MB, as large as its noise; without an
+        # observer the run holds one 64-step noise block and the current
+        # states, not the path as well.
         graph = build_graph(lattice_configuration(0, 49), 1.5)
         field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
         plan = SimPlan(dt=0.01, T=4.0, replicas=64, master_seed=3, p=4.0)
@@ -333,11 +421,34 @@ class TestFinalStates:
         tracemalloc.start()
         try:
             integrate_replicas(field, [None], RandomInit("normal", 0.0, 1.0),
-                               plan, plan.n_steps, paths=False)
+                               plan, plan.n_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * noise_bytes, (peak, noise_bytes)
+
+    def test_gap_sums_memory_does_not_grow_with_T(self):
+        # converge's integration at T and 4T: the noise comes in blocks of
+        # 64 steps, so only the gap-sum array may grow with the horizon
+        # (10 % of the T peak allowed for the allocator).  Drawn whole, the
+        # 4T noise alone would be 3 * 8 * 401 * 64 * 8 B = 4.9 MB larger.
+        graph = build_graph(lattice_configuration(-200, 200), 1.5)
+        field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
+        vols = radial_volumes(graph, [50.0, 100.0])
+        betas, scale = [0.5, 1.0], ScaleInterval(0.0, 1.0)
+
+        def peak(T):
+            plan = SimPlan(dt=0.01, T=T, replicas=8, master_seed=3, p=4.0)
+            tracemalloc.start()
+            try:
+                gaps = nested_gap_sums(field, vols, RandomInit("normal", 0.0, 1.0),
+                                       plan, betas, scale)
+                return tracemalloc.get_traced_memory()[1], gaps.sums.nbytes
+            finally:
+                tracemalloc.stop()
+
+        (peak_1, sums_1), (peak_4, sums_4) = peak(0.64), peak(2.56)
+        assert peak_4 <= peak_1 + (sums_4 - sums_1) + 0.1 * peak_1, (peak_1, peak_4)
 
 
 class TestStrongOrder:
@@ -382,8 +493,9 @@ class TestStrongOrder:
             plan = SimPlan(dt=k * self.T / self.FINE, T=self.T, scheme=scheme,
                            replicas=self.R, master_seed=1)
             dW = fine.reshape(self.R, graph.n_sites, -1, k).sum(-1) / np.sqrt(k)
-            return integrate_ensemble(field, None, init, plan, dW, plan.n_steps,
-                                      paths=False)
+            return integrate_ensemble(field, [None], init[:, None], plan,
+                                      lambda j0, k: dW[:, :, j0:j0 + k],
+                                      plan.n_steps)[:, 0]
 
         ref = final(1)
         err = [np.sqrt(np.mean((final(k) - ref) ** 2)) for k in self.KS]

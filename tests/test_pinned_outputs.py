@@ -3,7 +3,8 @@
 Each case runs ``spindyn.cli.main`` on a config written here and compares
 the sha256 of every output file (the manifest aside: it records the
 config, whose CSV path is a temporary one) and the manifest's
-``ensemble_hash`` with the values recorded when the pins were taken.  A
+``ensemble_hash`` or ``final_states_hash`` with the values recorded when
+the pins were taken.  A
 refactor that is meant to move no number must leave these unchanged; a
 change that moves them on purpose re-pins them and says why.
 
@@ -95,7 +96,11 @@ def _configs(tmp_path):
 # gibbs and gibbs_tent pins were re-taken when the Wiener and initial draws
 # moved to the counter-addressed Philox core in ``spindyn.rng``; simulate's
 # trajectories.npz was re-taken when it became a stored (not deflated) zip,
-# with its array, and so ``ensemble_hash``, unchanged.
+# with its array, and so ``ensemble_hash``, unchanged.  converge's
+# fingerprint became ``final_states_hash`` (the sha256 of the C-ordered
+# (replicas, volumes, sites) time-T states) when converge stopped keeping
+# paths; it equals the sha256 of the old path array's last step, and
+# gaps.csv did not change.
 PINS = {
     "simulate": {
         "moments.csv":
@@ -108,8 +113,8 @@ PINS = {
     "converge": {
         "gaps.csv":
             "ce7b4192e424a1d38954e602b938ac694162e5a6e7c20ad1bb826ea46f3f058b",
-        "ensemble_hash":
-            "ff4a987439017c1b7342933e9625d3d438993b3367bd749c327c302aa6bca6bb",
+        "final_states_hash":
+            "6306dfa7b2ee646f11a1cd5b4edf5a50e02f78ea6842092c268176f23cf3e10f",
     },
     "gibbs": {
         "gibbs_report.json":
@@ -148,6 +153,7 @@ def test_outputs_match_pins(tmp_path, case):
            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == got
-    if "ensemble_hash" in manifest:
-        got["ensemble_hash"] = manifest["ensemble_hash"]
+    for key in ("ensemble_hash", "final_states_hash"):
+        if key in manifest:
+            got[key] = manifest[key]
     assert got == PINS[case]

@@ -83,6 +83,26 @@ class TestAddressability:
     def test_empty_requests(self):
         assert noise_matrix(1, 0, [], 5).shape == (0, 5)
         assert noise_matrix(1, np.arange(3), range(4), 0).shape == (3, 4, 0)
+        assert noise_matrix(1, np.arange(3), range(4), 0, first_step=7).shape == (3, 4, 0)
+
+    @pytest.mark.parametrize("size", [1, 3, 8192])
+    def test_any_step_window_equals_its_columns(self, monkeypatch, size):
+        # Steps first_step..first_step + k - 1, aligned to a Philox block or
+        # not, are those columns of the run from step 0.
+        want = noise_matrix(9, np.arange(3), range(5), 37)
+        monkeypatch.setattr(rng, "_SUB_BLOCK", size)
+        for first in range(37):
+            for k in sorted({0, 1, 2, 5, 37 - first}):
+                if first + k <= 37:
+                    got = noise_matrix(9, np.arange(3), range(5), k, first_step=first)
+                    np.testing.assert_array_equal(got, want[..., first:first + k],
+                                                  err_msg=f"{first}, {k}")
+        np.testing.assert_array_equal(noise_matrix(9, 2, [4], 3, first_step=34),
+                                      want[2, [4], 34:])
+
+    def test_negative_first_step_rejected(self):
+        with pytest.raises(ParameterError, match="first_step -4 is negative"):
+            noise_matrix(0, 0, range(3), 4, first_step=-4)
 
 
 class TestDistribution:
@@ -98,6 +118,18 @@ class TestDistribution:
         u = RandomInit("uniform", -1.0, 3.0).draw(8, np.arange(200), 50).ravel()
         assert np.all((u > -1.0) & (u < 3.0))
         assert stats.kstest(u, "uniform", args=(-1.0, 4.0)).pvalue > 1e-3
+
+    def test_extreme_words_map_inside_the_unit_interval(self):
+        # The top word's ((2^53 - 1) + 1/2) 2^-53 rounds to 1.0, where ndtri
+        # is +inf; it is clamped to the largest double below 1.
+        u = rng._uniforms(np.array([0, _M64], dtype=np.uint64))
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert u[0] == 2.0 ** -54 and u[1] == 1.0 - 2.0 ** -53
+        assert np.all(np.isfinite(ndtri(u)))
+        # every other word keeps its value
+        words = np.array([1 << 11, _M64 - (1 << 11)], dtype=np.uint64)
+        assert list(rng._uniforms(words)) == [1.5 * 2.0 ** -53,
+                                               (2.0 ** 53 - 1.5) * 2.0 ** -53]
 
     def test_tags_give_different_draws(self):
         wiener = noise_matrix(2, np.arange(3), range(50), 1)

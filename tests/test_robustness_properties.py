@@ -68,11 +68,13 @@ def test_blow_up_names_global_replica_site_and_step(case):
                    replicas=case["replicas"], master_seed=3, p=4.0)
     clean = engine.noise_matrix
 
-    def noise(master_seed, replica, site_ids, n_steps):
-        # one batched call per replica chunk: (replicas, sites, steps)
-        out = clean(master_seed, replica, site_ids, n_steps)
-        out[np.asarray(replica) == case["replica"], case["site"], case["step"]] = \
-            case["value"]
+    def noise(master_seed, replica, site_ids, n_steps, first_step=0):
+        # one batched call per replica chunk and noise block:
+        # (replicas, sites, steps first_step..first_step + n_steps - 1)
+        out = clean(master_seed, replica, site_ids, n_steps, first_step)
+        if first_step <= case["step"] < first_step + n_steps:
+            out[np.asarray(replica) == case["replica"], case["site"],
+                case["step"] - first_step] = case["value"]
         return out
 
     with mock.patch.object(engine, "noise_matrix", noise), \
@@ -85,7 +87,7 @@ def test_blow_up_names_global_replica_site_and_step(case):
                        n_threads=case["threads"])
         else:
             engine.integrate_replicas(field, [None], sparse_seq(CHAIN, {0: 1.0}),
-                                      plan, plan.n_steps, paths=False)
+                                      plan, plan.n_steps)
     want = (case["replica"], case["site"], case["step"] + 1)
     assert (err.value.replica, err.value.site, err.value.step) == want
     assert "replica {}, site {}, step {}".format(*want) in str(err.value)
