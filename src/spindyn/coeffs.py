@@ -8,7 +8,8 @@ entry (the closed neighbourhood of each site, self first):
 Displacement-dependent couplings such as a(x - y) enter as weights, and the
 pair constants a_bar and M are computed from them.  Kernels nonlinear in
 the spins are out of scope.  Evaluation is pure and takes a state of shape
-(sites,) or (replicas, sites).
+(sites,) or (replicas, sites); a field with ``sites`` set evaluates only
+those sites.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +50,9 @@ class CoefficientField:
     ``drift_weights`` / ``diff_weights`` hold one coefficient per CSR entry,
     aligned with ``graph.indices``: the entries of the operators ``A`` and
     ``S``.  ``diff_const`` is c.  Zero weights are dropped, so a zero
-    coupling costs nothing and passes on no non-finite spin.
+    coupling costs nothing and passes on no non-finite spin.  ``sites``
+    are the ascending site ids evaluated, all by default; ``A`` and ``S``
+    hold their CSR rows, which sum in the whole operators' order.
     """
 
     drift: SinglePotentialDrift
@@ -57,13 +60,15 @@ class CoefficientField:
     drift_weights: np.ndarray
     diff_weights: np.ndarray
     diff_const: float = 0.0
+    sites: np.ndarray | slice = field(default_factory=lambda: slice(None), repr=False)
     A: sp.csr_matrix = field(init=False, repr=False)
     S: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, op in (("drift_weights", "A"), ("diff_weights", "S")):
             try:
-                object.__setattr__(self, op, self.graph.operator(getattr(self, name)))
+                object.__setattr__(self, op,
+                                   self.graph.operator(getattr(self, name))[self.sites])
             except ParameterError as e:
                 raise ParameterError(f"{name}: {e}") from None
 
@@ -78,13 +83,13 @@ class CoefficientField:
         return max(float(np.max(np.abs(self.S.data), initial=1.0)), abs(self.diff_const))
 
     def drift_all(self, state: np.ndarray) -> np.ndarray:
-        """phi(z) + A z at every site, for ``state`` of shape (sites,) or
-        (replicas, sites)."""
-        return self.drift.phi(state) + (self.A @ state.T).T
+        """phi(z) + A z at this field's sites, for ``state`` of shape (sites,)
+        or (replicas, sites) over the whole window."""
+        return self.drift.phi(state[..., self.sites]) + (self.A @ state.T).T
 
     def diffusion_all(self, state: np.ndarray) -> np.ndarray:
-        """S z + c at every site, for ``state`` of shape (sites,) or
-        (replicas, sites)."""
+        """S z + c at this field's sites, for ``state`` of shape (sites,) or
+        (replicas, sites) over the whole window."""
         return (self.S @ state.T).T + self.diff_const
 
 

@@ -4,21 +4,23 @@ Per-site data is dense: a volume sequence is one (volumes, sites) boolean
 mask array, and initial data is one site array (a ``WeightedSeq``), a
 (replicas, sites) array or a ``RandomInit`` law.
 
-Sites outside the active volume stay frozen at their initial value exactly;
-the Wiener increment for (replica, site, step) is the Philox word at that
-counter (``spindyn.rng``), so every volume sees identical noise.  Every
-integration steps with ``_step``; all but the tagged single-site equation
-run replicas 0..plan.replicas-1 through ``integrate_replicas``, which steps
-the volumes of a replica chunk in lockstep and hands every step's states to
-an optional observer.  ``run_nested`` keeps whole paths that way, and
+Each volume steps only its own sites (``CoefficientField.sites``); the others
+keep their initial value exactly.  The Wiener increment for (replica, site,
+step) is the Philox word at that counter (``spindyn.rng``), so every volume
+sees identical noise.  Every integration steps with ``_step``; all but the
+tagged single-site equation, its one-row case, run replicas
+0..plan.replicas-1 through ``integrate_replicas``, which steps the volumes
+of a replica chunk in lockstep and hands every step's states to an optional
+observer.  ``run_nested`` keeps whole paths that way, and
 ``nested_gap_sums`` reduces them to Cauchy-gap sums as it goes, holding no
 path.  A replica depends on its own keys alone (the implicit solve stops
-per entry), so output is bit-identical for any thread count and chunk size.
+per entry), so output is bit-identical for any thread count and chunk size,
+and a ``NonFiniteState`` names the earliest (step, replica, site).
 """
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -151,9 +153,10 @@ def _initial_states(init, graph, plan, reps) -> np.ndarray:
     raise ParameterError("init must be a WeightedSeq or a RandomInit")
 
 
-def _solve_implicit(drift, state, dt, active):
-    """Newton solve of theta = state + dt * phi(theta), vectorised; each active
-    entry stops at its own tolerance, whatever else shares the block."""
+def _solve_implicit(drift, state, dt, sites, j):
+    """Newton solve of theta = state + dt * phi(theta) at the site ids
+    ``sites`` in step j, vectorised; each entry stops at its own tolerance,
+    whatever else shares the block."""
     phi = drift.phi
     dphi = drift.dphi if drift.dphi is not None else \
         (lambda s: (phi(s + _FD_STEP) - phi(s - _FD_STEP)) / (2 * _FD_STEP))
@@ -161,8 +164,6 @@ def _solve_implicit(drift, state, dt, active):
     for _ in range(_NEWTON_MAX_ITERS):
         resid = theta - dt * phi(theta) - state
         live = ~(np.abs(resid) < _NEWTON_TOL)  # NaN stays live
-        if active is not None:
-            live &= active
         if not live.any():
             return theta
         denom = 1.0 - dt * dphi(theta)
@@ -170,36 +171,36 @@ def _solve_implicit(drift, state, dt, active):
         if not (size.min() > 0.0 and size.max() < np.inf):  # a zero, NaN or inf
             bad = ~(size > 0.0) | (size == np.inf)
             if np.any(bad & live):
-                site = np.nonzero(bad & live)[-1].min()
-                raise NumericError(f"implicit drift solve: Newton denominator "
-                                   f"1 - dt*phi' is zero or non-finite at site {site}")
-            # Settled and frozen entries may be singular; they are not updated.
+                site = sites[np.nonzero(bad & live)[-1].min()]
+                raise NumericError(f"implicit drift solve: Newton denominator 1 - dt*phi' "
+                                   f"is zero or non-finite at site {site} (step {j})")
+            # Settled entries may be singular; they are not updated.
             denom = np.where(bad, 1.0, denom)
         theta = np.where(live, theta - resid / denom, theta)
-    site = int(np.argmax(np.where(live, np.abs(resid), -1.0))) % resid.shape[-1]
-    raise NumericError(f"implicit drift solve failed to converge at site {site}")
+    col = int(np.argmax(np.where(live, np.abs(resid), -1.0))) % resid.shape[-1]
+    site = sites[col]
+    raise NumericError(f"implicit drift solve failed to converge at site {site} (step {j})")
 
 
-def _step(field_, state, dW, dt, scheme, active, j):
-    """One ``scheme`` step of a (replicas, sites) block with Wiener increments
-    dW.  The implicit solve converges on ``active`` sites and names step j
-    when it fails; the caller restores frozen sites."""
-    diff = field_.diffusion_all(state)
+def _step(rows: CoefficientField, state, dW, dt, scheme, j):
+    """One ``scheme`` step of the sites ``rows.sites`` of a (replicas, sites)
+    block, with their Wiener increments dW; returns their new (replicas,
+    len(rows.sites)) states.  The implicit solve names step j when it fails."""
+    own = state[:, rows.sites]
+    diff = rows.diffusion_all(state)
     if scheme == "tamed_em":
-        drift = field_.drift_all(state)
-        return state + drift * dt / (1.0 + dt * np.abs(drift)) + diff * dW
-    try:
-        theta = _solve_implicit(field_.drift, state, dt, active)
-    except NumericError as e:
-        raise NumericError(f"{e} (step {j})") from None
-    pair_drift = field_.drift_all(state) - field_.drift.phi(state)
+        drift = rows.drift_all(state)
+        return own + drift * dt / (1.0 + dt * np.abs(drift)) + diff * dW
+    theta = _solve_implicit(rows.drift, own, dt, rows.sites, j)
+    pair_drift = rows.drift_all(state) - rows.drift.phi(own)
     return theta + dt * pair_drift + diff * dW
 
 
-def _check_finite(state, j):
-    """Raise ``NonFiniteState`` at the first (replica, site) of a block's
-    step-j state, in C order, that is NaN or infinite."""
-    finite = np.isfinite(state)
+def _check_finite(cur, j):
+    """Raise ``NonFiniteState`` at the first (replica, site), in C order, at
+    which any volume of a (volumes, replicas, sites) step-j block is NaN or
+    infinite."""
+    finite = np.isfinite(cur).all(axis=0)
     if not finite.all():
         replica, site = np.argwhere(~finite)[0].tolist()
         raise NonFiniteState(replica, site, j)
@@ -210,29 +211,27 @@ def integrate_ensemble(field_: CoefficientField, masks, init_states,
     """Advance a (replicas, volumes, sites) block ``n_steps`` steps, all
     volumes in lockstep; returns the final states (replicas, volumes, sites).
 
-    ``masks`` holds one boolean site mask per volume (None: all sites
-    active); sites outside a volume's mask keep their initial value exactly.
-    Each volume steps its own contiguous (replicas, sites) state, and all
-    volumes share one set of increments: ``noise(first_step, k)`` returns
+    ``masks`` holds one boolean site mask per volume.  Each volume steps
+    only the rows of its own sites, within its own contiguous (replicas,
+    sites) state; the sites outside it keep their initial value exactly.
+    All volumes share one set of increments: ``noise(first_step, k)`` returns
     the standard-normal increments of steps first_step..first_step+k-1,
     shape (replicas, sites, k), and is asked for at most ``_NOISE_BLOCK``
     steps at a time.  ``observe(j, states)``, if given, sees the
     (replicas, volumes, sites) states of every step j = 0..n_steps; they
     are overwritten by the next step, so it copies what it keeps.
 
-    Each step's state is checked as it is made: a NaN or infinite entry
-    raises ``NonFiniteState`` at its earliest step, with the replica counted
-    within the block, under either scheme, before the Newton failure that it
-    would cause one step later.
+    Each step's states are checked once, across all volumes, as they are
+    made: a NaN or infinite entry raises ``NonFiniteState`` at its earliest
+    step and, within it, its first (replica, site) in C order, with the
+    replica counted within the block, under either scheme, before the
+    Newton failure that it would cause one step later.
     """
-    n_rep, n_vol, n = np.shape(init_states)
     # (volumes, replicas, sites), a copy: each volume's state is one
-    # C-ordered block, updated in place.
+    # C-ordered block, updated in place on its own sites.
     cur = np.array(np.transpose(init_states, (1, 0, 2)), dtype=float, order="C")
-    active = np.array([np.ones(n, dtype=bool) if mask is None else mask
-                       for mask in masks])
-    for k in range(n_vol):
-        _check_finite(cur[k], 0)
+    rows = [replace(field_, sites=np.flatnonzero(mask)) for mask in masks]
+    _check_finite(cur, 0)
     states = cur.transpose(1, 0, 2)
     if observe is not None:
         observe(0, states)
@@ -241,10 +240,10 @@ def integrate_ensemble(field_: CoefficientField, masks, init_states,
         block = noise(j0, min(_NOISE_BLOCK, n_steps - j0))
         for j in range(j0, j0 + block.shape[2]):
             dW = block[:, :, j - j0] * sqdt
-            for k in range(n_vol):
-                new = _step(field_, cur[k], dW, plan.dt, plan.scheme, active[k], j)
-                np.copyto(cur[k], new, where=active[k])
-                _check_finite(cur[k], j + 1)
+            for state, own in zip(cur, rows):
+                state[:, own.sites] = _step(own, state, dW[:, own.sites], plan.dt,
+                                            plan.scheme, j)
+            _check_finite(cur, j + 1)
             if observe is not None:
                 observe(j + 1, states)
         del block  # before the next block is drawn
@@ -253,8 +252,8 @@ def integrate_ensemble(field_: CoefficientField, masks, init_states,
 
 def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
                        n_steps: int, observer=None, n_threads: int = 1) -> np.ndarray:
-    """Integrate replicas 0..plan.replicas-1 under every volume mask (None:
-    all sites active); returns the final states (replicas, masks, sites).
+    """Integrate replicas 0..plan.replicas-1 under every volume mask;
+    returns the final states (replicas, masks, sites).
 
     ``observer(rows, j, states)``, if given, sees each replica chunk's
     (replicas, masks, sites) states at every step j = 0..n_steps, with the
@@ -263,6 +262,8 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     and initial states from their (replica, site, step) counters and writes
     only its own rows, so the result, and whatever an observer writes into
     its own rows, is bit-identical for any thread count and chunk size.
+    Every chunk runs to its end or first failure, and the ``NonFiniteState``
+    raised is the earliest of all in (step, replica, site) order.
     """
     n = field_.graph.n_sites
     if isinstance(init, np.ndarray) and init.shape != (plan.replicas, n):
@@ -284,14 +285,16 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
                                            first_step=j0),
                 n_steps, observe)
         except NonFiniteState as e:
-            raise e.shifted(lo) from None
+            return e.shifted(lo)
 
     starts = range(0, plan.replicas, chunk)
     if n_threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(work, starts))
+            failures = [e for e in pool.map(work, starts) if e is not None]
     else:
-        list(map(work, starts))
+        failures = [e for e in map(work, starts) if e is not None]
+    if failures:
+        raise min(failures, key=lambda e: (e.step, e.replica, e.site))
     return out
 
 
@@ -425,11 +428,10 @@ def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,
     if env.shape != (field_.graph.n_sites, n_steps + 1):
         raise ParameterError("env must have shape (n_sites, n_steps + 1)")
     dW = noise_matrix(plan.master_seed, replica, [x], n_steps)[0] * np.sqrt(plan.dt)
-    eta = np.empty(n_steps + 1)
-    eta[0] = init_x
-    only_x = np.arange(field_.graph.n_sites) == x
+    row_x = replace(field_, sites=np.array([x]))
+    states = env.T.copy()  # (steps+1, sites); column x becomes the path
+    states[0, x] = init_x
     for j in range(n_steps):
-        state = env[None, :, j].copy()
-        state[0, x] = eta[j]
-        eta[j + 1] = _step(field_, state, dW[j], plan.dt, plan.scheme, only_x, j)[0, x]
-    return eta
+        new = _step(row_x, states[j:j + 1], dW[j], plan.dt, plan.scheme, j)
+        states[j + 1, x] = new[0, 0]
+    return states[:, x].copy()

@@ -385,7 +385,7 @@ def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
     zeta = sample_window_measure(model, plan.replicas, nu_chain)
     j = plan.time_index(t)
     final = zeta if j == 0 else integrate_replicas(
-        field_, [None], zeta, plan, j)[:, 0]
+        field_, np.ones((1, model.graph.n_sites), dtype=bool), zeta, plan, j)[:, 0]
     f0 = np.asarray([f(z) for z in zeta])
     g0 = np.asarray([g(z) for z in zeta])
     ft = np.asarray([f(z) for z in final])

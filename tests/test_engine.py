@@ -120,6 +120,23 @@ class TestIntegration:
         # active sites actually move
         assert np.any(traj[volume, -1] != 1.5)
 
+    def test_each_volume_steps_only_its_own_sites(self, chain):
+        # A tamed step evaluates phi once per volume, on that volume's sites
+        # alone: replicas x steps x sum_k |Lambda_k| entries in one run.
+        evaluated = [0]
+
+        def phi(s):
+            evaluated[0] += np.size(s)
+            return -s * s * s
+
+        counting = SinglePotentialDrift(phi=phi, c=1.0, R=3.0, b=0.0)
+        field = dataclasses.replace(make_field(chain, coupling="linear_pair", J=0.2),
+                                    drift=counting)
+        vols = radial_volumes(chain, [1.0, 2.0])  # 3, 5 and 9 sites
+        plan = SimPlan(dt=0.01, T=0.1, replicas=3, master_seed=4, p=4.0)
+        run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan)
+        assert evaluated[0] == plan.replicas * plan.n_steps * 17
+
     def test_run_nested_rejects_volume_width(self, chain):
         # Masks over 8 or 10 sites do not fit the 9 sites of the -4..4 chain.
         field = make_field(chain, drift="cubic")
@@ -375,6 +392,21 @@ class TestTaggedParticle:
             # identical equation, step rule and noise -> identical path
             assert np.array_equal(eta, traj[4]), scheme
 
+    def test_reads_only_the_closed_neighbourhood(self, chain):
+        # Site 0 lies outside the closed neighbourhood {3, 4, 5} of x = 4:
+        # a spin of 1e200 there, whose cube overflows, changes nothing.
+        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
+        init = constant_init(chain, 0.5)
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
+            traj = one_path(field, all_sites(chain), init, plan)
+            env = traj.copy()
+            env[0] = 1e200
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                eta = tagged_particle_solve(field, 4, env, 0.5, plan, replica=0)
+            assert np.array_equal(eta, traj[4]), scheme
+
 
 class TestSemigroup:
     def test_t_zero_exact(self, chain):
@@ -383,7 +415,7 @@ class TestSemigroup:
         field = make_field(chain, drift="cubic")
         zeta = sparse_seq(chain, {0: 2.0})
         plan = SimPlan(dt=0.1, T=1.0, replicas=10, master_seed=0, p=4.0)
-        final = integrate_replicas(field, [None], zeta, plan,
+        final = integrate_replicas(field, [all_sites(chain)], zeta, plan,
                                    plan.time_index(0.0))[:, 0]
         vals = np.array([np.sum(s ** 2) for s in final])
         assert np.all(final == zeta.values)
@@ -396,7 +428,7 @@ class TestFinalStates:
         # column j of the paths an observer sees bit for bit, whatever the
         # chunks and threads of either run.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
-        masks = [None, np.isin(np.arange(chain.n_sites), [3, 4, 5])]
+        masks = [all_sites(chain), np.isin(np.arange(chain.n_sites), [3, 4, 5])]
         init = RandomInit("normal", 0.0, 1.0)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.2, replicas=6, master_seed=8, p=4.0,
@@ -420,7 +452,7 @@ class TestFinalStates:
         noise_bytes = plan.replicas * graph.n_sites * plan.n_steps * 8
         tracemalloc.start()
         try:
-            integrate_replicas(field, [None], RandomInit("normal", 0.0, 1.0),
+            integrate_replicas(field, [all_sites(graph)], RandomInit("normal", 0.0, 1.0),
                                plan, plan.n_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -493,7 +525,7 @@ class TestStrongOrder:
             plan = SimPlan(dt=k * self.T / self.FINE, T=self.T, scheme=scheme,
                            replicas=self.R, master_seed=1)
             dW = fine.reshape(self.R, graph.n_sites, -1, k).sum(-1) / np.sqrt(k)
-            return integrate_ensemble(field, [None], init[:, None], plan,
+            return integrate_ensemble(field, [all_sites(graph)], init[:, None], plan,
                                       lambda j0, k: dW[:, :, j0:j0 + k],
                                       plan.n_steps)[:, 0]
 

@@ -3,13 +3,14 @@ non-finite states and singular Newton steps are reported, with their
 (replica, site, step), for any chunk size and thread count."""
 
 import dataclasses
+import itertools
 import re
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import spindyn.engine as engine
@@ -40,15 +41,15 @@ def test_plan_accepts_T_exactly_on_the_dt_grid(dt, k, c):
 
 @st.composite
 def blow_ups(draw):
-    replicas = draw(st.integers(1, 6))
+    replicas = draw(st.integers(2, 8))
     n_steps = draw(st.integers(1, 5))
+    poisoned = draw(st.lists(st.integers(0, replicas - 1), min_size=2, max_size=2,
+                             unique=True))
     return dict(replicas=replicas, n_steps=n_steps,
-                replica=draw(st.integers(0, replicas - 1)),
-                site=draw(st.integers(0, N - 1)),
-                step=draw(st.integers(0, n_steps - 1)),
+                poisons=[(replica, draw(st.integers(0, N - 1)),
+                          draw(st.integers(0, n_steps - 1))) for replica in poisoned],
                 value=draw(st.sampled_from([np.inf, -np.inf, np.nan])),
                 chunk=draw(st.integers(1, 2 * N * n_steps * replicas)),
-                threads=draw(st.sampled_from([1, 2])),
                 via=draw(st.sampled_from(["run_nested", "integrate_replicas"])),
                 scheme=draw(st.sampled_from(SCHEMES)),
                 inner=frozenset(draw(st.sets(st.integers(0, N - 2), min_size=1))))
@@ -58,10 +59,15 @@ def blow_ups(draw):
 @seed(20261018)
 @settings(max_examples=60, deadline=None, database=None)
 @given(blow_ups())
+@example(dict(replicas=8, n_steps=5, poisons=[(3, 2, 4), (6, 2, 1)], value=np.inf,
+              chunk=1, via="run_nested", scheme="tamed_em", inner=frozenset({1, 2, 3})))
 def test_blow_up_names_global_replica_site_and_step(case):
     # A non-finite Wiener increment at (replica, site, step) makes that
     # state non-finite one step later, and nothing is non-finite earlier.
     # Under the implicit scheme the Newton screen meets that state first.
+    # Of two such increments in two replicas, the state that fails first in
+    # (step, replica, site) order is named: with one replica per chunk as
+    # with one chunk for all, on one thread as on two.
     field = make_field(CHAIN, drift="cubic", coupling="linear_pair", J=0.2,
                        noise="additive")
     plan = SimPlan(dt=0.01, T=0.01 * case["n_steps"], scheme=case["scheme"],
@@ -72,25 +78,30 @@ def test_blow_up_names_global_replica_site_and_step(case):
         # one batched call per replica chunk and noise block:
         # (replicas, sites, steps first_step..first_step + n_steps - 1)
         out = clean(master_seed, replica, site_ids, n_steps, first_step)
-        if first_step <= case["step"] < first_step + n_steps:
-            out[np.asarray(replica) == case["replica"], case["site"],
-                case["step"] - first_step] = case["value"]
+        for r, x, step in case["poisons"]:
+            if first_step <= step < first_step + n_steps:
+                out[np.asarray(replica) == r, x, step - first_step] = case["value"]
         return out
 
-    with mock.patch.object(engine, "noise_matrix", noise), \
-            mock.patch.object(engine, "_CHUNK_ELEMENTS", case["chunk"]), \
-            pytest.raises(NonFiniteState) as err:
-        if case["via"] == "run_nested":
-            # the blown-up site may lie outside the inner volume
-            vols = volumes_of(N, case["inner"], range(N))
-            run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan,
-                       n_threads=case["threads"])
-        else:
-            engine.integrate_replicas(field, [None], sparse_seq(CHAIN, {0: 1.0}),
-                                      plan, plan.n_steps)
-    want = (case["replica"], case["site"], case["step"] + 1)
-    assert (err.value.replica, err.value.site, err.value.step) == want
-    assert "replica {}, site {}, step {}".format(*want) in str(err.value)
+    step, replica, site = min((s + 1, r, x) for r, x, s in case["poisons"])
+    want = (replica, site, step)
+    chunks = (engine._CHUNK_ELEMENTS, 1, case["chunk"])
+    for chunk, threads in itertools.product(chunks, (1, 2)):
+        with mock.patch.object(engine, "noise_matrix", noise), \
+                mock.patch.object(engine, "_CHUNK_ELEMENTS", chunk), \
+                pytest.raises(NonFiniteState) as err:
+            if case["via"] == "run_nested":
+                # a blown-up site may lie outside the inner volume
+                vols = volumes_of(N, case["inner"], range(N))
+                run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan,
+                           n_threads=threads)
+            else:
+                engine.integrate_replicas(field, np.ones((1, N), dtype=bool),
+                                          sparse_seq(CHAIN, {0: 1.0}), plan,
+                                          plan.n_steps, n_threads=threads)
+        got = (err.value.replica, err.value.site, err.value.step)
+        assert got == want, (chunk, threads)
+        assert "replica {}, site {}, step {}".format(*want) in str(err.value)
 
 
 @seed(20261018)
