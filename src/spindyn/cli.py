@@ -439,6 +439,12 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.command != "graph":
+        # Every other subcommand builds sparse operators and draws normals.
+        # scipy loads here, with the rest of start-up, rather than inside
+        # the first call that needs it; `graph` never loads it.
+        import scipy.sparse  # noqa: F401
+        import scipy.special  # noqa: F401
     try:
         cfg = _load_config(args.config)
         out = Path(args.out)

@@ -13,12 +13,15 @@ those sites.
 """
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 from .geometry import GeometricGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,8 @@ class CoefficientField:
     diff_weights: np.ndarray
     diff_const: float = 0.0
     sites: np.ndarray | slice = field(default_factory=lambda: slice(None), repr=False)
-    A: sp.csr_matrix = field(init=False, repr=False)
-    S: sp.csr_matrix = field(init=False, repr=False)
+    A: "sp.csr_matrix" = field(init=False, repr=False)
+    S: "sp.csr_matrix" = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, op in (("drift_weights", "A"), ("diff_weights", "S")):

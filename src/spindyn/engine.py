@@ -19,12 +19,11 @@ and a ``NonFiniteState`` names the earliest (step, replica, site).
 """
 
 import hashlib
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coeffs import CoefficientField
 from .errors import NonFiniteState, NumericError, ParameterError
@@ -132,6 +131,8 @@ class RandomInit:
         """Initial states, (n_sites,) for an int ``replica`` and
         (replicas, n_sites) for a 1-d array of replica ids."""
         if self.dist == "normal":
+            from scipy.special import ndtri
+
             def transform(u):
                 return self.a + self.b * ndtri(u)
         else:
@@ -250,6 +251,10 @@ def integrate_ensemble(field_: CoefficientField, masks, init_states,
     return states
 
 
+class _Superseded(Exception):
+    """Stops a replica chunk once another chunk has failed no later."""
+
+
 def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
                        n_steps: int, observer=None, n_threads: int = 1) -> np.ndarray:
     """Integrate replicas 0..plan.replicas-1 under every volume mask;
@@ -262,7 +267,8 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     and initial states from their (replica, site, step) counters and writes
     only its own rows, so the result, and whatever an observer writes into
     its own rows, is bit-identical for any thread count and chunk size.
-    Every chunk runs to its end or first failure, and the ``NonFiniteState``
+    A chunk runs to its end, its first failure, or the earliest failing step
+    that another chunk has reported so far, and the ``NonFiniteState``
     raised is the earliest of all in (step, replica, site) order.
     """
     n = field_.graph.n_sites
@@ -271,12 +277,22 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
                              f"sites) = {(plan.replicas, n)}")
     out = np.empty((plan.replicas, len(masks), n))
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n * min(_NOISE_BLOCK, n_steps)))
+    # The earliest failing step known so far, lowered under the lock.  A
+    # chunk that has checked that step can no longer fail first, so it stops;
+    # a stale read only stops it later.
+    earliest, lock = [n_steps + 1], threading.Lock()
 
     def work(lo):
         rows = slice(lo, min(lo + chunk, plan.replicas))
         reps = np.arange(rows.start, rows.stop)
         init_states = _initial_states(init, field_.graph, plan, reps)
-        observe = None if observer is None else partial(observer, rows)
+
+        def observe(j, states):
+            if j >= earliest[0]:
+                raise _Superseded
+            if observer is not None:
+                observer(rows, j, states)
+
         try:
             out[rows] = integrate_ensemble(
                 field_, masks,
@@ -284,7 +300,11 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
                 lambda j0, k: noise_matrix(plan.master_seed, reps, range(n), k,
                                            first_step=j0),
                 n_steps, observe)
+        except _Superseded:
+            return None
         except NonFiniteState as e:
+            with lock:
+                earliest[0] = min(earliest[0], e.step)
             return e.shifted(lo)
 
     starts = range(0, plan.replicas, chunk)

@@ -12,12 +12,15 @@ immutable once built and safe to share across threads.
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 from .rng import generator
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,11 @@ class GeometricGraph:
         """Row site of every CSR entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n_sites), self.nbar_count)
 
-    def operator(self, weights) -> sp.csr_matrix:
+    def operator(self, weights) -> "sp.csr_matrix":
         """The (N, N) sparse matrix with one weight per CSR entry, aligned
         with ``indices``; zero weights are dropped."""
+        import scipy.sparse as sp
+
         w = np.asarray(weights, dtype=float)
         if w.shape != self.indices.shape:
             raise ParameterError(f"weights must have shape {self.indices.shape}, got {w.shape}")

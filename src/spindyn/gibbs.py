@@ -9,9 +9,9 @@ exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
 """
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coeffs import (CoefficientField, SinglePotentialDrift,
                      validate_assumptions)
@@ -19,6 +19,9 @@ from .engine import SimPlan, integrate_replicas
 from .errors import ConstructionError, ParameterError
 from .geometry import GeometricGraph
 from .spaces import WeightedSeq
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _FD_H = 1e-6
 _VALIDATE_BOX = 5.0
@@ -50,7 +53,7 @@ class GibbsModel:
     J_W: float = 0.0
     r: float = 0.0
     dV: callable = None
-    A: sp.csr_matrix = field(init=False, repr=False)
+    A: "sp.csr_matrix" = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)

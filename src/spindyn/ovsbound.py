@@ -12,13 +12,16 @@ kernels, and the resulting weighted-sup (Gronwall-type) bound.
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import IntegrityError, NumericError, ParameterError
 from .geometry import GeometricGraph
 from .spaces import ScaleInterval, WeightedSeq
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _SERIES_TERM_CUTOFF = 1e-14
 _SERIES_MAX_TERMS = 10 ** 4
@@ -53,7 +56,7 @@ class FiniteRangeMatrix:
     weights: np.ndarray
     bound_C: float
     bound_k: float
-    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    matrix: "sp.csr_matrix" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = self.graph.operator(self.weights)
@@ -80,6 +83,8 @@ def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
     The norm of an l1 -> l1 map is attained at a basis vector, so it is
     F(alpha, beta) = max_y sum_x |Q_xy| e^{-beta|x| + alpha|y|}.
     """
+    import scipy.sparse as sp
+
     if not (0 < q < 1):
         raise ParameterError(f"q must be in (0,1), got {q}")
     # Why the grid value bounds the sup over the whole scale:

@@ -9,7 +9,8 @@ computed on demand in numpy:
 - counter: the four 64-bit words (step // 4, site, replica, 0);
 - draw: word step % 4 of that block, w, taken to u = ((w >> 11) + 1/2) 2^-53,
   clamped to 1 - 2^-53 (the top word would round to 1.0), and to the
-  standard normal ``ndtri(u)``.
+  standard normal ``scipy.special.ndtri(u)``, by default.  scipy is
+  imported by the first draw that uses that default, not with the module.
 
 So any (replica, site, step) entry is computed alone, and a truncated run
 over any volume, or any batch of replicas, sees exactly the increments of
@@ -23,7 +24,6 @@ Poisson configuration of ``geometry.sample_poisson``.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ParameterError
 
@@ -115,10 +115,12 @@ def _uniforms(word: np.ndarray) -> np.ndarray:
 
 
 def keyed_draws(master_seed: int, tag: int, replica, site_ids, n_steps: int,
-                transform=ndtri, first_step: int = 0) -> np.ndarray:
+                transform=None, first_step: int = 0) -> np.ndarray:
     """``transform`` of the uniforms of (replica, site, step) under ``tag``
     for every site in ``site_ids`` and every step in
-    ``first_step``..``first_step + n_steps - 1``.
+    ``first_step``..``first_step + n_steps - 1``.  With ``transform`` None,
+    the default, each uniform u becomes the standard normal
+    ``scipy.special.ndtri(u)``; scipy is imported then, not before.
 
     For an int ``replica`` the shape is (sites, steps); for a 1-d array of
     replica ids it is (replicas, sites, steps).  Rows (replica, site) are
@@ -128,6 +130,8 @@ def keyed_draws(master_seed: int, tag: int, replica, site_ids, n_steps: int,
     if first_step < 0:
         raise ParameterError(f"first_step {first_step} is negative")
     reps, sites = _ids("replica", np.atleast_1d(replica)), _ids("site", site_ids)
+    if transform is None:
+        from scipy.special import ndtri as transform
     key = stream_key(master_seed, tag)
     out = np.empty((reps.size, sites.size, n_steps))
     # Philox blocks b_lo..b_hi-1 hold the steps; step s is word s % 4 of

@@ -237,6 +237,27 @@ class TestIntegration:
             assert (err.value.replica, err.value.site, err.value.step) == (want, 0, 1)
             assert f"replica {want}, site 0, step 1" in str(err.value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_later_chunks_stop_at_the_earliest_failure(self, chain, monkeypatch):
+        # Replica 0 overflows at step 1 in the first chunk; every later chunk,
+        # run after it on one thread, checks step 1 and steps no further.
+        field = make_field(chain, drift="cubic")
+        init = np.full((6, chain.n_sites), 0.5)
+        init[0, 4] = 1e103
+        plan = SimPlan(dt=0.01, T=0.1, replicas=6, master_seed=0, p=4.0)
+        last = {}
+
+        def count(rows, j, states):
+            last[rows.start] = j
+
+        monkeypatch.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
+        with pytest.raises(NonFiniteState) as err:
+            integrate_replicas(field, [all_sites(chain)], init, plan, plan.n_steps,
+                               observer=count, n_threads=1)
+        assert (err.value.replica, err.value.site, err.value.step) == (0, 4, 1)
+        assert sorted(last) == list(range(6))
+        assert max(j for lo, j in last.items() if lo > 0) <= 1
+
 
 class TestDeterminismAndCoupling:
     def test_thread_count_does_not_change_hash(self, chain, monkeypatch):
