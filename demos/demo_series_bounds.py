@@ -45,7 +45,7 @@ def main():
     print("\n== a-priori bound vs actual solution ==")
     alpha, beta, T = 0.3, 0.9, 1.0
     z = WeightedSeq(np.abs(np.sin(np.arange(g.n_sites))), g)
-    bound = gronwall_bound(0.15, 1.0, g, z, alpha, beta, T, q, scale)
+    bound = gronwall_bound(0.15, 1.0, g, [z], alpha, [beta], T, q, scale)[0, 0]
     sup_norm = max(norm_lp(series_solve(Q, z, t), beta, 1.0, scale)
                    for t in np.linspace(0, T, 21))
     print(f"sup_t ||f(t)||_beta = {sup_norm:.6f}")

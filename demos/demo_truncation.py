@@ -12,10 +12,9 @@ import dataclasses
 
 import numpy as np
 
-from spindyn import (RandomInit, ScaleInterval, SimPlan, build_graph,
-                     cauchy_gap, lattice_configuration, make_field,
-                     nested_gap_sums, radial_volumes, run_nested,
-                     tagged_particle_solve)
+from spindyn import (RandomInit, SimPlan, build_graph, cauchy_gap,
+                     lattice_configuration, make_field, nested_gap_sums,
+                     radial_volumes, run_nested, tagged_particle_solve)
 
 
 def main():
@@ -30,8 +29,7 @@ def main():
     print(f"volumes: {sizes.tolist()} sites")
 
     # The gaps are reduced step by step; no path is kept.
-    sums = nested_gap_sums(field, vols, init, plan, [0.8], ScaleInterval(0.0, 1.0),
-                           n_threads=2).sums
+    sums = nested_gap_sums(field, vols, init, plan, [0.8], n_threads=2).sums
     m = len(vols) - 1
     print("\nweighted Cauchy gaps against the largest volume (beta = 0.8):")
     for n in range(m):

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ import yaml
 
 from . import geometry, gibbs, ovsbound
 from .coeffs import make_field
-from .engine import (RandomInit, SimPlan, cauchy_gap, moment_p, nested_gap_sums,
-                     radial_volumes, run_nested)
+from .engine import (RandomInit, SimPlan, cauchy_gap, initial_states, moment_p,
+                     nested_gap_sums, radial_volumes, run_nested)
 from .errors import (ConfigError, ConstructionError, IntegrityError,
                      NumericError, ParameterError)
 from .gibbs import ChainParams, make_model
@@ -48,6 +49,15 @@ _CONFIG_KEYS = frozenset("""
 """.split())
 
 
+@contextmanager
+def _named(key: str):
+    """Re-raise a ``ParameterError`` as a ``ConfigError`` naming ``key``."""
+    try:
+        yield
+    except ParameterError as e:
+        raise ConfigError(f"{key}: {e}")
+
+
 def _leaf_keys(node: dict, prefix: str = ""):
     """The dotted path of every non-mapping value in a nested mapping."""
     for name, value in node.items():
@@ -57,8 +67,9 @@ def _leaf_keys(node: dict, prefix: str = ""):
             yield f"{prefix}{name}"
 
 
-def _get(cfg: dict, key: str, expect=None, default=KeyError):
-    """Fetch cfg[key] with a dotted path, naming the offending key on error."""
+def _get(cfg: dict, key: str, expect=None, default=KeyError, ndim=None):
+    """Fetch cfg[key] with a dotted path, naming the offending key on error;
+    with ``ndim``, a rectangular list nested that deep, as a float array."""
     if key not in _CONFIG_KEYS:
         raise KeyError(f"config key '{key}' is read but not in _CONFIG_KEYS")
     node = cfg
@@ -68,11 +79,21 @@ def _get(cfg: dict, key: str, expect=None, default=KeyError):
                 return default
             raise ConfigError(f"missing config key '{key}'")
         node = node[part]
-    if expect is not None and not isinstance(node, expect):
-        raise ConfigError(f"config key '{key}' has wrong type "
-                          f"(expected {expect.__name__ if not isinstance(expect, tuple) else expect})")
+    # YAML's yes/no are bools, which isinstance counts as ints.
+    if expect is not None and (isinstance(node, bool) or not isinstance(node, expect)):
+        kinds = expect if isinstance(expect, tuple) else (expect,)
+        raise ConfigError(f"config key '{key}' has wrong type (expected "
+                          f"{' or '.join(kind.__name__ for kind in kinds)})")
     if isinstance(node, (float, list)) and not _finite_numbers(node):
         raise ConfigError(f"config key '{key}' must hold finite numbers, got {node}")
+    if ndim is not None:
+        try:
+            node = np.array(node, dtype=float)
+        except ValueError:  # ragged
+            node = None
+        if node is None or node.ndim != ndim:
+            raise ConfigError(f"config key '{key}' must be a rectangular "
+                              f"{ndim}-d list of numbers")
     return node
 
 
@@ -80,7 +101,8 @@ def _finite_numbers(node) -> bool:
     """True for a finite number, or a (nested) list of finite numbers."""
     if isinstance(node, list):
         return all(map(_finite_numbers, node))
-    return isinstance(node, (int, float)) and math.isfinite(node)
+    return (isinstance(node, (int, float)) and not isinstance(node, bool)
+            and math.isfinite(node))
 
 
 def _load_config(path: str) -> dict:
@@ -113,42 +135,37 @@ def _build_graph(cfg: dict) -> geometry.GeometricGraph:
         config = geometry.lattice_configuration(lo, hi, dim=dim)
     elif source == "poisson":
         intensity = float(_get(cfg, "graph.poisson.intensity", (int, float)))
-        window = _get(cfg, "graph.poisson.window", list)
+        window = _get(cfg, "graph.poisson.window", list, ndim=2)
         seed = int(_get(cfg, "graph.poisson.seed", int))
-        config = geometry.sample_poisson(intensity, np.asarray(window, dtype=float), seed)
+        with _named("graph.poisson"):
+            config = geometry.sample_poisson(intensity, window, seed)
     elif source == "csv":
         config = geometry.configuration_from_csv(_get(cfg, "graph.csv.path", str))
     else:
         raise ConfigError(f"config key 'graph.source' must be lattice|poisson|csv, got '{source}'")
-    try:
+    with _named("graph.rho"):
         return geometry.build_graph(config, rho)
-    except ParameterError as e:
-        raise ConfigError(f"graph.rho: {e}")
 
 
 def _build_plan(cfg: dict) -> SimPlan:
-    try:
+    with _named("plan"):
         return SimPlan(dt=float(_get(cfg, "plan.dt", (int, float))),
                        T=float(_get(cfg, "plan.T", (int, float))),
                        scheme=_get(cfg, "plan.scheme", str, default="tamed_em"),
                        replicas=int(_get(cfg, "plan.replicas", int, default=1)),
                        master_seed=int(_get(cfg, "plan.master_seed", int, default=0)),
                        p=float(_get(cfg, "plan.p", (int, float), default=2.0)))
-    except ParameterError as e:
-        raise ConfigError(f"plan: {e}")
 
 
 def _build_scale(cfg: dict) -> ScaleInterval:
-    try:
+    with _named("scale"):
         return ScaleInterval(
             float(_get(cfg, "scale.alpha_star", (int, float), default=0.0)),
             float(_get(cfg, "scale.alpha_top", (int, float), default=1.0)))
-    except ParameterError as e:
-        raise ConfigError(f"scale: {e}")
 
 
 def _build_field(cfg: dict, graph):
-    try:
+    with _named("field"):
         return make_field(graph,
                           drift=_get(cfg, "field.drift", str, default="cubic"),
                           coupling=_get(cfg, "field.coupling", str, default="zero"),
@@ -156,8 +173,6 @@ def _build_field(cfg: dict, graph):
                           J=float(_get(cfg, "field.J", (int, float), default=0.0)),
                           M_tilde=float(_get(cfg, "field.M_tilde", (int, float),
                                              default=1.0)))
-    except ParameterError as e:
-        raise ConfigError(f"field: {e}")
 
 
 def _build_init(cfg: dict, graph):
@@ -166,19 +181,19 @@ def _build_init(cfg: dict, graph):
         value = float(_get(cfg, "init.value", (int, float), default=0.0))
         return WeightedSeq(np.full(graph.n_sites, value), graph)
     if kind == "random":
-        try:
+        with _named("init.dist"):
             return RandomInit(dist=_get(cfg, "init.dist", str, default="normal"),
                               a=float(_get(cfg, "init.a", (int, float), default=0.0)),
                               b=float(_get(cfg, "init.b", (int, float), default=1.0)))
-        except ParameterError as e:
-            raise ConfigError(f"init.dist: {e}")
     if kind == "csv":
         return weighted_seq_from_csv(_get(cfg, "init.path", str), graph)
     raise ConfigError(f"config key 'init.type' must be constant|random|csv, got '{kind}'")
 
 
 def _build_volumes(cfg: dict, graph):
-    return radial_volumes(graph, _get(cfg, "volumes.radii", list, default=[]))
+    with _named("volumes.radii"):
+        return radial_volumes(graph, _get(cfg, "volumes.radii", list, default=[],
+                                          ndim=1))
 
 
 def _sha256(path: Path) -> str:
@@ -241,7 +256,8 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     field_ = _build_field(cfg, graph)
     volumes = _build_volumes(cfg, graph)
     init = _build_init(cfg, graph)
-    ens = run_nested(field_, volumes, init, plan, n_threads=threads)
+    with _named("plan.p"):
+        ens = run_nested(field_, volumes, init, plan, n_threads=threads)
     n_times = min(11, plan.n_steps + 1)
     times = [plan.dt * j for j in
              np.linspace(0, plan.n_steps, n_times).astype(int)]
@@ -270,7 +286,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     init = _build_init(cfg, graph)
     scale = _build_scale(cfg)
     betas = [float(b) for b in _get(cfg, "converge.betas", list,
-                                    default=[scale.alpha_top])]
+                                    default=[scale.alpha_top], ndim=1)]
     q = float(_get(cfg, "converge.q", (int, float), default=0.5))
     alpha = float(_get(cfg, "converge.alpha", (int, float),
                        default=scale.alpha_star))
@@ -283,23 +299,19 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
         if beta <= alpha:
             raise ConfigError(f"converge.betas: beta={beta} must exceed "
                               f"converge.alpha={alpha}")
-    # L depends on neither beta nor n, and K_T(alpha, beta) not on the
-    # ensemble: certify before simulating, so an overflow costs no run.
-    Q = ovsbound.induced_matrix(graph, field_.a_bar, 1.0)
-    try:
-        L = ovsbound.estimate_L(Q, q, scale)
-    except ParameterError as e:
-        raise ConfigError(f"converge.q: {e}")
-    k_T = {beta: ovsbound.k_series(L, plan.T, q, alpha, beta) for beta in betas}
-    gaps = nested_gap_sums(field_, volumes, init, plan, betas, scale,
-                           n_threads=threads)
+    # Certified before the run, from the states it starts with, so that an
+    # overflow costs no simulation.  Tail n: 1 + E|xi_0|^p outside volume n.
+    init0 = initial_states(init, graph, plan, np.arange(plan.replicas))
+    moment = np.mean(np.abs(init0) ** plan.p, axis=0) + 1.0
     m = len(volumes) - 1
-    # Tail bound input: weighted p-th moment of the initial data outside
-    # volume n, via the degree-growth kernel.
-    b_norms = [ovsbound.nonneg_l1_norm(
-        _tail_vector(gaps.initial, plan.p, volumes.masks[n], graph), alpha)
-        for n in range(m)]
-    rows = [[n, m, beta, plan.p, cauchy_gap(gaps.sums[n, b]), k_T[beta] * b_norms[n]]
+    tails = [WeightedSeq(np.where(volumes.masks[n], 0.0, moment), graph)
+             for n in range(m)]
+    with _named("converge.q"):
+        bounds = ovsbound.gronwall_bound(field_.a_bar, 1.0, graph, tails, alpha,
+                                         betas, plan.T, q, scale)
+    with _named("plan.p"):
+        gaps = nested_gap_sums(field_, volumes, init0, plan, betas, n_threads=threads)
+    rows = [[n, m, beta, plan.p, cauchy_gap(gaps.sums[n, b]), bounds[b, n]]
             for b, beta in enumerate(betas) for n in range(m)]
     arr = np.asarray(rows).reshape(len(rows), 6)
     geometry.write_csv(out / "gaps.csv", "n,m,beta,p,gap,bound", arr,
@@ -308,14 +320,6 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
                     extra={"final_states_hash": gaps.final_states_hash()})
     print(f"converge: {len(rows)} gap rows over {m} volume pairs")
     return EXIT_OK
-
-
-def _tail_vector(init0, p, mask, graph) -> WeightedSeq:
-    """Per-site p-th moment of the (replicas, sites) initial data ``init0``
-    outside the site ``mask``."""
-    vals = np.mean(np.abs(init0) ** p, axis=0) + 1.0
-    vals[mask] = 0.0
-    return WeightedSeq(vals, graph)
 
 
 def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
@@ -328,12 +332,10 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
     if not T > 0:
         raise ConfigError(f"ovs.T: need T > 0, got {T}")
     Q = ovsbound.induced_matrix(graph, B, k)
-    try:
+    with _named("ovs.q"):
         L = ovsbound.estimate_L(Q, q, scale)
-    except ParameterError as e:
-        raise ConfigError(f"ovs.q: {e}")
     widths = [float(w) for w in _get(cfg, "ovs.widths", list,
-                                     default=[scale.width / 2, scale.width])]
+                                     default=[scale.width / 2, scale.width], ndim=1)]
     for w in widths:
         if not 0 < w <= scale.width:
             raise ConfigError(f"ovs.widths: width={w} outside (0, {scale.width}], "
@@ -361,22 +363,18 @@ def _site_list(cfg: dict, key: str, n_sites: int, default, distinct=False):
 
 def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
     graph = _build_graph(cfg)
-    try:
+    with _named("gibbs"):
         model = make_model(graph,
                            potential=_get(cfg, "gibbs.potential", str, default="gaussian"),
                            J=float(_get(cfg, "gibbs.J", (int, float), default=0.0)),
                            coupling_type=_get(cfg, "gibbs.coupling", str,
                                               default="constant"))
-    except ParameterError as e:
-        raise ConfigError(f"gibbs: {e}")
-    try:
+    with _named("gibbs.chain"):
         chain = ChainParams(steps=int(_get(cfg, "gibbs.chain.steps", int, default=2000)),
                             burn_in=int(_get(cfg, "gibbs.chain.burn_in", int, default=500)),
                             step_size=float(_get(cfg, "gibbs.chain.step_size",
                                                  (int, float), default=0.5)),
                             seed=int(_get(cfg, "gibbs.chain.seed", int, default=0)))
-    except ParameterError as e:
-        raise ConfigError(f"gibbs.chain: {e}")
     eta = _site_list(cfg, "gibbs.eta", graph.n_sites, default=None, distinct=True)
     sites = _site_list(cfg, "gibbs.observable_sites", graph.n_sites,
                        default=[0, graph.n_sites - 1])
@@ -386,10 +384,8 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
     t = float(_get(cfg, "gibbs.t", (int, float), default=0.0))
     if t != 0:
         plan = _build_plan(cfg)
-        try:
+        with _named("gibbs.t"):
             plan.time_index(t)
-        except ParameterError as e:
-            raise ConfigError(f"gibbs.t: {e}")
     report = {}
     zero = WeightedSeq(np.zeros(graph.n_sites), graph)
     sample = gibbs.kernel_sample(model, range(graph.n_sites), zero, chain)

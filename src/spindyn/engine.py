@@ -29,7 +29,7 @@ from .coeffs import CoefficientField
 from .errors import NonFiniteState, NumericError, ParameterError
 from .geometry import GeometricGraph
 from .rng import TAG_INIT, keyed_draws, noise_matrix
-from .spaces import ScaleInterval, WeightedSeq
+from .spaces import WeightedSeq
 
 _NEWTON_MAX_ITERS = 50
 _NEWTON_TOL = 1e-12
@@ -142,7 +142,7 @@ class RandomInit:
                            transform)[..., 0]
 
 
-def _initial_states(init, graph, plan, reps) -> np.ndarray:
+def initial_states(init, graph, plan, reps) -> np.ndarray:
     """Rows of initial states for the replica ids ``reps``; an (R, sites)
     array ``init`` holds one row per replica, in replica order."""
     if isinstance(init, np.ndarray):
@@ -285,7 +285,7 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     def work(lo):
         rows = slice(lo, min(lo + chunk, plan.replicas))
         reps = np.arange(rows.start, rows.stop)
-        init_states = _initial_states(init, field_.graph, plan, reps)
+        init_states = initial_states(init, field_.graph, plan, reps)
 
         def observe(j, states):
             if j >= earliest[0]:
@@ -365,9 +365,8 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
 class GapSums:
     """What ``converge`` reads of a nested run, reduced as it was made."""
 
-    sums: np.ndarray     # (volumes-1, betas, replicas, steps+1)
-    initial: np.ndarray  # (replicas, sites) step-0 states
-    final: np.ndarray    # (replicas, volumes, sites) time-T states
+    sums: np.ndarray   # (volumes-1, betas, replicas, steps+1)
+    final: np.ndarray  # (replicas, volumes, sites) time-T states
 
     def final_states_hash(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.final)).hexdigest()
@@ -387,29 +386,21 @@ def _column_blocks(a: np.ndarray) -> np.ndarray:
 
 
 def nested_gap_sums(field_: CoefficientField, volumes: VolumeSequence, init,
-                    plan: SimPlan, betas, scale: ScaleInterval,
-                    n_threads: int = 1) -> GapSums:
+                    plan: SimPlan, betas, n_threads: int = 1) -> GapSums:
     """Integrate every volume for every replica, as ``run_nested`` does, and
     keep only sums[n, b, r, j] = sum_x e^{-beta_b |x|} |xi^n - xi^m|^p, p =
     ``plan.p``, of replica r at step j, for each volume n below the last
     one, m, and each beta in ``betas``.
 
-    The sums, the step-0 and the time-T states are bit-identical for any
-    ``n_threads`` and any chunk schedule, as ``integrate_replicas``
-    guarantees.
+    The sums and the time-T states are bit-identical for any ``n_threads``
+    and any chunk schedule, as ``integrate_replicas`` guarantees.
     """
     _check_nested(field_, volumes, plan)
-    for beta in betas:
-        if not scale.contains(beta):
-            raise ParameterError(f"beta={beta} outside the scale")
     weights = [np.exp(-beta * field_.graph.radii())[None, :] for beta in betas]
     m = len(volumes) - 1
     sums = np.empty((m, len(weights), plan.replicas, plan.n_steps + 1))
-    initial = np.empty((plan.replicas, field_.graph.n_sites))
 
     def reduce(rows, j, states):
-        if j == 0:
-            initial[rows] = states[:, m]
         n_rep = rows.stop - rows.start
         for n in range(m):
             blocks = _column_blocks(np.abs(states[:, n] - states[:, m]) ** plan.p)
@@ -418,7 +409,7 @@ def nested_gap_sums(field_: CoefficientField, volumes: VolumeSequence, init,
 
     final = integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
                                observer=reduce, n_threads=n_threads)
-    return GapSums(sums=sums, initial=initial, final=final)
+    return GapSums(sums=sums, final=final)
 
 
 def moment_p(ens: NestedEnsemble, volume_idx: int, times):

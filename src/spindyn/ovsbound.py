@@ -222,21 +222,19 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
                             -max_bound)
 
 
-def nonneg_l1_norm(b_vec: WeightedSeq, alpha: float) -> float:
-    """||b||_{l1_alpha} of a componentwise non-negative sequence."""
-    if np.any(b_vec.values < 0):
-        raise ParameterError("b_vec must be componentwise non-negative")
-    return float(np.sum(np.exp(-alpha * b_vec.graph.radii()) * b_vec.values))
-
-
-def gronwall_bound(B: float, k: float, graph: GeometricGraph, b_vec: WeightedSeq,
-                   alpha: float, beta: float, T: float, q: float,
-                   scale: ScaleInterval) -> float:
-    """Weighted-sup bound K_T(alpha, beta) * ||b||_{l1_alpha} for the
-    integral inequality with kernel B n_x^k on closed neighbourhoods."""
-    if beta <= alpha:
-        raise ParameterError("beta must exceed alpha")
-    b_norm = nonneg_l1_norm(b_vec, alpha)
-    Q = induced_matrix(graph, B, k)
-    L = estimate_L(Q, q, scale)
-    return k_series(L, T, q, alpha, beta) * b_norm
+def gronwall_bound(B: float, k: float, graph: GeometricGraph, tails, alpha: float,
+                   betas, T: float, q: float, scale: ScaleInterval) -> np.ndarray:
+    """The (betas, tails) grid of weighted-sup bounds K_T(alpha, beta) *
+    ||b||_{l1_alpha}, all from one L, for the integral inequality with kernel
+    B n_x^k on closed neighbourhoods and each non-negative b in ``tails``.
+    alpha and every beta must lie in the scale that L covers, beta > alpha."""
+    for name, value in (("alpha", alpha), *(("beta", beta) for beta in betas)):
+        if not scale.contains(value):
+            raise ParameterError(f"{name}={value} outside the scale")
+    if any(np.any(b.values < 0) for b in tails):
+        raise ParameterError("tails must be componentwise non-negative")
+    w = np.exp(-alpha * graph.radii())
+    b_norms = [np.sum(w * b.values) for b in tails]
+    L = estimate_L(induced_matrix(graph, B, k), q, scale)
+    # k_series rejects a beta <= alpha.
+    return np.outer([k_series(L, T, q, alpha, beta) for beta in betas], b_norms)

@@ -129,7 +129,7 @@ def test_04_comparison_and_gronwall():
                               for t in times], axis=1)
         rep = comparison_check(Q, times, gvals, z, T)
         ok &= rep.hypothesis_ok and rep.bound_ok
-        bound = gronwall_bound(B, 1.0, g, z, alpha, beta, T, q, scale)
+        bound = gronwall_bound(B, 1.0, g, [z], alpha, [beta], T, q, scale)[0, 0]
         gw = WeightedSeq(np.abs(gvals).max(axis=1), g)
         sup_norm = norm_lp(gw, beta, 1.0, scale)
         ok &= sup_norm <= bound * (1 + 1e-12)
@@ -170,14 +170,12 @@ def _truncation_setup(seed, replicas=96):
 
 
 def test_06_truncation_convergence():
-    scale = ScaleInterval(0.0, 1.0)
     beta = 0.8
     ok = True
     for seed in (1, 2, 3):
         g, field, plan, vols, init = _truncation_setup(seed)
         m = len(vols) - 1
-        sums = nested_gap_sums(field, vols, init, plan, [beta], scale,
-                               n_threads=2).sums
+        sums = nested_gap_sums(field, vols, init, plan, [beta], n_threads=2).sums
         gaps = [cauchy_gap(sums[n, 0]) for n in range(m)]
         ok &= all(a > b for a, b in zip(gaps, gaps[1:]))
         ens = run_nested(field, vols, init, plan, n_threads=2)

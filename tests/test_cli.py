@@ -18,7 +18,7 @@ from spindyn import (ParameterError, RandomInit, ScaleInterval, SimPlan,
                      WeightedSeq, build_graph, estimate_L, gronwall_bound,
                      induced_matrix, k_series, lattice_configuration, make_field,
                      moment_p, radial_volumes, run_nested)
-from spindyn import cli, geometry
+from spindyn import cli, geometry, ovsbound
 from spindyn.cli import main
 
 
@@ -31,6 +31,39 @@ def write_cfg(tmp_path, cfg, name="run.yaml"):
 def lattice_graph_cfg(lo=-5, hi=5, rho=1.5):
     return {"graph": {"source": "lattice", "rho": rho,
                       "lattice": {"lo": lo, "hi": hi}}}
+
+
+def benchmark_inputs():
+    """``perfbench/inputs.py``, executed from its source so that nothing is
+    written next to it."""
+    src = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    inputs = types.ModuleType("perfbench_inputs")
+    exec(compile(src.read_text(), str(src), "exec"), inputs.__dict__)
+    return inputs
+
+
+def small_cfg():
+    """A 7-site chain config that every subcommand but graph can run."""
+    cfg = lattice_graph_cfg(-3, 3)
+    cfg["field"] = {"drift": "cubic", "coupling": "linear_pair", "J": 0.2}
+    cfg["plan"] = {"dt": 0.05, "T": 0.1, "replicas": 2, "p": 4}
+    cfg["gibbs"] = {"chain": {"steps": 10, "burn_in": 10}, "eta": [2, 3]}
+    return cfg
+
+
+def set_key(cfg, key, value):
+    """Set the dotted ``key`` of ``cfg`` to ``value``, making sections."""
+    *path, name = key.split(".")
+    node = cfg
+    for part in path:
+        node = node.setdefault(part, {})
+    node[name] = value
+    return cfg
+
+
+def poisson_cfg():
+    return {"graph": {"source": "poisson", "rho": 1.0,
+                      "poisson": {"intensity": 1.0, "seed": 1}}}
 
 
 def run_fresh(code):
@@ -394,8 +427,25 @@ class TestConvergeCommand:
         for n, _, beta, _, _, bound in rows:
             b = np.where(volumes.masks[int(n)], 0.0, moment)
             assert bound == gronwall_bound(
-                a_bar, 1.0, graph, WeightedSeq(b, graph), 0.2, beta,
-                0.5, 0.5, ScaleInterval(0.1, 1.0))
+                a_bar, 1.0, graph, [WeightedSeq(b, graph)], 0.2, [beta],
+                0.5, 0.5, ScaleInterval(0.1, 1.0))[0, 0]
+
+    def test_one_bound_call_and_one_L_per_run(self, tmp_path, monkeypatch):
+        # Counted where the benchmark's tracer wraps them: converge computes
+        # its whole (beta, n) grid in one gronwall_bound call, from one L,
+        # on the 12-row benchmark chain.
+        calls = {"gronwall_bound": 0, "estimate_L": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(ovsbound, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ovsbound, name, counted)
+        cfg = benchmark_inputs().generate("converge_chain", 1, tmp_path / "in")
+        out = tmp_path / "out"
+        assert main(["converge", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "gaps.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows) == 12
+        assert calls == {"gronwall_bound": 1, "estimate_L": 1}
 
     @pytest.fixture
     def no_simulation(self, monkeypatch):
@@ -523,15 +573,7 @@ class TestConfigKeys:
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command,
                                               key, value):
-        cfg = lattice_graph_cfg(-3, 3)
-        cfg["field"] = {"drift": "cubic", "coupling": "linear_pair", "J": 0.2}
-        cfg["plan"] = {"dt": 0.05, "T": 0.1, "replicas": 2, "p": 4}
-        cfg["gibbs"] = {"chain": {"steps": 10, "burn_in": 10}, "eta": [2, 3]}
-        *path, name = key.split(".")
-        node = cfg
-        for part in path:
-            node = node.setdefault(part, {})
-        node[name] = value
+        cfg = set_key(small_cfg(), key, value)
         out = tmp_path / "out"
         assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         assert f"config error: {key}: " in capsys.readouterr().err
@@ -560,18 +602,52 @@ class TestConfigKeys:
     ])
     def test_non_finite_value_exits_2_naming_key(self, tmp_path, capsys, command,
                                                  key, value):
-        cfg = simulate_cfg(replicas=2, dt=0.1)
-        if command == "graph":
-            cfg = {"graph": {"source": "poisson", "rho": 1.0,
-                             "poisson": {"intensity": 1.0, "seed": 1}}}
-        section, *path, name = key.split(".")
-        node = cfg.setdefault(section, {})
-        for part in path:
-            node = node[part]
-        node[name] = value
+        base = poisson_cfg() if command == "graph" else simulate_cfg(replicas=2, dt=0.1)
+        cfg = set_key(base, key, value)
         out = tmp_path / "out"
         assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         assert f"config key '{key}' must hold finite numbers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    # YAML's yes/no load as bools, which isinstance counts as ints; a nested
+    # or ragged list where a flat or (d, 2) one is read must not reach
+    # float() or numpy.
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "plan.replicas", True),
+        ("simulate", "plan.dt", True),
+        ("converge", "converge.betas", [True]),
+        ("converge", "converge.betas", [[0.5]]),
+        ("ovs", "ovs.widths", [[0.5]]),
+        ("graph", "graph.poisson.window", [[0, 1], [0]]),
+        ("simulate", "volumes.radii", [[1.0], [2.0, 3.0]]),
+        ("simulate", "volumes.radii", [[1.0], [2.0]]),
+    ])
+    def test_wrong_kind_or_shape_exits_2_naming_key(self, tmp_path, capsys, command,
+                                                    key, value):
+        cfg = set_key(poisson_cfg() if command == "graph" else small_cfg(), key, value)
+        out = tmp_path / "out"
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config key '{key}' " in err and "<class" not in err
+        assert list(out.iterdir()) == []
+
+    # Range errors raised below the CLI, prefixed with the key they concern.
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("simulate", "volumes.radii", [2.0, 1.0],
+         "volumes.radii: volumes must be strictly nested"),
+        ("simulate", "plan.p", 2, "plan.p: moment order p=2.0 must be >= max(2, R=3.0)"),
+        ("converge", "plan.p", 2, "plan.p: moment order p=2.0 must be >= max(2, R=3.0)"),
+        ("graph", "graph.poisson.window", [0, 1],
+         "config key 'graph.poisson.window' must be a rectangular 2-d list of numbers"),
+        ("graph", "graph.poisson.window", [[1.0, 0.0]],
+         "graph.poisson: window must have shape (d, 2) with lo < hi"),
+    ])
+    def test_range_error_names_key(self, tmp_path, capsys, command, key, value,
+                                   message):
+        cfg = set_key(poisson_cfg() if command == "graph" else small_cfg(), key, value)
+        out = tmp_path / "out"
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_unknown_init_dist_names_key(self, tmp_path, capsys):
@@ -592,9 +668,6 @@ class TestConfigKeys:
         assert read == cli._CONFIG_KEYS
 
     def test_benchmark_configs_load(self, tmp_path):
-        # Executed from its source, so nothing is written next to it.
-        src = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-        inputs = types.ModuleType("perfbench_inputs")
-        exec(compile(src.read_text(), str(src), "exec"), inputs.__dict__)
+        inputs = benchmark_inputs()
         for workload in inputs.WORKLOADS:
             cli._load_config(str(inputs.generate(workload, 1, tmp_path / workload)))

@@ -10,10 +10,9 @@ from scipy.integrate import solve_ivp
 
 from helpers import one_path, path_gap, sparse_seq, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
-                     ScaleInterval, SimPlan, SinglePotentialDrift,
-                     VolumeSequence, WeightedSeq, build_graph, cauchy_gap,
-                     lattice_configuration, make_field, moment_p,
-                     nested_gap_sums, radial_volumes, run_nested,
+                     SimPlan, SinglePotentialDrift, VolumeSequence, WeightedSeq,
+                     build_graph, cauchy_gap, lattice_configuration, make_field,
+                     moment_p, nested_gap_sums, radial_volumes, run_nested,
                      tagged_particle_solve)
 from spindyn.engine import SCHEMES, integrate_ensemble, integrate_replicas
 from spindyn.rng import noise_matrix
@@ -303,23 +302,20 @@ class TestDeterminismAndCoupling:
         plan = SimPlan(dt=0.02, T=0.5, replicas=16, master_seed=21, p=4.0)
         vols = radial_volumes(chain, [0.5, 2.0])
         init = RandomInit("normal", 0.0, 1.0)
-        scale = ScaleInterval(0.0, 1.0)
-        gaps = nested_gap_sums(field, vols, init, plan, [0.5], scale)
+        gaps = nested_gap_sums(field, vols, init, plan, [0.5])
         assert gaps.sums.shape == (2, 1, 16, plan.n_steps + 1)
         # every volume starts from the same states
         assert np.all(gaps.sums[..., 0] == 0.0)
         g0 = cauchy_gap(gaps.sums[0, 0])
         g1 = cauchy_gap(gaps.sums[1, 0])
         assert g0 > g1 >= 0.0
-        with pytest.raises(ParameterError, match=r"beta=1\.5 outside the scale"):
-            nested_gap_sums(field, vols, init, plan, [0.5, 1.5], scale)
         # run_nested's checks guard the streamed path too
         with pytest.raises(ParameterError, match="moment order"):
             nested_gap_sums(field, vols, init, dataclasses.replace(plan, p=2.0),
-                            [0.5], scale)
+                            [0.5])
         with pytest.raises(ParameterError, match="volume masks cover 8 sites"):
             nested_gap_sums(field, VolumeSequence(np.ones((1, 8), dtype=bool)),
-                            init, plan, [0.5], scale)
+                            init, plan, [0.5])
 
     def test_cauchy_gap_zero_for_decoupled_extra_sites(self, chain):
         # With zero coupling the extra sites never influence the shared ones.
@@ -340,7 +336,7 @@ class TestStreamedGaps:
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(chain, [1.0, 2.0, 3.0])
         init = RandomInit("normal", 0.0, 1.0)
-        betas, scale = [0.3, 0.8], ScaleInterval(0.0, 1.0)
+        betas = [0.3, 0.8]
         m = len(vols) - 1
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.3, replicas=7, master_seed=4, p=4.0,
@@ -356,13 +352,12 @@ class TestStreamedGaps:
                     if chunk is not None:
                         mp.setattr("spindyn.engine._CHUNK_ELEMENTS", chunk)
                     runs.append(nested_gap_sums(field, vols, init, plan, betas,
-                                                scale, n_threads=threads))
+                                                n_threads=threads))
             for gaps in runs:
                 got = np.array([[cauchy_gap(gaps.sums[n, b]) for b in range(2)]
                                 for n in range(m)])
                 assert np.array_equal(got, want), scheme
                 assert np.array_equal(gaps.sums, runs[0].sums), scheme
-                assert np.array_equal(gaps.initial, ens.trajectories[:, -1, :, 0])
                 assert gaps.final_states_hash() == want_hash, scheme
 
     def test_noise_blocks_do_not_change_a_bit(self, chain, monkeypatch):
@@ -371,7 +366,6 @@ class TestStreamedGaps:
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(chain, [1.0, 3.0])
         init = RandomInit("normal", 0.0, 1.0)
-        scale = ScaleInterval(0.0, 1.0)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.01, T=1.5, replicas=5, master_seed=6, p=4.0,
                            scheme=scheme)
@@ -383,7 +377,7 @@ class TestStreamedGaps:
                         run_nested(field, vols, init, plan, n_threads=2),
                         integrate_replicas(field, vols.masks, init, plan,
                                            plan.n_steps),
-                        nested_gap_sums(field, vols, init, plan, [0.5], scale)))
+                        nested_gap_sums(field, vols, init, plan, [0.5])))
             (ens_a, final_a, gaps_a), (ens_b, final_b, gaps_b) = runs
             assert np.array_equal(ens_a.trajectories, ens_b.trajectories), scheme
             assert np.array_equal(final_a, final_b), scheme
@@ -488,14 +482,14 @@ class TestFinalStates:
         graph = build_graph(lattice_configuration(-200, 200), 1.5)
         field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(graph, [50.0, 100.0])
-        betas, scale = [0.5, 1.0], ScaleInterval(0.0, 1.0)
+        betas = [0.5, 1.0]
 
         def peak(T):
             plan = SimPlan(dt=0.01, T=T, replicas=8, master_seed=3, p=4.0)
             tracemalloc.start()
             try:
                 gaps = nested_gap_sums(field, vols, RandomInit("normal", 0.0, 1.0),
-                                       plan, betas, scale)
+                                       plan, betas)
                 return tracemalloc.get_traced_memory()[1], gaps.sums.nbytes
             finally:
                 tracemalloc.stop()

@@ -342,14 +342,41 @@ class TestGronwall:
             B, k = rng.uniform(0.05, 0.3), 1.0
             b = WeightedSeq(rng.uniform(0, 1, graph.n_sites), graph)
             alpha, beta, T, q = 0.2, 0.9, 1.0, 0.5
-            bound = gronwall_bound(B, k, graph, b, alpha, beta, T, q, scale)
+            bound = gronwall_bound(B, k, graph, [b], alpha, [beta], T, q, scale)[0, 0]
             Q = induced_matrix(graph, B, k)
             sup_norm = max(
                 norm_lp(series_solve(Q, b, t), beta, 1.0, scale)
                 for t in np.linspace(0, T, 21))
             assert sup_norm <= bound * (1 + 1e-9)
 
+    def test_grid_is_k_series_times_alpha_norm(self, graph):
+        # One L serves every (beta, tail) entry, and each entry is the
+        # scalar bound exactly.
+        rng = np.random.default_rng(7)
+        B, k, alpha, betas, T, q = 0.15, 1.0, 0.2, [0.6, 0.9], 0.5, 0.5
+        tails = [WeightedSeq(rng.uniform(0, 1, graph.n_sites), graph) for _ in range(3)]
+        L = estimate_L(induced_matrix(graph, B, k), q, SCALE)
+        w = np.exp(-alpha * graph.radii())
+        want = [[k_series(L, T, q, alpha, beta) * np.sum(w * b.values) for b in tails]
+                for beta in betas]
+        got = gronwall_bound(B, k, graph, tails, alpha, betas, T, q, SCALE)
+        assert got.shape == (2, 3)
+        assert np.all(got == np.array(want))
+
+    @pytest.mark.parametrize("alpha, betas, match", [
+        (0.05, [0.9], r"alpha=0\.05 outside the scale"),
+        (0.2, [0.9, 1.5], r"beta=1\.5 outside the scale"),
+        (0.2, [0.9, 0.2], r"beta must exceed alpha, got alpha=0\.2, beta=0\.2"),
+        (0.5, [0.3], r"beta must exceed alpha, got alpha=0\.5, beta=0\.3"),
+    ])
+    def test_alpha_and_betas_must_lie_in_scale_and_ascend(self, graph, alpha, betas,
+                                                           match):
+        b = WeightedSeq(np.ones(graph.n_sites), graph)
+        with pytest.raises(ParameterError, match=match):
+            gronwall_bound(0.1, 1.0, graph, [b], alpha, betas, 1.0, 0.5, SCALE)
+
     def test_negative_b_rejected(self, graph):
+        good = WeightedSeq(np.ones(graph.n_sites), graph)
         b = sparse_seq(graph, {0: -1.0})
-        with pytest.raises(ParameterError):
-            gronwall_bound(0.1, 1.0, graph, b, 0.2, 0.9, 1.0, 0.5, SCALE)
+        with pytest.raises(ParameterError, match="non-negative"):
+            gronwall_bound(0.1, 1.0, graph, [good, b], 0.2, [0.9], 1.0, 0.5, SCALE)
