@@ -29,7 +29,7 @@ def main():
     print(f"volumes: {sizes.tolist()} sites")
 
     # The gaps are reduced step by step; no path is kept.
-    sums = nested_gap_sums(field, vols, init, plan, [0.8], n_threads=2).sums
+    sums, _ = nested_gap_sums(field, vols, init, plan, [0.8], n_threads=2)
     m = len(vols) - 1
     print("\nweighted Cauchy gaps against the largest volume (beta = 0.8):")
     for n in range(m):
@@ -40,9 +40,8 @@ def main():
     print("\ntagged single-site equation vs the largest-volume path:")
     x = 25  # the origin site
     # Replica 0's path in the full window, the largest volume, alone.
-    ens = run_nested(field, radial_volumes(g, []), init,
-                     dataclasses.replace(plan, replicas=1))
-    env = ens.trajectories[0, 0]
+    env = run_nested(field, radial_volumes(g, []), init,
+                     dataclasses.replace(plan, replicas=1))[0, 0]
     eta = tagged_particle_solve(field, x, env, float(env[x, 0]), plan, 0)
     print(f"  sup_t |eta - xi| at site {x}: "
           f"{np.max(np.abs(eta - env[x])):.3e} (identical noise, identical path)")

@@ -18,9 +18,9 @@ from .ovsbound import (ComparisonReport, FiniteRangeMatrix, comparison_check,
                        series_solve)
 from .coeffs import (AssumptionReport, CoefficientField, SinglePotentialDrift,
                      make_field, validate_assumptions)
-from .engine import (GapSums, NestedEnsemble, RandomInit, SimPlan,
-                     VolumeSequence, cauchy_gap, moment_p, nested_gap_sums,
-                     radial_volumes, run_nested, tagged_particle_solve)
+from .engine import (RandomInit, SimPlan, VolumeSequence, cauchy_gap, moment_p,
+                     nested_gap_sums, radial_volumes, run_nested,
+                     tagged_particle_solve)
 from .gibbs import (ChainParams, DlrReport, GibbsModel, SpecKernelSample,
                     dlr_residual, gradient_dynamics_field, kernel_sample,
                     make_model, reversibility_test,

@@ -196,6 +196,11 @@ def _build_volumes(cfg: dict, graph):
                                           ndim=1))
 
 
+def _array_hash(a: np.ndarray) -> str:
+    """The sha256 of an array's C-order bytes."""
+    return hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
+
+
 def _sha256(path: Path) -> str:
     with path.open("rb") as f:
         return hashlib.file_digest(f, "sha256").hexdigest()
@@ -257,11 +262,11 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     volumes = _build_volumes(cfg, graph)
     init = _build_init(cfg, graph)
     with _named("plan.p"):
-        ens = run_nested(field_, volumes, init, plan, n_threads=threads)
+        paths = run_nested(field_, volumes, init, plan, n_threads=threads)
     n_times = min(11, plan.n_steps + 1)
-    times = [plan.dt * j for j in
-             np.linspace(0, plan.n_steps, n_times).astype(int)]
-    mean, se = moment_p(ens, -1, times)
+    cols = np.linspace(0, plan.n_steps, n_times).astype(int)
+    times = plan.dt * cols
+    mean, se = moment_p(paths[:, -1][:, :, cols], plan.p)
     table = np.column_stack([np.repeat(np.arange(graph.n_sites), n_times),
                              np.tile(times, graph.n_sites), np.full(mean.size, plan.p),
                              mean.ravel(), se.ravel()])
@@ -269,9 +274,8 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
                        ["%d"] + ["%.17g"] * 4)
     # Stored, not deflated: float mantissas hardly compress, and deflate
     # would cost more than the integration.
-    _write_npz(out / "trajectories.npz", trajectories=ens.trajectories,
-               times=ens.plan.times())
-    ensemble_hash = ens.content_hash()
+    _write_npz(out / "trajectories.npz", trajectories=paths, times=plan.times())
+    ensemble_hash = _array_hash(paths)
     _write_manifest(out, cfg, graph, extra={"ensemble_hash": ensemble_hash})
     print(f"simulate: {plan.replicas} replicas x {len(volumes)} volumes, "
           f"ensemble hash {ensemble_hash[:16]}")
@@ -287,6 +291,8 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     scale = _build_scale(cfg)
     betas = [float(b) for b in _get(cfg, "converge.betas", list,
                                     default=[scale.alpha_top], ndim=1)]
+    if not betas:
+        raise ConfigError("converge.betas: need at least one beta")
     q = float(_get(cfg, "converge.q", (int, float), default=0.5))
     alpha = float(_get(cfg, "converge.alpha", (int, float),
                        default=scale.alpha_star))
@@ -299,6 +305,9 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
         if beta <= alpha:
             raise ConfigError(f"converge.betas: beta={beta} must exceed "
                               f"converge.alpha={alpha}")
+    if len(volumes) < 2:
+        raise ConfigError("volumes.radii: converge needs a volume smaller than "
+                          "the window, to compare with it")
     # Certified before the run, from the states it starts with, so that an
     # overflow costs no simulation.  Tail n: 1 + E|xi_0|^p outside volume n.
     init0 = initial_states(init, graph, plan, np.arange(plan.replicas))
@@ -310,14 +319,14 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
         bounds = ovsbound.gronwall_bound(field_.a_bar, 1.0, graph, tails, alpha,
                                          betas, plan.T, q, scale)
     with _named("plan.p"):
-        gaps = nested_gap_sums(field_, volumes, init0, plan, betas, n_threads=threads)
-    rows = [[n, m, beta, plan.p, cauchy_gap(gaps.sums[n, b]), bounds[b, n]]
+        sums, final = nested_gap_sums(field_, volumes, init0, plan, betas,
+                                      n_threads=threads)
+    rows = [[n, m, beta, plan.p, cauchy_gap(sums[n, b]), bounds[b, n]]
             for b, beta in enumerate(betas) for n in range(m)]
-    arr = np.asarray(rows).reshape(len(rows), 6)
-    geometry.write_csv(out / "gaps.csv", "n,m,beta,p,gap,bound", arr,
+    geometry.write_csv(out / "gaps.csv", "n,m,beta,p,gap,bound", np.asarray(rows),
                        ["%d", "%d"] + ["%.17g"] * 4)
     _write_manifest(out, cfg, graph,
-                    extra={"final_states_hash": gaps.final_states_hash()})
+                    extra={"final_states_hash": _array_hash(final)})
     print(f"converge: {len(rows)} gap rows over {m} volume pairs")
     return EXIT_OK
 
@@ -336,6 +345,8 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
         L = ovsbound.estimate_L(Q, q, scale)
     widths = [float(w) for w in _get(cfg, "ovs.widths", list,
                                      default=[scale.width / 2, scale.width], ndim=1)]
+    if not widths:
+        raise ConfigError("ovs.widths: need at least one width")
     for w in widths:
         if not 0 < w <= scale.width:
             raise ConfigError(f"ovs.widths: width={w} outside (0, {scale.width}], "

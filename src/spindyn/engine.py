@@ -18,7 +18,6 @@ per entry), so output is bit-identical for any thread count and chunk size,
 and a ``NonFiniteState`` names the earliest (step, replica, site).
 """
 
-import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -318,18 +317,6 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     return out
 
 
-@dataclass(frozen=True)
-class NestedEnsemble:
-    """Trajectories of every (replica, volume) pair on a shared time grid."""
-
-    trajectories: np.ndarray  # (replicas, volumes, sites, steps+1)
-    plan: SimPlan
-    graph: GeometricGraph
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(np.ascontiguousarray(self.trajectories)).hexdigest()
-
-
 def _check_nested(field_: CoefficientField, volumes: VolumeSequence, plan: SimPlan):
     """The moment order must cover the drift's growth, and the volume masks
     the graph's sites."""
@@ -342,9 +329,9 @@ def _check_nested(field_: CoefficientField, volumes: VolumeSequence, plan: SimPl
 
 
 def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
-               plan: SimPlan, n_threads: int = 1) -> NestedEnsemble:
-    """Integrate every volume for every replica with shared noise streams,
-    keeping every path.
+               plan: SimPlan, n_threads: int = 1) -> np.ndarray:
+    """Integrate every volume for every replica with shared noise streams;
+    returns every path, (replicas, volumes, sites, steps+1).
 
     Output is bit-identical for any ``n_threads`` and any chunk schedule,
     as ``integrate_replicas`` guarantees.
@@ -358,18 +345,7 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
 
     integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
                        observer=keep, n_threads=n_threads)
-    return NestedEnsemble(trajectories=traj, plan=plan, graph=field_.graph)
-
-
-@dataclass(frozen=True)
-class GapSums:
-    """What ``converge`` reads of a nested run, reduced as it was made."""
-
-    sums: np.ndarray   # (volumes-1, betas, replicas, steps+1)
-    final: np.ndarray  # (replicas, volumes, sites) time-T states
-
-    def final_states_hash(self) -> str:
-        return hashlib.sha256(np.ascontiguousarray(self.final)).hexdigest()
+    return traj
 
 
 def _column_blocks(a: np.ndarray) -> np.ndarray:
@@ -386,11 +362,13 @@ def _column_blocks(a: np.ndarray) -> np.ndarray:
 
 
 def nested_gap_sums(field_: CoefficientField, volumes: VolumeSequence, init,
-                    plan: SimPlan, betas, n_threads: int = 1) -> GapSums:
+                    plan: SimPlan, betas, n_threads: int = 1):
     """Integrate every volume for every replica, as ``run_nested`` does, and
     keep only sums[n, b, r, j] = sum_x e^{-beta_b |x|} |xi^n - xi^m|^p, p =
     ``plan.p``, of replica r at step j, for each volume n below the last
-    one, m, and each beta in ``betas``.
+    one, m, and each beta in ``betas``; returns (sums, final), the
+    (volumes-1, betas, replicas, steps+1) sums and the (replicas, volumes,
+    sites) time-T states.
 
     The sums and the time-T states are bit-identical for any ``n_threads``
     and any chunk schedule, as ``integrate_replicas`` guarantees.
@@ -409,14 +387,13 @@ def nested_gap_sums(field_: CoefficientField, volumes: VolumeSequence, init,
 
     final = integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
                                observer=reduce, n_threads=n_threads)
-    return GapSums(sums=sums, final=final)
+    return sums, final
 
 
-def moment_p(ens: NestedEnsemble, volume_idx: int, times):
-    """Monte Carlo moments of |xi|^p, p = ``ens.plan.p``, of one volume at the
-    grid ``times``: (mean, stderr), each of shape (sites, len(times))."""
-    cols = [ens.plan.time_index(t) for t in times]
-    vals = np.abs(ens.trajectories[:, volume_idx][:, :, cols]) ** ens.plan.p
+def moment_p(paths: np.ndarray, p: float):
+    """Monte Carlo moments of |xi|^p over the replicas of a (replicas, sites,
+    times) path array: (mean, stderr), each of shape (sites, times)."""
+    vals = np.abs(paths) ** p
     se = (np.std(vals, axis=0, ddof=1) / np.sqrt(len(vals)) if len(vals) > 1
           else np.zeros(vals.shape[1:]))
     return np.mean(vals, axis=0), se
@@ -424,7 +401,7 @@ def moment_p(ens: NestedEnsemble, volume_idx: int, times):
 
 def cauchy_gap(sums: np.ndarray) -> float:
     """sup over grid times of the replica mean of one (replicas, steps+1)
-    array of ``GapSums.sums``: E sum_x e^{-beta|x|} |xi^n - xi^m|^p."""
+    slice of ``nested_gap_sums``' sums: E sum_x e^{-beta|x|} |xi^n - xi^m|^p."""
     return float(np.max(np.mean(sums, axis=0)))
 
 
@@ -433,16 +410,23 @@ def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,
     """Scalar path of site x with all other sites frozen to ``env``.
 
     ``env`` has shape (sites, steps+1); its row x is ignored.  The noise
-    stream is the same one the full runs use for (replica, x, step).
+    stream is the same one the full runs use for (replica, x, step).  The
+    first NaN or infinite value of the path raises ``NonFiniteState``
+    naming (replica, x, step), as ``integrate_ensemble`` checks its states.
     """
-    n_steps = plan.n_steps
-    if env.shape != (field_.graph.n_sites, n_steps + 1):
+    n_steps, n = plan.n_steps, field_.graph.n_sites
+    if not 0 <= x < n:
+        raise ParameterError(f"site x={x} outside 0..{n - 1}")
+    if env.shape != (n, n_steps + 1):
         raise ParameterError("env must have shape (n_sites, n_steps + 1)")
     dW = noise_matrix(plan.master_seed, replica, [x], n_steps)[0] * np.sqrt(plan.dt)
     row_x = replace(field_, sites=np.array([x]))
     states = env.T.copy()  # (steps+1, sites); column x becomes the path
     states[0, x] = init_x
-    for j in range(n_steps):
-        new = _step(row_x, states[j:j + 1], dW[j], plan.dt, plan.scheme, j)
-        states[j + 1, x] = new[0, 0]
+    for j in range(n_steps + 1):
+        if not np.isfinite(states[j, x]):
+            raise NonFiniteState(replica, x, j)
+        if j < n_steps:
+            new = _step(row_x, states[j:j + 1], dW[j], plan.dt, plan.scheme, j)
+            states[j + 1, x] = new[0, 0]
     return states[:, x].copy()

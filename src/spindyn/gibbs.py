@@ -146,8 +146,6 @@ class ChainParams:
 class SpecKernelSample:
     """MCMC draws from the conditional kernel on eta, with diagnostics."""
 
-    eta: tuple
-    boundary: WeightedSeq
     samples: np.ndarray  # (n_samples, |eta|)
     acceptance_rate: float
     ess: float
@@ -226,8 +224,7 @@ def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,
     one MALA chain."""
     eta = sorted(int(s) for s in eta)
     if not eta:
-        return SpecKernelSample(eta=(), boundary=boundary,
-                                samples=np.zeros((0, 0)), acceptance_rate=1.0,
+        return SpecKernelSample(samples=np.zeros((0, 0)), acceptance_rate=1.0,
                                 ess=0.0, step_size=chain.step_size)
     target = _EtaTarget(model, eta, boundary.values)
     rng = np.random.default_rng(chain.seed ^ 0x5eed)
@@ -238,9 +235,8 @@ def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,
     if not (_ACCEPT_HEALTHY[0] < rate < _ACCEPT_HEALTHY[1]):
         warnings = (f"acceptance rate {rate:.3f} outside healthy range "
                     f"{_ACCEPT_HEALTHY}",)
-    return SpecKernelSample(eta=tuple(eta), boundary=boundary, samples=samples,
-                            acceptance_rate=rate, ess=ess, step_size=h,
-                            warnings=warnings)
+    return SpecKernelSample(samples=samples, acceptance_rate=rate, ess=ess,
+                            step_size=h, warnings=warnings)
 
 
 def sample_window_measure(model: GibbsModel, n_samples: int,
@@ -303,8 +299,6 @@ class DlrReport:
 
     statistic: float
     p_value: float
-    eta: tuple
-    outer_samples: int
     acceptance_rate: float
     warnings: tuple = ()
 
@@ -331,8 +325,7 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
         raise ParameterError(f"outer_samples must be >= 1, got {outer_samples}")
     eta = sorted(int(s) for s in eta)
     if not eta:
-        return DlrReport(statistic=0.0, p_value=1.0, eta=(), outer_samples=0,
-                         acceptance_rate=1.0)
+        return DlrReport(statistic=0.0, p_value=1.0, acceptance_rate=1.0)
     outer = sample_window_measure(model, outer_samples, chain)
 
     target = _EtaTarget(model, eta, outer)  # per-chain boundary constants
@@ -346,8 +339,7 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
     warnings = ()
     if not (_ACCEPT_HEALTHY[0] < rate < _ACCEPT_HEALTHY[1]):
         warnings = (f"inner-chain acceptance rate {rate:.3f} unhealthy",)
-    return DlrReport(statistic=statistic, p_value=p, eta=tuple(eta),
-                     outer_samples=outer_samples, acceptance_rate=rate,
+    return DlrReport(statistic=statistic, p_value=p, acceptance_rate=rate,
                      warnings=warnings)
 
 

@@ -34,11 +34,12 @@ def one_path(field, mask, init, plan):
     return path
 
 
-def path_gap(ens, n, m, beta, p):
+def path_gap(paths, graph, n, m, beta, p):
     """The Cauchy gap sup_t E sum_x e^{-beta|x|} |xi^n - xi^m|^p computed
-    from the whole path array of a ``NestedEnsemble``: the reference for
-    the gaps that ``nested_gap_sums`` reduces step by step."""
-    w = np.exp(-beta * ens.graph.radii())
-    diff = ens.trajectories[:, n] - ens.trajectories[:, m]  # (rep, sites, time)
+    from the whole (replicas, volumes, sites, steps+1) path array that
+    ``run_nested`` returns: the reference for the gaps that
+    ``nested_gap_sums`` reduces step by step."""
+    w = np.exp(-beta * graph.radii())
+    diff = paths[:, n] - paths[:, m]  # (rep, sites, time)
     per_rep_time = np.tensordot(w, np.abs(diff) ** p, axes=([0], [1]))  # (rep, time)
     return float(np.max(np.mean(per_rep_time, axis=0)))

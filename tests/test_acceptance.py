@@ -5,6 +5,7 @@ and asserts the stated tolerance.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ def test_05_sde_engine_correctness():
     single = build_graph(lattice_configuration(0, 0), 1.0)
     field = make_field(single, drift="linear", noise="additive")
     plan = SimPlan(dt=1e-3, T=2.0, replicas=10 ** 4, master_seed=5)
-    ens = run_nested(field, radial_volumes(single, []),
-                     WeightedSeq(np.zeros(single.n_sites), single), plan)
-    mean, se = moment_p(ens, 0, [2.0])
+    paths = run_nested(field, radial_volumes(single, []),
+                       WeightedSeq(np.zeros(single.n_sites), single), plan)
+    mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
     target = (1 - np.exp(-4.0)) / 2
     ok = abs(mean[0, 0] - target) <= 3 * se[0, 0]
 
@@ -175,13 +176,13 @@ def test_06_truncation_convergence():
     for seed in (1, 2, 3):
         g, field, plan, vols, init = _truncation_setup(seed)
         m = len(vols) - 1
-        sums = nested_gap_sums(field, vols, init, plan, [beta], n_threads=2).sums
+        sums, _ = nested_gap_sums(field, vols, init, plan, [beta], n_threads=2)
         gaps = [cauchy_gap(sums[n, 0]) for n in range(m)]
         ok &= all(a > b for a, b in zip(gaps, gaps[1:]))
-        ens = run_nested(field, vols, init, plan, n_threads=2)
+        paths = run_nested(field, vols, init, plan, n_threads=2)
         # sum_x e^{-beta|x|} sup_t of the Monte Carlo mean of |xi_x,t|^p
         w = np.exp(-beta * g.radii())
-        moments = [float(np.sum(w * moment_p(ens, n, plan.times())[0].max(axis=1)))
+        moments = [float(np.sum(w * moment_p(paths[:, n], plan.p)[0].max(axis=1)))
                    for n in range(m + 1)]
         ok &= all(np.isfinite(moments))
         ok &= max(moments) < 2.0 * moments[0]
@@ -193,17 +194,17 @@ def test_07_tagged_particle_consistency():
     sites = [21, 23, 25, 27, 29]  # interior of the 50-site chain
     for seed in (1, 2, 3):
         g, field, plan, vols, init = _truncation_setup(seed, replicas=24)
-        ens = run_nested(field, vols, init, plan, n_threads=2)
+        paths = run_nested(field, vols, init, plan, n_threads=2)
         m = len(vols) - 1
         for x in sites:
             gap_by_vol = []
             for vol_idx in (m, m - 1):
                 diffs = []
                 for r in range(plan.replicas):
-                    env = ens.trajectories[r, m]
+                    env = paths[r, m]
                     eta = tagged_particle_solve(field, x, env,
                                                 float(env[x, 0]), plan, r)
-                    xi = ens.trajectories[r, vol_idx, x]
+                    xi = paths[r, vol_idx, x]
                     diffs.append(np.max(np.abs(eta - xi)) ** plan.p)
                 gap_by_vol.append(float(np.mean(diffs)))
             ok &= gap_by_vol[0] <= gap_by_vol[1]
@@ -220,7 +221,8 @@ def test_08_frozen_site_and_determinism():
     ok = bool(np.all(traj[~volume, :] == 0.8))
 
     vols = radial_volumes(g, [1.0, 3.0])
-    hashes = [run_nested(field, vols, init, plan, n_threads=k).content_hash()
+    hashes = [hashlib.sha256(run_nested(field, vols, init, plan,
+                                        n_threads=k)).hexdigest()
               for k in (1, 2, 4)]
     ok &= hashes[0] == hashes[1] == hashes[2]
     report(8, "frozen sites exact; ensembles bit-identical across threads", ok)

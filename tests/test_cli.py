@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -47,6 +46,7 @@ def small_cfg():
     cfg = lattice_graph_cfg(-3, 3)
     cfg["field"] = {"drift": "cubic", "coupling": "linear_pair", "J": 0.2}
     cfg["plan"] = {"dt": 0.05, "T": 0.1, "replicas": 2, "p": 4}
+    cfg["volumes"] = {"radii": [1.0]}
     cfg["gibbs"] = {"chain": {"steps": 10, "burn_in": 10}, "eta": [2, 3]}
     return cfg
 
@@ -319,17 +319,16 @@ class TestSimulateCommand:
         graph = build_graph(lattice_configuration(-3, 3), 1.5)
         field_ = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
         plan = SimPlan(dt=0.05, T=0.5, replicas=9, master_seed=4, p=3.0)
-        ens = run_nested(field_, radial_volumes(graph, [1.0, 2.0]),
-                         RandomInit("normal", 0.3, 1.2), plan)
+        paths = run_nested(field_, radial_volumes(graph, [1.0, 2.0]),
+                           RandomInit("normal", 0.3, 1.2), plan)
         times = [0.0, 0.15, 0.5]
-        # p is read from the plan: plan.p = 3, and 4.5 on a re-planned copy
-        ens_45 = dataclasses.replace(ens, plan=dataclasses.replace(plan, p=4.5))
-        for volume, e, p in ((1, ens, 3.0), (-1, ens_45, 4.5)):
-            mean, se = moment_p(e, volume, times)
+        cols = [plan.time_index(t) for t in times]
+        for volume, p in ((1, 3.0), (-1, 4.5)):
+            mean, se = moment_p(paths[:, volume][:, :, cols], p)
             assert mean.shape == se.shape == (graph.n_sites, len(times))
             for x in range(graph.n_sites):
                 for j, t in enumerate(times):
-                    vals = np.abs(ens.trajectories[:, volume, x, plan.time_index(t)]) ** p
+                    vals = np.abs(paths[:, volume, x, plan.time_index(t)]) ** p
                     assert mean[x, j] == pytest.approx(np.mean(vals), rel=1e-12)
                     assert se[x, j] == pytest.approx(
                         np.std(vals, ddof=1) / np.sqrt(vals.size), rel=1e-12)
@@ -389,14 +388,6 @@ class TestConvergeCommand:
         cfg["scale"] = {"alpha_star": 0.1, "alpha_top": 1.0}
         cfg["converge"] = {"betas": [0.8], "q": 0.5, "alpha": 0.2}
         return cfg
-
-    def test_single_volume_empty_table(self, tmp_path):
-        cfg = self.base_cfg()
-        cfg["volumes"] = {"radii": []}
-        out = tmp_path / "out"
-        assert main(["converge", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-        lines = (out / "gaps.csv").read_text().strip().splitlines()
-        assert lines == ["n,m,beta,p,gap,bound"]
 
     def test_gaps_decrease_and_bounded(self, tmp_path):
         cfg = self.base_cfg()
@@ -648,6 +639,27 @@ class TestConfigKeys:
         out = tmp_path / "out"
         assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    # A request with nothing to compare or tabulate would otherwise run and
+    # write a header-only table.  Nothing is simulated or written.
+    @pytest.mark.parametrize("command, key, value, named", [
+        ("converge", "volumes", {}, "volumes.radii"),
+        ("converge", "volumes.radii", [], "volumes.radii"),
+        ("converge", "volumes.radii", [100.0], "volumes.radii"),  # the window
+        ("converge", "converge.betas", [], "converge.betas"),
+        ("ovs", "ovs.widths", [], "ovs.widths"),
+    ], ids=["converge-no-volumes", "converge-no-radii", "converge-window-radius",
+            "converge-no-betas", "ovs-no-widths"])
+    def test_empty_request_exits_2_naming_key(self, tmp_path, capsys, monkeypatch,
+                                              command, key, value, named):
+        def nested_gap_sums(*args, **kwargs):
+            raise AssertionError("nested_gap_sums must not be called")
+        monkeypatch.setattr(cli, "nested_gap_sums", nested_gap_sums)
+        cfg = set_key(small_cfg(), key, value)
+        out = tmp_path / "out"
+        assert main([command, write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config error: {named}: " in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_unknown_init_dist_names_key(self, tmp_path, capsys):

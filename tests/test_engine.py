@@ -160,9 +160,9 @@ class TestIntegration:
     def test_ou_second_moment(self, single):
         field = make_field(single, drift="linear", noise="additive")
         plan = SimPlan(dt=1e-3, T=1.0, replicas=4000, master_seed=2)
-        ens = run_nested(field, radial_volumes(single, []),
-                         constant_init(single), plan)
-        mean, se = moment_p(ens, 0, [1.0])
+        paths = run_nested(field, radial_volumes(single, []),
+                           constant_init(single), plan)
+        mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
         target = (1 - np.exp(-2.0)) / 2
         assert abs(mean[0, 0] - target) <= 3 * se[0, 0] + 1e-3
 
@@ -170,9 +170,9 @@ class TestIntegration:
         field = make_field(single, drift="linear", noise="additive")
         plan = SimPlan(dt=1e-3, T=1.0, replicas=2000, master_seed=9,
                        scheme="split_step_implicit")
-        ens = run_nested(field, radial_volumes(single, []),
-                         constant_init(single), plan)
-        mean, se = moment_p(ens, 0, [1.0])
+        paths = run_nested(field, radial_volumes(single, []),
+                           constant_init(single), plan)
+        mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
         target = (1 - np.exp(-2.0)) / 2
         assert abs(mean[0, 0] - target) <= 3 * se[0, 0] + 2e-3
 
@@ -272,12 +272,11 @@ class TestDeterminismAndCoupling:
             with monkeypatch.context() as m:
                 m.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
                 ens.append(run_nested(field, vols, init, plan, n_threads=2))
-            h = [e.content_hash() for e in ens]
+            h = [hashlib.sha256(e).hexdigest() for e in ens]
             assert h[0] == h[1] == h[2] == h[3], scheme
             few = run_nested(field, radial_volumes(chain, []), init,
                              dataclasses.replace(plan, replicas=12))
-            assert np.array_equal(few.trajectories[11, 0],
-                                  ens[0].trajectories[11, -1]), scheme
+            assert np.array_equal(few[11, 0], ens[0][11, -1]), scheme
 
     def test_noise_shared_across_volumes(self, chain):
         # The largest volume's trajectories must not depend on which smaller
@@ -287,7 +286,7 @@ class TestDeterminismAndCoupling:
         init = constant_init(chain, 0.5)
         e1 = run_nested(field, radial_volumes(chain, [1.0]), init, plan)
         e2 = run_nested(field, radial_volumes(chain, [2.0, 3.0]), init, plan)
-        assert np.array_equal(e1.trajectories[:, -1], e2.trajectories[:, -1])
+        assert np.array_equal(e1[:, -1], e2[:, -1])
 
     def test_random_init_deterministic(self, chain):
         init = RandomInit(dist="uniform", a=-1.0, b=1.0)
@@ -302,12 +301,12 @@ class TestDeterminismAndCoupling:
         plan = SimPlan(dt=0.02, T=0.5, replicas=16, master_seed=21, p=4.0)
         vols = radial_volumes(chain, [0.5, 2.0])
         init = RandomInit("normal", 0.0, 1.0)
-        gaps = nested_gap_sums(field, vols, init, plan, [0.5])
-        assert gaps.sums.shape == (2, 1, 16, plan.n_steps + 1)
+        sums, _ = nested_gap_sums(field, vols, init, plan, [0.5])
+        assert sums.shape == (2, 1, 16, plan.n_steps + 1)
         # every volume starts from the same states
-        assert np.all(gaps.sums[..., 0] == 0.0)
-        g0 = cauchy_gap(gaps.sums[0, 0])
-        g1 = cauchy_gap(gaps.sums[1, 0])
+        assert np.all(sums[..., 0] == 0.0)
+        g0 = cauchy_gap(sums[0, 0])
+        g1 = cauchy_gap(sums[1, 0])
         assert g0 > g1 >= 0.0
         # run_nested's checks guard the streamed path too
         with pytest.raises(ParameterError, match="moment order"):
@@ -322,9 +321,8 @@ class TestDeterminismAndCoupling:
         field = make_field(chain, drift="cubic", coupling="zero")
         plan = SimPlan(dt=0.02, T=0.3, replicas=4, master_seed=2, p=4.0)
         vols = radial_volumes(chain, [1.0, 3.0])
-        ens = run_nested(field, vols, constant_init(chain, 1.0), plan)
-        diff = ens.trajectories[:, 0, vols.masks[0], :] \
-            - ens.trajectories[:, 2, vols.masks[0], :]
+        paths = run_nested(field, vols, constant_init(chain, 1.0), plan)
+        diff = paths[:, 0, vols.masks[0], :] - paths[:, 2, vols.masks[0], :]
         assert np.all(diff == 0.0)
 
 
@@ -341,11 +339,11 @@ class TestStreamedGaps:
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.3, replicas=7, master_seed=4, p=4.0,
                            scheme=scheme)
-            ens = run_nested(field, vols, init, plan)
-            want = np.array([[path_gap(ens, n, m, beta, plan.p) for beta in betas]
-                             for n in range(m)])
+            paths = run_nested(field, vols, init, plan)
+            want = np.array([[path_gap(paths, chain, n, m, beta, plan.p)
+                              for beta in betas] for n in range(m)])
             want_hash = hashlib.sha256(
-                np.ascontiguousarray(ens.trajectories[..., -1])).hexdigest()
+                np.ascontiguousarray(paths[..., -1])).hexdigest()
             runs = []
             for chunk, threads in ((None, 1), (None, 2), (1, 1), (1, 2)):
                 with monkeypatch.context() as mp:
@@ -353,12 +351,12 @@ class TestStreamedGaps:
                         mp.setattr("spindyn.engine._CHUNK_ELEMENTS", chunk)
                     runs.append(nested_gap_sums(field, vols, init, plan, betas,
                                                 n_threads=threads))
-            for gaps in runs:
-                got = np.array([[cauchy_gap(gaps.sums[n, b]) for b in range(2)]
+            for sums, final in runs:
+                got = np.array([[cauchy_gap(sums[n, b]) for b in range(2)]
                                 for n in range(m)])
                 assert np.array_equal(got, want), scheme
-                assert np.array_equal(gaps.sums, runs[0].sums), scheme
-                assert gaps.final_states_hash() == want_hash, scheme
+                assert np.array_equal(sums, runs[0][0]), scheme
+                assert hashlib.sha256(final).hexdigest() == want_hash, scheme
 
     def test_noise_blocks_do_not_change_a_bit(self, chain, monkeypatch):
         # 150 steps take three noise blocks of at most 64 steps; paths,
@@ -378,12 +376,13 @@ class TestStreamedGaps:
                         integrate_replicas(field, vols.masks, init, plan,
                                            plan.n_steps),
                         nested_gap_sums(field, vols, init, plan, [0.5])))
-            (ens_a, final_a, gaps_a), (ens_b, final_b, gaps_b) = runs
-            assert np.array_equal(ens_a.trajectories, ens_b.trajectories), scheme
+            ((paths_a, final_a, (sums_a, end_a)),
+             (paths_b, final_b, (sums_b, end_b))) = runs
+            assert np.array_equal(paths_a, paths_b), scheme
             assert np.array_equal(final_a, final_b), scheme
-            assert np.array_equal(final_a, ens_a.trajectories[..., -1]), scheme
-            assert np.array_equal(gaps_a.sums, gaps_b.sums), scheme
-            assert gaps_a.final_states_hash() == gaps_b.final_states_hash()
+            assert np.array_equal(final_a, paths_a[..., -1]), scheme
+            assert np.array_equal(sums_a, sums_b), scheme
+            assert hashlib.sha256(end_a).hexdigest() == hashlib.sha256(end_b).hexdigest()
 
 
 class TestTaggedParticle:
@@ -421,6 +420,30 @@ class TestTaggedParticle:
                 warnings.simplefilter("error", RuntimeWarning)
                 eta = tagged_particle_solve(field, 4, env, 0.5, plan, replica=0)
             assert np.array_equal(eta, traj[4]), scheme
+
+    def test_rejects_site_outside_graph(self, chain):
+        field = make_field(chain, drift="cubic")
+        plan = SimPlan(dt=0.02, T=0.1, p=4.0)
+        env = np.zeros((chain.n_sites, plan.n_steps + 1))
+        for x in (chain.n_sites, -1):
+            with pytest.raises(ParameterError, match=rf"site x={x} outside 0\.\.8"):
+                tagged_particle_solve(field, x, env, 0.5, plan, replica=0)
+
+    def test_non_finite_state_names_replica_site_step(self, chain):
+        # An infinite start fails at step 0; a NaN neighbour at column 2
+        # reaches site 4 in step 2, so its state fails at step 3.
+        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
+        for scheme in SCHEMES:
+            plan = SimPlan(dt=0.02, T=0.2, master_seed=17, p=4.0, scheme=scheme)
+            env = np.full((chain.n_sites, plan.n_steps + 1), 0.5)
+            with pytest.raises(NonFiniteState) as err:
+                tagged_particle_solve(field, 4, env, np.inf, plan, replica=2)
+            assert (err.value.replica, err.value.site, err.value.step) == (2, 4, 0)
+            env[3, 2] = np.nan
+            with pytest.raises(NonFiniteState) as err:
+                tagged_particle_solve(field, 4, env, 0.5, plan, replica=2)
+            assert (err.value.replica, err.value.site, err.value.step) == (2, 4, 3), \
+                scheme
 
 
 class TestSemigroup:
@@ -488,9 +511,9 @@ class TestFinalStates:
             plan = SimPlan(dt=0.01, T=T, replicas=8, master_seed=3, p=4.0)
             tracemalloc.start()
             try:
-                gaps = nested_gap_sums(field, vols, RandomInit("normal", 0.0, 1.0),
-                                       plan, betas)
-                return tracemalloc.get_traced_memory()[1], gaps.sums.nbytes
+                sums, _ = nested_gap_sums(field, vols, RandomInit("normal", 0.0, 1.0),
+                                          plan, betas)
+                return tracemalloc.get_traced_memory()[1], sums.nbytes
             finally:
                 tracemalloc.stop()
 

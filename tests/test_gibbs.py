@@ -496,9 +496,9 @@ class TestGradientDynamics:
         field = gradient_dynamics_field(m)
         from spindyn import moment_p, radial_volumes, run_nested
         plan = SimPlan(dt=0.01, T=6.0, replicas=1500, master_seed=4)
-        ens = run_nested(field, radial_volumes(g, []),
-                         WeightedSeq(np.zeros(g.n_sites), g), plan)
-        mean, se = moment_p(ens, 0, [6.0])
+        paths = run_nested(field, radial_volumes(g, []),
+                           WeightedSeq(np.zeros(g.n_sites), g), plan)
+        mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
         assert abs(mean[0, 0] - 1.0) <= 3 * se[0, 0] + 0.02
 
 
