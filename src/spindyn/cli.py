@@ -397,6 +397,9 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
         plan = _build_plan(cfg)
         with _named("gibbs.t"):
             plan.time_index(t)
+    if t > 0 and (len(sites) != 2 or sites[0] == sites[1]):
+        raise ConfigError("config key 'gibbs.observable_sites' must list two "
+                          f"distinct site ids when gibbs.t > 0, got {sites}")
     report = {}
     zero = WeightedSeq(np.zeros(graph.n_sites), graph)
     sample = gibbs.kernel_sample(model, range(graph.n_sites), zero, chain)
@@ -416,7 +419,7 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
                          "warnings": list(dlr.warnings)}
 
     if t > 0:
-        x1, x2 = sites[0], sites[-1]
+        x1, x2 = sites
         f = lambda z: np.tanh(z[x1])
         g_ = lambda z: np.tanh(z[x2])
         lhs, rhs, se = gibbs.reversibility_test(model, f, g_, t, plan, chain)
@@ -453,6 +456,8 @@ def main(argv=None) -> int:
         import scipy.sparse  # noqa: F401
         import scipy.special  # noqa: F401
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads: need at least 1, got {args.threads}")
         cfg = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -129,16 +129,12 @@ class RandomInit:
     def draw(self, master_seed: int, replica, n_sites: int) -> np.ndarray:
         """Initial states, (n_sites,) for an int ``replica`` and
         (replicas, n_sites) for a 1-d array of replica ids."""
+        u = keyed_draws(master_seed, TAG_INIT, replica, range(n_sites), 1)[..., 0]
         if self.dist == "normal":
             from scipy.special import ndtri
 
-            def transform(u):
-                return self.a + self.b * ndtri(u)
-        else:
-            def transform(u):
-                return self.a + (self.b - self.a) * u
-        return keyed_draws(master_seed, TAG_INIT, replica, range(n_sites), 1,
-                           transform)[..., 0]
+            return self.a + self.b * ndtri(u)
+        return self.a + (self.b - self.a) * u
 
 
 def initial_states(init, graph, plan, reps) -> np.ndarray:

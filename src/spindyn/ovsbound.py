@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IntegrityError, NumericError, ParameterError
 from .geometry import GeometricGraph
-from .spaces import ScaleInterval, WeightedSeq
+from .spaces import ScaleInterval, WeightedSeq, norm_lp
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -233,8 +233,7 @@ def gronwall_bound(B: float, k: float, graph: GeometricGraph, tails, alpha: floa
             raise ParameterError(f"{name}={value} outside the scale")
     if any(np.any(b.values < 0) for b in tails):
         raise ParameterError("tails must be componentwise non-negative")
-    w = np.exp(-alpha * graph.radii())
-    b_norms = [np.sum(w * b.values) for b in tails]
+    b_norms = [norm_lp(b, alpha, 1.0, scale) for b in tails]
     L = estimate_L(induced_matrix(graph, B, k), q, scale)
     # k_series rejects a beta <= alpha.
     return np.outer([k_series(L, T, q, alpha, beta) for beta in betas], b_norms)

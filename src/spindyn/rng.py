@@ -7,10 +7,10 @@ computed on demand in numpy:
 - key: ``stream_key(master_seed, tag)``, with tag ``TAG_WIENER`` for the
   driving noise and ``TAG_INIT`` for the initial data;
 - counter: the four 64-bit words (step // 4, site, replica, 0);
-- draw: word step % 4 of that block, w, taken to u = ((w >> 11) + 1/2) 2^-53,
-  clamped to 1 - 2^-53 (the top word would round to 1.0), and to the
-  standard normal ``scipy.special.ndtri(u)``, by default.  scipy is
-  imported by the first draw that uses that default, not with the module.
+- draw: word step % 4 of that block, w, taken by ``keyed_draws`` to
+  u = ((w >> 11) + 1/2) 2^-53, clamped to 1 - 2^-53 (the top word would
+  round to 1.0).  ``noise_matrix`` maps u to the standard normal
+  ``scipy.special.ndtri(u)``, importing scipy then, not with the module.
 
 So any (replica, site, step) entry is computed alone, and a truncated run
 over any volume, or any batch of replicas, sees exactly the increments of
@@ -115,45 +115,35 @@ def _uniforms(word: np.ndarray) -> np.ndarray:
 
 
 def keyed_draws(master_seed: int, tag: int, replica, site_ids, n_steps: int,
-                transform=None, first_step: int = 0) -> np.ndarray:
-    """``transform`` of the uniforms of (replica, site, step) under ``tag``
-    for every site in ``site_ids`` and every step in
-    ``first_step``..``first_step + n_steps - 1``.  With ``transform`` None,
-    the default, each uniform u becomes the standard normal
-    ``scipy.special.ndtri(u)``; scipy is imported then, not before.
+                first_step: int = 0) -> np.ndarray:
+    """Uniforms in (0, 1) of (replica, site, step) under ``tag`` for every
+    site in ``site_ids`` and every step in
+    ``first_step``..``first_step + n_steps - 1``; callers apply their own map.
 
     For an int ``replica`` the shape is (sites, steps); for a 1-d array of
-    replica ids it is (replicas, sites, steps).  Rows (replica, site) are
-    filled in groups of at most ``_SUB_BLOCK`` Philox blocks, so the
-    temporaries stay small whatever the output size.
+    replica ids it is (replicas, sites, steps).  A row's Philox blocks
+    b_lo..b_hi-1, word by word, are its steps from 4 b_lo on, so one
+    (rows, 4 blocks) buffer is filled and the requested steps returned as a
+    view of it, holding at most 3 unused columns at each end.  Rows are
+    filled in groups of at most ``_SUB_BLOCK`` blocks, so the temporaries
+    stay at 64 KiB; a request of more than 4 ``_SUB_BLOCK`` steps fills one
+    row at a time, with temporaries of one row's words.
     """
     if first_step < 0:
         raise ParameterError(f"first_step {first_step} is negative")
     reps, sites = _ids("replica", np.atleast_1d(replica)), _ids("site", site_ids)
-    if transform is None:
-        from scipy.special import ndtri as transform
     key = stream_key(master_seed, tag)
-    out = np.empty((reps.size, sites.size, n_steps))
-    # Philox blocks b_lo..b_hi-1 hold the steps; step s is word s % 4 of
-    # block s // 4, output column s - first_step.
     b_lo, b_hi = first_step // 4, -(-(first_step + n_steps) // 4)
-    n_blocks = b_hi - b_lo
-    if out.size:
-        rows = out.reshape(-1, n_steps)
-        per_row = max(1, _SUB_BLOCK // n_blocks)
-        per_col = min(n_blocks, _SUB_BLOCK)
-        for r0 in range(0, rows.shape[0], per_row):
-            r = np.arange(r0, min(r0 + per_row, rows.shape[0]))
-            rep, site = reps[r // sites.size, None], sites[r % sites.size, None]
-            for b0 in range(b_lo, b_hi, per_col):
-                b1 = min(b0 + per_col, b_hi)
-                b = np.arange(b0, b1, dtype=np.uint64)
-                for w, word in enumerate(_philox(key, b, site, rep, 0)):
-                    c0 = 4 * b0 + w - first_step  # column of block b0's word w
-                    skip = int(c0 < 0)
-                    c_end = min(4 * b1 + w - first_step, n_steps)
-                    dest = rows[r0:r0 + r.size, c0 + 4 * skip:c_end:4]
-                    dest[...] = transform(_uniforms(word[:, skip:skip + dest.shape[1]]))
+    b = np.arange(b_lo, b_hi, dtype=np.uint64)
+    rows = np.empty((reps.size * sites.size, 4 * b.size))
+    per_row = max(1, _SUB_BLOCK // max(1, b.size))
+    for r0 in range(0, rows.shape[0], per_row):
+        r = np.arange(r0, min(r0 + per_row, rows.shape[0]))
+        rep, site = reps[r // sites.size, None], sites[r % sites.size, None]
+        for w, word in enumerate(_philox(key, b, site, rep, 0)):
+            rows[r0:r0 + r.size, w::4] = _uniforms(word)
+    skip = first_step - 4 * b_lo
+    out = rows[:, skip:skip + n_steps].reshape(reps.size, sites.size, n_steps)
     return out[0] if np.ndim(replica) == 0 else out
 
 
@@ -167,5 +157,7 @@ def noise_matrix(master_seed: int, replica, site_ids, n_steps: int,
     (replica, site, step) is the same whatever else is requested with it,
     which is what couples the truncated runs.
     """
-    return keyed_draws(master_seed, TAG_WIENER, replica, site_ids, n_steps,
-                       first_step=first_step)
+    from scipy.special import ndtri
+
+    u = keyed_draws(master_seed, TAG_WIENER, replica, site_ids, n_steps, first_step)
+    return ndtri(u, out=u)

@@ -32,13 +32,13 @@ def lattice_graph_cfg(lo=-5, hi=5, rho=1.5):
                       "lattice": {"lo": lo, "hi": hi}}}
 
 
-def benchmark_inputs():
-    """``perfbench/inputs.py``, executed from its source so that nothing is
+def perfbench_module(name):
+    """``perfbench/<name>.py``, executed from its source so that nothing is
     written next to it."""
-    src = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    inputs = types.ModuleType("perfbench_inputs")
-    exec(compile(src.read_text(), str(src), "exec"), inputs.__dict__)
-    return inputs
+    src = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(src.read_text(), str(src), "exec"), module.__dict__)
+    return module
 
 
 def small_cfg():
@@ -431,7 +431,7 @@ class TestConvergeCommand:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(ovsbound, name, counted)
-        cfg = benchmark_inputs().generate("converge_chain", 1, tmp_path / "in")
+        cfg = perfbench_module("inputs").generate("converge_chain", 1, tmp_path / "in")
         out = tmp_path / "out"
         assert main(["converge", str(cfg), "--out", str(out)]) == 0
         rows = np.loadtxt(out / "gaps.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -530,7 +530,12 @@ class TestGibbsCommand:
 
     @pytest.mark.parametrize("key, sites", [("eta", [-1, 0]), ("eta", [0, 99]),
                                             ("observable_sites", [0, 50]),
-                                            ("eta", [2, 2])])
+                                            ("eta", [2, 2]),
+                                            # the reversibility check compares
+                                            # two distinct sites, and only two
+                                            ("observable_sites", [1]),
+                                            ("observable_sites", [1, 1]),
+                                            ("observable_sites", [1, 2, 3])])
     def test_bad_sites_exit_2_without_report(self, tmp_path, capsys, key, sites):
         cfg = lattice_graph_cfg(-10, 10, 1.5)
         cfg["gibbs"] = {"potential": "quartic", "J": 0.1,
@@ -543,8 +548,28 @@ class TestGibbsCommand:
         assert f"gibbs.{key}" in capsys.readouterr().err
         assert not (out / "gibbs_report.json").exists()
 
+    def test_default_sites_on_one_site_graph_exit_2(self, tmp_path, capsys):
+        # The default [0, n - 1] names one site twice when n = 1.
+        cfg = lattice_graph_cfg(0, 0, 1.0)
+        cfg["gibbs"] = {"potential": "quartic", "chain": {"steps": 20, "burn_in": 5},
+                        "t": 0.2}
+        cfg["plan"] = {"dt": 0.01, "T": 0.2, "replicas": 5, "master_seed": 2, "p": 4}
+        out = tmp_path / "out"
+        assert main(["gibbs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "gibbs.observable_sites" in capsys.readouterr().err
+        assert not (out / "gibbs_report.json").exists()
+
 
 class TestConfigKeys:
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_1_exit_2_before_output(self, tmp_path, capsys, threads):
+        cfg = write_cfg(tmp_path, small_cfg())
+        for command in cli._COMMANDS:
+            out = tmp_path / command
+            assert main([command, cfg, "--out", str(out), "--threads", str(threads)]) == 2
+            assert "--threads" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, key, value", [
         ("converge", "scale", {"alpha_star": 1.0, "alpha_top": 0.5}),
         ("ovs", "scale", {"alpha_star": 1.0, "alpha_top": 0.5}),
@@ -680,6 +705,20 @@ class TestConfigKeys:
         assert read == cli._CONFIG_KEYS
 
     def test_benchmark_configs_load(self, tmp_path):
-        inputs = benchmark_inputs()
+        inputs = perfbench_module("inputs")
         for workload in inputs.WORKLOADS:
             cli._load_config(str(inputs.generate(workload, 1, tmp_path / workload)))
+
+    def test_benchmark_outputs_pass_benchmark_checks(self, tmp_path):
+        # The benchmark's own output checks, on its seed-1 inputs and at its
+        # thread counts (perfbench/run.py's THREADS).
+        inputs, checks = perfbench_module("inputs"), perfbench_module("checks")
+        for workload in inputs.WORKLOADS:
+            cfg = inputs.generate(workload, 1, tmp_path / workload / "inputs")
+            out = tmp_path / workload / "out"
+            command = workload.split("_")[0]
+            threads = 2 if workload == "simulate_poisson" else 1
+            assert main([command, str(cfg), "--out", str(out),
+                         "--threads", str(threads)]) == 0
+            assert checks.check(command, cfg, out) == [], workload
+            assert checks.manifest(out) == [], workload

@@ -1,6 +1,7 @@
 """The counter-addressed Philox core: bit-exact against numpy's Philox,
-addressable entry by entry, independent of the sub-block size, standard
-normal in distribution, and strict about the ids it is given."""
+uniforms addressed entry by entry, independent of the sub-block size,
+standard normal in distribution after ``noise_matrix``'s map, and strict
+about the ids it is given."""
 
 import numpy as np
 import pytest
@@ -50,6 +51,28 @@ class TestOracle:
         w = _numpy_block(rng.stream_key(4, TAG_WIENER), 1 | 3 << 64 | 5 << 128)[2]
         u = ((int(w) >> 11) + 0.5) * 2.0 ** -53
         assert noise_matrix(4, 5, [3], 7)[0, 6] == ndtri(u)
+
+
+class TestKeyedDraws:
+    @pytest.mark.parametrize("first", [0, 1, 2, 3, 5, 64, 71])
+    def test_uniforms_are_the_addressed_words(self, first):
+        key = rng.stream_key(11, TAG_INIT)
+        reps, sites, k = np.array([0, 3]), [2, 9, 4], 10
+        u = keyed_draws(11, TAG_INIT, reps, sites, k, first_step=first)
+        assert u.shape == (2, 3, k)
+        assert np.all((u > 0.0) & (u < 1.0))
+        for i, r in enumerate(reps):
+            for j, x in enumerate(sites):
+                for c in range(k):
+                    s = first + c
+                    w = _philox(key, [s // 4], x, r, 0)[s % 4]
+                    assert u[i, j, c] == rng._uniforms(w)[0], (r, x, s)
+
+    @pytest.mark.parametrize("first", [0, 3, 6])
+    def test_noise_is_ndtri_of_the_wiener_uniforms(self, first):
+        u = keyed_draws(6, TAG_WIENER, np.arange(4), range(5), 17, first_step=first)
+        np.testing.assert_array_equal(
+            noise_matrix(6, np.arange(4), range(5), 17, first_step=first), ndtri(u))
 
 
 class TestAddressability:
@@ -133,7 +156,7 @@ class TestDistribution:
 
     def test_tags_give_different_draws(self):
         wiener = noise_matrix(2, np.arange(3), range(50), 1)
-        init = keyed_draws(2, TAG_INIT, np.arange(3), range(50), 1)
+        init = ndtri(keyed_draws(2, TAG_INIT, np.arange(3), range(50), 1))
         assert not np.any(wiener == init)
         np.testing.assert_array_equal(RandomInit("normal").draw(2, np.arange(3), 50),
                                       init[..., 0])
