@@ -5,9 +5,8 @@ convergence diagnostics, operator-bound certification on a scale of
 weighted sequence spaces, and Gibbs-measure reversibility tests.
 """
 
-from .errors import (ConfigError, ConstructionError, IntegrityError,
-                     NonFiniteState, NumericError, ParameterError,
-                     SpindynError)
+from .errors import (ConfigError, IntegrityError, NonFiniteState, NumericError,
+                     ParameterError, SpindynError)
 from .geometry import (Configuration, GeometricGraph, build_graph,
                        configuration_from_csv, configuration_to_csv,
                        fit_degree_constant, graph_to_csv,
@@ -16,8 +15,8 @@ from .spaces import ScaleInterval, WeightedSeq, norm_lp, weighted_seq_from_csv
 from .ovsbound import (ComparisonReport, FiniteRangeMatrix, comparison_check,
                        estimate_L, gronwall_bound, induced_matrix, k_series,
                        series_solve)
-from .coeffs import (AssumptionReport, CoefficientField, SinglePotentialDrift,
-                     make_field, validate_assumptions)
+from .coeffs import (CoefficientField, Polynomial, SinglePotentialDrift,
+                     make_field)
 from .engine import (RandomInit, SimPlan, VolumeSequence, cauchy_gap, moment_p,
                      nested_gap_sums, radial_volumes, run_nested,
                      tagged_particle_solve)

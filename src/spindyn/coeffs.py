@@ -12,6 +12,7 @@ the spins are out of scope.  Evaluation is pure and takes a state of shape
 those sites.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -25,25 +26,105 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class SinglePotentialDrift:
-    """Single-site drift phi with its declared growth/dissipativity constants.
+class Polynomial:
+    """p(s) = sum_k a_k s^k from ascending coefficients, held as finite floats
+    with trailing zeros dropped; the zero polynomial has degree -1."""
 
-    ``c`` and ``R`` bound the growth |phi| <= c (1 + |s|^R); ``b`` is the
-    one-sided Lipschitz constant.  ``dphi`` is optional and only used by the
-    implicit integrator's Newton step.
-    """
-
-    phi: callable
-    c: float
-    R: float
-    b: float
-    dphi: callable = None
+    coeffs: tuple
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ParameterError("growth constant c must be positive")
-        if self.R < 2:
-            raise ParameterError("growth exponent R must be >= 2")
+        a = np.asarray(self.coeffs, dtype=float)
+        a = a[:np.max(np.flatnonzero(a), initial=-1) + 1]  # np.trim_zeros is slower
+        if not np.isfinite(a).all():
+            raise ParameterError(f"polynomial coefficients must be finite, got {a}")
+        object.__setattr__(self, "coeffs", tuple(a.tolist()))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, s):
+        """p(s) elementwise: its nonzero terms a_k s^k in ascending degree, s^k
+        by binary powering (s^3 = (s s) s, s^4 = (s s)(s s)); unlike Horner's
+        form, this keeps the presets' bytes, signed zeros included."""
+        if self.degree < 1:
+            return np.full_like(s, self.coeffs[0] if self.coeffs else 0.0)
+        out, pw = None, [None, s]  # s^2j = s^j s^j, s^(2j+1) = s^2j s
+        for k, a in enumerate(self.coeffs):
+            if k > 1:
+                pw.append(pw[k - 1] * s if k % 2 else pw[k // 2] * pw[k // 2])
+            if a:
+                term = a * pw[k] if k else a
+                out = term if out is None else out + term
+        return out
+
+    def deriv(self) -> "Polynomial":
+        return Polynomial([k * a for k, a in enumerate(self.coeffs)][1:])
+
+    def growth(self) -> tuple:
+        """(c, R) with |p(s)| <= c (1 + |s|^R) for every real s: c = sum |a_k|,
+        rounded up, and R = max(2, degree), since |s|^k <= 1 + |s|^R."""
+        c = math.fsum(map(abs, self.coeffs))
+        if math.fsum([c, *(-abs(a) for a in self.coeffs)]) < 0:  # c rounded down
+            c = math.nextafter(c, math.inf)
+        return c, float(max(2, self.degree))
+
+    def sup(self) -> float:
+        """An upper bound on sup p over the reals; +inf if p is unbounded above
+        or the bound overflows.  p peaks at 0 or at a real zero of p' = s^k r(s).
+        Each zero of r lies within m |r(z_i)| / |r_m prod_{j!=i} (z_i - z_j)| of
+        one of its m computed zeros z_i (Smith, 1970); h is that radius doubled,
+        with r(z_i)'s rounding added.  On [x - h, x + h], x = Re z_i, p is at
+        most p(x) + sum_j |p^(j)(x)| h^j / j!, plus that sum's rounding."""
+        a, n = self.coeffs, self.degree
+        if n < 1 or n % 2 or a[-1] > 0:
+            return float(self(0.0)) if n < 1 else math.inf
+        eps = 16 * (n + 1) * np.finfo(float).eps  # relative rounding, generously
+        r = Polynomial(np.trim_zeros(self.deriv().coeffs, "f"))
+        z = np.roots(r.coeffs[::-1])
+        with np.errstate(all="ignore"):
+            size = np.abs(r(z)) + eps * Polynomial(np.abs(r.coeffs))(np.abs(z))
+            gaps = np.abs(z[:, None] - z) + np.eye(z.size)
+            h = np.append(2 * z.size * size / (abs(r.coeffs[-1]) * gaps.prod(axis=1)), 0.0)
+            x = np.append(z.real, 0.0)
+            bound = self(x) + eps * Polynomial(np.abs(a))(np.abs(x) + h)
+            p, term = self, np.ones_like(h)
+            for j in range(1, n + 1):
+                p, term = p.deriv(), term * h / j
+                bound = bound + np.abs(p(x)) * term
+        return float(np.max(np.where(np.isnan(bound), np.inf, bound)))
+
+
+@dataclass(frozen=True)
+class SinglePotentialDrift:
+    """Single-site drift phi, a polynomial, with its certificates computed.
+
+    (c, R) = ``phi.growth()`` bound the growth |phi(s)| <= c (1 + |s|^R).
+    ``b`` = sup phi' is the one-sided Lipschitz constant: by the mean value
+    theorem, (s1 - s2)(phi(s1) - phi(s2)) <= b (s1 - s2)^2, and no smaller b
+    holds.  A phi' unbounded above raises ``ParameterError``.
+
+    The per-site inequalities for Phi = phi + A z and Psi = S z + c_0 follow
+    from these and a field's a_bar and M.  With n_x >= 1 the size of the
+    closed neighbourhood of x and y ~ x its other sites:
+    1. |(S dz)_x| <= M |dz_x| + M sum_{y~x} |dz_y| and |Psi_x(0)| = |c_0| <= M n_x.
+    2. |Phi_x(z)| <= |phi(z_x)| + a_bar |z_x| + a_bar sum_{y~x} |z_y|, so the
+       site growth bound c (1 + |z_x|^R) + a_bar n_x (1 + 2|z_x|)
+       + a_bar sum_{y~x} |z_y| has slack >= a_bar.
+    3. a_bar |dz_x dz_y| <= dz_x^2 / (2 n_x) + n_x a_bar^2 dz_y^2 / 2 and
+       a_bar <= 4 a_bar^2 n_x^2, so the site pairing bound on dz_x (Phi_x(z) -
+       Phi_x(z')), (b + 1/2 + 4 a_bar^2 n_x^2) dz_x^2 + (a_bar^2 n_x / 2)
+       sum_{y~x} dz_y^2, holds too.
+    """
+
+    phi: Polynomial
+    b: float = field(init=False)
+
+    def __post_init__(self):
+        b = self.phi.deriv().sup()
+        if b == math.inf:
+            raise ParameterError(f"phi' of {self.phi} is unbounded above")
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -96,85 +177,10 @@ class CoefficientField:
         return (self.S @ state.T).T + self.diff_const
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    worst_margin: float  # most negative slack seen; >= 0 means satisfied
-    counterexample: tuple = None
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_assumptions(field_: CoefficientField, trials: int = 10 ** 5,
-                         box: float = 10.0, seed: int = 0) -> AssumptionReport:
-    """Randomised falsification of phi's declared growth and dissipativity:
-    ``phi_growth``, |phi(s)| <= c (1 + |s|^R), and ``phi_dissipative``,
-    (s1 - s2)(phi(s1) - phi(s2)) <= b (s1 - s2)^2, on s uniform in [-box, box].
-
-    The per-site inequalities for Phi = phi + A z and Psi = S z + c follow
-    from these and the computed a_bar and M, so are not sampled.  With n_x >= 1
-    the size of the closed neighbourhood of x and y ~ x its other sites:
-    1. |(S dz)_x| <= M |dz_x| + M sum_{y~x} |dz_y| and |Psi_x(0)| = |c| <= M n_x.
-    2. |Phi_x(z)| <= |phi(z_x)| + a_bar |z_x| + a_bar sum_{y~x} |z_y|, so the
-       site growth bound c (1 + |z_x|^R) + a_bar n_x (1 + 2|z_x|)
-       + a_bar sum_{y~x} |z_y| has slack >= a_bar + the phi_growth slack at z_x.
-    3. a_bar |dz_x dz_y| <= dz_x^2 / (2 n_x) + n_x a_bar^2 dz_y^2 / 2 and
-       a_bar <= 4 a_bar^2 n_x^2, so the site pairing bound on dz_x (Phi_x(z) -
-       Phi_x(z')), (b + 1/2 + 4 a_bar^2 n_x^2) dz_x^2 + (a_bar^2 n_x / 2)
-       sum_{y~x} dz_y^2, has slack >= the phi_dissipative slack at (z_x, z'_x).
-    So a site bound can fail only where a phi check fails at the same scalars.
-    """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if box <= 0:
-        raise ParameterError("box must be positive")
-    rng = np.random.default_rng(seed)
-    d = field_.drift
-    s = rng.uniform(-box, box, size=trials)
-    growth = _check("phi_growth", d.c * (1 + np.abs(s) ** d.R) - np.abs(d.phi(s)), (s,))
-    s1, s2 = rng.uniform(-box, box, size=trials), rng.uniform(-box, box, size=trials)
-    ds = s1 - s2
-    return AssumptionReport(checks=(growth, _check(
-        "phi_dissipative", d.b * ds ** 2 - ds * (d.phi(s1) - d.phi(s2)), (s1, s2))))
-
-
-def _check(name: str, slack: np.ndarray, args: tuple) -> CheckResult:
-    """The most negative slack and, if below -1e-9, its arguments.  argmin
-    takes the first NaN, so a slack that cannot be checked is the worst."""
-    i = int(np.argmin(slack))
-    ok = bool(slack[i] >= -1e-9)
-    return CheckResult(name=name, passed=ok, worst_margin=float(slack[i]),
-                       counterexample=None if ok else tuple(float(a[i]) for a in args))
-
-
 # ---------------------------------------------------------------------------
 # Named presets (selectable from run configs)
 
-def _cubic():
-    return SinglePotentialDrift(phi=lambda s: -s * s * s, c=1.0, R=3.0, b=0.0,
-                                dphi=lambda s: -3.0 * s ** 2)
-
-
-def _linear():
-    return SinglePotentialDrift(phi=lambda s: -s, c=1.0, R=2.0, b=0.0,
-                                dphi=lambda s: -np.ones_like(s))
-
-
-_DRIFT_PRESETS = {"cubic": _cubic, "linear": _linear}
+_DRIFT_PRESETS = {"cubic": (0.0, 0.0, 0.0, -1.0), "linear": (0.0, -1.0)}
 
 
 def make_field(graph: GeometricGraph, drift: str = "cubic", coupling: str = "zero",
@@ -187,7 +193,7 @@ def make_field(graph: GeometricGraph, drift: str = "cubic", coupling: str = "zer
     """
     if drift not in _DRIFT_PRESETS:
         raise ParameterError(f"unknown drift preset '{drift}'")
-    d = _DRIFT_PRESETS[drift]()
+    d = SinglePotentialDrift(Polynomial(_DRIFT_PRESETS[drift]))
 
     pair = {"zero": 0.0, "linear_pair": J}
     if coupling not in pair:

@@ -32,7 +32,6 @@ from .spaces import WeightedSeq
 
 _NEWTON_MAX_ITERS = 50
 _NEWTON_TOL = 1e-12
-_FD_STEP = 1e-7
 # Replica-chunk size cap keeps each chunk's noise block bounded.
 _CHUNK_ELEMENTS = 20_000_000
 # Steps per noise draw, a multiple of the 4 steps of one Philox block, so
@@ -125,6 +124,9 @@ class RandomInit:
     def __post_init__(self):
         if self.dist not in ("normal", "uniform"):
             raise ParameterError(f"unknown initial distribution '{self.dist}'")
+        floor, name = (self.a, f"a={self.a}") if self.dist == "uniform" else (0.0, "0")
+        if not self.b >= floor:
+            raise ParameterError(f"b={self.b} must be >= {name} for the {self.dist} law")
 
     def draw(self, master_seed: int, replica, n_sites: int) -> np.ndarray:
         """Initial states, (n_sites,) for an int ``replica`` and
@@ -153,9 +155,7 @@ def _solve_implicit(drift, state, dt, sites, j):
     """Newton solve of theta = state + dt * phi(theta) at the site ids
     ``sites`` in step j, vectorised; each entry stops at its own tolerance,
     whatever else shares the block."""
-    phi = drift.phi
-    dphi = drift.dphi if drift.dphi is not None else \
-        (lambda s: (phi(s + _FD_STEP) - phi(s - _FD_STEP)) / (2 * _FD_STEP))
+    phi, dphi = drift.phi, drift.phi.deriv()
     theta = state.copy()
     for _ in range(_NEWTON_MAX_ITERS):
         resid = theta - dt * phi(theta) - state
@@ -316,9 +316,9 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
 def _check_nested(field_: CoefficientField, volumes: VolumeSequence, plan: SimPlan):
     """The moment order must cover the drift's growth, and the volume masks
     the graph's sites."""
-    if plan.p < max(2.0, field_.drift.R):
-        raise ParameterError(
-            f"moment order p={plan.p} must be >= max(2, R={field_.drift.R})")
+    R = field_.drift.phi.growth()[1]
+    if plan.p < max(2.0, R):
+        raise ParameterError(f"moment order p={plan.p} must be >= max(2, R={R})")
     width, n = volumes.masks.shape[1], field_.graph.n_sites
     if width != n:
         raise ParameterError(f"volume masks cover {width} sites, the graph has {n}")
@@ -414,7 +414,8 @@ def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,
     if not 0 <= x < n:
         raise ParameterError(f"site x={x} outside 0..{n - 1}")
     if env.shape != (n, n_steps + 1):
-        raise ParameterError("env must have shape (n_sites, n_steps + 1)")
+        raise ParameterError(f"env has shape {env.shape}, need (sites, steps+1) = "
+                             f"{(n, n_steps + 1)}")
     dW = noise_matrix(plan.master_seed, replica, [x], n_steps)[0] * np.sqrt(plan.dt)
     row_x = replace(field_, sites=np.array([x]))
     states = env.T.copy()  # (steps+1, sites); column x becomes the path

@@ -34,16 +34,5 @@ class NonFiniteState(NumericError):
         return NonFiniteState(self.replica + offset, self.site, self.step)
 
 
-class ConstructionError(SpindynError):
-    """A derived object failed its post-construction validation.
-
-    Carries the validation report on the ``report`` attribute.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class ConfigError(SpindynError):
     """A run configuration failed schema validation."""

@@ -3,9 +3,9 @@ reversibility test for the induced gradient dynamics.
 
 The pair potential is W_xy(u, v) = a_xy u v, with one coupling a_xy per CSR
 entry of the graph, so a pair beyond the interaction radius has none; the
-single-site potential V carries a polynomial lower bound.  The kernel on a
-finite site set eta with frozen exterior z has density proportional to
-exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
+single-site potential V is a polynomial with a computed lower bound.  The
+kernel on a finite site set eta with frozen exterior z has density
+proportional to exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
 """
 
 from dataclasses import dataclass, field, replace
@@ -13,17 +13,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coeffs import (CoefficientField, SinglePotentialDrift,
-                     validate_assumptions)
+from .coeffs import CoefficientField, Polynomial, SinglePotentialDrift
 from .engine import SimPlan, integrate_replicas
-from .errors import ConstructionError, ParameterError
+from .errors import ParameterError
 from .geometry import GeometricGraph
 from .spaces import WeightedSeq
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-_FD_H = 1e-6
 _VALIDATE_BOX = 5.0
 _TUNE_EVERY = 25
 _TUNE_TARGET = (0.5, 0.7)
@@ -38,22 +36,23 @@ class GibbsModel:
     ``graph.indices``; it is stored as a read-only float64 copy, finite,
     symmetric (a_xy = a_yx) and with 0 on the self entries.  ``A`` is the
     sparse coupling operator built from it once, the only place the Gibbs
-    layer reads pair couplings from.  The growth certificate (a_V, b_V, tau)
-    lower-bounds V and (I_W, J_W, r) upper-bounds |W| on the validation box
-    with max |a_xy|; both are checked at construction, as is tau > r.
+    layer reads pair couplings from.  V has even degree tau and a positive
+    leading coefficient 2 a_V; V(u) >= a_V |u|^tau - b_V with the computed
+    b_V = max(0, sup(a_V u^tau - V)).  (I_W, J_W, r) upper-bounds |W| on the
+    validation box with max |a_xy|, checked at construction, as is tau > r.
     """
 
     graph: GeometricGraph
     weights: np.ndarray
-    V: callable
-    tau: float
-    a_V: float = 0.25
-    b_V: float = 1.0
+    V: Polynomial
     I_W: float = 0.0
     J_W: float = 0.0
     r: float = 0.0
-    dV: callable = None
     A: "sp.csr_matrix" = field(init=False, repr=False)
+    grad_V: Polynomial = field(init=False, repr=False)
+    tau: int = field(init=False)
+    a_V: float = field(init=False)
+    b_V: float = field(init=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -70,28 +69,24 @@ class GibbsModel:
             raise ParameterError(f"weights must be symmetric: a_xy != a_yx at "
                                  f"(x, y) = ({x[0]}, {y[0]})")
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "A", A)
-        if self.a_V <= 0 or self.b_V <= 0:
-            raise ParameterError("a_V and b_V must be positive")
+        if self.V.degree % 2 or self.V.coeffs[-1] < 0:
+            raise ParameterError(f"V must have even degree and a positive leading "
+                                 f"coefficient, got {self.V}")
+        a_V = self.V.coeffs[-1] / 2
+        b_V = max(0.0, Polynomial([-a for a in self.V.coeffs[:-1]] + [-a_V]).sup())
+        for name, value in (("weights", w), ("A", A), ("grad_V", self.V.deriv()),
+                            ("tau", self.V.degree), ("a_V", a_V), ("b_V", b_V)):
+            object.__setattr__(self, name, value)
         if min(self.I_W, self.J_W, self.r) < 0:
             raise ParameterError("I_W, J_W, r must be nonnegative")
         if not self.tau > self.r:
             raise ParameterError(f"need tau > r, got tau={self.tau}, r={self.r}")
-        u = np.linspace(-_VALIDATE_BOX, _VALIDATE_BOX, 201)
-        if np.any(self.V(u) < self.a_V * np.abs(u) ** self.tau - self.b_V - 1e-9):
-            raise ParameterError("V violates its declared lower bound on the test set")
-        w_max = float(np.max(np.abs(w))) if w.size else 0.0
-        uu, vv = np.meshgrid(u[::8], u[::8])
-        lhs = w_max * np.abs(uu * vv)
-        rhs = self.I_W * (np.abs(uu) ** self.r + np.abs(vv) ** self.r) + self.J_W
+        u = np.abs(np.linspace(-_VALIDATE_BOX, _VALIDATE_BOX, 26))
+        uu, vv = np.meshgrid(u, u)
+        lhs = np.max(np.abs(w), initial=0.0) * (uu * vv)
+        rhs = self.I_W * (uu ** self.r + vv ** self.r) + self.J_W
         if np.any(lhs > rhs + 1e-9):
             raise ParameterError("pair potential violates its declared growth bound")
-
-    def grad_V(self, u):
-        if self.dV is not None:
-            return self.dV(u)
-        return (self.V(u + _FD_H) - self.V(u - _FD_H)) / (2 * _FD_H)
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +345,13 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
 def gradient_dynamics_field(model: GibbsModel) -> CoefficientField:
     """SDE coefficients whose stationary law is the Gibbs measure.
 
-    Single-site drift -V'(s)/2, pair drift -a_xy v / 2 toward each
-    neighbour, unit additive noise; checked by ``validate_assumptions``.
+    Single-site drift phi = -V'/2, a polynomial with computed certificates,
+    pair drift -a_xy v / 2 toward each neighbour, unit additive noise.
     """
-    g = model.graph
-    R = max(model.tau - 1.0, 2.0)
-    drift = SinglePotentialDrift(phi=lambda s: -0.5 * model.grad_V(s),
-                                 c=1.0, R=R, b=0.0)
-    field_ = CoefficientField(drift=drift, graph=g,
-                              drift_weights=-0.5 * model.weights,
-                              diff_weights=np.zeros(g.indices.size), diff_const=1.0)
-    report = validate_assumptions(field_, trials=2000, box=_VALIDATE_BOX)
-    if not report.passed:
-        bad = [c.name for c in report.checks if not c.passed]
-        raise ConstructionError(f"gradient dynamics field fails coefficient checks: {bad}",
-                                report=report)
-    return field_
+    phi = Polynomial([-0.5 * a for a in model.grad_V.coeffs])
+    return CoefficientField(drift=SinglePotentialDrift(phi), graph=model.graph,
+                            drift_weights=-0.5 * model.weights,
+                            diff_weights=np.zeros_like(model.weights), diff_const=1.0)
 
 
 def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
@@ -395,12 +381,7 @@ def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
 # ---------------------------------------------------------------------------
 # Presets
 
-_POTENTIALS = {
-    "quartic": dict(V=lambda u: (u * u) * (u * u) / 4.0,
-                    dV=lambda u: u * u * u, tau=4.0, a_V=0.25, b_V=1.0),
-    "gaussian": dict(V=lambda u: u ** 2 / 2.0, dV=lambda u: u,
-                     tau=2.0, a_V=0.5, b_V=1.0),
-}
+_POTENTIALS = {"quartic": (0.0, 0.0, 0.0, 0.0, 0.25), "gaussian": (0.0, 0.0, 0.5)}
 
 
 def make_model(graph: GeometricGraph, potential: str = "quartic", J: float = 0.0,
@@ -418,11 +399,9 @@ def make_model(graph: GeometricGraph, potential: str = "quartic", J: float = 0.0
     else:
         raise ParameterError(f"unknown coupling type '{coupling_type}'")
     w[graph.indptr[:-1]] = 0.0
-    preset = _POTENTIALS[potential]
     if J == 0.0:
         I_W, J_W, r = 0.0, 0.0, 0.0
     else:
         I_W, J_W, r = abs(J) * _VALIDATE_BOX, abs(J), 1.0
-    return GibbsModel(graph=graph, weights=w, V=preset["V"], dV=preset["dV"],
-                      tau=preset["tau"], a_V=preset["a_V"], b_V=preset["b_V"],
+    return GibbsModel(graph=graph, weights=w, V=Polynomial(_POTENTIALS[potential]),
                       I_W=I_W, J_W=J_W, r=r)

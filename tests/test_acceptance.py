@@ -4,7 +4,6 @@ Each test prints a single PASS/FAIL line (visible with -s or on failure)
 and asserts the stated tolerance.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -21,8 +20,7 @@ from spindyn import (ChainParams, FiniteRangeMatrix, RandomInit, ScaleInterval,
                      lattice_configuration, make_field, make_model, moment_p,
                      nested_gap_sums, norm_lp, radial_volumes,
                      reversibility_test, run_nested,
-                     sample_poisson, series_solve, tagged_particle_solve,
-                     validate_assumptions)
+                     sample_poisson, series_solve, tagged_particle_solve)
 
 
 def report(num, name, ok):
@@ -293,27 +291,28 @@ def test_10_reversibility():
 def test_11_assumption_validators():
     g = build_graph(lattice_configuration(-5, 5), 1.5)
 
-    cubic = make_field(g, drift="cubic", coupling="linear_pair", J=0.2)
-    ok = cubic.drift.R == 3.0 and cubic.drift.b == 0.0 and cubic.drift.c >= 1.0
-    ok &= validate_assumptions(cubic, trials=10 ** 5, seed=0).passed
+    from spindyn import ParameterError, Polynomial, SinglePotentialDrift
 
-    from spindyn import SinglePotentialDrift
-    bad = dataclasses.replace(
-        cubic, drift=SinglePotentialDrift(phi=lambda s: s ** 2, c=1.0, R=2.0, b=0.0))
-    rep = validate_assumptions(bad, trials=10 ** 4, seed=1)
-    check = rep["phi_dissipative"]
-    ok &= not check.passed and check.counterexample is not None
-    if check.counterexample is not None:
-        s1, s2 = check.counterexample[:2]
-        ok &= (s1 - s2) * (s1 ** 2 - s2 ** 2) > 0
-
+    # The presets' (c, R, b) are computed from their coefficients.
+    want = {"cubic": (1.0, 3.0, 0.0), "linear": (1.0, 2.0, -1.0)}
     presets = [
-        make_field(g, drift="cubic", coupling="zero", noise="additive"),
-        make_field(g, drift="cubic", coupling="linear_pair", J=0.2),
-        make_field(g, drift="linear", coupling="zero", noise="additive"),
-        make_field(g, drift="linear", coupling="linear_pair", J=0.2,
-                   noise="linear_noise", M_tilde=0.5),
+        ("cubic", make_field(g, drift="cubic", coupling="zero", noise="additive")),
+        ("cubic", make_field(g, drift="cubic", coupling="linear_pair", J=0.2)),
+        ("linear", make_field(g, drift="linear", coupling="zero", noise="additive")),
+        ("linear", make_field(g, drift="linear", coupling="linear_pair", J=0.2,
+                              noise="linear_noise", M_tilde=0.5)),
     ]
-    for field in presets:
-        ok &= validate_assumptions(field, trials=10 ** 5, seed=2).passed
-    report(11, "coefficient validators accept presets, reject phi = s^2", ok)
+    ok = True
+    for name, field in presets:
+        d = field.drift
+        ok &= (*d.phi.growth(), d.b) == want[name]
+
+    # phi = s^2 and 100 s^2 have phi' unbounded above: no one-sided
+    # Lipschitz constant exists, so neither can be built.
+    for coeffs in ((0.0, 0.0, 1.0), (0.0, 0.0, 100.0)):
+        try:
+            SinglePotentialDrift(Polynomial(coeffs))
+            ok = False
+        except ParameterError:
+            pass
+    report(11, "computed coefficient constants for presets, reject phi = s^2", ok)

@@ -697,6 +697,14 @@ class TestConfigKeys:
         with pytest.raises(ParameterError, match="gaussian"):
             RandomInit("gaussian")
 
+    @pytest.mark.parametrize("dist, a, b", [("uniform", 1.0, 0.0), ("normal", 0.0, -2.0)])
+    def test_bad_init_b_names_key(self, tmp_path, capsys, dist, a, b):
+        cfg = simulate_cfg(replicas=2, dt=0.1)
+        cfg["init"] = {"type": "random", "dist": dist, "a": a, "b": b}
+        out = tmp_path / "out"
+        assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config error: init.b: b={b} must be >= " in capsys.readouterr().err
+
     def test_key_set_is_exactly_the_keys_read(self):
         # A key in the set that no subcommand reads would be accepted and
         # ignored, the fault the set exists to stop.

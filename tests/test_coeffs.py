@@ -1,14 +1,14 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from spindyn import (CoefficientField, Configuration, ParameterError,
+from spindyn import (CoefficientField, Configuration, ParameterError, Polynomial,
                      SinglePotentialDrift, build_graph, gradient_dynamics_field,
-                     lattice_configuration, make_field, make_model,
-                     validate_assumptions)
+                     lattice_configuration, make_field, make_model)
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +17,14 @@ def graph():
 
 
 def test_drift_constants_validated():
-    with pytest.raises(ParameterError):
-        SinglePotentialDrift(phi=lambda s: -s, c=0.0, R=2.0, b=0.0)
-    with pytest.raises(ParameterError):
-        SinglePotentialDrift(phi=lambda s: -s, c=1.0, R=1.5, b=0.0)
+    # phi' unbounded above leaves no one-sided Lipschitz constant.
+    for coeffs in ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, -1.0)):
+        with pytest.raises(ParameterError, match="unbounded above"):
+            SinglePotentialDrift(Polynomial(coeffs))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            Polynomial((0.0, bad))
+    assert SinglePotentialDrift(Polynomial(())).b == 0.0
 
 
 def test_cubic_drift_with_linear_pair_closed_form(graph):
@@ -55,58 +59,56 @@ def test_vectorised_matches_sitewise(graph):
         assert block[i] == pytest.approx(field.drift_all(states[i]))
 
 
+def _phi_slacks(drift, s1, s2):
+    """Growth and dissipativity slacks of a drift at the pairs (s1, s2)."""
+    (c, R), ds = drift.phi.growth(), s1 - s2
+    return (c * (1 + np.abs(s1) ** R) - np.abs(drift.phi(s1)),
+            drift.b * ds ** 2 - ds * (drift.phi(s1) - drift.phi(s2)))
+
+
 def test_cubic_preset_passes_validator(graph):
-    field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.1)
-    report = validate_assumptions(field, trials=20000, seed=0)
-    assert report.passed, [c.name for c in report.checks if not c.passed]
-    assert report["phi_dissipative"].passed
-    # The per-site inequalities follow from these two; none is sampled.
-    assert [c.name for c in report.checks] == ["phi_growth", "phi_dissipative"]
+    d = make_field(graph, drift="cubic", coupling="linear_pair", J=0.1).drift
+    assert (*d.phi.growth(), d.b) == (1.0, 3.0, 0.0)
+    s1, s2 = np.random.default_rng(0).uniform(-10.0, 10.0, size=(2, 20000))
+    assert all(np.all(slack >= 0) for slack in _phi_slacks(d, s1, s2))
 
 
-def test_quadratic_drift_rejected_with_counterexample(graph):
-    # phi(s) = s^2 is not one-sided Lipschitz with b = 0: the validator must
-    # produce a concrete violating pair.
-    bad = SinglePotentialDrift(phi=lambda s: s ** 2, c=1.0, R=2.0, b=0.0)
-    field = dataclasses.replace(make_field(graph), drift=bad)
-    report = validate_assumptions(field, trials=5000, seed=0)
-    assert not report.passed
-    check = report["phi_dissipative"]
-    assert not check.passed
-    s1, s2 = check.counterexample[:2]
-    assert (s1 - s2) * (s1 ** 2 - s2 ** 2) > 0  # the violation is real
-
-
-def test_growth_violation_detected(graph):
-    bad = SinglePotentialDrift(phi=lambda s: 100.0 * s ** 2, c=1.0, R=2.0, b=100.0)
-    field = dataclasses.replace(make_field(graph), drift=bad)
-    report = validate_assumptions(field, trials=5000, seed=0)
-    assert not report["phi_growth"].passed
-
-
-def test_nan_slack_fails_its_check(graph):
-    # phi is NaN beyond |s| = 5: a slack that cannot be evaluated must not
-    # pass, and its arguments are the counterexample.
-    nan_phi = SinglePotentialDrift(phi=lambda s: np.where(np.abs(s) > 5, np.nan, -s),
-                                   c=1.0, R=2.0, b=0.0)
-    field = dataclasses.replace(make_field(graph), drift=nan_phi)
-    report = validate_assumptions(field, trials=2000, seed=0)
-    for name in ("phi_growth", "phi_dissipative"):
-        assert not report[name].passed and np.isnan(report[name].worst_margin)
-        assert max(abs(s) for s in report[name].counterexample) > 5
+def test_growth_violation_detected():
+    # The constants are computed, so 100 s^2 gets c = 100 where c = 1 failed.
+    p = Polynomial((0.0, 0.0, 100.0))
+    assert p.growth() == (100.0, 2.0)
+    s = np.random.default_rng(0).uniform(-10.0, 10.0, size=5000)
+    assert np.all(np.abs(p(s)) <= 100.0 * (1 + s ** 2))
+    assert np.any(np.abs(p(s)) > 1 + s ** 2)
+    # c = sum |a_k| is rounded up where the float sum is below it.
+    c, _ = Polynomial((1.0, 2.0 ** -60)).growth()
+    assert c == np.nextafter(1.0, 2.0)
 
 
 def test_linear_preset_passes(graph):
-    field = make_field(graph, drift="linear", coupling="zero")
-    assert validate_assumptions(field, trials=10000, seed=3).passed
+    d = make_field(graph, drift="linear", coupling="zero").drift
+    assert (*d.phi.growth(), d.b) == (1.0, 2.0, -1.0)
+    s1, s2 = np.random.default_rng(3).uniform(-10.0, 10.0, size=(2, 10000))
+    assert all(np.all(slack >= 0) for slack in _phi_slacks(d, s1, s2))
 
 
-def test_validator_rejects_bad_arguments(graph):
-    field = make_field(graph)
-    with pytest.raises(ParameterError):
-        validate_assumptions(field, trials=0)
-    with pytest.raises(ParameterError):
-        validate_assumptions(field, box=-1.0)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_presets_evaluate_bit_for_bit_as_their_closed_forms(graph):
+    # Ascending terms with binary powers: Horner's form or np.polyval would
+    # flip the sign of some zeros and round the quartic differently.
+    s = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, 1e154,
+                         -1e154, 1e103], np.random.default_rng(0).standard_normal(1000),
+                        np.exp(np.random.default_rng(1).uniform(-700, 700, 1000))])
+    s = np.concatenate([s, -s])
+    cubic, linear = (make_field(graph, drift=d).drift.phi for d in ("cubic", "linear"))
+    quartic, gauss = (make_model(graph, potential=v) for v in ("quartic", "gaussian"))
+    pairs = [(cubic, -s * s * s), (cubic.deriv(), -3.0 * s ** 2), (linear, -s),
+             (linear.deriv(), -np.ones_like(s)), (quartic.V, (s * s) * (s * s) / 4.0),
+             (quartic.grad_V, s * s * s), (gauss.V, s ** 2 / 2.0), (gauss.grad_V, s),
+             (gradient_dynamics_field(quartic).drift.phi, -0.5 * (s * s * s)),
+             (gradient_dynamics_field(gauss).drift.phi, -0.5 * s)]
+    for p, want in pairs:
+        assert p(s).tobytes() == want.tobytes(), p
 
 
 def test_unknown_presets_rejected(graph):
@@ -168,16 +170,77 @@ def test_operators_match_entrywise_loop(case):
         assert np.all(np.abs(got_diff - (s + c)) <= 1e-12 * (s_abs + abs(c)))
 
 
-# (phi, c, R, b): the first two meet both hypotheses; s^2 breaks the one-sided
-# Lipschitz bound, and 100 s^2 with b = 100 the growth bound.
-_PHIS = [(lambda s: -s ** 3, 1.0, 3.0, 0.0), (lambda s: -s, 1.0, 2.0, 0.0),
-         (lambda s: s ** 2, 1.0, 2.0, 0.0), (lambda s: 100.0 * s ** 2, 1.0, 2.0, 100.0)]
+_COEF = st.floats(-10.0, 10.0)
+_LEAD = st.floats(1e-3, 10.0)
+
+
+@st.composite
+def certifiable_phis(draw):
+    """A phi of degree <= 5 with phi' bounded above: degree 0 or 1, or odd
+    with a negative leading coefficient."""
+    deg = draw(st.sampled_from([0, 1, 3, 5]))
+    sign = -1.0 if deg >= 3 else draw(st.sampled_from([-1.0, 1.0]))
+    return Polynomial(draw(st.lists(_COEF, min_size=deg, max_size=deg)) + [sign * draw(_LEAD)])
+
+
+@st.composite
+def potentials(draw):
+    """A V of even degree 2 or 4 with a positive leading coefficient."""
+    deg = draw(st.sampled_from([2, 4]))
+    return Polynomial(draw(st.lists(_COEF, min_size=deg, max_size=deg)) + [draw(_LEAD)])
+
+
+def _mp_sup(p):
+    """sup of p over the reals at 50 digits: its largest value at 0 and at
+    the real parts of the zeros of p'."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(x) for x in p.coeffs]
+        d = [k * a[k] for k in range(1, len(a))]
+        while d and d[0] == 0:  # zeros of p' at 0
+            d.pop(0)
+        xs = [mpmath.mpf(0)]
+        if len(d) > 1:
+            xs += [mpmath.re(z) for z in mpmath.polyroots(d[::-1], maxsteps=500,
+                                                          extraprec=500)]
+        return max(mpmath.polyval(a[::-1], x) for x in xs)
+
+
+def _mp(p, s):
+    return mpmath.polyval([mpmath.mpf(a) for a in p.coeffs[::-1]], mpmath.mpf(s))
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None, database=None)
+@given(certifiable_phis(), potentials(), st.integers(0, 2 ** 32 - 1))
+def test_computed_certificates_hold(phi, V, sample_seed):
+    drift = SinglePotentialDrift(phi)
+    c, R = phi.growth()
+    model = make_model(build_graph(lattice_configuration(0, 0), 1.0))
+    model = dataclasses.replace(model, V=V)
+    a_V, tau = model.a_V, model.tau
+    gap = Polynomial([-a for a in V.coeffs[:-1]] + [-a_V])  # a_V u^tau - V
+    assert model.b_V == max(0.0, gap.sup())
+    # sup() is an upper bound, and within 1e-9 of the 50-digit supremum.
+    for p in (phi.deriv(), gap):
+        got, want = p.sup(), _mp_sup(p)
+        assert mpmath.mpf(got) >= want
+        assert got - want <= 1e-9 * max(1.0, abs(want))
+    # Growth, dissipativity and V's lower bound hold exactly: 400 bits hold
+    # every product of these doubles.
+    s1, s2 = np.random.default_rng(sample_seed).uniform(-10.0, 10.0, size=(2, 40))
+    with mpmath.workprec(400):
+        for x, y in zip(s1, s2):
+            assert abs(_mp(phi, x)) <= c * (1 + abs(mpmath.mpf(x)) ** R)
+            dx = mpmath.mpf(x) - mpmath.mpf(y)
+            assert dx * (_mp(phi, x) - _mp(phi, y)) <= drift.b * dx ** 2
+            assert _mp(V, x) >= a_V * abs(mpmath.mpf(x)) ** tau - model.b_V
 
 
 def _site_slacks(field, z1, z2):
     """The four per-site inequalities for Phi and Psi at the state pairs
     (z1, z2), written out as slacks (>= 0 where they hold)."""
     g, d, a_bar, M = field.graph, field.drift, field.a_bar, field.M
+    c, R = d.phi.growth()
     n = g.nbar_count.astype(float)
     open_w = np.ones(g.indices.size)
     open_w[g.indptr[:-1]] = 0.0
@@ -190,7 +253,7 @@ def _site_slacks(field, z1, z2):
         "site_diff_lipschitz": M * (n + 1) * np.abs(dz) + M * (adj @ np.abs(dz).T).T
         - np.abs(psi1 - psi2),
         "site_diff_at_zero": M * n - np.abs(field.diffusion_all(np.zeros(g.n_sites))),
-        "site_drift_growth": d.c * (1 + np.abs(z1) ** d.R) + a_bar * n * (1 + 2 * np.abs(z1))
+        "site_drift_growth": c * (1 + np.abs(z1) ** R) + a_bar * n * (1 + 2 * np.abs(z1))
         + a_bar * (adj @ np.abs(z1).T).T - np.abs(phi1),
         "site_drift_pairing": (d.b + 0.5 + 4 * a_bar ** 2 * n ** 2) * dz ** 2
         + 0.5 * a_bar ** 2 * n * (adj @ (dz * dz).T).T - dz * (phi1 - phi2),
@@ -199,27 +262,22 @@ def _site_slacks(field, z1, z2):
 
 @seed(20261019)
 @settings(max_examples=100, deadline=None, database=None)
-@given(weighted_fields(), st.sampled_from(_PHIS), st.floats(-2.0, 3.0),
+@given(weighted_fields(), certifiable_phis(), st.floats(-2.0, 3.0),
        st.integers(0, 2 ** 32 - 1))
 def test_site_inequalities_fail_only_where_phi_checks_fail(case, phi, log_scale, state_seed):
-    # validate_assumptions samples only phi; its docstring derives the four
-    # per-site inequalities from phi's two.  Check that derivation on random
-    # fields, weight scales from 1e-2 to 1e3 and state pairs in [-10, 10].
+    # SinglePotentialDrift's docstring derives the four per-site inequalities
+    # from phi's computed growth and dissipativity constants, which hold
+    # everywhere.  Check that derivation on random fields and phis, weight
+    # scales from 1e-2 to 1e3 and state pairs in [-10, 10].
     field, _ = case
-    f, c, R, b = phi
     scale = 10.0 ** log_scale
-    field = dataclasses.replace(field, drift=SinglePotentialDrift(phi=f, c=c, R=R, b=b),
+    field = dataclasses.replace(field, drift=SinglePotentialDrift(phi),
                                 drift_weights=scale * field.drift_weights,
                                 diff_weights=scale * field.diff_weights)
     rng = np.random.default_rng(state_seed)
     z1, z2 = rng.uniform(-10.0, 10.0, size=(2, 500, field.graph.n_sites))
-    slacks = _site_slacks(field, z1, z2)
-    phi_growth = c * (1 + np.abs(z1) ** R) - np.abs(f(z1))
-    phi_dissipative = b * (z1 - z2) ** 2 - (z1 - z2) * (f(z1) - f(z2))
-    assert np.all(slacks["site_diff_lipschitz"] >= -1e-9)
-    assert np.all(slacks["site_diff_at_zero"] >= -1e-9)
-    assert np.all((slacks["site_drift_growth"] >= -1e-9) | (phi_growth < -1e-9))
-    assert np.all((slacks["site_drift_pairing"] >= -1e-9) | (phi_dissipative < -1e-9))
+    for name, slack in _site_slacks(field, z1, z2).items():
+        assert np.all(slack >= 0), name
 
 
 @pytest.mark.parametrize("kwargs, a_bar, M", [

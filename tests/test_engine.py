@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from helpers import one_path, path_gap, sparse_seq, volumes_of
-from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
-                     SimPlan, SinglePotentialDrift, VolumeSequence, WeightedSeq,
+from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
+                     RandomInit, SimPlan, SinglePotentialDrift, VolumeSequence,
+                     WeightedSeq,
                      build_graph, cauchy_gap, lattice_configuration, make_field,
                      moment_p, nested_gap_sums, radial_volumes, run_nested,
                      tagged_particle_solve)
@@ -124,11 +125,12 @@ class TestIntegration:
         # alone: replicas x steps x sum_k |Lambda_k| entries in one run.
         evaluated = [0]
 
-        def phi(s):
-            evaluated[0] += np.size(s)
-            return -s * s * s
+        class Counting(Polynomial):
+            def __call__(self, s):
+                evaluated[0] += np.size(s)
+                return super().__call__(s)
 
-        counting = SinglePotentialDrift(phi=phi, c=1.0, R=3.0, b=0.0)
+        counting = SinglePotentialDrift(Counting((0.0, 0.0, 0.0, -1.0)))
         field = dataclasses.replace(make_field(chain, coupling="linear_pair", J=0.2),
                                     drift=counting)
         vols = radial_volumes(chain, [1.0, 2.0])  # 3, 5 and 9 sites
@@ -192,25 +194,22 @@ class TestIntegration:
         assert err <= 5 * dt
 
     def test_newton_failure_names_site_and_step(self, single):
-        from spindyn import NumericError, SinglePotentialDrift
         base = make_field(single)
-        # theta = 2 + 0.9 exp(theta) has no real solution, so the implicit
-        # step cannot converge
-        bad = SinglePotentialDrift(phi=np.exp, dphi=np.exp,
-                                   c=100.0, R=2.0, b=100.0)
+        # phi(s) = -s^3 + 2s with dt = 1: Newton on theta^3 - theta = 0.4,
+        # started at 0.4, does not settle within its iteration cap
+        bad = SinglePotentialDrift(Polynomial((0.0, 2.0, 0.0, -1.0)))
         field = dataclasses.replace(base, drift=bad)
-        plan = SimPlan(dt=0.9, T=1.8, scheme="split_step_implicit", master_seed=0)
-        init = sparse_seq(single, {0: 2.0})
-        with pytest.raises(NumericError, match="site"):
+        plan = SimPlan(dt=1.0, T=2.0, scheme="split_step_implicit", master_seed=0)
+        init = sparse_seq(single, {0: 0.4})
+        with pytest.raises(NumericError,
+                           match=r"failed to converge at site 0 \(step 0\)"):
             one_path(field, all_sites(single), init, plan)
 
 
     def test_newton_zero_denominator_raises_without_warning(self, single):
         base = make_field(single)
         # phi(s) = 2s with dt = 0.5 makes 1 - dt * phi' exactly zero
-        lin = SinglePotentialDrift(phi=lambda s: 2.0 * s,
-                                   dphi=lambda s: np.full_like(s, 2.0),
-                                   c=2.0, R=2.0, b=2.0)
+        lin = SinglePotentialDrift(Polynomial((0.0, 2.0)))
         field = dataclasses.replace(base, drift=lin)
         plan = SimPlan(dt=0.5, T=1.0, scheme="split_step_implicit")
         with warnings.catch_warnings():
@@ -428,6 +427,14 @@ class TestTaggedParticle:
         for x in (chain.n_sites, -1):
             with pytest.raises(ParameterError, match=rf"site x={x} outside 0\.\.8"):
                 tagged_particle_solve(field, x, env, 0.5, plan, replica=0)
+
+    def test_rejects_env_shape_naming_both_shapes(self, chain):
+        field = make_field(chain, drift="cubic")
+        plan = SimPlan(dt=0.02, T=0.1, p=4.0)
+        for shape in ((9, 5), (8, 6), (9,)):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"env has shape {shape}, need (sites, steps+1) = (9, 6)")):
+                tagged_particle_solve(field, 4, np.zeros(shape), 0.5, plan, replica=0)
 
     def test_non_finite_state_names_replica_site_step(self, chain):
         # An infinite start fails at step 0; a NaN neighbour at column 2

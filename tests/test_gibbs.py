@@ -3,8 +3,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from helpers import sparse_seq
-from spindyn import (ChainParams, ConstructionError, GibbsModel,
-                     ParameterError, SimPlan, WeightedSeq, build_graph,
+from spindyn import (ChainParams, GibbsModel, ParameterError, Polynomial,
+                     SimPlan, WeightedSeq, build_graph,
                      dlr_residual, gradient_dynamics_field,
                      kernel_sample, lattice_configuration, make_model,
                      reversibility_test, sample_window_measure)
@@ -30,16 +30,16 @@ class TestModel:
     def test_tau_must_exceed_r(self, chain):
         with pytest.raises(ParameterError):
             GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
-                       V=lambda u: u ** 2 / 2, tau=2.0, r=2.0)
+                       V=Polynomial((0.0, 0.0, 0.5)), r=2.0)
 
     def test_lower_bound_checked(self, chain):
         with pytest.raises(ParameterError):
             GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
-                       V=lambda u: -u ** 2, tau=2.0, a_V=1.0)
+                       V=Polynomial((0.0, 0.0, -1.0)))
 
     def _model(self, graph, weights):
-        return GibbsModel(graph=graph, weights=weights, V=lambda u: u ** 2 / 2,
-                          tau=2.0, a_V=0.4, I_W=10.0, J_W=10.0, r=1.0)
+        return GibbsModel(graph=graph, weights=weights, V=Polynomial((0.0, 0.0, 0.5)),
+                          I_W=10.0, J_W=10.0, r=1.0)
 
     def test_weights_stored_read_only(self, chain):
         w = np.where(chain.entry_rows() == chain.indices, 0.0, 0.5)
@@ -73,11 +73,22 @@ class TestModel:
             self._model(pair_graph, np.array([0.0, 0.3, 0.0, -0.3]))
         self._model(pair_graph, np.array([0.0, 0.3, 0.0, 0.3]))
 
-    def test_numeric_gradient_fallback(self, chain):
+    def test_presets_compute_lower_bound(self, chain):
+        # V(u) >= a_V |u|^tau - b_V with a_V half the leading coefficient.
+        for potential, tau, a_V in (("quartic", 4, 0.125), ("gaussian", 2, 0.25)):
+            m = make_model(chain, potential=potential)
+            assert (m.tau, m.a_V, m.b_V) == (tau, a_V, 0.0)
         m = GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
-                       V=lambda u: u ** 4 / 4, tau=4.0, a_V=0.25)
-        u = np.linspace(-2, 2, 9)
-        assert np.allclose(m.grad_V(u), u ** 3, atol=1e-6)
+                       V=Polynomial((1.0, 0.0, -3.0, 0.0, 0.5)))
+        # sup(u^4 / 4 - V) = sup(3u^2 - 1 - u^4 / 4) = 8, at u^2 = 6
+        assert m.b_V >= 8.0 and m.b_V - 8.0 <= 1e-12
+        assert m.grad_V == Polynomial((0.0, -6.0, 0.0, 2.0))
+
+    def test_odd_degree_potential_rejected(self, chain):
+        for V in ((0.0, 0.0, 0.0, 1.0), (1.0, 2.0), (), (0.0, 0.0, 0.5, 1.0)):
+            with pytest.raises(ParameterError, match="even degree"):
+                GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
+                           V=Polynomial(V))
 
 
 def interaction(model, eta, sigma, z):
@@ -342,8 +353,7 @@ class TestKernelSample:
         g = build_graph(lattice_configuration(0, 0), 1.0)
         base = make_model(g, potential="gaussian")
         shifted = GibbsModel(graph=g, weights=np.zeros(g.indices.size),
-                             V=lambda u: u ** 2 / 2 + 17.0, dV=lambda u: u,
-                             tau=2.0, a_V=0.5, b_V=20.0)
+                             V=Polynomial((17.0, 0.0, 0.5)))
         s1 = kernel_sample(base, {0}, WeightedSeq(np.zeros(g.n_sites), g), CHAIN)
         s2 = kernel_sample(shifted, {0}, WeightedSeq(np.zeros(g.n_sites), g), CHAIN)
         n_eff = max(min(s1.ess, s2.ess), 10.0)
@@ -462,7 +472,7 @@ class TestGradientDynamics:
         field = gradient_dynamics_field(m)
         s = np.linspace(-2, 2, 9)
         assert np.allclose(field.drift.phi(s), -s ** 3 / 2)
-        assert field.drift.R == 3.0 and field.drift.b == 0.0
+        assert field.drift.phi.growth()[1] == 3.0 and field.drift.b == 0.0
 
     def test_drift_descends_potential(self, chain):
         m = make_model(chain, potential="quartic")
@@ -479,14 +489,14 @@ class TestGradientDynamics:
         # Phi_0 = -V'(0)/2 - J/2 * z_1 = -0.3
         assert field.drift_all(state)[0] == pytest.approx(-J / 2 * 2.0)
 
-    def test_validation_failure_carries_report(self, chain):
-        # -V'/2 = -u^7/2 outgrows the drift exponent R = tau - 1 = 3.
+    def test_drift_certificate_computed_from_V(self, chain):
+        # phi = -V'/2 = -u^7/2 + u: growth exponent 7, b = sup(1 - 7u^6/2) = 1.
         m = GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
-                       V=lambda u: u ** 8 / 8, dV=lambda u: u ** 7, tau=4.0)
-        with pytest.raises(ConstructionError) as exc:
-            gradient_dynamics_field(m)
-        assert exc.value.report is not None
-        assert not exc.value.report.passed
+                       V=Polynomial((0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.125)))
+        drift = gradient_dynamics_field(m).drift
+        assert drift.phi == Polynomial((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5))
+        assert drift.phi.growth() == (1.5, 7.0)
+        assert drift.b >= 1.0 and drift.b - 1.0 <= 1e-12
 
     def test_ou_stationary_variance(self):
         # Gaussian single-site model: dynamics is OU with rate 1/2 and unit

@@ -142,6 +142,19 @@ class TestDistribution:
         assert np.all((u > -1.0) & (u < 3.0))
         assert stats.kstest(u, "uniform", args=(-1.0, 4.0)).pvalue > 1e-3
 
+    def test_uniform_init_rejects_upper_bound_below_lower(self):
+        # a is the lower bound: b < a would draw from (b, a) instead.
+        with pytest.raises(ParameterError, match=r"b=0\.0 must be >= a=1\.0"):
+            RandomInit("uniform", a=1.0, b=0.0)
+        assert np.all(RandomInit("uniform", a=1.0, b=1.0).draw(0, 0, 5) == 1.0)
+
+    def test_normal_init_rejects_negative_std(self):
+        with pytest.raises(ParameterError, match=r"b=-2\.0 must be >= 0"):
+            RandomInit("normal", b=-2.0)
+        with pytest.raises(ParameterError, match="b=nan"):
+            RandomInit("normal", b=float("nan"))
+        assert np.all(RandomInit("normal", a=0.5, b=0.0).draw(0, 0, 5) == 0.5)
+
     def test_extreme_words_map_inside_the_unit_interval(self):
         # The top word's ((2^53 - 1) + 1/2) 2^-53 rounds to 1.0, where ndtri
         # is +inf; it is clamped to the largest double below 1.

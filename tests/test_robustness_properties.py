@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import spindyn.engine as engine
 from helpers import sparse_seq, volumes_of
-from spindyn import (NonFiniteState, NumericError, ParameterError, RandomInit,
-                     SimPlan, SinglePotentialDrift, build_graph,
+from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
+                     RandomInit, SimPlan, SinglePotentialDrift, build_graph,
                      lattice_configuration, make_field, run_nested)
 from spindyn.engine import SCHEMES
 
@@ -115,9 +115,7 @@ def test_zero_newton_denominator_raises_without_warning(k, n_steps, replicas, in
     # every site; the first active site of the first volume is named.
     dt = 2.0 ** -k
     base = make_field(CHAIN)
-    lin = SinglePotentialDrift(phi=lambda s: s / dt,
-                               dphi=lambda s: np.full_like(s, 1.0 / dt),
-                               c=1.0 / dt, R=2.0, b=1.0 / dt)
+    lin = SinglePotentialDrift(Polynomial((0.0, 1.0 / dt)))
     field = dataclasses.replace(base, drift=lin)
     plan = SimPlan(dt=dt, T=dt * n_steps, scheme="split_step_implicit",
                    replicas=replicas, master_seed=5)
