@@ -17,8 +17,8 @@ def main():
     g = build_graph(lattice_configuration(0, 11), 1.5)
     chain = ChainParams(steps=4000, burn_in=800, step_size=0.5, seed=0)
 
-    print("== kernel sampling (Gaussian model) ==")
-    model = make_model(g, potential="gaussian", J=0.2)
+    print("== kernel sampling (quartic model) ==")
+    model = make_model(g, potential="quartic", J=0.2)
     s = kernel_sample(model, {4, 5, 6}, WeightedSeq(np.zeros(g.n_sites), g), chain)
     print(f"acceptance {s.acceptance_rate:.3f}, tuned step {s.step_size:.3f}, "
           f"ESS {s.ess:.0f}")

@@ -22,7 +22,6 @@ from .spaces import WeightedSeq
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-_VALIDATE_BOX = 5.0
 _TUNE_EVERY = 25
 _TUNE_TARGET = (0.5, 0.7)
 _ACCEPT_HEALTHY = (0.05, 0.99)
@@ -38,16 +37,15 @@ class GibbsModel:
     sparse coupling operator built from it once, the only place the Gibbs
     layer reads pair couplings from.  V has even degree tau and a positive
     leading coefficient 2 a_V; V(u) >= a_V |u|^tau - b_V with the computed
-    b_V = max(0, sup(a_V u^tau - V)).  (I_W, J_W, r) upper-bounds |W| on the
-    validation box with max |a_xy|, checked at construction, as is tau > r.
+    b_V = max(0, sup(a_V u^tau - V)).  The pair bound |W_xy(u, v)| <=
+    I_W (|u|^r + |v|^r) + J_W is computed: 2|uv| <= u^2 + v^2, so with
+    a = max |a_xy|, I_W = a / 2, J_W = 0 and r = 2, or r = 0 when every
+    weight is 0.  tau > r is checked, so a quadratic V takes no coupling.
     """
 
     graph: GeometricGraph
     weights: np.ndarray
     V: Polynomial
-    I_W: float = 0.0
-    J_W: float = 0.0
-    r: float = 0.0
     A: "sp.csr_matrix" = field(init=False, repr=False)
     grad_V: Polynomial = field(init=False, repr=False)
     tau: int = field(init=False)
@@ -77,20 +75,29 @@ class GibbsModel:
         for name, value in (("weights", w), ("A", A), ("grad_V", self.V.deriv()),
                             ("tau", self.V.degree), ("a_V", a_V), ("b_V", b_V)):
             object.__setattr__(self, name, value)
-        if min(self.I_W, self.J_W, self.r) < 0:
-            raise ParameterError("I_W, J_W, r must be nonnegative")
-        if not self.tau > self.r:
-            raise ParameterError(f"need tau > r, got tau={self.tau}, r={self.r}")
-        u = np.abs(np.linspace(-_VALIDATE_BOX, _VALIDATE_BOX, 26))
-        uu, vv = np.meshgrid(u, u)
-        lhs = np.max(np.abs(w), initial=0.0) * (uu * vv)
-        rhs = self.I_W * (uu ** self.r + vv ** self.r) + self.J_W
-        if np.any(lhs > rhs + 1e-9):
-            raise ParameterError("pair potential violates its declared growth bound")
+        r = 2 if np.any(w) else 0  # the pair bound's exponent, see above
+        if not self.tau > r:
+            raise ParameterError(f"need tau > r, got tau={self.tau}, r={r} from "
+                                 f"|a_xy u v| <= max|a_xy| (u^2 + v^2) / 2")
 
 
 # ---------------------------------------------------------------------------
 # The conditional target on a finite site set
+
+
+def _eta_sites(model: GibbsModel, eta) -> list:
+    """The site ids of eta, ascending; a non-integer id, one outside 0..n-1
+    or a repeated one raises ``ParameterError`` naming it."""
+    n, sites = model.graph.n_sites, []
+    for s in eta:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= s < n:
+            raise ParameterError(f"eta site {s!r} is not a site id in 0..{n - 1}")
+        sites.append(int(s))
+    sites.sort()
+    for a, b in zip(sites, sites[1:]):
+        if a == b:
+            raise ParameterError(f"eta lists site {a} twice")
+    return sites
 
 
 class _EtaTarget:
@@ -103,10 +110,7 @@ class _EtaTarget:
 
     def __init__(self, model: GibbsModel, eta, z_dense: np.ndarray):
         self.model = model
-        self.eta = sorted(int(s) for s in eta)
-        for a, b in zip(self.eta, self.eta[1:]):
-            if a == b:
-                raise ParameterError(f"eta lists site {a} twice")
+        self.eta = _eta_sites(model, eta)
         rows = model.A[self.eta]
         self.K = rows[:, self.eta].toarray()
         z = np.array(z_dense, dtype=float)
@@ -217,7 +221,7 @@ def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,
                   chain: ChainParams) -> SpecKernelSample:
     """Sample the conditional Gibbs kernel on eta with frozen boundary, by
     one MALA chain."""
-    eta = sorted(int(s) for s in eta)
+    eta = _eta_sites(model, eta)
     if not eta:
         return SpecKernelSample(samples=np.zeros((0, 0)), acceptance_rate=1.0,
                                 ess=0.0, step_size=chain.step_size)
@@ -318,7 +322,7 @@ def dlr_residual(model: GibbsModel, eta, chain: ChainParams,
     """
     if outer_samples < 1:
         raise ParameterError(f"outer_samples must be >= 1, got {outer_samples}")
-    eta = sorted(int(s) for s in eta)
+    eta = _eta_sites(model, eta)
     if not eta:
         return DlrReport(statistic=0.0, p_value=1.0, acceptance_rate=1.0)
     outer = sample_window_measure(model, outer_samples, chain)
@@ -399,9 +403,4 @@ def make_model(graph: GeometricGraph, potential: str = "quartic", J: float = 0.0
     else:
         raise ParameterError(f"unknown coupling type '{coupling_type}'")
     w[graph.indptr[:-1]] = 0.0
-    if J == 0.0:
-        I_W, J_W, r = 0.0, 0.0, 0.0
-    else:
-        I_W, J_W, r = abs(J) * _VALIDATE_BOX, abs(J), 1.0
-    return GibbsModel(graph=graph, weights=w, V=Polynomial(_POTENTIALS[potential]),
-                      I_W=I_W, J_W=J_W, r=r)
+    return GibbsModel(graph=graph, weights=w, V=Polynomial(_POTENTIALS[potential]))

@@ -43,3 +43,15 @@ def path_gap(paths, graph, n, m, beta, p):
     diff = paths[:, n] - paths[:, m]  # (rep, sites, time)
     per_rep_time = np.tensordot(w, np.abs(diff) ** p, axes=([0], [1]))  # (rep, time)
     return float(np.max(np.mean(per_rep_time, axis=0)))
+
+
+def pair_covariance(V, J, step=0.01, half_width=7.0):
+    """The 2 x 2 covariance of (u, v) under the density proportional to
+    exp(-V(u) - V(v) - J u v), by a Riemann sum with ``step`` over
+    [-half_width, half_width]^2: the oracle for two coupled sites."""
+    u = np.arange(-half_width, half_width + step / 2, step)
+    density = np.exp(-V(u)[:, None] - V(u)[None, :] - J * np.outer(u, u))
+    density /= density.sum()
+    pu, pv = density.sum(axis=1), density.sum(axis=0)  # the two marginals
+    mean, uv = np.array([pu @ u, pv @ u]), u @ density @ u
+    return np.array([[pu @ u ** 2, uv], [uv, pv @ u ** 2]]) - np.outer(mean, mean)

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import spindyn as sd
-from helpers import one_path
+from helpers import one_path, pair_covariance
 from spindyn import (ChainParams, FiniteRangeMatrix, RandomInit, ScaleInterval,
                      SimPlan, WeightedSeq, build_graph, cauchy_gap,
                      comparison_check, dlr_residual, estimate_L,
@@ -241,10 +241,10 @@ def test_09_gibbs_kernel_correctness():
 
     pair = build_graph(lattice_configuration(0, 1), 1.5)
     J = 0.4
-    m2 = make_model(pair, potential="gaussian", J=J)
+    m2 = make_model(pair, potential="quartic", J=J)
     s2 = kernel_sample(m2, {0, 1}, WeightedSeq(np.zeros(pair.n_sites), pair),
                        ChainParams(steps=20000, burn_in=1000, seed=11))
-    want = np.linalg.inv(np.array([[1.0, J], [J, 1.0]]))
+    want = pair_covariance(m2.V, J)
     cov = np.cov(s2.samples.T)
     ess2 = max(min(_autocorr_ess(s2.samples[:, 0] ** 2),
                    _autocorr_ess(s2.samples[:, 1] ** 2),
@@ -253,7 +253,7 @@ def test_09_gibbs_kernel_correctness():
     ok &= np.max(np.abs(cov - want)) <= tol
 
     chain = build_graph(lattice_configuration(0, 11), 1.5)
-    m3 = make_model(chain, potential="gaussian", J=0.2)
+    m3 = make_model(chain, potential="quartic", J=0.2)
     passes = 0
     for rep in range(100):
         r = dlr_residual(m3, {4, 5, 6},

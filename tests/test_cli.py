@@ -516,6 +516,23 @@ class TestGibbsCommand:
         assert abs(report["kernel"]["variance"][0] - 1.0) < 0.2
         assert 0.05 < report["kernel"]["acceptance_rate"] < 0.99
 
+    def test_coupled_gaussian_exits_2(self, tmp_path, capsys):
+        # A quadratic V has tau = 2, and a nonzero coupling makes r = 2.
+        cfg = set_key(small_cfg(), "gibbs.potential", "gaussian")
+        cfg["gibbs"]["J"] = 0.3
+        out = tmp_path / "out"
+        assert main(["gibbs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: gibbs: need tau > r, got tau=2, r=2" in err
+        assert not (out / "gibbs_report.json").exists()
+
+    def test_default_model_runs(self, tmp_path):
+        # No potential or J given: the uncoupled gaussian preset, which the
+        # 7-site chain's edges leave at r = 0.
+        out = tmp_path / "out"
+        assert main(["gibbs", write_cfg(tmp_path, small_cfg()), "--out", str(out)]) == 0
+        assert (out / "gibbs_report.json").exists()
+
     def test_reversibility_section(self, tmp_path):
         cfg = lattice_graph_cfg(0, 7, 1.5)
         cfg["gibbs"] = {"potential": "quartic", "J": 0.1,

@@ -1,8 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from helpers import sparse_seq
+from helpers import pair_covariance, sparse_seq
 from spindyn import (ChainParams, GibbsModel, ParameterError, Polynomial,
                      SimPlan, WeightedSeq, build_graph,
                      dlr_residual, gradient_dynamics_field,
@@ -24,13 +27,32 @@ def pair_graph():
 
 
 CHAIN = ChainParams(steps=4000, burn_in=800, step_size=0.5, seed=0)
+QUARTIC = Polynomial((0.0, 0.0, 0.0, 0.0, 0.25))
 
 
 class TestModel:
     def test_tau_must_exceed_r(self, chain):
-        with pytest.raises(ParameterError):
-            GibbsModel(graph=chain, weights=np.zeros(chain.indices.size),
-                       V=Polynomial((0.0, 0.0, 0.5)), r=2.0)
+        # One coupling makes r = 2, which a quadratic V (tau = 2) cannot carry.
+        w = np.where(chain.entry_rows() == chain.indices, 0.0, 0.5)
+        with pytest.raises(ParameterError, match="tau=2, r=2"):
+            GibbsModel(graph=chain, weights=w, V=Polynomial((0.0, 0.0, 0.5)))
+        assert GibbsModel(graph=chain, weights=w, V=QUARTIC).tau == 4
+
+    def test_coupled_gaussian_chain_rejected(self):
+        # I + A has least eigenvalue -0.62: exp(-U) is not integrable.
+        g = build_graph(lattice_configuration(0, 5), 1.5)
+        with pytest.raises(ParameterError, match="need tau > r, got tau=2, r=2"):
+            make_model(g, potential="gaussian", J=0.9)
+
+    @pytest.mark.parametrize("potential, J, lo, hi, rho", [
+        ("quartic", 0.9, 0, 5, 1.5), ("quartic", -3.0, 0, 11, 1.5),
+        ("quartic", 40.0, 0, 5, 2.5), ("gaussian", 0.0, 0, 11, 1.5),
+        # edgeless: a single site, and a chain whose spacing exceeds rho
+        ("gaussian", 0.9, 0, 0, 1.0), ("gaussian", -0.9, 0, 5, 0.5)])
+    def test_certificate_accepts(self, potential, J, lo, hi, rho):
+        g = build_graph(lattice_configuration(lo, hi), rho)
+        for coupling_type in ("constant", "tent"):
+            make_model(g, potential=potential, J=J, coupling_type=coupling_type)
 
     def test_lower_bound_checked(self, chain):
         with pytest.raises(ParameterError):
@@ -38,8 +60,7 @@ class TestModel:
                        V=Polynomial((0.0, 0.0, -1.0)))
 
     def _model(self, graph, weights):
-        return GibbsModel(graph=graph, weights=weights, V=Polynomial((0.0, 0.0, 0.5)),
-                          I_W=10.0, J_W=10.0, r=1.0)
+        return GibbsModel(graph=graph, weights=weights, V=QUARTIC)
 
     def test_weights_stored_read_only(self, chain):
         w = np.where(chain.entry_rows() == chain.indices, 0.0, 0.5)
@@ -114,13 +135,13 @@ class TestLocalEnergy:
         assert interaction(m_iso, {0}, [1.7], zero) == 0.0
 
     def test_two_site_pair(self, pair_graph):
-        m = make_model(pair_graph, potential="gaussian", J=0.3)
+        m = make_model(pair_graph, potential="quartic", J=0.3)
         zero = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
         e = interaction(m, {0, 1}, [2.0, -1.0], zero)
         assert e == pytest.approx(0.3 * 2.0 * -1.0)
 
     def test_boundary_terms(self, chain):
-        m = make_model(chain, potential="gaussian", J=0.25)
+        m = make_model(chain, potential="quartic", J=0.25)
         z = sparse_seq(chain, {2: 3.0})  # exterior neighbour of site 1
         e = interaction(m, {0, 1}, [1.0, 2.0], z)
         # interior pair (0,1): 0.25*1*2; boundary pair (1,2): 0.25*2*3
@@ -153,7 +174,7 @@ class TestLocalEnergy:
             assert interaction(m, eta, sig, z) == pytest.approx(total, abs=1e-12)
 
     def test_relabel_symmetry(self, pair_graph):
-        m = make_model(pair_graph, potential="gaussian", J=0.3)
+        m = make_model(pair_graph, potential="quartic", J=0.3)
         z = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
         assert interaction(m, [0, 1], [1.0, 2.0], z) == \
             interaction(m, [1, 0], [1.0, 2.0], z)
@@ -191,7 +212,7 @@ class TestLocalEnergy:
             assert np.array_equal(target.bconst, bconst[0])
 
     def test_repeated_eta_site_rejected(self, chain):
-        m = make_model(chain, potential="gaussian", J=0.2)
+        m = make_model(chain, potential="quartic", J=0.2)
         with pytest.raises(ParameterError, match="site 4"):
             _EtaTarget(m, [3, 4, 4], np.zeros(chain.n_sites))
 
@@ -324,6 +345,25 @@ class TestAutocorrEss:
         assert _autocorr_ess(x) == _autocorr_ess_reference(x)
 
 
+class TestPairCovarianceOracle:
+    def test_uncoupled_quartic_moment(self):
+        # E u^2 = 2 Gamma(3/4) / Gamma(1/4) under exp(-u^4 / 4).
+        cov = pair_covariance(QUARTIC, 0.0)
+        want = 2 * math.gamma(0.75) / math.gamma(0.25)
+        assert cov[0, 0] == pytest.approx(want, rel=1e-12)
+        assert cov[1, 1] == pytest.approx(want, rel=1e-12)
+        assert abs(cov[0, 1]) <= 1e-15
+
+    def test_coupled_gaussian_inverse_precision(self):
+        # exp(-(u^2 + v^2) / 2 - J u v) is the normal law with precision
+        # [[1, J], [J, 1]]; integrable, though GibbsModel takes no such model.
+        # Its tails beyond |u| = 7 hold about 1e-9 of the mass.
+        J = 0.4
+        want = np.linalg.inv(np.array([[1.0, J], [J, 1.0]]))
+        assert np.allclose(pair_covariance(Polynomial((0.0, 0.0, 0.5)), J), want,
+                           rtol=0, atol=1e-7)
+
+
 class TestKernelSample:
     def test_single_site_standard_normal(self):
         g = build_graph(lattice_configuration(0, 0), 1.0)
@@ -337,14 +377,14 @@ class TestKernelSample:
         assert 0.3 < s.acceptance_rate < 0.95
         assert s.warnings == ()
 
-    def test_two_site_gaussian_covariance(self, pair_graph):
+    def test_two_site_quartic_covariance(self, pair_graph):
         J = 0.4
-        m = make_model(pair_graph, potential="gaussian", J=J)
+        m = make_model(pair_graph, potential="quartic", J=J)
         zero = WeightedSeq(np.zeros(pair_graph.n_sites), pair_graph)
         s = kernel_sample(m, {0, 1}, zero,
                           ChainParams(steps=8000, burn_in=1000, seed=3))
         cov = np.cov(s.samples.T)
-        want = np.linalg.inv(np.array([[1.0, J], [J, 1.0]]))
+        want = pair_covariance(m.V, J)
         n_eff = max(s.ess, 10.0)
         tol = 3.0 * np.sqrt(2.0 / n_eff) * np.max(np.abs(want))
         assert np.max(np.abs(cov - want)) <= tol
@@ -360,6 +400,18 @@ class TestKernelSample:
         assert abs(s1.samples.var() - s2.samples.var()) \
             <= 3 * 2 * np.sqrt(2.0 / n_eff)
 
+    @pytest.mark.parametrize("eta, match", [
+        ([-1], "eta site -1 "),  # once sampled site 5
+        ([0, -6], "eta site -6 "),  # once sampled site 0 as two coordinates
+        ([6], "eta site 6 "),  # once an IndexError
+        ([2.5], "eta site 2.5 "),  # once sampled site 2
+        ([True], "eta site True ")])
+    def test_bad_eta_rejected(self, eta, match):
+        g = build_graph(lattice_configuration(0, 5), 1.5)
+        m = make_model(g, potential="quartic", J=0.2)
+        with pytest.raises(ParameterError, match=match):
+            kernel_sample(m, eta, WeightedSeq(np.zeros(g.n_sites), g), CHAIN)
+
     def test_empty_eta(self, chain):
         m = make_model(chain, potential="gaussian")
         s = kernel_sample(m, set(), WeightedSeq(np.zeros(chain.n_sites), chain),
@@ -369,7 +421,7 @@ class TestKernelSample:
 
 class TestDlr:
     def test_empty_eta_identity(self, chain):
-        m = make_model(chain, potential="gaussian", J=0.2)
+        m = make_model(chain, potential="quartic", J=0.2)
         rep = dlr_residual(m, set(), CHAIN, outer_samples=10)
         assert rep.statistic == 0.0 and rep.p_value == 1.0
 
@@ -379,8 +431,8 @@ class TestDlr:
             with pytest.raises(ParameterError, match="outer_samples must be >= 1, got 0"):
                 dlr_residual(m, eta, CHAIN, outer_samples=0)
 
-    def test_gaussian_model_consistent(self, chain):
-        m = make_model(chain, potential="gaussian", J=0.2)
+    def test_quartic_model_consistent(self, chain):
+        m = make_model(chain, potential="quartic", J=0.2)
         chain_p = ChainParams(steps=200, burn_in=600, step_size=0.5, seed=4)
         rep = dlr_residual(m, {4, 5, 6}, chain_p, outer_samples=60, n_perms=500)
         assert rep.p_value > 0.01
@@ -408,17 +460,37 @@ class TestDlr:
             assert np.array_equal(_battery(m, eta, sig, z), np.column_stack(cols))
 
     def test_wrong_kernel_detected(self, chain):
-        # Resampling with a mismatched potential must shift the statistic:
-        # run the consistency test but with the boundary contributions
-        # doubled, which breaks the conditional law.
-        m = make_model(chain, potential="gaussian", J=0.4)
-        m_bad = make_model(chain, potential="gaussian", J=0.4)
-        # simulate mismatch by comparing samples from different temperatures
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((80, 3))
-        B = 2.0 * rng.standard_normal((80, 3))
-        stat, p = energy_distance_test(A, B, n_perms=300, seed=1)
-        assert p < 0.01 and stat > 0
+        # dlr_residual's steps, with the resampling kernel's coupling swapped:
+        # J = 1.2 on eta = {4, 5, 6} against outer states of J = 0.4 shifts
+        # the battery; the true J leaves it in law.
+        m = make_model(chain, potential="quartic", J=0.4)
+        eta = [4, 5, 6]
+        for seed in range(3):
+            chain_p = ChainParams(steps=200, burn_in=600, seed=seed)
+            outer = sample_window_measure(m, 80, chain_p)
+            p_values = []
+            for J in (1.2, 0.4):
+                target = _EtaTarget(make_model(chain, potential="quartic", J=J), eta, outer)
+                resampled, _, _ = _mala_run(target, outer[:, eta].copy(),
+                                            replace(chain_p, seed=seed + 1), collect=False)
+                _, p = energy_distance_test(_battery(m, eta, outer[:, eta], outer),
+                                            _battery(m, eta, resampled, outer),
+                                            n_perms=300, seed=seed + 2)
+                p_values.append(p)
+            assert p_values[0] < 0.01 < p_values[1], (seed, p_values)
+
+    @pytest.mark.parametrize("eta, match", [([7], "eta site 7 "), ([-1], "eta site -1 "),
+                                            ([2.0], "eta site 2.0 "),
+                                            ([3, 1, 3], "eta lists site 3 twice")])
+    def test_bad_eta_rejected_before_sampling(self, monkeypatch, eta, match):
+        def no_sampling(*args):
+            raise AssertionError("outer samples drawn")
+
+        monkeypatch.setattr(gibbs, "sample_window_measure", no_sampling)
+        m = make_model(build_graph(lattice_configuration(0, 5), 1.5), potential="quartic",
+                       J=0.2)
+        with pytest.raises(ParameterError, match=match):
+            dlr_residual(m, eta, CHAIN, outer_samples=10)
 
 
 def _energy_distance_loop(A, B, n_perms, seed):
@@ -483,7 +555,7 @@ class TestGradientDynamics:
 
     def test_pair_drift_sign(self, pair_graph):
         J = 0.3
-        m = make_model(pair_graph, potential="gaussian", J=J)
+        m = make_model(pair_graph, potential="quartic", J=J)
         field = gradient_dynamics_field(m)
         state = np.array([0.0, 2.0])
         # Phi_0 = -V'(0)/2 - J/2 * z_1 = -0.3
