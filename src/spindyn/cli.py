@@ -375,7 +375,7 @@ def cmd_gibbs(cfg: dict, out: Path, threads: int) -> int:
     graph = _build_graph(cfg)
     with _named("gibbs"):
         model = make_model(graph,
-                           potential=_get(cfg, "gibbs.potential", str, default="gaussian"),
+                           potential=_get(cfg, "gibbs.potential", str, default="quartic"),
                            J=float(_get(cfg, "gibbs.J", (int, float), default=0.0)),
                            coupling_type=_get(cfg, "gibbs.coupling", str,
                                               default="constant"))

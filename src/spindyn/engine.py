@@ -27,16 +27,17 @@ import numpy as np
 from .coeffs import CoefficientField
 from .errors import NonFiniteState, NumericError, ParameterError
 from .geometry import GeometricGraph
-from .rng import TAG_INIT, keyed_draws, noise_matrix
+from .rng import BLOCK_STEPS, TAG_INIT, keyed_draws, noise_matrix
 from .spaces import WeightedSeq
 
 _NEWTON_MAX_ITERS = 50
 _NEWTON_TOL = 1e-12
-# Replica-chunk size cap keeps each chunk's noise block bounded.
+# Cap on the entries a replica chunk holds: its (volumes, replicas, sites)
+# states plus one noise block.
 _CHUNK_ELEMENTS = 20_000_000
-# Steps per noise draw, a multiple of the 4 steps of one Philox block, so
-# the noise a chunk holds does not grow with T.
-_NOISE_BLOCK = 64
+# Steps per noise draw: one Philox block, whose words are each computed
+# once, so the noise a chunk holds does not grow with T.
+_NOISE_BLOCK = BLOCK_STEPS
 
 SCHEMES = ("tamed_em", "split_step_implicit")
 
@@ -212,10 +213,11 @@ def integrate_ensemble(field_: CoefficientField, masks, init_states,
     sites) state; the sites outside it keep their initial value exactly.
     All volumes share one set of increments: ``noise(first_step, k)`` returns
     the standard-normal increments of steps first_step..first_step+k-1,
-    shape (replicas, sites, k), and is asked for at most ``_NOISE_BLOCK``
-    steps at a time.  ``observe(j, states)``, if given, sees the
-    (replicas, volumes, sites) states of every step j = 0..n_steps; they
-    are overwritten by the next step, so it copies what it keeps.
+    shape (replicas, sites, k), and is asked for one Philox block at a
+    time: k <= ``_NOISE_BLOCK`` steps from a multiple of ``_NOISE_BLOCK``.
+    ``observe(j, states)``, if given, sees the (replicas, volumes, sites)
+    states of every step j = 0..n_steps; they are overwritten by the next
+    step, so it copies what it keeps.
 
     Each step's states are checked once, across all volumes, as they are
     made: a NaN or infinite entry raises ``NonFiniteState`` at its earliest
@@ -257,11 +259,12 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
 
     ``observer(rows, j, states)``, if given, sees each replica chunk's
     (replicas, masks, sites) states at every step j = 0..n_steps, with the
-    chunk's replica ids as a slice.  Chunks of at most ``_CHUNK_ELEMENTS``
-    entries of one noise block run on ``n_threads``; each computes its noise
-    and initial states from their (replica, site, step) counters and writes
-    only its own rows, so the result, and whatever an observer writes into
-    its own rows, is bit-identical for any thread count and chunk size.
+    chunk's replica ids as a slice.  Chunks holding at most
+    ``_CHUNK_ELEMENTS`` entries of states and one noise block run on
+    ``n_threads``; each computes its noise and initial states from their
+    (replica, site, step) counters and writes only its own rows, so the
+    result, and whatever an observer writes into its own rows, is
+    bit-identical for any thread count and chunk size.
     A chunk runs to its end, its first failure, or the earliest failing step
     that another chunk has reported so far, and the ``NonFiniteState``
     raised is the earliest of all in (step, replica, site) order.
@@ -271,7 +274,7 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
         raise ParameterError(f"init array has shape {init.shape}, need (replicas, "
                              f"sites) = {(plan.replicas, n)}")
     out = np.empty((plan.replicas, len(masks), n))
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * min(_NOISE_BLOCK, n_steps)))
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * (len(masks) + _NOISE_BLOCK)))
     # The earliest failing step known so far, lowered under the lock.  A
     # chunk that has checked that step can no longer fail first, so it stops;
     # a stale read only stops it later.

@@ -15,6 +15,8 @@ computed on demand in numpy:
 So any (replica, site, step) entry is computed alone, and a truncated run
 over any volume, or any batch of replicas, sees exactly the increments of
 the full run (common random numbers) without storing arrays between them.
+The engine asks for one block (``BLOCK_STEPS`` steps) at a time, so each
+word is computed once and it holds 4 steps of noise, however long the run.
 ``_philox`` agrees word for word with numpy's ``np.random.Philox``, which
 computes block c + 1 for counter c.  These values replaced per-stream
 ``np.random.Philox`` generators (one per (replica, site), drawn in sequence)
@@ -32,6 +34,8 @@ _MASK64 = (1 << 64) - 1
 # Purpose tags keep the driving noise and the initial-data draws disjoint.
 TAG_WIENER = 0
 TAG_INIT = 1
+# Steps per Philox block: counter (b, site, replica, 0) gives steps 4b..4b+3.
+BLOCK_STEPS = 4
 
 # Philox4x64 round multipliers and Weyl key bumps (Salmon et al., SC'11).
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -68,14 +72,23 @@ def generator(master_seed: int, *fields: int) -> np.random.Generator:
 
 
 def _mulhilo(m: np.uint64, a: np.ndarray):
-    """(high, low) 64-bit words of the 128-bit product m * a, the high word
-    assembled from 32-bit partial products."""
+    """(high, low) 64-bit words of the 128-bit product m * a; the high word
+    is Hacker's Delight's ``mulhu`` (2nd ed., section 8-2) on 32-bit halves,
+    summed in place, and no partial sum exceeds 64 bits."""
     m_lo, m_hi = m & _LO32, m >> _S32
     a_lo, a_hi = a & _LO32, a >> _S32
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
-    hi = a_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    return hi, a * m
+    t = a_lo * m_hi
+    a_lo *= m_lo
+    a_lo >>= _S32
+    t += a_lo
+    w = a_hi * m_lo
+    w += t & _LO32
+    a_hi *= m_hi
+    t >>= _S32
+    a_hi += t
+    w >>= _S32
+    a_hi += w
+    return a_hi, a * m
 
 
 def _philox(key: int, c0, c1, c2, c3):

@@ -527,10 +527,17 @@ class TestGibbsCommand:
         assert not (out / "gibbs_report.json").exists()
 
     def test_default_model_runs(self, tmp_path):
-        # No potential or J given: the uncoupled gaussian preset, which the
-        # 7-site chain's edges leave at r = 0.
+        # No potential or J given: the uncoupled quartic preset, r = 0.
         out = tmp_path / "out"
         assert main(["gibbs", write_cfg(tmp_path, small_cfg()), "--out", str(out)]) == 0
+        assert (out / "gibbs_report.json").exists()
+
+    def test_coupling_alone_takes_the_quartic_default(self, tmp_path):
+        # Only J given on the 7-site chain: the default potential is quartic,
+        # as make_model's, so the coupled model is certified (tau 4 > r 2).
+        cfg = set_key(small_cfg(), "gibbs.J", 0.3)
+        out = tmp_path / "out"
+        assert main(["gibbs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         assert (out / "gibbs_report.json").exists()
 
     def test_reversibility_section(self, tmp_path):

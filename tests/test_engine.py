@@ -15,6 +15,7 @@ from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
                      build_graph, cauchy_gap, lattice_configuration, make_field,
                      moment_p, nested_gap_sums, radial_volumes, run_nested,
                      tagged_particle_solve)
+from spindyn import engine
 from spindyn.engine import SCHEMES, integrate_ensemble, integrate_replicas
 from spindyn.rng import noise_matrix
 
@@ -358,8 +359,8 @@ class TestStreamedGaps:
                 assert hashlib.sha256(final).hexdigest() == want_hash, scheme
 
     def test_noise_blocks_do_not_change_a_bit(self, chain, monkeypatch):
-        # 150 steps take three noise blocks of at most 64 steps; paths,
-        # final states and gap sums equal those of one 152-step block.
+        # 150 steps take 38 noise blocks of at most 4 steps, by default;
+        # paths, final states and gap sums equal those of one 152-step block.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(chain, [1.0, 3.0])
         init = RandomInit("normal", 0.0, 1.0)
@@ -367,7 +368,7 @@ class TestStreamedGaps:
             plan = SimPlan(dt=0.01, T=1.5, replicas=5, master_seed=6, p=4.0,
                            scheme=scheme)
             runs = []
-            for block in (64, 152):
+            for block in (engine._NOISE_BLOCK, 152):
                 with monkeypatch.context() as mp:
                     mp.setattr("spindyn.engine._NOISE_BLOCK", block)
                     runs.append((
@@ -489,7 +490,7 @@ class TestFinalStates:
 
     def test_final_states_need_no_path_memory(self):
         # The path of this run is 10.3 MB, as large as its noise; without an
-        # observer the run holds one 64-step noise block and the current
+        # observer the run holds one 4-step noise block and the current
         # states, not the path as well.
         graph = build_graph(lattice_configuration(0, 49), 1.5)
         field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
@@ -506,7 +507,7 @@ class TestFinalStates:
 
     def test_gap_sums_memory_does_not_grow_with_T(self):
         # converge's integration at T and 4T: the noise comes in blocks of
-        # 64 steps, so only the gap-sum array may grow with the horizon
+        # 4 steps, so only the gap-sum array may grow with the horizon
         # (10 % of the T peak allowed for the allocator).  Drawn whole, the
         # 4T noise alone would be 3 * 8 * 401 * 64 * 8 B = 4.9 MB larger.
         graph = build_graph(lattice_configuration(-200, 200), 1.5)
@@ -526,6 +527,53 @@ class TestFinalStates:
 
         (peak_1, sums_1), (peak_4, sums_4) = peak(0.64), peak(2.56)
         assert peak_4 <= peak_1 + (sums_4 - sums_1) + 0.1 * peak_1, (peak_1, peak_4)
+
+    def test_gap_sums_hold_one_noise_block(self):
+        # 64 replicas of a 401-site chain over 200 steps, where a 64-step
+        # noise block (13 MB) would outweigh everything else 4 to 1.  Less
+        # the gap sums, which grow with T, the peak stays below the states
+        # (working copy, result and initial rows: 2V + 1 (replicas, sites)
+        # arrays), one 4-step Philox block, 8 such arrays of step and
+        # reduction temporaries and 1 MiB; it does not grow when T doubles.
+        graph = build_graph(lattice_configuration(-200, 200), 1.5)
+        field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
+        vols = radial_volumes(graph, [100.0])
+        init = RandomInit("normal", 0.0, 1.0)
+        R = 64
+
+        def peak(T):
+            plan = SimPlan(dt=0.01, T=T, replicas=R, master_seed=3, p=4.0)
+            tracemalloc.start()
+            try:
+                sums, _ = nested_gap_sums(field, vols, init, plan, [0.5])
+                return tracemalloc.get_traced_memory()[1] - sums.nbytes
+            finally:
+                tracemalloc.stop()
+
+        peak(0.01)  # lazy imports and caches, paid once per process
+        row = R * graph.n_sites * 8
+        bound = (2 * len(vols) + 1 + 4 + 8) * row + 2 ** 20
+        peak_T, peak_2T = peak(2.0), peak(4.0)
+        assert peak_T <= bound, (peak_T, bound)
+        assert peak_2T <= peak_T + 2 ** 16, (peak_T, peak_2T)
+
+    def test_noise_is_drawn_one_philox_block_at_a_time(self, chain, monkeypatch):
+        # Every request of a 150-step run is at most one 4-step Philox block
+        # from a step that starts one, and the requests tile the run in order.
+        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
+        init = RandomInit("normal", 0.0, 1.0)
+        plan = SimPlan(dt=0.01, T=1.5, replicas=3, master_seed=6, p=4.0)
+        calls = []
+
+        def spy(master_seed, replica, site_ids, n_steps, first_step=0):
+            calls.append((first_step, n_steps))
+            return noise_matrix(master_seed, replica, site_ids, n_steps, first_step)
+
+        monkeypatch.setattr("spindyn.engine.noise_matrix", spy)
+        integrate_replicas(field, [all_sites(chain)], init, plan, plan.n_steps)
+        assert all(k <= 4 and j0 % 4 == 0 for j0, k in calls), calls
+        assert [j0 for j0, _ in calls] == list(range(0, 150, 4))
+        assert sum(k for _, k in calls) == 150
 
 
 class TestStrongOrder:

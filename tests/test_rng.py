@@ -25,8 +25,12 @@ def _numpy_block(key: int, counter: int) -> np.ndarray:
 
 
 class TestOracle:
+    # The last four set the words c0 and c2, the two multiplied in the first
+    # round, to the edges of _mulhilo's 32-bit carries.
     COUNTERS = [0, 1, 7, _M64, 1 << 64, (1 << 192) + 5, (1 << 255) + (3 << 128) + 11,
-                (1 << 256) - 1]
+                (1 << 256) - 1] + [
+                    v | v << 128 for v in ((1 << 32) - 1, 1 << 32, (1 << 64) - (1 << 32),
+                                           _M64)]
 
     def test_matches_numpy_philox(self):
         g = np.random.default_rng(2026)
