@@ -189,8 +189,7 @@ def _step(rows: CoefficientField, state, dW, dt, scheme, j):
         drift = rows.drift_all(state)
         return own + drift * dt / (1.0 + dt * np.abs(drift)) + diff * dW
     theta = _solve_implicit(rows.drift, own, dt, rows.sites, j)
-    pair_drift = rows.drift_all(state) - rows.drift.phi(own)
-    return theta + dt * pair_drift + diff * dW
+    return theta + dt * (rows.A @ state.T).T + diff * dW
 
 
 def _check_finite(cur, j):
@@ -347,19 +346,6 @@ def run_nested(field_: CoefficientField, volumes: VolumeSequence, init,
     return traj
 
 
-def _column_blocks(a: np.ndarray) -> np.ndarray:
-    """The rows of a (rows, sites) array as the columns of zero-padded,
-    C-ordered (sites, 4) blocks.  OpenBLAS sums the last columns of a
-    (1, sites) x (sites, columns) product in another order when the column
-    count, or a thread's share of it, is not a multiple of 4; ``w @ blocks``
-    sums every row as a full 4-column block, whatever the chunk size.
-    """
-    rows, n = a.shape
-    out = np.zeros((-(-rows // 4), 4, n))
-    out.reshape(-1, n)[:rows] = a
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
-
-
 def nested_gap_sums(field_: CoefficientField, volumes: VolumeSequence, init,
                     plan: SimPlan, betas, n_threads: int = 1):
     """Integrate every volume for every replica, as ``run_nested`` does, and
@@ -369,20 +355,20 @@ def nested_gap_sums(field_: CoefficientField, volumes: VolumeSequence, init,
     (volumes-1, betas, replicas, steps+1) sums and the (replicas, volumes,
     sites) time-T states.
 
-    The sums and the time-T states are bit-identical for any ``n_threads``
-    and any chunk schedule, as ``integrate_replicas`` guarantees.
+    Each replica's sum is one ``einsum`` contraction of its own row, whose
+    order depends on the site count alone, so the sums and the time-T
+    states are bit-identical for any ``n_threads`` and any chunk schedule,
+    as ``integrate_replicas`` guarantees.
     """
     _check_nested(field_, volumes, plan)
-    weights = [np.exp(-beta * field_.graph.radii())[None, :] for beta in betas]
+    weights = np.exp(-np.multiply.outer(betas, field_.graph.radii()))
     m = len(volumes) - 1
     sums = np.empty((m, len(weights), plan.replicas, plan.n_steps + 1))
 
     def reduce(rows, j, states):
-        n_rep = rows.stop - rows.start
         for n in range(m):
-            blocks = _column_blocks(np.abs(states[:, n] - states[:, m]) ** plan.p)
-            for b, w in enumerate(weights):
-                sums[n, b, rows, j] = np.matmul(w, blocks).reshape(-1)[:n_rep]
+            diff = np.abs(states[:, n] - states[:, m]) ** plan.p
+            sums[n, :, rows, j] = np.einsum("rs,bs->br", diff, weights)
 
     final = integrate_replicas(field_, volumes.masks, init, plan, plan.n_steps,
                                observer=reduce, n_threads=n_threads)

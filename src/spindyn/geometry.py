@@ -90,10 +90,6 @@ class GeometricGraph:
     def n_sites(self) -> int:
         return self.config.n_sites
 
-    def closed_neighborhood(self, x: int) -> list:
-        """gamma-bar of x: the site itself plus its neighbours."""
-        return self.indices[self.indptr[x]:self.indptr[x + 1]].tolist()
-
     def entry_rows(self) -> np.ndarray:
         """Row site of every CSR entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n_sites), self.nbar_count)

@@ -34,15 +34,50 @@ def one_path(field, mask, init, plan):
     return path
 
 
+def gap_sums_reference(paths, graph, betas, p):
+    """The Cauchy-gap sums[n, b, r, j] = sum_x e^{-beta_b |x|} |xi^n -
+    xi^m|^p of ``nested_gap_sums``, m the last volume, from the whole
+    (replicas, volumes, sites, steps+1) path array that ``run_nested``
+    returns: the slow reference, which contracts every (replica, step) row
+    alone, for the sums the engine reduces a replica chunk at a time."""
+    n_rep, n_vol, _, n_time = paths.shape
+    weights = np.array([np.exp(-beta * graph.radii()) for beta in betas])
+    sums = np.empty((n_vol - 1, len(betas), n_rep, n_time))
+    for n in range(n_vol - 1):
+        for r in range(n_rep):
+            for j in range(n_time):
+                row = np.abs(paths[r, n, :, j] - paths[r, -1, :, j]) ** p
+                sums[n, :, r, j] = np.einsum("rs,bs->br", row[None], weights)[:, 0]
+    return sums
+
+
 def path_gap(paths, graph, n, m, beta, p):
-    """The Cauchy gap sup_t E sum_x e^{-beta|x|} |xi^n - xi^m|^p computed
-    from the whole (replicas, volumes, sites, steps+1) path array that
-    ``run_nested`` returns: the reference for the gaps that
-    ``nested_gap_sums`` reduces step by step."""
-    w = np.exp(-beta * graph.radii())
-    diff = paths[:, n] - paths[:, m]  # (rep, sites, time)
-    per_rep_time = np.tensordot(w, np.abs(diff) ** p, axes=([0], [1]))  # (rep, time)
-    return float(np.max(np.mean(per_rep_time, axis=0)))
+    """The Cauchy gap sup_t E sum_x e^{-beta|x|} |xi^n - xi^m|^p, m the last
+    volume, computed from the whole path array by ``gap_sums_reference``:
+    the reference for the gaps that ``nested_gap_sums`` reduces step by
+    step."""
+    assert m == paths.shape[1] - 1
+    sums = gap_sums_reference(paths, graph, [beta], p)[n, 0]
+    return float(np.max(np.mean(sums, axis=0)))
+
+
+def philox4x32(counter, key, rounds=10):
+    """Philox4x32-``rounds`` of four 32-bit counter words and two 32-bit key
+    words in exact Python integers (Salmon et al., SC'11): the reference for
+    ``spindyn.rng._philox``."""
+    c, (k0, k1) = [int(w) for w in counter], (int(w) for w in key)
+    for i in range(rounds):
+        if i:
+            k0, k1 = (k0 + 0x9E3779B9) % 2 ** 32, (k1 + 0xBB67AE85) % 2 ** 32
+        p0, p1 = 0xD2511F53 * c[0], 0xCD9E8D57 * c[2]
+        c = [(p1 >> 32) ^ c[1] ^ k0, p1 % 2 ** 32, (p0 >> 32) ^ c[3] ^ k1, p0 % 2 ** 32]
+    return c
+
+
+def closed_neighborhood(graph, x) -> list:
+    """gamma-bar of site x, the site itself and then its neighbours, as the
+    graph's CSR row x lists them."""
+    return graph.indices[graph.indptr[x]:graph.indptr[x + 1]].tolist()
 
 
 def pair_covariance(V, J, step=0.01, half_width=7.0):

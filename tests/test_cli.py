@@ -287,8 +287,8 @@ class TestSimulateCommand:
         assert hashes[3.0] != hashes[1.0]
         # M_tilde = 1 is the default, the weight every run used before the
         # key was read.
-        assert hashes[1.0] == ("5f0df15f799614cbd84549a6acc90ef3"
-                               "45ae5bd9d7134dde1df6770cce06ae0f")
+        assert hashes[1.0] == ("756d4e9a4e5afd0e65d3783beed7e4c5"
+                               "97a956a0f2a4aa42ff96d64abe9a87f9")
 
     def test_bad_scheme_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, simulate_cfg(scheme="rk4"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import closed_neighborhood
 from spindyn import (CoefficientField, Configuration, ParameterError, Polynomial,
                      SinglePotentialDrift, build_graph, gradient_dynamics_field,
                      lattice_configuration, make_field, make_model)
@@ -148,7 +149,7 @@ def _pair_terms_by_loop(field, z):
     g = field.graph
     out = np.zeros((4, g.n_sites))
     for x in range(g.n_sites):
-        for k, y in enumerate(g.closed_neighborhood(x), start=g.indptr[x]):
+        for k, y in enumerate(closed_neighborhood(g, x), start=g.indptr[x]):
             a, s = field.drift_weights[k] * z[y], field.diff_weights[k] * z[y]
             out[:, x] += (a, s, abs(a), abs(s))
     return out

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import re
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import one_path, path_gap, sparse_seq, volumes_of
+from helpers import gap_sums_reference, one_path, path_gap, sparse_seq, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
                      RandomInit, SimPlan, SinglePotentialDrift, VolumeSequence,
                      WeightedSeq,
@@ -17,7 +18,7 @@ from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
                      tagged_particle_solve)
 from spindyn import engine
 from spindyn.engine import SCHEMES, integrate_ensemble, integrate_replicas
-from spindyn.rng import noise_matrix
+from spindyn.rng import BLOCK_STEPS, noise_matrix
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,20 @@ class TestIntegration:
         err = np.max(np.abs(traj[:, -1] - sol.y[:, 0]))
         assert err <= 5 * dt
 
+    def test_split_step_adds_the_pair_drift_A_z(self):
+        # The split step is the implicit single-site solve plus dt * A z.
+        # Taken as drift_all - phi(own), the middle site's coupling 100.2
+        # would first be rounded next to phi(1e3) = -1e9, to a multiple of
+        # 2^-23.
+        g = build_graph(lattice_configuration(0, 2), 1.5)
+        field = make_field(g, drift="cubic", coupling="linear_pair", J=0.1)
+        state, dt = np.array([[1.0, 1e3, 1.0]]), 0.01
+        got = engine._step(field, state, np.zeros((1, 3)), dt, "split_step_implicit", 0)
+        theta = engine._solve_implicit(field.drift, state, dt, np.arange(3), 0)
+        pair = np.array([[0.1 * 1.0 + 0.1 * 1e3, 0.1 * 1e3 + 0.1 * 1.0 + 0.1 * 1.0,
+                          0.1 * 1.0 + 0.1 * 1e3]])
+        assert np.array_equal(got, theta + dt * pair)
+
     def test_newton_failure_names_site_and_step(self, single):
         base = make_field(single)
         # phi(s) = -s^3 + 2s with dt = 1: Newton on theta^3 - theta = 0.4,
@@ -358,8 +373,42 @@ class TestStreamedGaps:
                 assert np.array_equal(sums, runs[0][0]), scheme
                 assert hashlib.sha256(final).hexdigest() == want_hash, scheme
 
+    @pytest.mark.parametrize("n_sites, radii, replicas, steps", [
+        (2, [0.5], 1, 3), (33, [4.0, 12.0], 5, 10), (401, [50.0], 9, 6),
+        (8200, [1000.0, 3000.0], 3, 2)])
+    def test_sums_equal_the_per_row_reference(self, monkeypatch, n_sites, radii,
+                                              replicas, steps):
+        # Every (replica, step) sum equals its row contracted alone, bit for
+        # bit, with the default chunk, two replicas and one replica per chunk,
+        # on 1 and 2 threads; the last shape's rows pass numpy's 8192-element
+        # buffer.  Each sum is the weighted sum to rounding.
+        graph = build_graph(lattice_configuration(0, n_sites - 1), 1.5)
+        field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
+        vols = radial_volumes(graph, radii)
+        init = RandomInit("normal", 0.0, 1.0)
+        plan = SimPlan(dt=0.01, T=0.01 * steps, replicas=replicas, master_seed=7, p=4.0)
+        betas = [0.01, 0.5, 2.0]
+        paths = run_nested(field, vols, init, plan)
+        want = gap_sums_reference(paths, graph, betas, plan.p)
+        two = 2 * n_sites * (len(vols) + BLOCK_STEPS)
+        for chunk in (engine._CHUNK_ELEMENTS, two, 1):
+            for threads in (1, 2):
+                with monkeypatch.context() as mp:
+                    mp.setattr("spindyn.engine._CHUNK_ELEMENTS", chunk)
+                    sums, _ = nested_gap_sums(field, vols, init, plan, betas,
+                                              n_threads=threads)
+                assert np.array_equal(sums, want), (chunk, threads)
+        for n in range(len(vols) - 1):
+            for b, beta in enumerate(betas):
+                w = np.exp(-beta * graph.radii())
+                for r in range(replicas):
+                    for j in range(steps + 1):
+                        terms = w * np.abs(paths[r, n, :, j] - paths[r, -1, :, j]) ** 4.0
+                        assert sums[n, b, r, j] == pytest.approx(math.fsum(terms),
+                                                                 rel=1e-13, abs=1e-300)
+
     def test_noise_blocks_do_not_change_a_bit(self, chain, monkeypatch):
-        # 150 steps take 38 noise blocks of at most 4 steps, by default;
+        # 150 steps take 75 noise blocks of 2 steps, by default;
         # paths, final states and gap sums equal those of one 152-step block.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(chain, [1.0, 3.0])
@@ -490,7 +539,7 @@ class TestFinalStates:
 
     def test_final_states_need_no_path_memory(self):
         # The path of this run is 10.3 MB, as large as its noise; without an
-        # observer the run holds one 4-step noise block and the current
+        # observer the run holds one 2-step noise block and the current
         # states, not the path as well.
         graph = build_graph(lattice_configuration(0, 49), 1.5)
         field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
@@ -507,7 +556,7 @@ class TestFinalStates:
 
     def test_gap_sums_memory_does_not_grow_with_T(self):
         # converge's integration at T and 4T: the noise comes in blocks of
-        # 4 steps, so only the gap-sum array may grow with the horizon
+        # 2 steps, so only the gap-sum array may grow with the horizon
         # (10 % of the T peak allowed for the allocator).  Drawn whole, the
         # 4T noise alone would be 3 * 8 * 401 * 64 * 8 B = 4.9 MB larger.
         graph = build_graph(lattice_configuration(-200, 200), 1.5)
@@ -533,7 +582,7 @@ class TestFinalStates:
         # noise block (13 MB) would outweigh everything else 4 to 1.  Less
         # the gap sums, which grow with T, the peak stays below the states
         # (working copy, result and initial rows: 2V + 1 (replicas, sites)
-        # arrays), one 4-step Philox block, 8 such arrays of step and
+        # arrays), one Philox block of BLOCK_STEPS steps, 8 such arrays of step and
         # reduction temporaries and 1 MiB; it does not grow when T doubles.
         graph = build_graph(lattice_configuration(-200, 200), 1.5)
         field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
@@ -552,14 +601,15 @@ class TestFinalStates:
 
         peak(0.01)  # lazy imports and caches, paid once per process
         row = R * graph.n_sites * 8
-        bound = (2 * len(vols) + 1 + 4 + 8) * row + 2 ** 20
+        bound = (2 * len(vols) + 1 + BLOCK_STEPS + 8) * row + 2 ** 20
         peak_T, peak_2T = peak(2.0), peak(4.0)
         assert peak_T <= bound, (peak_T, bound)
         assert peak_2T <= peak_T + 2 ** 16, (peak_T, peak_2T)
 
     def test_noise_is_drawn_one_philox_block_at_a_time(self, chain, monkeypatch):
-        # Every request of a 150-step run is at most one 4-step Philox block
-        # from a step that starts one, and the requests tile the run in order.
+        # Every request of a 150-step run is at most one Philox block of
+        # BLOCK_STEPS steps from a step that starts one, and the requests tile
+        # the run in order.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         init = RandomInit("normal", 0.0, 1.0)
         plan = SimPlan(dt=0.01, T=1.5, replicas=3, master_seed=6, p=4.0)
@@ -571,8 +621,8 @@ class TestFinalStates:
 
         monkeypatch.setattr("spindyn.engine.noise_matrix", spy)
         integrate_replicas(field, [all_sites(chain)], init, plan, plan.n_steps)
-        assert all(k <= 4 and j0 % 4 == 0 for j0, k in calls), calls
-        assert [j0 for j0, _ in calls] == list(range(0, 150, 4))
+        assert all(k <= BLOCK_STEPS and j0 % BLOCK_STEPS == 0 for j0, k in calls), calls
+        assert [j0 for j0, _ in calls] == list(range(0, 150, BLOCK_STEPS))
         assert sum(k for _, k in calls) == 150
 
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from helpers import closed_neighborhood
 from spindyn import (Configuration, ParameterError, build_graph,
                      configuration_from_csv, configuration_to_csv,
                      fit_degree_constant, graph_to_csv, lattice_configuration,
@@ -15,23 +16,23 @@ def test_lattice_neighbors_radius_1_5():
     g = build_graph(lattice_configuration(-5, 5), 1.5)
     assert g.n_sites == 11
     # interior site: left and right lattice neighbours
-    assert g.closed_neighborhood(5) == [5, 4, 6]
+    assert closed_neighborhood(g, 5) == [5, 4, 6]
     assert g.nbar_count[5] == 3
     # endpoint has a single neighbour
-    assert g.closed_neighborhood(0) == [0, 1]
+    assert closed_neighborhood(g, 0) == [0, 1]
     assert g.nbar_count[0] == 2
 
 
 def test_closed_neighborhood_includes_self_first():
     g = build_graph(lattice_configuration(0, 3), 1.1)
-    assert g.closed_neighborhood(1) == [1, 0, 2]
+    assert closed_neighborhood(g, 1) == [1, 0, 2]
 
 
 def test_isolated_points():
     cfg = Configuration(positions=np.array([[0.0], [10.0]]),
                         window=np.array([[-1.0, 11.0]]))
     g = build_graph(cfg, 1.0)
-    assert [g.closed_neighborhood(x) for x in range(2)] == [[0], [1]]
+    assert [closed_neighborhood(g, x) for x in range(2)] == [[0], [1]]
     assert list(g.nbar_count) == [1, 1]
     assert len(g.edges()) == 0
 
@@ -40,7 +41,7 @@ def test_pair_at_exact_radius_is_adjacent():
     cfg = Configuration(positions=np.array([[0.0], [1.0]]),
                         window=np.array([[-1.0, 2.0]]))
     g = build_graph(cfg, 1.0)
-    assert g.closed_neighborhood(0) == [0, 1]
+    assert closed_neighborhood(g, 0) == [0, 1]
 
 
 def test_sites_whose_distance_overflows():
@@ -48,7 +49,7 @@ def test_sites_whose_distance_overflows():
     cfg = Configuration(positions=np.array([[-1e308], [1e308], [1e308], [0.0], [0.5]]),
                         window=np.array([[-1.5e308, 1.5e308]]))
     g = build_graph(cfg, 1.0)
-    assert [g.closed_neighborhood(x) for x in range(5)] == [[0], [1, 2], [2, 1], [3, 4], [4, 3]]
+    assert [closed_neighborhood(g, x) for x in range(5)] == [[0], [1, 2], [2, 1], [3, 4], [4, 3]]
 
 
 def test_rho_must_be_positive():
@@ -157,7 +158,7 @@ def test_build_graph_matches_quadratic_reference(case):
     hi = pos.max(axis=0) + 1.0 if pos.size else np.full(dim, 1.0)
     g = build_graph(Configuration(positions=pos, window=np.stack([lo, hi], axis=1)), rho)
     want = _reference_neighbourhoods(pos, rho)
-    assert [g.closed_neighborhood(x) for x in range(g.n_sites)] == want
+    assert [closed_neighborhood(g, x) for x in range(g.n_sites)] == want
     assert list(g.nbar_count) == [len(v) for v in want]
     assert g.indptr.dtype == g.indices.dtype == np.int64
     edges = g.edges()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from helpers import pair_covariance, sparse_seq
+from helpers import closed_neighborhood, pair_covariance, sparse_seq
 from spindyn import (ChainParams, GibbsModel, ParameterError, Polynomial,
                      SimPlan, WeightedSeq, build_graph,
                      dlr_residual, gradient_dynamics_field,
@@ -194,7 +194,7 @@ class TestLocalEnergy:
             K = np.zeros((len(eta), len(eta)))
             bconst = np.zeros((4, len(eta)))
             for i, x in enumerate(eta):
-                for y in g.closed_neighborhood(x)[1:]:
+                for y in closed_neighborhood(g, x)[1:]:
                     d = np.linalg.norm(pos[x] - pos[y])
                     w = 0.15 * max(0.0, 1.0 - d / g.rho)
                     if w == 0.0:
@@ -451,7 +451,7 @@ class TestDlr:
             sig = rng.standard_normal((4, len(eta)))
             cols = list(sig.T)
             for i, x in enumerate(eta):
-                for y in g.closed_neighborhood(x)[1:]:
+                for y in closed_neighborhood(g, x)[1:]:
                     if y not in eta:
                         d = np.linalg.norm(pos[x] - pos[y])
                         w = 0.15 * max(0.0, 1.0 - d / g.rho)

@@ -4,7 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import sparse_seq
+from helpers import closed_neighborhood, sparse_seq
 from spindyn import (Configuration, FiniteRangeMatrix, IntegrityError,
                      NumericError, ParameterError, ScaleInterval, WeightedSeq,
                      build_graph, comparison_check, estimate_L, gronwall_bound,
@@ -22,7 +22,7 @@ def graph():
 
 def slot(graph, x, y):
     """Index of the CSR entry (x, y) in ``graph.indices``."""
-    return graph.indptr[x] + graph.closed_neighborhood(x).index(y)
+    return graph.indptr[x] + closed_neighborhood(graph, x).index(y)
 
 
 def matrix_with(graph, entries):

@@ -100,29 +100,33 @@ def _configs(tmp_path):
 # fingerprint became ``final_states_hash`` (the sha256 of the C-ordered
 # (replicas, volumes, sites) time-T states) when converge stopped keeping
 # paths; it equals the sha256 of the old path array's last step, and
-# gaps.csv did not change.
+# gaps.csv did not change.  simulate, converge, gibbs and gibbs_tent were
+# re-taken when the noise moved from Philox4x64-10 to Philox4x32-10 words
+# (two steps per block); gaps.csv moved with it, and with the gap sums'
+# fixed-order einsum contraction, by at most 4e-16 relative on the same
+# states; the split step's pair drift A z moved no byte of simulate.
 PINS = {
     "simulate": {
         "moments.csv":
-            "409e0a9e17318a6b4a61b644a26a897a863b587f96bf7834b545899fb2a3a595",
+            "7941be415e51536705928b043a67907df43c9dd48847451e3f0acebfb3a336a8",
         "trajectories.npz":
-            "129c26536712219220651d11beb15a96e9a77a5a591d294a748add7ee553bd2e",
+            "d2736fe36add250897456cc6047c816576d67f8d76c672f8bdcd1516e787c0d2",
         "ensemble_hash":
-            "c334f830ee9ffeee209267220a9cfb0a13c68a82bb810c2a7f3c4bf083f0c079",
+            "63fa152c8ff93c10b986fce51646a4ca397519c4ff076f943acf9f86c231ed30",
     },
     "converge": {
         "gaps.csv":
-            "ce7b4192e424a1d38954e602b938ac694162e5a6e7c20ad1bb826ea46f3f058b",
+            "04c709b544c302e2d07c369bec92c4d6f266615d2a59a911ccb4acc5c5bc613c",
         "final_states_hash":
-            "6306dfa7b2ee646f11a1cd5b4edf5a50e02f78ea6842092c268176f23cf3e10f",
+            "6d8e45ee7bc06384d05d33a6450eb9b00cb4b14f03a11d8a1a2bb3641f30b4fd",
     },
     "gibbs": {
         "gibbs_report.json":
-            "4a5bce28f9a9ca2b75cd34ad6ceac2a75c65382e00c3b986c9a95d0f21f13131",
+            "88b02a352dc4ee1e51ddf098f270204748931adaf1ab3e22eb0dd5ccdd2f2077",
     },
     "gibbs_tent": {
         "gibbs_report.json":
-            "4e282cbf6b1ea359ae4f2c12f2dd91c6877e8c3bbde87c9422ff2b0f3ce35b49",
+            "510017bff41fc2ed4b913f3481ab7ef8940744155346955340eefee6abec50a4",
     },
     "graph": {
         "configuration.csv":

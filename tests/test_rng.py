@@ -1,7 +1,8 @@
-"""The counter-addressed Philox core: bit-exact against numpy's Philox,
-uniforms addressed entry by entry, independent of the sub-block size,
-standard normal in distribution after ``noise_matrix``'s map, and strict
-about the ids it is given."""
+"""The counter-addressed Philox core: bit-exact against Random123's
+known-answer vectors and an exact integer Philox4x32-10, uniforms addressed
+entry by entry, independent of the sub-block size, standard normal in
+distribution after ``noise_matrix``'s map, and strict about the ids it is
+given."""
 
 import numpy as np
 import pytest
@@ -9,52 +10,61 @@ from scipy import stats
 from scipy.special import ndtri
 
 import spindyn.rng as rng
+from helpers import philox4x32
 from spindyn import ParameterError, RandomInit
-from spindyn.rng import TAG_INIT, TAG_WIENER, _philox, keyed_draws, noise_matrix
+from spindyn.rng import (BLOCK_STEPS, TAG_INIT, TAG_WIENER, _philox, keyed_draws,
+                         noise_matrix)
 
 _M64 = (1 << 64) - 1
+_M32 = (1 << 32) - 1
 
 
-def _words(counter: int):
-    return [np.uint64((counter >> (64 * i)) & _M64) for i in range(4)]
-
-
-def _numpy_block(key: int, counter: int) -> np.ndarray:
-    # numpy's Philox increments its counter before it computes a block.
-    return np.random.Philox(key=key, counter=(counter - 1) % (1 << 256)).random_raw(4)
+def _word(key: int, replica: int, site: int, step: int) -> int:
+    """The 64-bit word of (replica, site, step): output words 2(s % 2) and
+    2(s % 2) + 1 of the block (s // 2, site, replica, 0), by the integer
+    reference."""
+    w = philox4x32([step // 2, site, replica, 0], [key & _M32, key >> 32 & _M32])
+    return w[2 * (step % 2)] << 32 | w[2 * (step % 2) + 1]
 
 
 class TestOracle:
-    # The last four set the words c0 and c2, the two multiplied in the first
-    # round, to the edges of _mulhilo's 32-bit carries.
-    COUNTERS = [0, 1, 7, _M64, 1 << 64, (1 << 192) + 5, (1 << 255) + (3 << 128) + 11,
-                (1 << 256) - 1] + [
-                    v | v << 128 for v in ((1 << 32) - 1, 1 << 32, (1 << 64) - (1 << 32),
-                                           _M64)]
+    # Random123 (Salmon, Moraes, Dror & Shaw, SC'11; D. E. Shaw Research),
+    # examples/kat_vectors, the three "philox4x32 10" rows: counter words,
+    # key words, output words.
+    KAT = [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((_M32,) * 4, (_M32,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ]
+    # Word values at the edges of 32 bits, where a product's high half
+    # carries most, and elsewhere.
+    WORDS = [0, 1, 2, 7, 0x7FFFFFFF, 0x80000000, _M32 - 1, _M32]
 
-    def test_matches_numpy_philox(self):
+    @pytest.mark.parametrize("counter, key, want", KAT)
+    def test_known_answer_vectors(self, counter, key, want):
+        assert philox4x32(counter, key) == list(want)
+        got = _philox(key[0] | key[1] << 32, *counter)
+        assert [int(w) for w in got] == list(want)
+
+    def test_matches_the_integer_reference(self):
         g = np.random.default_rng(2026)
-        keys = [0, 1, _M64, (1 << 128) - 1] + [
-            int(g.integers(0, 1 << 62)) << 66 | int(g.integers(0, 1 << 62))
-            for _ in range(6)]
+        keys = [0, _M32, _M32 << 32, _M64, (1 << 128) - 1] + [
+            int(g.integers(0, 1 << 63)) << 1 | 1 for _ in range(5)]
+        counters = [(a, b, a, b) for a in self.WORDS for b in self.WORDS[::3]] + [
+            tuple(int(x) for x in g.integers(0, 1 << 32, 4)) for _ in range(20)]
         for key in keys:
-            for counter in self.COUNTERS:
-                got = np.array(_philox(key, *_words(counter)), dtype=np.uint64)
-                np.testing.assert_array_equal(got, _numpy_block(key, counter),
-                                              err_msg=f"key {key:#x}, counter {counter:#x}")
-
-    def test_vectorised_over_counters(self):
-        key = rng.stream_key(9, TAG_WIENER)
-        c = np.array([_words(x) for x in self.COUNTERS], dtype=np.uint64)
-        got = np.stack(_philox(key, *c.T), axis=-1)
-        want = np.stack([_numpy_block(key, x) for x in self.COUNTERS])
-        np.testing.assert_array_equal(got, want)
+            c = np.array(counters, dtype=np.uint64)
+            got = np.stack(_philox(key, *c.T), axis=-1)
+            for counter, row in zip(counters, got):
+                want = philox4x32(counter, [key & _M32, key >> 32 & _M32])
+                assert [int(w) for w in row] == want, (hex(key), counter)
 
     def test_noise_is_ndtri_of_the_addressed_word(self):
-        # (replica 5, site 3, step 6) is word 6 % 4 of block (6 // 4, 3, 5, 0).
-        w = _numpy_block(rng.stream_key(4, TAG_WIENER), 1 | 3 << 64 | 5 << 128)[2]
-        u = ((int(w) >> 11) + 0.5) * 2.0 ** -53
-        assert noise_matrix(4, 5, [3], 7)[0, 6] == ndtri(u)
+        # (replica 5, site 3, step 5) is words 2 and 3 of block (2, 3, 5, 0).
+        w = _word(rng.stream_key(4, TAG_WIENER), 5, 3, 5)
+        u = ((w >> 11) + 0.5) * 2.0 ** -53
+        assert noise_matrix(4, 5, [3], 7)[0, 5] == ndtri(u)
 
 
 class TestKeyedDraws:
@@ -69,7 +79,7 @@ class TestKeyedDraws:
             for j, x in enumerate(sites):
                 for c in range(k):
                     s = first + c
-                    w = _philox(key, [s // 4], x, r, 0)[s % 4]
+                    w = np.array([_word(key, r, x, s)], dtype=np.uint64)
                     assert u[i, j, c] == rng._uniforms(w)[0], (r, x, s)
 
     @pytest.mark.parametrize("first", [0, 3, 6])
@@ -191,6 +201,21 @@ class TestBadIds:
     def test_negative_site_named(self):
         with pytest.raises(ParameterError, match="site id -4 is negative"):
             noise_matrix(0, 0, [1, -4], 4)
+
+    def test_ids_past_32_bits_named(self):
+        # Each id is one 32-bit counter word, and so is step // BLOCK_STEPS.
+        with pytest.raises(ParameterError, match="site id 4294967296 is at or above 2"):
+            noise_matrix(0, 0, [1, 2 ** 32], 4)
+        with pytest.raises(ParameterError, match="replica id 4294967297 is at or above 2"):
+            noise_matrix(0, np.array([0, 2 ** 32 + 1]), range(3), 4)
+        with pytest.raises(ParameterError, match="replica id 4294967296 is at or above 2"):
+            RandomInit("normal").draw(0, 2 ** 32, 5)
+        top = BLOCK_STEPS * 2 ** 32
+        with pytest.raises(ParameterError, match=f"step {top} is at or above 2"):
+            noise_matrix(0, 0, [1], 3, first_step=top - 2)
+        # the largest ids still draw, and a step past them drawn not at all is fine
+        assert noise_matrix(0, _M32, [_M32], 2, first_step=top - 2).shape == (1, 2)
+        assert noise_matrix(0, 0, [1], 0, first_step=top).shape == (1, 0)
 
     def test_non_integer_ids_rejected(self):
         with pytest.raises(ParameterError, match="site ids must be integers"):
