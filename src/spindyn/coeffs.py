@@ -43,19 +43,35 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, s):
-        """p(s) elementwise: its nonzero terms a_k s^k in ascending degree, s^k
-        by binary powering (s^3 = (s s) s, s^4 = (s s)(s s)); unlike Horner's
-        form, this keeps the presets' bytes, signed zeros included."""
+    @staticmethod
+    def powers(s, n: int) -> list:
+        """[None, s, s^2, ..., s^n] by binary powering (s^3 = (s s) s, s^4 =
+        (s s)(s s)): one table for every polynomial of s of degree <= n."""
+        pw = [None, s]  # s^2j = s^j s^j, s^(2j+1) = s^2j s
+        for k in range(2, n + 1):
+            pw.append(pw[k - 1] * s if k % 2 else pw[k // 2] * pw[k // 2])
+        return pw
+
+    def __call__(self, s, pw=None):
+        """p(s) elementwise: its nonzero terms a_k s^k in ascending degree,
+        s^k from ``pw = powers(s, n)`` for some n >= degree, built here if not
+        given.  Unlike Horner's form, this keeps the presets' bytes, signed
+        zeros included.  A term with a_k = +-1 is added or subtracted without
+        a multiply, as 1.0 x and -1.0 x are exact, so the result may be an
+        entry of ``pw``; it is never s itself."""
         if self.degree < 1:
             return np.full_like(s, self.coeffs[0] if self.coeffs else 0.0)
-        out, pw = None, [None, s]  # s^2j = s^j s^j, s^(2j+1) = s^2j s
+        pw = self.powers(s, self.degree) if pw is None else pw
+        out = None
         for k, a in enumerate(self.coeffs):
-            if k > 1:
-                pw.append(pw[k - 1] * s if k % 2 else pw[k // 2] * pw[k // 2])
-            if a:
-                term = a * pw[k] if k else a
-                out = term if out is None else out + term
+            if not a:
+                continue
+            if out is None:
+                out = pw[k] if a == 1.0 and k > 1 else a * pw[k] if k else a
+            elif abs(a) == 1.0:
+                out = out + pw[k] if a > 0 else out - pw[k]
+            else:
+                out = out + a * pw[k]
         return out
 
     def deriv(self) -> "Polynomial":
@@ -102,7 +118,8 @@ class SinglePotentialDrift:
     (c, R) = ``phi.growth()`` bound the growth |phi(s)| <= c (1 + |s|^R).
     ``b`` = sup phi' is the one-sided Lipschitz constant: by the mean value
     theorem, (s1 - s2)(phi(s1) - phi(s2)) <= b (s1 - s2)^2, and no smaller b
-    holds.  A phi' unbounded above raises ``ParameterError``.
+    holds.  A phi' unbounded above raises ``ParameterError``.  ``dphi`` is
+    phi', built once for the implicit scheme's Newton step.
 
     The per-site inequalities for Phi = phi + A z and Psi = S z + c_0 follow
     from these and a field's a_bar and M.  With n_x >= 1 the size of the
@@ -118,10 +135,12 @@ class SinglePotentialDrift:
     """
 
     phi: Polynomial
+    dphi: Polynomial = field(init=False, repr=False)
     b: float = field(init=False)
 
     def __post_init__(self):
-        b = self.phi.deriv().sup()
+        object.__setattr__(self, "dphi", self.phi.deriv())
+        b = self.dphi.sup()
         if b == math.inf:
             raise ParameterError(f"phi' of {self.phi} is unbounded above")
         object.__setattr__(self, "b", b)
@@ -173,7 +192,10 @@ class CoefficientField:
 
     def diffusion_all(self, state: np.ndarray) -> np.ndarray:
         """S z + c at this field's sites, for ``state`` of shape (sites,) or
-        (replicas, sites) over the whole window."""
+        (replicas, sites) over the whole window.  An empty S, as under
+        additive noise, is not multiplied: 0.0 + c is c."""
+        if not self.S.nnz:
+            return np.full(state.shape[:-1] + self.S.shape[:1], 0.0 + self.diff_const)
         return (self.S @ state.T).T + self.diff_const
 
 

@@ -154,9 +154,12 @@ def initial_states(init, graph, plan, reps) -> np.ndarray:
 
 def _solve_implicit(drift, state, dt, sites, j):
     """Newton solve of theta = state + dt * phi(theta) at the site ids
-    ``sites`` in step j, vectorised; each entry stops at its own tolerance,
-    whatever else shares the block."""
-    phi, dphi = drift.phi, drift.phi.deriv()
+    ``sites`` (an id array, or slice(None) for every site) in step j,
+    vectorised; each entry stops at its own tolerance, whatever else shares
+    the block."""
+    phi, dphi = drift.phi, drift.dphi
+    if isinstance(sites, slice):  # whole-window columns, named by their ids
+        sites = np.arange(state.shape[-1])[sites]
     theta = state.copy()
     for _ in range(_NEWTON_MAX_ITERS):
         resid = theta - dt * phi(theta) - state

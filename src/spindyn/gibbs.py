@@ -8,6 +8,7 @@ kernel on a finite site set eta with frozen exterior z has density
 proportional to exp[-E_eta(sigma | z)] prod_x exp[-V(sigma_x)].
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -120,11 +121,18 @@ class _EtaTarget:
         self.bconst = (rows @ z.T).T
 
     def energy_grad(self, s: np.ndarray):
-        """(U(s), grad U(s)), both from one product s @ K."""
+        """(U(s), grad U(s)), both from one product s @ K.  V and V' share one
+        table of powers of s, and the three sums of U are one reduction."""
+        pw = Polynomial.powers(s, self.model.tau)
         sK = s @ self.K
-        U = self.model.V(s).sum(axis=-1) + (
-            0.5 * (s * sK).sum(axis=-1) + (self.bconst * s).sum(axis=-1))
-        return U, self.model.grad_V(s) + sK + self.bconst
+        terms = np.empty((3,) + s.shape)
+        terms[0] = self.model.V(s, pw)
+        np.multiply(s, sK, out=terms[1])
+        np.multiply(self.bconst, s, out=terms[2])
+        r = np.add.reduce(terms, axis=-1)  # as .sum, without its Python wrapper
+        G = self.model.grad_V(s, pw) + sK
+        G += self.bconst
+        return r[0] + (0.5 * r[1] + r[2]), G
 
 
 @dataclass(frozen=True)
@@ -176,29 +184,40 @@ def _mala_run(target: _EtaTarget, init: np.ndarray, chain: ChainParams,
 
     ``init`` has shape (n_chains, k).  Step size is adapted toward the
     [0.5, 0.7] acceptance window during burn-in and frozen afterwards.
+    Row ``cur`` of the (2, n_chains, k) buffer ``x`` holds the states and
+    the other row the proposals; ``mu`` holds the backward and forward
+    proposal means in the same rows, so one x - mu gives both proposal
+    log-densities.  When every chain accepts, the rows swap roles.
     """
     rng = np.random.default_rng(chain.seed)
-    s = np.asarray(init, dtype=float).copy()
-    n_chains, k = s.shape
-    h = chain.step_size
-    U, G = target.energy_grad(s)
+    x = np.array([init, init], dtype=float)
+    n_chains, k = x.shape[1:]
+    mu = np.empty_like(x)
+    cur, h = 0, chain.step_size
+    U, G = target.energy_grad(x[0])
     acc_recent = []
     accepted = 0
     kept = chain.steps if collect else 1
     out = np.empty((kept * n_chains, k)) if collect else None
     for step in range(chain.burn_in + kept):
-        mu = s - 0.5 * h * G
-        prop = mu + np.sqrt(h) * rng.standard_normal(s.shape)
+        s, prop, mu_back, mu_fwd = x[cur], x[1 - cur], mu[cur], mu[1 - cur]
+        np.subtract(s, np.multiply(G, 0.5 * h, out=mu_fwd), out=mu_fwd)
+        rng.standard_normal(out=prop)
+        np.add(mu_fwd, np.multiply(prop, math.sqrt(h), out=prop), out=prop)
         U_prop, G_prop = target.energy_grad(prop)
-        mu_back = prop - 0.5 * h * G_prop
-        log_q_fwd = -((prop - mu) ** 2).sum(axis=-1) / (2 * h)
-        log_q_back = -((s - mu_back) ** 2).sum(axis=-1) / (2 * h)
-        log_alpha = U - U_prop + log_q_back - log_q_fwd
+        np.subtract(prop, np.multiply(G_prop, 0.5 * h, out=mu_back), out=mu_back)
+        d = np.square(np.subtract(x, mu, out=mu), out=mu)  # mu is rebuilt each step
+        # q / (-2h) is -q / (2h) bit for bit, but for a NaN's sign
+        log_q = np.add.reduce(d, axis=-1) / (-2 * h)
+        log_alpha = U - U_prop + log_q[cur] - log_q[1 - cur]
         take = np.log(rng.uniform(size=n_chains)) < log_alpha
-        s[take] = prop[take]
-        U[take] = U_prop[take]
-        G[take] = G_prop[take]
         n_take = np.count_nonzero(take)
+        if n_take == n_chains:
+            cur, U, G = 1 - cur, U_prop, G_prop
+        elif n_take:
+            np.copyto(s, prop, where=take[:, None])
+            np.copyto(U, U_prop, where=take)
+            np.copyto(G, G_prop, where=take[:, None])
         if step < chain.burn_in:
             acc_recent.append(n_take / max(1, n_chains))
             if len(acc_recent) >= _TUNE_EVERY:
@@ -212,9 +231,9 @@ def _mala_run(target: _EtaTarget, init: np.ndarray, chain: ChainParams,
             accepted += n_take
             if collect:
                 i = (step - chain.burn_in) * n_chains
-                out[i:i + n_chains] = s
+                out[i:i + n_chains] = x[cur]
     rate = accepted / max(1, kept * n_chains)
-    return (out if collect else s), rate, h
+    return (out if collect else x[cur]), rate, h
 
 
 def kernel_sample(model: GibbsModel, eta, boundary: WeightedSeq,

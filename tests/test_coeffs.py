@@ -310,3 +310,42 @@ def test_weights_of_wrong_length_rejected(graph):
         for bad in (np.ones(e - 1), np.ones(e + 1), np.ones((1, e))):
             with pytest.raises(ParameterError, match=name):
                 dataclasses.replace(base, **{name: bad})
+
+
+def _every_term_multiplied(p, s):
+    """p(s) with every nonzero term a_k s^k multiplied out, 1.0 s^k too."""
+    if p.degree < 1:
+        return np.full_like(s, p.coeffs[0] if p.coeffs else 0.0)
+    out, pw = None, [None, s]
+    for k, a in enumerate(p.coeffs):
+        if k > 1:
+            pw.append(pw[k - 1] * s if k % 2 else pw[k // 2] * pw[k // 2])
+        if a:
+            term = a * pw[k] if k else a
+            out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("coeffs", [
+    (0.0, 0.0, 0.0, 0.0, 0.25), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0, -1.0), (0.0, -1.0),
+    (0.0, 1.0), (1.0, -1.0, 0.0, 1.0), (-1.0, 0.0, 1.0, -1.0, 0.5),
+    (2.0, 1.0, -1.0, 0.0, -1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (3.0,), ()])
+def test_shared_powers_evaluate_bit_for_bit(coeffs):
+    # One table of powers serves p and p', and a +-1 coefficient adds or
+    # subtracts its power unmultiplied: both keep every byte of the plain
+    # evaluation, at signed zeros, subnormals, overflow and non-finite s.
+    s = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e154, 1e103, 1e308,
+                         np.inf, np.nan], np.random.default_rng(3).standard_normal(200),
+                        np.exp(np.random.default_rng(4).uniform(-700, 700, 200))])
+    s = np.concatenate([s, -s])
+    given = s.copy()
+    p = Polynomial(coeffs)
+    pw = Polynomial.powers(s, max(p.degree, 1))
+    for q in (p, p.deriv()):
+        want = _every_term_multiplied(q, s).tobytes()
+        assert q(s).tobytes() == want and q(s, pw).tobytes() == want, q
+        assert q(s) is not s and q(s, pw) is not s
+    assert s.tobytes() == given.tobytes()
+    assert [w.tobytes() for w in pw[2:]] == [
+        w.tobytes() for w in Polynomial.powers(given, max(p.degree, 1))[2:]]

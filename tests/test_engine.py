@@ -233,6 +233,57 @@ class TestIntegration:
             with pytest.raises(NumericError, match=r"zero or non-finite at site 0 \(step 0\)"):
                 one_path(field, all_sites(single), sparse_seq(single, {0: 1.0}), plan)
 
+    @pytest.mark.parametrize("coeffs, state, dt, message", [
+        # theta + 0.01 theta^3 = 1e5 from theta = 1e5: Newton needs more steps
+        ((0.0, 0.0, 0.0, -1.0), [[1.0, 1e5, 1.0]], 0.01,
+         r"failed to converge at site 1 \(step 7\)"),
+        # phi(s) = 2s with dt = 0.5: 1 - dt phi' = 0, live at site 1 alone
+        ((0.0, 2.0), [[0.0, 1.0, 0.0]], 0.5,
+         r"zero or non-finite at site 1 \(step 7\)")])
+    def test_newton_failure_names_site_of_whole_window_field(self, coeffs, state, dt,
+                                                             message):
+        # A field with the default sites=slice(None) names the window column.
+        g = build_graph(lattice_configuration(0, 2), 1.5)
+        field = dataclasses.replace(make_field(g),
+                                    drift=SinglePotentialDrift(Polynomial(coeffs)))
+        assert field.sites == slice(None)
+        with pytest.raises(NumericError, match=message):
+            engine._step(field, np.array(state), np.zeros((1, 3)), dt,
+                         "split_step_implicit", 7)
+
+    def test_split_step_builds_no_derivative(self, chain, monkeypatch):
+        # phi' is built once, with the drift; the Newton solve only reads it.
+        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
+        assert field.drift.dphi == field.drift.phi.deriv()
+        plan = SimPlan(dt=0.01, T=0.05, replicas=2, master_seed=3, p=4.0,
+                       scheme="split_step_implicit")
+        want = run_nested(field, radial_volumes(chain, [1.0]), constant_init(chain, 0.5),
+                          plan)
+
+        def no_deriv(self):
+            raise AssertionError("Polynomial.deriv called during a run")
+
+        monkeypatch.setattr(Polynomial, "deriv", no_deriv)
+        got = run_nested(field, radial_volumes(chain, [1.0]), constant_init(chain, 0.5),
+                         plan)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, -0.0, 0.0, 2.5])
+    def test_empty_S_diffusion_equals_its_product(self, chain, c):
+        # An empty S is skipped: the bytes of S z + c stay, NaN rows and the
+        # sign of a zero c included, for one state or a block, on any sites.
+        whole = dataclasses.replace(make_field(chain, noise="additive"), diff_const=c)
+        assert whole.S.nnz == 0
+        rng = np.random.default_rng(8)
+        block = rng.standard_normal((3, chain.n_sites))
+        block[1, 2] = np.nan
+        for field in (whole, dataclasses.replace(whole, sites=np.array([1, 4, 5]))):
+            for state in (block, block[0]):
+                got = field.diffusion_all(state)
+                want = (field.S @ state.T).T + field.diff_const
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_state_names_global_replica(self, single, monkeypatch):
         # |x|^3 overflows for |x| > 5.6e102: the tamed step turns replicas

@@ -232,33 +232,38 @@ class TestLocalEnergy:
             assert np.allclose(G[:, i], (up - down) / (2 * eps), rtol=0, atol=1e-6)
 
 
-def _mala_reference(target, init, chain, collect):
+def _reference_energy(target, s):
+    return (np.sum(target.model.V(s), axis=-1)
+            + (0.5 * np.sum(s * (s @ target.K), axis=-1)
+               + np.sum(target.bconst * s, axis=-1)))
+
+
+def _reference_grad(target, s):
+    return target.model.grad_V(s) + s @ target.K + target.bconst
+
+
+def _mala_reference(target, init, chain, collect, takes=None):
     """MALA as first written: the gradient of the current state recomputed
-    every step, the energy and gradient each from their own s @ K."""
-    def energy(s):
-        return (np.sum(target.model.V(s), axis=-1)
-                + (0.5 * np.sum(s * (s @ target.K), axis=-1)
-                   + np.sum(target.bconst * s, axis=-1)))
-
-    def grad(s):
-        return target.model.grad_V(s) + s @ target.K + target.bconst
-
+    every step, the energy and gradient each from their own s @ K.  Each
+    step's accept count is appended to ``takes``, if given."""
     rng = np.random.default_rng(chain.seed)
     s = np.asarray(init, dtype=float).copy()
     n_chains = s.shape[0]
     h = chain.step_size
-    U = energy(s)
+    U = _reference_energy(target, s)
     acc_recent, accepted, proposed, out = [], 0, 0, []
     for step in range(chain.burn_in + (chain.steps if collect else 1)):
-        mu = s - 0.5 * h * grad(s)
+        mu = s - 0.5 * h * _reference_grad(target, s)
         prop = mu + np.sqrt(h) * rng.standard_normal(s.shape)
-        U_prop = energy(prop)
-        mu_back = prop - 0.5 * h * grad(prop)
+        U_prop = _reference_energy(target, prop)
+        mu_back = prop - 0.5 * h * _reference_grad(target, prop)
         log_q_fwd = -np.sum((prop - mu) ** 2, axis=-1) / (2 * h)
         log_q_back = -np.sum((s - mu_back) ** 2, axis=-1) / (2 * h)
         take = np.log(rng.uniform(size=n_chains)) < U - U_prop + log_q_back - log_q_fwd
         s[take] = prop[take]
         U[take] = U_prop[take]
+        if takes is not None:
+            takes.append(int(np.sum(take)))
         if step < chain.burn_in:
             acc_recent.append(float(np.mean(take)))
             if len(acc_recent) >= 25:
@@ -296,6 +301,54 @@ class TestMalaStepRule:
         assert rate == want_rate and h == want_h
         assert h != chain_p.step_size  # burn-in tuned the step
         assert 0 < rate < 1 or not collect  # kept steps both accept and reject
+
+    @pytest.mark.parametrize("potential", ["quartic", "gaussian"])
+    @pytest.mark.parametrize("n_chains", [1, 7, 100])
+    @pytest.mark.parametrize("step_size, steps_seen", [
+        (1e-6, "all accept"), (0.8, "mixed"), (1e3, "none accept")])
+    def test_fused_step_matches_reference(self, n_chains, potential, step_size,
+                                          steps_seen):
+        # Tiny steps make every chain accept, huge ones every chain reject:
+        # the all-accept row swap, the masked copies and the no-op path.
+        # Under gaussian V, V'(s) = s, which no in-place update may write.
+        g = build_graph(lattice_configuration(-2, 2, dim=2), 1.5)
+        m = make_model(g, potential=potential, J=0.15 * (potential == "quartic"),
+                       coupling_type="tent")
+        rng = np.random.default_rng(n_chains)
+        eta = sorted(rng.choice(g.n_sites, size=9, replace=False).tolist())
+        target = _EtaTarget(m, eta, rng.standard_normal((n_chains, g.n_sites)))
+        init = rng.standard_normal((n_chains, len(eta)))
+        given = init.copy()
+        chain_p = ChainParams(steps=60, burn_in=50, step_size=step_size, seed=5)
+        for collect in (True, False):
+            takes = []
+            states, rate, h = _mala_run(target, init, chain_p, collect)
+            want, want_rate, want_h = _mala_reference(target, init, chain_p, collect,
+                                                      takes)
+            assert np.array_equal(init, given)
+            assert states.shape == want.shape and states.tobytes() == want.tobytes()
+            assert rate == want_rate and h == want_h
+            seen = {"all accept": n_chains in takes, "none accept": 0 in takes,
+                    "mixed": len(set(takes)) > 1}
+            assert seen[steps_seen], takes
+
+    @pytest.mark.parametrize("potential", ["quartic", "gaussian"])
+    @pytest.mark.parametrize("shape", [(9,), (1, 9), (7, 9)])
+    def test_energy_grad_matches_reference_and_keeps_its_input(self, potential, shape):
+        g = build_graph(lattice_configuration(-2, 2, dim=2), 1.5)
+        m = make_model(g, potential=potential, J=0.15 * (potential == "quartic"),
+                       coupling_type="tent")
+        rng = np.random.default_rng(len(shape))
+        eta = sorted(rng.choice(g.n_sites, size=9, replace=False).tolist())
+        target = _EtaTarget(m, eta, rng.standard_normal(shape[:-1] + (g.n_sites,)))
+        s = rng.standard_normal(shape)
+        s[..., 0] = -0.0
+        given = s.copy()
+        U, G = target.energy_grad(s)
+        assert s.tobytes() == given.tobytes()
+        assert G is not s and not np.shares_memory(G, s)
+        assert np.asarray(U).tobytes() == np.asarray(_reference_energy(target, s)).tobytes()
+        assert G.tobytes() == _reference_grad(target, s).tobytes()
 
 
 def _autocorr_ess_reference(series):
