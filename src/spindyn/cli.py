@@ -23,7 +23,7 @@ from . import geometry, gibbs, ovsbound
 from .coeffs import make_field
 from .engine import (RandomInit, SimPlan, cauchy_gap, initial_states, moment_p,
                      nested_gap_sums, radial_volumes, run_nested)
-from .errors import ConfigError, IntegrityError, NumericError, ParameterError
+from .errors import ConfigError, NumericError, ParameterError
 from .gibbs import ChainParams, make_model
 from .spaces import ScaleInterval, WeightedSeq, weighted_seq_from_csv
 
@@ -341,7 +341,7 @@ def cmd_ovs(cfg: dict, out: Path, threads: int) -> int:
         raise ConfigError(f"ovs.T: need T > 0, got {T}")
     Q = ovsbound.induced_matrix(graph, B, k)
     with _named("ovs.q"):
-        L = ovsbound.estimate_L(Q, q, scale)
+        L = ovsbound.estimate_L(Q, graph, q, scale)
     widths = [float(w) for w in _get(cfg, "ovs.widths", list,
                                      default=[scale.width / 2, scale.width], ndim=1)]
     if not widths:
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, IntegrityError) as e:
+    except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except ParameterError as e:

@@ -9,10 +9,6 @@ class ParameterError(SpindynError, ValueError):
     """A caller-supplied parameter is out of its allowed range."""
 
 
-class IntegrityError(SpindynError):
-    """A data structure violates one of its own declared invariants."""
-
-
 class NumericError(SpindynError):
     """An iterative numeric procedure failed to converge."""
 

@@ -95,13 +95,18 @@ class GeometricGraph:
         return np.repeat(np.arange(self.n_sites), self.nbar_count)
 
     def operator(self, weights) -> "sp.csr_matrix":
-        """The (N, N) sparse matrix with one weight per CSR entry, aligned
-        with ``indices``; zero weights are dropped."""
+        """The (N, N) sparse matrix with one finite weight per CSR entry,
+        aligned with ``indices``; zero weights are dropped."""
         import scipy.sparse as sp
 
         w = np.asarray(weights, dtype=float)
         if w.shape != self.indices.shape:
             raise ParameterError(f"weights must have shape {self.indices.shape}, got {w.shape}")
+        finite = np.isfinite(w)
+        if not finite.all():
+            i = np.argmin(finite)
+            raise ParameterError(f"weight of entry {i}, ({self.entry_rows()[i]}, "
+                                 f"{self.indices[i]}), is {w[i]}, not finite")
         # copy=True: eliminate_zeros works in place and must not edit the graph.
         mat = sp.csr_matrix((w, self.indices, self.indptr), shape=(self.n_sites,) * 2,
                             copy=True)

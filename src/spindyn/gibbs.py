@@ -55,10 +55,7 @@ class GibbsModel:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        A = self.graph.operator(w)  # raises on a wrong shape
-        if not np.all(np.isfinite(w)):
-            raise ParameterError(f"weights must be finite, entry "
-                                 f"{np.argmin(np.isfinite(w))} is not")
+        A = self.graph.operator(w)  # raises on a wrong shape or a non-finite weight
         self_w = w[self.graph.indptr[:-1]]
         if np.any(self_w != 0):
             raise ParameterError(f"self entry of site {np.argmax(self_w != 0)} "

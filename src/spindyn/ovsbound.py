@@ -1,8 +1,8 @@
 """Norm-bound certification for finite-range operators on the weighted-l1 scale.
 
-A finite-range matrix holds one weight per CSR entry of the graph, aligned
-with ``graph.indices``, so an entry beyond the interaction radius cannot be
-written down; its growth bound |Q_xy| <= C n_x^k is checked once, when built.
+A kernel Q is the sparse matrix ``graph.operator(weights)``, one weight per
+CSR entry of the graph, so an entry beyond the interaction radius cannot be
+written down.
 
 Contains the growth-series evaluator K_T, the series solution of the linear
 integral equation f = z + int Q f, a computed upper bound on the scale-norm
@@ -11,14 +11,14 @@ kernels, and the resulting weighted-sup (Gronwall-type) bound.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import IntegrityError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .geometry import GeometricGraph
-from .spaces import ScaleInterval, WeightedSeq, norm_lp
+from .spaces import ScaleInterval, WeightedSeq, norm_l1
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -41,44 +41,22 @@ _DELTA_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 256)])
 _ROUNDING_PAD = 5e-13
 
 
-@dataclass(frozen=True)
-class FiniteRangeMatrix:
-    """Sparse site-to-site matrix vanishing beyond the interaction radius.
-
-    ``weights`` holds one entry per CSR entry of ``graph``, aligned with
-    ``graph.indices``; ``matrix`` is the sparse matrix they make, zeros
-    dropped.  Construction raises ``IntegrityError`` unless every entry obeys
-    |Q_xy| <= ``bound_C * n_x**bound_k``, where n_x counts the closed
-    neighbourhood of the row site x.
-    """
-
-    graph: GeometricGraph
-    weights: np.ndarray
-    bound_C: float
-    bound_k: float
-    matrix: "sp.csr_matrix" = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mat = self.graph.operator(self.weights)
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        cap = self.bound_C * self.graph.nbar_count[rows].astype(float) ** self.bound_k
-        bad = np.flatnonzero(~(np.abs(mat.data) <= cap * (1 + 1e-12)))
-        if bad.size:
-            i = bad[0]
-            raise IntegrityError(f"entry ({rows[i]},{mat.indices[i]})={mat.data[i]:.6g} "
-                                 f"exceeds C*n_x^k={cap[i]:.6g}")
-        object.__setattr__(self, "matrix", mat)
-
-
-def induced_matrix(graph: GeometricGraph, B: float, k: float) -> FiniteRangeMatrix:
+def induced_matrix(graph: GeometricGraph, B: float, k: float) -> "sp.csr_matrix":
     """The kernel Q_{x,y} = B n_x^k on the closed neighbourhood of x."""
-    weights = (B * graph.nbar_count.astype(float) ** k)[graph.entry_rows()]
-    return FiniteRangeMatrix(graph=graph, weights=weights, bound_C=abs(B), bound_k=k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_w = B * graph.nbar_count.astype(float) ** k
+    finite = np.isfinite(row_w)
+    if not finite.all():
+        raise NumericError(f"kernel weight B n_x^k at site {np.argmin(finite)} exceeds "
+                           f"double-precision range (B={B}, k={k})")
+    return graph.operator(row_w[graph.entry_rows()])
 
 
-def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
+def estimate_L(Q: "sp.csr_matrix", graph: GeometricGraph, q: float,
+               scale: ScaleInterval) -> float:
     """Upper bound L on (beta-alpha)^q ||Q||_{l1_alpha -> l1_beta} over all
-    alpha_star <= alpha < beta <= alpha_top, computed on a fixed delta grid.
+    alpha_star <= alpha < beta <= alpha_top, computed on a fixed delta grid;
+    Q acts on the sites of ``graph``, whose radii weight the norms.
 
     The norm of an l1 -> l1 map is attained at a basis vector, so it is
     F(alpha, beta) = max_y sum_x |Q_xy| e^{-beta|x| + alpha|y|}.
@@ -87,6 +65,9 @@ def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
 
     if not (0 < q < 1):
         raise ParameterError(f"q must be in (0,1), got {q}")
+    n = graph.n_sites
+    if Q.shape != (n, n):
+        raise ParameterError(f"Q has shape {Q.shape}, the graph has {n} sites")
     # Why the grid value bounds the sup over the whole scale:
     # 1. At fixed delta = beta - alpha, each term |Q_xy| e^{-delta|x|} *
     #    e^{alpha(|y|-|x|)} is convex in alpha, so F (a max of sums of them)
@@ -100,13 +81,13 @@ def estimate_L(Q: FiniteRangeMatrix, q: float, scale: ScaleInterval) -> float:
     #    and the max over i of the right side bounds the sup.
     # Each entry is evaluated in log space: an entry within range rho has
     # ||y| - |x|| <= rho, so no factor overflows however far out x lies.
-    abs_q = abs(Q.matrix).tocsc()
-    radii = Q.graph.radii()
+    abs_q = abs(Q).tocsc()
+    radii = graph.radii()
     r_x = radii[abs_q.indices]
     r_diff = np.repeat(radii, np.diff(abs_q.indptr)) - r_x
     # Row y of col_sums adds up the entries of column y of |Q|.
     col_sums = sp.csr_matrix((abs_q.data, np.arange(abs_q.nnz), abs_q.indptr),
-                             shape=(Q.graph.n_sites, abs_q.nnz))
+                             shape=(n, abs_q.nnz))
     deltas = scale.width * _DELTA_GRID
     m = deltas.size - 1
     d = np.tile(deltas[:-1], 2)
@@ -153,7 +134,7 @@ def k_series(L: float, T: float, q: float, alpha: float, beta: float) -> float:
     raise NumericError(f"K_T series did not converge within {_K_SERIES_MAX_TERMS} terms")
 
 
-def series_solve(Q: FiniteRangeMatrix, z0: WeightedSeq, t: float) -> WeightedSeq:
+def series_solve(Q: "sp.csr_matrix", z0: WeightedSeq, t: float) -> WeightedSeq:
     """sum_{n<=N} t^n/n! Q^n z0, truncated once the last term is negligible
     in the unweighted l^1 norm."""
     if t < 0:
@@ -163,10 +144,10 @@ def series_solve(Q: FiniteRangeMatrix, z0: WeightedSeq, t: float) -> WeightedSeq
     term = z0.values
     total = term.copy()
     for n in range(1, _SERIES_MAX_TERMS + 1):
-        term = (t / n) * (Q.matrix @ term)
+        term = (t / n) * (Q @ term)
         total += term
         if np.sum(np.abs(term)) < _SERIES_TERM_CUTOFF * max(np.sum(np.abs(total)), 1e-300):
-            return WeightedSeq(total, Q.graph)
+            return WeightedSeq(total, z0.graph)
     raise NumericError(
         f"series solution did not reach tolerance within {_SERIES_MAX_TERMS} terms")
 
@@ -179,14 +160,13 @@ class ComparisonReport:
     bound_ok: bool
     max_hypothesis_violation: float
     max_bound_violation: float
-    min_slack: float
 
     @property
     def passed(self) -> bool:
         return self.hypothesis_ok and self.bound_ok
 
 
-def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
+def comparison_check(Q: "sp.csr_matrix", times, g_values, z: WeightedSeq,
                      T: float) -> ComparisonReport:
     """Verify g <= f where f solves the equality version of g's inequality.
 
@@ -196,30 +176,29 @@ def comparison_check(Q: FiniteRangeMatrix, times, g_values, z: WeightedSeq,
     the same grid; a failure yields a hypothesis-violated report rather than
     an exception.
     """
-    if Q.matrix.nnz and Q.matrix.min() < 0:
+    if Q.nnz and Q.min() < 0:
         raise ParameterError("comparison check requires a non-negative kernel")
     times = np.asarray(times, dtype=float)
     g = np.asarray(g_values, dtype=float)
-    if g.shape != (Q.graph.n_sites, times.size):
+    if g.shape != (z.graph.n_sites, times.size):
         raise ParameterError("g_values must have shape (n_sites, len(times))")
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[-1] > T + 1e-12:
         raise ParameterError("times must be increasing within [0, T]")
 
-    qg = Q.matrix @ g
+    qg = Q @ g
     integral = np.zeros_like(g)
     dt = np.diff(times)
     integral[:, 1:] = np.cumsum(0.5 * dt * (qg[:, :-1] + qg[:, 1:]), axis=1)
     hyp_gap = g - (z.values[:, None] + integral)
     max_hyp = float(np.max(hyp_gap))
     if not max_hyp <= _COMPARISON_TOL:
-        return ComparisonReport(False, False, max_hyp, math.inf, -math.inf)
+        return ComparisonReport(False, False, max_hyp, math.inf)
 
     f = np.empty_like(g)
     for j, tj in enumerate(times):
         f[:, j] = series_solve(Q, z, float(tj)).values
     max_bound = float(np.max(g - f))
-    return ComparisonReport(True, max_bound <= _COMPARISON_TOL, max_hyp, max_bound,
-                            -max_bound)
+    return ComparisonReport(True, max_bound <= _COMPARISON_TOL, max_hyp, max_bound)
 
 
 def gronwall_bound(B: float, k: float, graph: GeometricGraph, tails, alpha: float,
@@ -233,7 +212,7 @@ def gronwall_bound(B: float, k: float, graph: GeometricGraph, tails, alpha: floa
             raise ParameterError(f"{name}={value} outside the scale")
     if any(np.any(b.values < 0) for b in tails):
         raise ParameterError("tails must be componentwise non-negative")
-    b_norms = [norm_lp(b, alpha, 1.0, scale) for b in tails]
-    L = estimate_L(induced_matrix(graph, B, k), q, scale)
+    b_norms = [norm_l1(b, alpha, scale) for b in tails]
+    L = estimate_L(induced_matrix(graph, B, k), graph, q, scale)
     # k_series rejects a beta <= alpha.
     return np.outer([k_series(L, T, q, alpha, beta) for beta in betas], b_norms)

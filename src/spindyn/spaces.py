@@ -1,4 +1,4 @@
-"""Weighted sequence norms over site-indexed vectors.
+"""Weighted-l1 norms over site-indexed vectors.
 
 A sequence on the window is one dense float64 array with a value for each
 site, in site order.  The norm at index ``alpha`` weights site x by
@@ -55,14 +55,11 @@ class WeightedSeq:
         object.__setattr__(self, "values", vals)
 
 
-def norm_lp(z: WeightedSeq, alpha: float, p: float, scale: ScaleInterval) -> float:
-    """(sum_x exp(-alpha |x|) |z_x|^p)^(1/p)."""
+def norm_l1(z: WeightedSeq, alpha: float, scale: ScaleInterval) -> float:
+    """sum_x exp(-alpha |x|) |z_x|."""
     if not scale.contains(alpha):
         raise ParameterError(f"alpha={alpha} outside scale [{scale.alpha_star}, {scale.alpha_top}]")
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    w = np.exp(-alpha * z.graph.radii())
-    return float(np.sum(w * np.abs(z.values) ** p) ** (1.0 / p))
+    return float(np.sum(np.exp(-alpha * z.graph.radii()) * np.abs(z.values)))
 
 
 def weighted_seq_from_csv(path, graph: GeometricGraph) -> WeightedSeq:

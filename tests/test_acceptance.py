@@ -13,12 +13,12 @@ from scipy.linalg import expm
 
 import spindyn as sd
 from helpers import one_path, pair_covariance
-from spindyn import (ChainParams, FiniteRangeMatrix, RandomInit, ScaleInterval,
+from spindyn import (ChainParams, RandomInit, ScaleInterval,
                      SimPlan, WeightedSeq, build_graph, cauchy_gap,
                      comparison_check, dlr_residual, estimate_L,
                      gronwall_bound, induced_matrix, k_series, kernel_sample,
                      lattice_configuration, make_field, make_model, moment_p,
-                     nested_gap_sums, norm_lp, radial_volumes,
+                     nested_gap_sums, norm_l1, radial_volumes,
                      reversibility_test, run_nested,
                      sample_poisson, series_solve, tagged_particle_solve)
 
@@ -56,15 +56,15 @@ def test_01_growth_series_closed_forms():
     report(1, "K_T series closed forms vs 200-digit oracle", ok)
 
 
-def sampled_max_ratio(Q, q, scale, trials, seed):
+def sampled_max_ratio(Q, graph, q, scale, trials, seed):
     """Largest (beta-alpha)^q ||Qz||_beta / ||z||_alpha over random pairs
     alpha < beta of the scale and random normal vectors z."""
     rng = np.random.default_rng(seed)
-    radii = Q.graph.radii()
+    radii = graph.radii()
     a, b = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, (2, trials)),
                    axis=0)
-    z = rng.standard_normal((Q.graph.n_sites, trials))
-    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q.matrix @ z), axis=0)
+    z = rng.standard_normal((graph.n_sites, trials))
+    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q @ z), axis=0)
     den = np.sum(np.exp(-np.outer(radii, a)) * np.abs(z), axis=0)
     return float(np.max((b - a) ** q * num / den))
 
@@ -83,10 +83,9 @@ def test_02_operator_bound_certification():
         k = rng.uniform(0.0, 2.0)
         q = rng.uniform(0.2, 0.8)
         cap = (C * g.nbar_count.astype(float) ** k)[g.entry_rows()]
-        Q = FiniteRangeMatrix(graph=g, weights=rng.uniform(-cap, cap),
-                              bound_C=C, bound_k=k)
-        L = estimate_L(Q, q, scale)
-        ok &= np.isfinite(L) and sampled_max_ratio(Q, q, scale, 10 ** 4,
+        Q = g.operator(rng.uniform(-cap, cap))
+        L = estimate_L(Q, g, q, scale)
+        ok &= np.isfinite(L) and sampled_max_ratio(Q, g, q, scale, 10 ** 4,
                                                    trial + 1) <= L
     report(2, "computed operator bound, zero violations on fresh trials", ok)
 
@@ -97,12 +96,11 @@ def test_03_series_solution_vs_matrix_exponential():
     for trial in range(10):
         n = int(rng.integers(2, 9))
         g = build_graph(lattice_configuration(0, n - 1), float(rng.uniform(1.0, 3.0)))
-        Q = FiniteRangeMatrix(graph=g, weights=rng.uniform(-1.5, 1.5, g.indices.size),
-                              bound_C=2.0, bound_k=1.0)
+        Q = g.operator(rng.uniform(-1.5, 1.5, g.indices.size))
         z0 = WeightedSeq(rng.standard_normal(n), g)
         t = rng.uniform(0.1, 2.0)
         got = series_solve(Q, z0, t).values
-        want = expm(t * Q.matrix.toarray()) @ z0.values
+        want = expm(t * Q.toarray()) @ z0.values
         ok &= np.max(np.abs(got - want)) <= 1e-10
     report(3, "series solution matches dense matrix exponential", ok)
 
@@ -130,7 +128,7 @@ def test_04_comparison_and_gronwall():
         ok &= rep.hypothesis_ok and rep.bound_ok
         bound = gronwall_bound(B, 1.0, g, [z], alpha, [beta], T, q, scale)[0, 0]
         gw = WeightedSeq(np.abs(gvals).max(axis=1), g)
-        sup_norm = norm_lp(gw, beta, 1.0, scale)
+        sup_norm = norm_l1(gw, beta, scale)
         ok &= sup_norm <= bound * (1 + 1e-12)
     report(4, "comparison inequality and weighted-sup bound, 50 instances", ok)
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -456,6 +457,22 @@ class TestConvergeCommand:
         assert "K_T" in capsys.readouterr().err
         assert not (out / "gaps.csv").exists()
 
+    def test_overflowing_kernel_exits_3_without_warning(self, tmp_path, capsys,
+                                                         no_simulation):
+        # a_bar = J = 1e308, so the kernel weight a_bar n_0 = 2e308 overflows.
+        cfg = self.base_cfg()
+        cfg["field"]["J"] = 1.0e308
+        cfg["volumes"] = {"radii": [2.0, 5.0]}
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["converge", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "numeric error: kernel weight B n_x^k at site 0 exceeds double-precision "
+            "range (B=1e+308, k=1.0)\n")
+        assert not (out / "gaps.csv").exists()
+
     @pytest.mark.parametrize("betas", [[0.8, 0.2], [0.15]])
     def test_beta_not_above_alpha_exits_2_before_simulation(
             self, tmp_path, capsys, no_simulation, betas):
@@ -482,7 +499,8 @@ class TestOvsCommand:
         table = np.loadtxt(out / "kt_table.csv", delimiter=",", skiprows=1,
                            ndmin=2)
         graph = build_graph(lattice_configuration(-5, 5), 1.5)
-        L = estimate_L(induced_matrix(graph, 0.2, 1.0), 0.5, ScaleInterval(0.1, 1.0))
+        L = estimate_L(induced_matrix(graph, 0.2, 1.0), graph, 0.5,
+                       ScaleInterval(0.1, 1.0))
         assert table.shape == (2, 5)
         assert np.all(table[:, 0] == L)
         assert list(table[:, 4]) == [k_series(L, 1.0, 0.5, 0.0, w) for w in (0.3, 0.9)]
@@ -495,6 +513,19 @@ class TestOvsCommand:
         table = np.loadtxt(out / "kt_table.csv", delimiter=",", skiprows=1,
                            ndmin=2)
         assert np.all(np.isfinite(table))
+
+    def test_overflowing_kernel_exits_3_without_warning(self, tmp_path, capsys):
+        cfg = self.ovs_cfg(-5, 5)
+        cfg["ovs"]["B"] = 1.0e308
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["ovs", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "numeric error: kernel weight B n_x^k at site 0 exceeds double-precision "
+            "range (B=1e+308, k=1.0)\n")
+        assert not (out / "kt_table.csv").exists()
 
     def test_nan_B_exits_2(self, tmp_path, capsys):
         # A NaN kernel constant is a config error, named before any work.

@@ -310,6 +310,13 @@ def test_weights_of_wrong_length_rejected(graph):
         for bad in (np.ones(e - 1), np.ones(e + 1), np.ones((1, e))):
             with pytest.raises(ParameterError, match=name):
                 dataclasses.replace(base, **{name: bad})
+        # A non-finite weight is named by its field and its entry.
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.ones(e)
+            bad[3] = value
+            with pytest.raises(ParameterError,
+                               match=rf"^{name}: weight of entry 3, \(1, 0\), is "):
+                dataclasses.replace(base, **{name: bad})
 
 
 def _every_term_multiplied(p, s):

@@ -68,6 +68,23 @@ def test_lattice_arguments_checked(lo, hi, dim, named):
         lattice_configuration(lo, hi, dim=dim)
 
 
+def test_operator_rejects_non_finite_weight():
+    # Entry (5, 6) of the -5..5 chain: row 5 is [5, 4, 6], after 2 + 4 * 3
+    # entries of rows 0..4.
+    g = build_graph(lattice_configuration(-5, 5), 1.5)
+    i = g.indptr[5] + closed_neighborhood(g, 5).index(6)
+    assert i == 16
+    w = np.zeros(g.indices.size)
+    for bad in (np.nan, np.inf, -np.inf):
+        w[i] = bad
+        with pytest.raises(ParameterError,
+                           match=rf"^weight of entry 16, \(5, 6\), is {bad}, not finite$"):
+            g.operator(w)
+    w[i] = -3.0
+    Q = g.operator(w)
+    assert Q.nnz == 1 and Q[5, 6] == -3.0
+
+
 def test_points_outside_window_rejected():
     with pytest.raises(ParameterError):
         Configuration(positions=np.array([[5.0]]), window=np.array([[0.0, 1.0]]))

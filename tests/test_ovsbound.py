@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import closed_neighborhood, sparse_seq
-from spindyn import (Configuration, FiniteRangeMatrix, IntegrityError,
-                     NumericError, ParameterError, ScaleInterval, WeightedSeq,
-                     build_graph, comparison_check, estimate_L, gronwall_bound,
-                     induced_matrix, k_series, lattice_configuration, norm_lp,
-                     sample_poisson, series_solve)
+from spindyn import (Configuration, NumericError, ParameterError, ScaleInterval,
+                     WeightedSeq, build_graph, comparison_check, estimate_L,
+                     gronwall_bound, induced_matrix, k_series,
+                     lattice_configuration, norm_l1, sample_poisson,
+                     series_solve)
 from spindyn import ovsbound
 
 SCALE = ScaleInterval(0.1, 1.0)
@@ -26,12 +26,12 @@ def slot(graph, x, y):
 
 
 def matrix_with(graph, entries):
-    """A matrix holding the given {(x, y): value} entries and zeros elsewhere,
-    with growth bound |Q_xy| <= 1."""
+    """The operator holding the given {(x, y): value} entries and zeros
+    elsewhere."""
     w = np.zeros(graph.indices.size)
     for (x, y), v in entries.items():
         w[slot(graph, x, y)] = v
-    return FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=0.0)
+    return graph.operator(w)
 
 
 def kt_oracle(L, T, q, width, terms=400):
@@ -81,18 +81,18 @@ class TestKSeries:
             k_series(1e9, 1e3, 0.99, 0.0, 1e-6)
 
 
-def column_norm(Q, alpha, beta):
+def column_norm(Q, graph, alpha, beta):
     """F(alpha, beta) = max_y sum_x |Q_xy| e^{-beta|x| + alpha|y|}, the
-    l1_alpha -> l1_beta norm of Q, for one pair."""
-    radii = Q.graph.radii()
-    col = abs(Q.matrix).T @ np.exp(-beta * radii)
+    l1_alpha -> l1_beta norm of Q on the sites of ``graph``, for one pair."""
+    radii = graph.radii()
+    col = abs(Q).T @ np.exp(-beta * radii)
     return float(np.max(col * np.exp(alpha * radii), initial=0.0))
 
 
-def grid_sup(Q, q, scale, m):
+def grid_sup(Q, graph, q, scale, m):
     """max of (beta-alpha)^q F(alpha, beta) over an m x m grid of the scale."""
-    radii = Q.graph.radii()
-    abs_t = abs(Q.matrix).T
+    radii = graph.radii()
+    abs_t = abs(Q).T
     grid = np.linspace(scale.alpha_star, scale.alpha_top, m)
     best = 0.0
     for i, a in enumerate(grid[:-1]):
@@ -102,15 +102,15 @@ def grid_sup(Q, q, scale, m):
     return best
 
 
-def sampled_max_ratio(Q, q, scale, trials, rng_seed):
+def sampled_max_ratio(Q, graph, q, scale, trials, rng_seed):
     """Largest (beta-alpha)^q ||Qz||_beta / ||z||_alpha over random pairs
     (alpha, beta) and random normal vectors z."""
     rng = np.random.default_rng(rng_seed)
-    radii = Q.graph.radii()
+    radii = graph.radii()
     a, b = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, (2, trials)),
                    axis=0)
-    z = rng.standard_normal((Q.graph.n_sites, trials))
-    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q.matrix @ z), axis=0)
+    z = rng.standard_normal((graph.n_sites, trials))
+    num = np.sum(np.exp(-np.outer(radii, b)) * np.abs(Q @ z), axis=0)
     den = np.sum(np.exp(-np.outer(radii, a)) * np.abs(z), axis=0)
     return float(np.max((b - a) ** q * num / den))
 
@@ -126,47 +126,47 @@ def signed_operators(draw):
     config = Configuration(positions=rng.uniform(-side, side, size=(n, dim)),
                            window=np.array([[-side, side]] * dim))
     graph = build_graph(config, draw(st.floats(0.3, 3.0)))
-    Q = FiniteRangeMatrix(graph=graph, weights=rng.uniform(-3.0, 3.0, graph.indices.size),
-                          bound_C=3.0, bound_k=0.0)
+    Q = graph.operator(rng.uniform(-3.0, 3.0, graph.indices.size))
     lo = draw(st.floats(0.0, 1.0))
     scale = ScaleInterval(lo, lo + draw(st.floats(0.05, 2.0)))
     pairs = np.sort(rng.uniform(scale.alpha_star, scale.alpha_top, (20, 2)), axis=1)
     pairs = np.vstack([pairs, [scale.alpha_star, scale.alpha_top]])
-    return Q, draw(st.floats(0.05, 0.95)), scale, pairs
+    return Q, graph, draw(st.floats(0.05, 0.95)), scale, pairs
 
 
 def poisson_operator(seed):
     config = sample_poisson(1.5, np.array([[-8.0, 8.0], [-8.0, 8.0]]), seed)
-    return induced_matrix(build_graph(config, 1.2), 0.2, 1.0)
+    graph = build_graph(config, 1.2)
+    return induced_matrix(graph, 0.2, 1.0), graph
 
 
 class TestCertification:
     def test_estimate_then_verify(self, graph):
         # The sampled cross-check: no random (alpha, beta, z) beats L.
         Q = induced_matrix(graph, 0.3, 1.0)
-        L = estimate_L(Q, 0.5, SCALE)
-        assert sampled_max_ratio(Q, 0.5, SCALE, 2000, 1) <= L
+        L = estimate_L(Q, graph, 0.5, SCALE)
+        assert sampled_max_ratio(Q, graph, 0.5, SCALE, 2000, 1) <= L
 
     @seed(20261018)
     @settings(max_examples=60, deadline=None, database=None)
     @given(signed_operators())
     def test_bound_dominates_norm_at_random_pairs(self, case):
-        Q, q, scale, pairs = case
-        L = estimate_L(Q, q, scale)
+        Q, graph, q, scale, pairs = case
+        L = estimate_L(Q, graph, q, scale)
         for a, b in pairs:
-            assert L >= (b - a) ** q * column_norm(Q, a, b)
+            assert L >= (b - a) ** q * column_norm(Q, graph, a, b)
 
     def test_within_five_percent_of_fine_grid_sup(self):
         for seed_ in range(5):
-            Q = poisson_operator(seed_)
+            Q, graph = poisson_operator(seed_)
             scale = ScaleInterval(0.05, 0.9)
-            L = estimate_L(Q, 0.5, scale)
-            sup = grid_sup(Q, 0.5, scale, 200)
+            L = estimate_L(Q, graph, 0.5, scale)
+            sup = grid_sup(Q, graph, 0.5, scale, 200)
             assert sup <= L <= 1.05 * sup
 
     def test_zero_matrix(self, graph):
         Q = matrix_with(graph, {})
-        assert estimate_L(Q, 0.5, SCALE) == 0.0
+        assert estimate_L(Q, graph, 0.5, SCALE) == 0.0
 
     def test_diagonal_matrix_exact_constant(self, graph):
         # Q = c I: F(alpha, beta) = c at the origin site for every pair, so
@@ -174,8 +174,7 @@ class TestCertification:
         c = 2.0
         w = np.zeros(graph.indices.size)
         w[graph.indptr[:-1]] = c
-        Q = FiniteRangeMatrix(graph=graph, weights=w, bound_C=c, bound_k=0.0)
-        L = estimate_L(Q, 0.5, SCALE)
+        L = estimate_L(graph.operator(w), graph, 0.5, SCALE)
         exact = c * SCALE.width ** 0.5
         assert L >= exact
         assert L == pytest.approx(exact, rel=1e-12)
@@ -192,62 +191,66 @@ class TestCertification:
         Q = matrix_with(graph, {entry: 1.0})
         exact = q ** q * np.exp(-SCALE.alpha_star - q if outward
                                 else SCALE.alpha_top - q)
-        L = estimate_L(Q, q, SCALE)
+        L = estimate_L(Q, graph, q, SCALE)
         assert exact <= L <= 1.03 * exact
 
     def test_wide_window_is_finite(self):
         # e^{alpha|x|} alone overflows at |x| = 800, the ratio does not.
         g = build_graph(lattice_configuration(-800, 800), 1.5)
-        L = estimate_L(induced_matrix(g, 0.3, 1.0), 0.5, SCALE)
+        L = estimate_L(induced_matrix(g, 0.3, 1.0), g, 0.5, SCALE)
         assert np.isfinite(L) and L > 0
 
     @staticmethod
-    def per_pair_L(Q, q, scale):
+    def per_pair_L(Q, graph, q, scale):
         """The delta-grid bound with every end value from column_norm."""
         deltas = scale.width * ovsbound._DELTA_GRID
-        G = [max(column_norm(Q, scale.alpha_star, scale.alpha_star + d),
-                 column_norm(Q, scale.alpha_top - d, scale.alpha_top))
+        G = [max(column_norm(Q, graph, scale.alpha_star, scale.alpha_star + d),
+                 column_norm(Q, graph, scale.alpha_top - d, scale.alpha_top))
              for d in deltas[:-1]]
         return max(deltas[1:] ** q * np.asarray(G))
 
     def test_batched_sweep_matches_per_pair_reference(self):
         for seed_ in range(6):
             config = sample_poisson(1.5, np.array([[-5.0, 5.0], [-5.0, 5.0]]), seed_)
-            Q = induced_matrix(build_graph(config, 1.2), 0.2, 1.0)
+            graph = build_graph(config, 1.2)
+            Q = induced_matrix(graph, 0.2, 1.0)
             scale = ScaleInterval(0.05, 0.9)
-            got = estimate_L(Q, 0.4, scale)
-            want = (1 + ovsbound._ROUNDING_PAD) * self.per_pair_L(Q, 0.4, scale)
+            got = estimate_L(Q, graph, 0.4, scale)
+            want = (1 + ovsbound._ROUNDING_PAD) * self.per_pair_L(Q, graph, 0.4, scale)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_batched_sweep_spanning_several_blocks(self, monkeypatch):
         g = build_graph(lattice_configuration(-12, 12, dim=2), 1.5)
         Q = induced_matrix(g, 0.3, 1.0)
         columns = 2 * (ovsbound._DELTA_GRID.size - 1)
-        assert Q.matrix.nnz * columns > 2 * ovsbound._PAIR_BLOCK_ELEMENTS
-        blocked = estimate_L(Q, 0.5, SCALE)
+        assert Q.nnz * columns > 2 * ovsbound._PAIR_BLOCK_ELEMENTS
+        blocked = estimate_L(Q, g, 0.5, SCALE)
         monkeypatch.setattr(ovsbound, "_PAIR_BLOCK_ELEMENTS", 2 ** 62)
-        assert estimate_L(Q, 0.5, SCALE) == blocked
+        assert estimate_L(Q, g, 0.5, SCALE) == blocked
 
     def test_weights_of_wrong_length_rejected(self, graph):
         # One weight per CSR entry is the only layout, so an entry beyond
         # rho, such as (0, 10), has no slot to go in.
         e = graph.indices.size
         for bad in (np.ones(e - 1), np.ones(e + 1), np.ones((1, e))):
-            with pytest.raises(ParameterError):
-                FiniteRangeMatrix(graph=graph, weights=bad, bound_C=10.0, bound_k=1.0)
+            with pytest.raises(ParameterError, match="shape"):
+                graph.operator(bad)
 
-    def test_construction_catches_growth_violation(self, graph):
-        # n_5 = 3, so row 5 may hold at most C n_5^k = 3; NaN obeys no bound.
-        w = np.zeros(graph.indices.size)
-        w[slot(graph, 5, 6)] = 100.0
-        with pytest.raises(IntegrityError, match=r"\(5,6\)=100 exceeds C\*n_x\^k=3"):
-            FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=1.0)
-        w[slot(graph, 5, 6)] = np.nan
-        with pytest.raises(IntegrityError, match=r"\(5,6\)=nan"):
-            FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=1.0)
-        w[slot(graph, 5, 6)] = -3.0
-        Q = FiniteRangeMatrix(graph=graph, weights=w, bound_C=1.0, bound_k=1.0)
-        assert Q.matrix.nnz == 1 and Q.matrix[5, 6] == -3.0
+    def test_overflowing_kernel_raises_numeric_error(self, graph):
+        # B n_x^k overflows first at site 0 (n_0 = 2); no RuntimeWarning is
+        # let through, as pytest turns one into an error.
+        with pytest.raises(NumericError, match=r"site 0 .*\(B=1e\+308, k=1\.0\)"):
+            induced_matrix(graph, 1e308, 1.0)
+        with pytest.raises(NumericError, match=r"site 0 .*\(B=0\.0, k=1e\+308\)"):
+            induced_matrix(graph, 0.0, 1e308)  # 0 * 2^k is 0 * inf, NaN
+
+    def test_operator_of_another_graph_rejected(self, graph):
+        # Q acts on the 11 sites of the -5..5 chain; the radii are of 21.
+        Q = induced_matrix(graph, 0.3, 1.0)
+        wide = build_graph(lattice_configuration(-10, 10), 1.5)
+        with pytest.raises(ParameterError,
+                           match=r"Q has shape \(11, 11\), the graph has 21 sites"):
+            estimate_L(Q, wide, 0.5, SCALE)
 
     @pytest.mark.parametrize("lo, hi, B, scale, want", [
         # the converge_chain kernel: 201 sites, B = a_bar = 1
@@ -259,20 +262,18 @@ class TestCertification:
         # The values the (x, y) -> value dict layout gave; the CSR layout
         # must reproduce them, since they reach gaps.csv and kt_table.csv.
         g = build_graph(lattice_configuration(lo, hi), 1.5)
-        assert estimate_L(induced_matrix(g, B, 1.0), 0.5, scale).hex() == want
+        assert estimate_L(induced_matrix(g, B, 1.0), g, 0.5, scale).hex() == want
 
 class TestSeriesSolve:
     def test_matches_matrix_exponential(self, graph):
         rng = np.random.default_rng(2)
         small = build_graph(lattice_configuration(0, 7), 1.5)
         for _ in range(10):
-            Q = FiniteRangeMatrix(graph=small,
-                                  weights=rng.uniform(-1, 1, small.indices.size),
-                                  bound_C=1.0, bound_k=0.0)
+            Q = small.operator(rng.uniform(-1, 1, small.indices.size))
             z0 = WeightedSeq(rng.standard_normal(small.n_sites), small)
             t = rng.uniform(0.1, 1.5)
             got = series_solve(Q, z0, t).values
-            want = expm(t * Q.matrix.toarray()) @ z0.values
+            want = expm(t * Q.toarray()) @ z0.values
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_t_zero_identity(self, graph):
@@ -345,7 +346,7 @@ class TestGronwall:
             bound = gronwall_bound(B, k, graph, [b], alpha, [beta], T, q, scale)[0, 0]
             Q = induced_matrix(graph, B, k)
             sup_norm = max(
-                norm_lp(series_solve(Q, b, t), beta, 1.0, scale)
+                norm_l1(series_solve(Q, b, t), beta, scale)
                 for t in np.linspace(0, T, 21))
             assert sup_norm <= bound * (1 + 1e-9)
 
@@ -355,7 +356,7 @@ class TestGronwall:
         rng = np.random.default_rng(7)
         B, k, alpha, betas, T, q = 0.15, 1.0, 0.2, [0.6, 0.9], 0.5, 0.5
         tails = [WeightedSeq(rng.uniform(0, 1, graph.n_sites), graph) for _ in range(3)]
-        L = estimate_L(induced_matrix(graph, B, k), q, SCALE)
+        L = estimate_L(induced_matrix(graph, B, k), graph, q, SCALE)
         w = np.exp(-alpha * graph.radii())
         want = [[k_series(L, T, q, alpha, beta) * np.sum(w * b.values) for b in tails]
                 for beta in betas]

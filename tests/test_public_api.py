@@ -4,7 +4,9 @@ of an exported class, is used by the program itself.
 A caller is a whole-word match in ``src/spindyn/`` (outside ``__init__.py``
 and the name's own ``def``/``class`` line), in ``demos/`` or in
 ``perfbench/``; for a method or property, an attribute access ``.name``.
-A name that only the tests use is a wrapper to delete.
+A name that only the tests use is a wrapper to delete.  Likewise every
+exported error type but the base ``SpindynError`` is raised somewhere in
+``src/spindyn/``, so that no exception type outlives its last raiser.
 """
 
 import inspect
@@ -72,3 +74,15 @@ def test_named_exceptions_still_have_no_caller():
     lines = _program_lines()
     assert NO_CALLER_YET <= set(spindyn.__all__) | set(_public_members())
     assert [n for n in sorted(NO_CALLER_YET) if _has_caller(n, lines)] == []
+
+
+def test_every_exported_error_has_a_raiser():
+    pkg = ROOT / "src" / "spindyn"
+    lines = [line for f in sorted(pkg.glob("*.py")) for line in f.read_text().splitlines()]
+    errors = [n for n in spindyn.__all__ if inspect.isclass(getattr(spindyn, n))
+              and issubclass(getattr(spindyn, n), spindyn.SpindynError)
+              and n != "SpindynError"]
+    assert {"ParameterError", "NumericError", "NonFiniteState"} <= set(errors)
+    unraised = [n for n in errors
+                if not any(re.search(rf"\braise\s+{n}\b", line) for line in lines)]
+    assert unraised == []

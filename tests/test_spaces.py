@@ -3,7 +3,7 @@ import pytest
 
 from helpers import sparse_seq
 from spindyn import (ParameterError, ScaleInterval, WeightedSeq, build_graph,
-                     lattice_configuration, norm_lp, weighted_seq_from_csv)
+                     lattice_configuration, norm_l1, weighted_seq_from_csv)
 
 SCALE = ScaleInterval(0.0, 2.0)
 
@@ -24,29 +24,27 @@ def test_scale_interval_validation():
 
 
 def test_norm_single_site_closed_form(graph):
-    # One nonzero entry at position x: norm = e^{-alpha |x| / p} |z_x|
+    # One nonzero entry at position x: norm = e^{-alpha |x|} |z_x|
     z = sparse_seq(graph, {8: 3.0})  # site 8 sits at coordinate 3
-    for alpha, p in [(0.0, 1.0), (0.5, 1.0), (0.5, 2.0), (1.5, 4.0)]:
-        expected = (np.exp(-alpha * 3.0) * 3.0 ** p) ** (1 / p)
-        assert norm_lp(z, alpha, p, SCALE) == pytest.approx(expected, rel=1e-12)
+    for alpha in (0.0, 0.5, 1.5):
+        expected = np.exp(-alpha * 3.0) * 3.0
+        assert norm_l1(z, alpha, SCALE) == pytest.approx(expected, rel=1e-12)
 
 
 def test_norm_hand_sum(graph):
     z = sparse_seq(graph, {5: 1.0, 6: -2.0})  # positions 0 and 1
     expected = 1.0 + np.exp(-0.7) * 2.0
-    assert norm_lp(z, 0.7, 1.0, SCALE) == pytest.approx(expected, rel=1e-12)
+    assert norm_l1(z, 0.7, SCALE) == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_vector_norm(graph):
-    assert norm_lp(WeightedSeq(np.zeros(graph.n_sites), graph), 1.0, 2.0, SCALE) == 0.0
+    assert norm_l1(WeightedSeq(np.zeros(graph.n_sites), graph), 1.0, SCALE) == 0.0
 
 
 def test_alpha_outside_scale_rejected(graph):
     z = sparse_seq(graph, {0: 1.0})
-    with pytest.raises(ParameterError):
-        norm_lp(z, 3.0, 2.0, SCALE)
-    with pytest.raises(ParameterError):
-        norm_lp(z, 1.0, 0.5, SCALE)
+    with pytest.raises(ParameterError, match=r"alpha=3\.0 outside scale \[0\.0, 2\.0\]"):
+        norm_l1(z, 3.0, SCALE)
 
 
 def test_norms_non_increasing_in_alpha(graph):
@@ -54,8 +52,7 @@ def test_norms_non_increasing_in_alpha(graph):
     for _ in range(20):
         z = WeightedSeq(rng.standard_normal(graph.n_sites), graph)
         alphas = np.unique(rng.uniform(0.0, 2.0, size=5))
-        p = float(rng.integers(1, 4))
-        norms = [norm_lp(z, a, p, SCALE) for a in alphas]
+        norms = [norm_l1(z, a, SCALE) for a in alphas]
         assert all(nb <= na * (1 + 1e-12) for na, nb in zip(norms, norms[1:]))
 
 
