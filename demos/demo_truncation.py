@@ -3,18 +3,12 @@
 Every volume freezes the spins outside it at their initial values and all
 volumes share identical Wiener increments per (replica, site, step), so the
 pathwise differences between truncations measure convergence directly.
-The weighted Cauchy gap shrinks as the volume grows, and the tagged
-single-site equation driven by the largest-volume environment reproduces
-that volume's path.
+The weighted Cauchy gap shrinks as the volume grows.
 """
-
-import dataclasses
-
-import numpy as np
 
 from spindyn import (RandomInit, SimPlan, build_graph, cauchy_gap,
                      lattice_configuration, make_field, nested_gap_sums,
-                     radial_volumes, run_nested, tagged_particle_solve)
+                     radial_volumes)
 
 
 def main():
@@ -36,15 +30,6 @@ def main():
         gap = cauchy_gap(sums[n, 0])
         print(f"  volume {n} ({sizes[n]:2d} sites): "
               f"gap = {gap:.6e}")
-
-    print("\ntagged single-site equation vs the largest-volume path:")
-    x = 25  # the origin site
-    # Replica 0's path in the full window, the largest volume, alone.
-    env = run_nested(field, radial_volumes(g, []), init,
-                     dataclasses.replace(plan, replicas=1))[0, 0]
-    eta = tagged_particle_solve(field, x, env, float(env[x, 0]), plan, 0)
-    print(f"  sup_t |eta - xi| at site {x}: "
-          f"{np.max(np.abs(eta - env[x])):.3e} (identical noise, identical path)")
 
 
 if __name__ == "__main__":

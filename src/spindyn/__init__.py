@@ -17,8 +17,7 @@ from .ovsbound import (ComparisonReport, comparison_check, estimate_L,
 from .coeffs import (CoefficientField, Polynomial, SinglePotentialDrift,
                      make_field)
 from .engine import (RandomInit, SimPlan, VolumeSequence, cauchy_gap, moment_p,
-                     nested_gap_sums, radial_volumes, run_nested,
-                     tagged_particle_solve)
+                     nested_gap_sums, radial_volumes, run_nested)
 from .gibbs import (ChainParams, DlrReport, GibbsModel, SpecKernelSample,
                     dlr_residual, gradient_dynamics_field, kernel_sample,
                     make_model, reversibility_test,

@@ -7,11 +7,10 @@ mask array, and initial data is one site array (a ``WeightedSeq``), a
 Each volume steps only its own sites (``CoefficientField.sites``); the others
 keep their initial value exactly.  The Wiener increment for (replica, site,
 step) is the Philox word at that counter (``spindyn.rng``), so every volume
-sees identical noise.  Every integration steps with ``_step``; all but the
-tagged single-site equation, its one-row case, run replicas
-0..plan.replicas-1 through ``integrate_replicas``, which steps the volumes
-of a replica chunk in lockstep and hands every step's states to an optional
-observer.  ``run_nested`` keeps whole paths that way, and
+sees identical noise.  Every integration steps with ``_step`` and runs
+replicas 0..plan.replicas-1 through ``integrate_replicas``, which steps the
+volumes of a replica chunk in lockstep and hands every step's states to an
+optional observer.  ``run_nested`` keeps whole paths that way, and
 ``nested_gap_sums`` reduces them to Cauchy-gap sums as it goes, holding no
 path.  A replica depends on its own keys alone (the implicit solve stops
 per entry), so output is bit-identical for any thread count and chunk size,
@@ -392,30 +391,3 @@ def cauchy_gap(sums: np.ndarray) -> float:
     slice of ``nested_gap_sums``' sums: E sum_x e^{-beta|x|} |xi^n - xi^m|^p."""
     return float(np.max(np.mean(sums, axis=0)))
 
-
-def tagged_particle_solve(field_: CoefficientField, x: int, env: np.ndarray,
-                          init_x: float, plan: SimPlan, replica: int) -> np.ndarray:
-    """Scalar path of site x with all other sites frozen to ``env``.
-
-    ``env`` has shape (sites, steps+1); its row x is ignored.  The noise
-    stream is the same one the full runs use for (replica, x, step).  The
-    first NaN or infinite value of the path raises ``NonFiniteState``
-    naming (replica, x, step), as ``integrate_ensemble`` checks its states.
-    """
-    n_steps, n = plan.n_steps, field_.graph.n_sites
-    if not 0 <= x < n:
-        raise ParameterError(f"site x={x} outside 0..{n - 1}")
-    if env.shape != (n, n_steps + 1):
-        raise ParameterError(f"env has shape {env.shape}, need (sites, steps+1) = "
-                             f"{(n, n_steps + 1)}")
-    dW = noise_matrix(plan.master_seed, replica, [x], n_steps)[0] * np.sqrt(plan.dt)
-    row_x = replace(field_, sites=np.array([x]))
-    states = env.T.copy()  # (steps+1, sites); column x becomes the path
-    states[0, x] = init_x
-    for j in range(n_steps + 1):
-        if not np.isfinite(states[j, x]):
-            raise NonFiniteState(replica, x, j)
-        if j < n_steps:
-            new = _step(row_x, states[j:j + 1], dW[j], plan.dt, plan.scheme, j)
-            states[j + 1, x] = new[0, 0]
-    return states[:, x].copy()

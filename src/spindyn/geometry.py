@@ -1,12 +1,12 @@
 """Quenched point configurations and their geometric interaction graphs.
 
-A configuration is a finite set of labelled points in a d-dimensional
-window.  Sites interact when their Euclidean distance is at most the
-interaction radius ``rho``.  The graph is one CSR adjacency over closed
-neighbourhoods: row x of ``indices[indptr[x]:indptr[x + 1]]`` is x itself
-first, then its neighbours in ascending order, so every pair sum, coupling
-table and kernel walks the same entries in the same order.  The graph is
-immutable once built and safe to share across threads.
+A configuration is a finite set of labelled points in d dimensions.  Sites
+interact when their Euclidean distance is at most the interaction radius
+``rho``.  The graph is one CSR adjacency over closed neighbourhoods: row x
+of ``indices[indptr[x]:indptr[x + 1]]`` is x itself first, then its
+neighbours in ascending order, so every pair sum, coupling table and kernel
+walks the same entries in the same order.  The graph is immutable once
+built and safe to share across threads.
 """
 
 import re
@@ -25,33 +25,22 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Labelled point set inside an axis-aligned window.
+    """Labelled point set in d dimensions.
 
-    ``positions`` has shape (N, d); site ids are dense 0..N-1 and index the
-    rows.  ``window`` is a (d, 2) array of [lo, hi] per axis.
+    ``positions`` has shape (N, d), d >= 1, and finite entries; site ids are
+    dense 0..N-1 and index the rows.
     """
 
     positions: np.ndarray
-    window: np.ndarray
 
     def __post_init__(self):
-        win = np.asarray(self.window, dtype=float)
-        if win.ndim != 2 or win.shape[1] != 2:
-            raise ParameterError("window must have shape (d, 2)")
-        if np.any(win[:, 0] >= win[:, 1]):
-            raise ParameterError("window must be non-degenerate (lo < hi per axis)")
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.size == 0:
-            pos = pos.reshape(0, win.shape[0])
-        if pos.shape[1] != win.shape[0]:
-            raise ParameterError("positions and window dimension mismatch")
+        pos = np.asarray(self.positions, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] < 1:
+            raise ParameterError(f"positions must have shape (N, d) with d >= 1, "
+                                 f"got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ParameterError("positions must be finite")
-        inside = (pos >= win[None, :, 0] - 1e-12) & (pos <= win[None, :, 1] + 1e-12)
-        if not np.all(inside):
-            raise ParameterError("all points must lie inside the window")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "window", win)
 
     @property
     def n_sites(self) -> int:
@@ -59,7 +48,7 @@ class Configuration:
 
     @property
     def dim(self) -> int:
-        return self.window.shape[0]
+        return self.positions.shape[1]
 
     def radii(self) -> np.ndarray:
         """Euclidean norm |x| of every site position."""
@@ -190,20 +179,18 @@ def sample_poisson(intensity: float, window, seed: int) -> Configuration:
     rng = generator(int(seed), 0x9015504, 0)
     count = int(rng.poisson(intensity * volume))
     pts = rng.uniform(win[:, 0], win[:, 1], size=(count, win.shape[0]))
-    return Configuration(positions=pts, window=win)
+    return Configuration(pts)
 
 
 def lattice_configuration(lo: int, hi: int, dim: int = 1) -> Configuration:
-    """Integer lattice {lo..hi}^dim in its bounding box widened by 0.5."""
+    """Integer lattice {lo..hi}^dim."""
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if lo > hi:
         raise ParameterError(f"need lo <= hi, got lo={lo}, hi={hi}")
     axis = np.arange(lo, hi + 1, dtype=float)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pos = np.stack([g.ravel() for g in grids], axis=-1)
-    win = np.asarray([[lo - 0.5, hi + 0.5]] * dim, dtype=float)
-    return Configuration(positions=pos, window=win)
+    return Configuration(np.stack([g.ravel() for g in grids], axis=-1))
 
 
 def fit_degree_constant(graph: GeometricGraph) -> float:
@@ -291,8 +278,8 @@ def read_site_rows(path, n_sites: int | None = None, usecols=None):
 
 def configuration_from_csv(path) -> Configuration:
     """Read ``site_id,x0,...`` rows, the ids a permutation of 0..N-1 that index
-    the points, in their bounding box widened by 0.5; a malformed table, a bad
-    id or a non-finite position is rejected naming the file."""
+    the points; a malformed table, a bad id or a non-finite position is
+    rejected naming the file."""
     ids, coords = read_site_rows(path)
     if coords.size == 0:
         raise ParameterError(f"{path}: expected site_id,x0,... rows with at least "
@@ -302,8 +289,7 @@ def configuration_from_csv(path) -> Configuration:
     finite = np.isfinite(pos).all(axis=1)
     if not finite.all():
         raise ParameterError(f"{path}: site {np.argmin(finite)} has a non-finite position")
-    window = np.stack([pos.min(axis=0) - 0.5, pos.max(axis=0) + 0.5], axis=1)
-    return Configuration(positions=pos, window=window)
+    return Configuration(pos)
 
 
 def graph_to_csv(graph: GeometricGraph, degrees_path, edges_path) -> None:

@@ -52,6 +52,13 @@ def induced_matrix(graph: GeometricGraph, B: float, k: float) -> "sp.csr_matrix"
     return graph.operator(row_w[graph.entry_rows()])
 
 
+def _check_kernel(Q: "sp.csr_matrix", graph: GeometricGraph):
+    """Q must act on the sites of ``graph``."""
+    n = graph.n_sites
+    if Q.shape != (n, n):
+        raise ParameterError(f"Q has shape {Q.shape}, the graph has {n} sites")
+
+
 def estimate_L(Q: "sp.csr_matrix", graph: GeometricGraph, q: float,
                scale: ScaleInterval) -> float:
     """Upper bound L on (beta-alpha)^q ||Q||_{l1_alpha -> l1_beta} over all
@@ -65,9 +72,8 @@ def estimate_L(Q: "sp.csr_matrix", graph: GeometricGraph, q: float,
 
     if not (0 < q < 1):
         raise ParameterError(f"q must be in (0,1), got {q}")
+    _check_kernel(Q, graph)
     n = graph.n_sites
-    if Q.shape != (n, n):
-        raise ParameterError(f"Q has shape {Q.shape}, the graph has {n} sites")
     # Why the grid value bounds the sup over the whole scale:
     # 1. At fixed delta = beta - alpha, each term |Q_xy| e^{-delta|x|} *
     #    e^{alpha(|y|-|x|)} is convex in alpha, so F (a max of sums of them)
@@ -136,7 +142,8 @@ def k_series(L: float, T: float, q: float, alpha: float, beta: float) -> float:
 
 def series_solve(Q: "sp.csr_matrix", z0: WeightedSeq, t: float) -> WeightedSeq:
     """sum_{n<=N} t^n/n! Q^n z0, truncated once the last term is negligible
-    in the unweighted l^1 norm."""
+    in the unweighted l^1 norm; Q acts on the sites of ``z0.graph``."""
+    _check_kernel(Q, z0.graph)
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
     if t == 0.0:
@@ -174,8 +181,9 @@ def comparison_check(Q: "sp.csr_matrix", times, g_values, z: WeightedSeq,
     (n_sites, len(times)).  The inequality hypothesis
     g_x(t) <= z_x + [int_0^t Q g ds]_x is checked by trapezoid quadrature on
     the same grid; a failure yields a hypothesis-violated report rather than
-    an exception.
+    an exception.  Q acts on the sites of ``z.graph``.
     """
+    _check_kernel(Q, z.graph)
     if Q.nnz and Q.min() < 0:
         raise ParameterError("comparison check requires a non-negative kernel")
     times = np.asarray(times, dtype=float)

@@ -4,6 +4,7 @@ import numpy as np
 
 from spindyn import VolumeSequence, WeightedSeq
 from spindyn.engine import integrate_replicas
+from spindyn.rng import noise_matrix
 
 
 def sparse_seq(graph, entries) -> WeightedSeq:
@@ -32,6 +33,51 @@ def one_path(field, mask, init, plan):
 
     integrate_replicas(field, [mask], init, plan, plan.n_steps, observer=keep)
     return path
+
+
+def tagged_path(field, x, env, init_x, plan, replica) -> np.ndarray:
+    """The path of site x alone, from ``init_x``, with every other site y at
+    ``env[y, j]`` in step j: the scalar reference for the engine's steps,
+    (steps+1,).  ``env`` is (sites, steps+1); its row x is not read.
+
+    Each step walks the graph's CSR row x: the pair sums add a_xy z_y and
+    s_xy z_y in CSR order from 0.0, skipping zero weights, which the
+    engine's operators drop.  The increment is the (replica, x) stream of
+    ``noise_matrix``.  Tamed Euler adds dt b / (1 + dt |b|), b = phi(z_x) +
+    sum a_xy z_y; the split step solves theta = z_x + dt phi(theta) by scalar
+    Newton iteration, then adds dt sum a_xy z_y."""
+    graph, dt = field.graph, plan.dt
+    phi, dphi = field.drift.phi, field.drift.dphi
+    row = slice(graph.indptr[x], graph.indptr[x + 1])
+    entries = list(zip(graph.indices[row].tolist(), field.drift_weights[row].tolist(),
+                       field.diff_weights[row].tolist()))
+    dW = (noise_matrix(plan.master_seed, replica, [x], plan.n_steps)[0]
+          * np.sqrt(dt)).tolist()
+    eta = [float(init_x)]
+    for j in range(plan.n_steps):
+        z = env[:, j].tolist()
+        z[x] = own = eta[-1]
+        pair = diff = 0.0
+        for y, a, s in entries:
+            if a:
+                pair += a * z[y]
+            if s:
+                diff += s * z[y]
+        diff += field.diff_const
+        if plan.scheme == "tamed_em":
+            b = phi(own) + pair
+            eta.append(own + b * dt / (1.0 + dt * abs(b)) + diff * dW[j])
+            continue
+        theta = own
+        for _ in range(50):
+            resid = theta - dt * phi(theta) - own
+            if abs(resid) < 1e-12:
+                break
+            theta = theta - resid / (1.0 - dt * dphi(theta))
+        else:
+            raise AssertionError(f"Newton solve at site {x}, step {j} did not converge")
+        eta.append(theta + dt * pair + diff * dW[j])
+    return np.array(eta)
 
 
 def gap_sums_reference(paths, graph, betas, p):

@@ -129,8 +129,7 @@ def weighted_fields(draw):
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     side = 4.0
-    config = Configuration(positions=rng.uniform(0.0, side, size=(n, dim)),
-                           window=np.array([[0.0, side]] * dim))
+    config = Configuration(positions=rng.uniform(0.0, side, size=(n, dim)))
     graph = build_graph(config, draw(st.floats(0.2, 2.5)))
     e = graph.indices.size
     w_drift, w_diff = rng.uniform(-3.0, 3.0, size=(2, e))

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import gap_sums_reference, one_path, path_gap, sparse_seq, volumes_of
+from helpers import (gap_sums_reference, one_path, path_gap, sparse_seq, tagged_path,
+                     volumes_of)
 from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
                      RandomInit, SimPlan, SinglePotentialDrift, VolumeSequence,
                      WeightedSeq,
                      build_graph, cauchy_gap, lattice_configuration, make_field,
                      moment_p, nested_gap_sums, radial_volumes, run_nested,
-                     tagged_particle_solve)
+                     sample_poisson)
 from spindyn import engine
 from spindyn.engine import SCHEMES, integrate_ensemble, integrate_replicas
 from spindyn.rng import BLOCK_STEPS, noise_matrix
@@ -493,7 +494,7 @@ class TestTaggedParticle:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=13, p=4.0, scheme=scheme)
             traj = one_path(field, all_sites(chain), init, plan)
             x = 4
-            eta = tagged_particle_solve(field, x, traj, 0.7, plan, replica=0)
+            eta = tagged_path(field, x, traj, 0.7, plan, replica=0)
             assert np.array_equal(eta, traj[x]), scheme
 
     def test_tracks_largest_volume(self, chain):
@@ -502,56 +503,46 @@ class TestTaggedParticle:
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
             traj = one_path(field, all_sites(chain), init, plan)
-            eta = tagged_particle_solve(field, 4, traj, 0.5, plan, replica=0)
+            eta = tagged_path(field, 4, traj, 0.5, plan, replica=0)
             # identical equation, step rule and noise -> identical path
             assert np.array_equal(eta, traj[4]), scheme
 
+    def test_tracks_poisson_window_bit_for_bit(self):
+        # 31 sites whose rows hold 2 to 7 entries, under both noise presets:
+        # the scalar oracle reproduces every replica's path of every site.
+        g = build_graph(sample_poisson(1.0, [[-3.0, 3.0], [-3.0, 3.0]], 5), 1.2)
+        assert (g.n_sites, g.nbar_count.min(), g.nbar_count.max()) == (31, 2, 7)
+        init = RandomInit(dist="normal")
+        for noise in ("additive", "linear_noise"):
+            field = make_field(g, drift="cubic", coupling="linear_pair", J=0.2,
+                               noise=noise, M_tilde=0.5)
+            for scheme in SCHEMES:
+                plan = SimPlan(dt=0.02, T=0.4, replicas=3, master_seed=11, p=4.0,
+                               scheme=scheme)
+                paths = run_nested(field, radial_volumes(g, []), init, plan)[:, 0]
+                for r in range(plan.replicas):
+                    for x in range(g.n_sites):
+                        eta = tagged_path(field, x, paths[r], paths[r, x, 0], plan, r)
+                        assert np.array_equal(eta, paths[r, x]), (noise, scheme, r, x)
+
     def test_reads_only_the_closed_neighbourhood(self, chain):
-        # Site 0 lies outside the closed neighbourhood {3, 4, 5} of x = 4:
-        # a spin of 1e200 there, whose cube overflows, changes nothing.
-        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
-        init = constant_init(chain, 0.5)
-        for scheme in SCHEMES:
-            plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
-            traj = one_path(field, all_sites(chain), init, plan)
-            env = traj.copy()
-            env[0] = 1e200
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                eta = tagged_particle_solve(field, 4, env, 0.5, plan, replica=0)
-            assert np.array_equal(eta, traj[4]), scheme
-
-    def test_rejects_site_outside_graph(self, chain):
-        field = make_field(chain, drift="cubic")
-        plan = SimPlan(dt=0.02, T=0.1, p=4.0)
-        env = np.zeros((chain.n_sites, plan.n_steps + 1))
-        for x in (chain.n_sites, -1):
-            with pytest.raises(ParameterError, match=rf"site x={x} outside 0\.\.8"):
-                tagged_particle_solve(field, x, env, 0.5, plan, replica=0)
-
-    def test_rejects_env_shape_naming_both_shapes(self, chain):
-        field = make_field(chain, drift="cubic")
-        plan = SimPlan(dt=0.02, T=0.1, p=4.0)
-        for shape in ((9, 5), (8, 6), (9,)):
-            with pytest.raises(ParameterError, match=re.escape(
-                    f"env has shape {shape}, need (sites, steps+1) = (9, 6)")):
-                tagged_particle_solve(field, 4, np.zeros(shape), 0.5, plan, replica=0)
-
-    def test_non_finite_state_names_replica_site_step(self, chain):
-        # An infinite start fails at step 0; a NaN neighbour at column 2
-        # reaches site 4 in step 2, so its state fails at step 3.
-        field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
-        for scheme in SCHEMES:
-            plan = SimPlan(dt=0.02, T=0.2, master_seed=17, p=4.0, scheme=scheme)
-            env = np.full((chain.n_sites, plan.n_steps + 1), 0.5)
-            with pytest.raises(NonFiniteState) as err:
-                tagged_particle_solve(field, 4, env, np.inf, plan, replica=2)
-            assert (err.value.replica, err.value.site, err.value.step) == (2, 4, 0)
-            env[3, 2] = np.nan
-            with pytest.raises(NonFiniteState) as err:
-                tagged_particle_solve(field, 4, env, 0.5, plan, replica=2)
-            assert (err.value.replica, err.value.site, err.value.step) == (2, 4, 3), \
-                scheme
+        # Volume {3, 4, 5} is the closed neighbourhood of site 4.  Site 0 lies
+        # outside every one of its rows: a frozen spin of 1e200 there, whose
+        # cube overflows, changes no step of the volume's sites.
+        volume = np.isin(np.arange(chain.n_sites), [3, 4, 5])
+        for noise in ("additive", "linear_noise"):
+            field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2,
+                               noise=noise, M_tilde=0.5)
+            for scheme in SCHEMES:
+                plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
+                base = one_path(field, volume, constant_init(chain, 0.5), plan)
+                far = np.full(chain.n_sites, 0.5)
+                far[0] = 1e200
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    traj = one_path(field, volume, WeightedSeq(far, chain), plan)
+                assert np.all(traj[0] == 1e200), (noise, scheme)
+                assert np.array_equal(traj[1:], base[1:]), (noise, scheme)
 
 
 class TestSemigroup:

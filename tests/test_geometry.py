@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -29,8 +31,7 @@ def test_closed_neighborhood_includes_self_first():
 
 
 def test_isolated_points():
-    cfg = Configuration(positions=np.array([[0.0], [10.0]]),
-                        window=np.array([[-1.0, 11.0]]))
+    cfg = Configuration(positions=np.array([[0.0], [10.0]]))
     g = build_graph(cfg, 1.0)
     assert [closed_neighborhood(g, x) for x in range(2)] == [[0], [1]]
     assert list(g.nbar_count) == [1, 1]
@@ -38,16 +39,14 @@ def test_isolated_points():
 
 
 def test_pair_at_exact_radius_is_adjacent():
-    cfg = Configuration(positions=np.array([[0.0], [1.0]]),
-                        window=np.array([[-1.0, 2.0]]))
+    cfg = Configuration(positions=np.array([[0.0], [1.0]]))
     g = build_graph(cfg, 1.0)
     assert closed_neighborhood(g, 0) == [0, 1]
 
 
 def test_sites_whose_distance_overflows():
     # 2e308 is beyond the largest float; the pairs near each end remain.
-    cfg = Configuration(positions=np.array([[-1e308], [1e308], [1e308], [0.0], [0.5]]),
-                        window=np.array([[-1.5e308, 1.5e308]]))
+    cfg = Configuration(positions=np.array([[-1e308], [1e308], [1e308], [0.0], [0.5]]))
     g = build_graph(cfg, 1.0)
     assert [closed_neighborhood(g, x) for x in range(5)] == [[0], [1, 2], [2, 1], [3, 4], [4, 3]]
 
@@ -85,14 +84,16 @@ def test_operator_rejects_non_finite_weight():
     assert Q.nnz == 1 and Q[5, 6] == -3.0
 
 
-def test_points_outside_window_rejected():
-    with pytest.raises(ParameterError):
-        Configuration(positions=np.array([[5.0]]), window=np.array([[0.0, 1.0]]))
-
-
 def test_nonfinite_positions_rejected():
     with pytest.raises(ParameterError):
-        Configuration(positions=np.array([[np.nan]]), window=np.array([[-1.0, 1.0]]))
+        Configuration(positions=np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 0), (2, 2, 1)])
+def test_positions_shape_checked(shape):
+    with pytest.raises(ParameterError, match=re.escape(
+            f"positions must have shape (N, d) with d >= 1, got {shape}")):
+        Configuration(positions=np.zeros(shape))
 
 
 @st.composite
@@ -170,10 +171,7 @@ def _lexsort_csr(pos, rho):
 @example((_far_clusters(), 1e-3))
 def test_build_graph_matches_quadratic_reference(case):
     pos, rho = case
-    dim = pos.shape[1]
-    lo = pos.min(axis=0) - 1.0 if pos.size else np.full(dim, -1.0)
-    hi = pos.max(axis=0) + 1.0 if pos.size else np.full(dim, 1.0)
-    g = build_graph(Configuration(positions=pos, window=np.stack([lo, hi], axis=1)), rho)
+    g = build_graph(Configuration(positions=pos), rho)
     want = _reference_neighbourhoods(pos, rho)
     assert [closed_neighborhood(g, x) for x in range(g.n_sites)] == want
     assert list(g.nbar_count) == [len(v) for v in want]
@@ -216,7 +214,7 @@ def test_degree_constant_lattice():
 
 
 def test_empty_graph_degree_constant_rejected():
-    cfg = Configuration(positions=np.zeros((0, 1)), window=np.array([[-1.0, 1.0]]))
+    cfg = Configuration(positions=np.zeros((0, 1)))
     g = build_graph(cfg, 1.0)
     with pytest.raises(ParameterError):
         fit_degree_constant(g)
@@ -228,7 +226,6 @@ def test_csv_round_trip(tmp_path):
     configuration_to_csv(cfg, p)
     back = configuration_from_csv(p)
     assert np.allclose(back.positions, cfg.positions)
-    assert np.array_equal(back.window, cfg.window)  # the box padded by 0.5
     g = build_graph(cfg, 1.5)
     graph_to_csv(g, tmp_path / "deg.csv", tmp_path / "edges.csv")
     deg = np.loadtxt(tmp_path / "deg.csv", delimiter=",", skiprows=1)

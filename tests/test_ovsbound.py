@@ -123,8 +123,7 @@ def signed_operators(draw):
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     side = draw(st.floats(1.0, 12.0))
-    config = Configuration(positions=rng.uniform(-side, side, size=(n, dim)),
-                           window=np.array([[-side, side]] * dim))
+    config = Configuration(positions=rng.uniform(-side, side, size=(n, dim)))
     graph = build_graph(config, draw(st.floats(0.3, 3.0)))
     Q = graph.operator(rng.uniform(-3.0, 3.0, graph.indices.size))
     lo = draw(st.floats(0.0, 1.0))
@@ -286,6 +285,16 @@ class TestSeriesSolve:
         z0 = sparse_seq(graph, {3: 2.0})
         assert np.array_equal(series_solve(Q, z0, 5.0).values, z0.values)
 
+    def test_operator_of_another_graph_rejected(self, graph):
+        # Q acts on the 11 sites of the -5..5 chain; z0 lives on 21.
+        Q = induced_matrix(graph, 0.3, 1.0)
+        wide = build_graph(lattice_configuration(-10, 10), 1.5)
+        z0 = sparse_seq(wide, {3: 2.0})
+        for t in (0.0, 0.5):
+            with pytest.raises(ParameterError,
+                               match=r"Q has shape \(11, 11\), the graph has 21 sites"):
+                series_solve(Q, z0, t)
+
 
 class TestComparison:
     def comparison_instance(self, graph, seed, kind):
@@ -331,6 +340,16 @@ class TestComparison:
         times = np.linspace(0, 1, 10)
         with pytest.raises(ParameterError):
             comparison_check(Q, times, np.zeros((graph.n_sites, 10)), z, 1.0)
+
+    def test_operator_of_another_graph_rejected(self, graph):
+        # Q acts on the 11 sites of the -5..5 chain; z and g live on 21.
+        Q = induced_matrix(graph, 0.3, 1.0)
+        wide = build_graph(lattice_configuration(-10, 10), 1.5)
+        z = WeightedSeq(np.zeros(wide.n_sites), wide)
+        times = np.linspace(0, 1, 10)
+        with pytest.raises(ParameterError,
+                           match=r"Q has shape \(11, 11\), the graph has 21 sites"):
+            comparison_check(Q, times, np.zeros((wide.n_sites, 10)), z, 1.0)
 
 
 class TestGronwall:

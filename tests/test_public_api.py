@@ -6,9 +6,12 @@ and the name's own ``def``/``class`` line), in ``demos/`` or in
 ``perfbench/``; for a method or property, an attribute access ``.name``.
 A name that only the tests use is a wrapper to delete.  Likewise every
 exported error type but the base ``SpindynError`` is raised somewhere in
-``src/spindyn/``, so that no exception type outlives its last raiser.
+``src/spindyn/``, so that no exception type outlives its last raiser.  And
+the program keeps one step rule and one replica driver: ``_step`` is used
+only by ``integrate_ensemble``, and that only by ``integrate_replicas``.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -86,3 +89,22 @@ def test_every_exported_error_has_a_raiser():
     unraised = [n for n in errors
                 if not any(re.search(rf"\braise\s+{n}\b", line) for line in lines)]
     assert unraised == []
+
+
+def _users(name):
+    """``module.owner`` for every reference to ``name`` in ``src/spindyn/``,
+    as a bare name or an attribute, owner the top-level function or class
+    around it."""
+    users = []
+    for path in sorted((ROOT / "src" / "spindyn").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            users += [f"{path.stem}.{owner}" for node in ast.walk(top)
+                      if isinstance(node, ast.Name) and node.id == name
+                      or isinstance(node, ast.Attribute) and node.attr == name]
+    return users
+
+
+def test_one_step_rule_and_one_replica_driver():
+    assert _users("_step") == ["engine.integrate_ensemble"]
+    assert _users("integrate_ensemble") == ["engine.integrate_replicas"]
