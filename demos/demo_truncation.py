@@ -16,7 +16,9 @@ def main():
     field = make_field(g, drift="cubic", coupling="linear_pair", J=0.2)
     plan = SimPlan(dt=0.01, T=1.0, replicas=48, master_seed=7, p=4.0)
     vols = radial_volumes(g, [5.0, 10.0, 15.0, 20.0])
-    init = RandomInit(dist="normal", a=0.0, b=1.0)
+    # One (replicas, sites) array of initial states, shared by every volume.
+    init = RandomInit(dist="normal", a=0.0, b=1.0).draw(
+        plan.master_seed, range(plan.replicas), g.n_sites)
 
     print(f"{g.n_sites}-site chain, cubic drift, pair coupling J=0.2")
     sizes = vols.masks.sum(axis=1)

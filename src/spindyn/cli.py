@@ -21,8 +21,8 @@ import yaml
 
 from . import geometry, gibbs, ovsbound
 from .coeffs import make_field
-from .engine import (RandomInit, SimPlan, cauchy_gap, initial_states, moment_p,
-                     nested_gap_sums, radial_volumes, run_nested)
+from .engine import (RandomInit, SimPlan, cauchy_gap, moment_p, nested_gap_sums,
+                     radial_volumes, run_nested)
 from .errors import ConfigError, NumericError, ParameterError
 from .gibbs import ChainParams, make_model
 from .spaces import ScaleInterval, WeightedSeq, weighted_seq_from_csv
@@ -172,20 +172,25 @@ def _build_field(cfg: dict, graph):
                                              default=1.0)))
 
 
-def _build_init(cfg: dict, graph):
+def _build_init(cfg: dict, graph, plan: SimPlan) -> np.ndarray:
+    """The run's initial states, one (replicas, sites) array that every
+    volume starts from: a constant, the ``RandomInit`` law's draws keyed by
+    (replica, site), or the CSV's site values (absent sites 0) in every row."""
     kind = _get(cfg, "init.type", str, default="constant")
+    shape = (plan.replicas, graph.n_sites)
     if kind == "constant":
-        value = float(_get(cfg, "init.value", (int, float), default=0.0))
-        return WeightedSeq(np.full(graph.n_sites, value), graph)
+        return np.full(shape, float(_get(cfg, "init.value", (int, float), default=0.0)))
     if kind == "random":
         dist = _get(cfg, "init.dist", str, default="normal")
         with _named("init.dist"):
             RandomInit(dist)  # the law alone, so that its b is named apart
         with _named("init.b"):
-            return RandomInit(dist, float(_get(cfg, "init.a", (int, float), default=0.0)),
-                              float(_get(cfg, "init.b", (int, float), default=1.0)))
+            law = RandomInit(dist, float(_get(cfg, "init.a", (int, float), default=0.0)),
+                             float(_get(cfg, "init.b", (int, float), default=1.0)))
+        return law.draw(plan.master_seed, np.arange(plan.replicas), graph.n_sites)
     if kind == "csv":
-        return weighted_seq_from_csv(_get(cfg, "init.path", str), graph)
+        values = weighted_seq_from_csv(_get(cfg, "init.path", str), graph).values
+        return np.tile(values, (plan.replicas, 1))
     raise ConfigError(f"config key 'init.type' must be constant|random|csv, got '{kind}'")
 
 
@@ -259,7 +264,7 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     plan = _build_plan(cfg)
     field_ = _build_field(cfg, graph)
     volumes = _build_volumes(cfg, graph)
-    init = _build_init(cfg, graph)
+    init = _build_init(cfg, graph, plan)
     with _named("plan.p"):
         paths = run_nested(field_, volumes, init, plan, n_threads=threads)
     n_times = min(11, plan.n_steps + 1)
@@ -286,7 +291,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
     plan = _build_plan(cfg)
     field_ = _build_field(cfg, graph)
     volumes = _build_volumes(cfg, graph)
-    init = _build_init(cfg, graph)
+    init = _build_init(cfg, graph, plan)
     scale = _build_scale(cfg)
     betas = [float(b) for b in _get(cfg, "converge.betas", list,
                                     default=[scale.alpha_top], ndim=1)]
@@ -309,8 +314,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
                           "the window, to compare with it")
     # Certified before the run, from the states it starts with, so that an
     # overflow costs no simulation.  Tail n: 1 + E|xi_0|^p outside volume n.
-    init0 = initial_states(init, graph, plan, np.arange(plan.replicas))
-    moment = np.mean(np.abs(init0) ** plan.p, axis=0) + 1.0
+    moment = np.mean(np.abs(init) ** plan.p, axis=0) + 1.0
     m = len(volumes) - 1
     tails = [WeightedSeq(np.where(volumes.masks[n], 0.0, moment), graph)
              for n in range(m)]
@@ -318,7 +322,7 @@ def cmd_converge(cfg: dict, out: Path, threads: int) -> int:
         bounds = ovsbound.gronwall_bound(field_.a_bar, 1.0, graph, tails, alpha,
                                          betas, plan.T, q, scale)
     with _named("plan.p"):
-        sums, final = nested_gap_sums(field_, volumes, init0, plan, betas,
+        sums, final = nested_gap_sums(field_, volumes, init, plan, betas,
                                       n_threads=threads)
     rows = [[n, m, beta, plan.p, cauchy_gap(sums[n, b]), bounds[b, n]]
             for b, beta in enumerate(betas) for n in range(m)]

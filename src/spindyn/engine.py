@@ -1,8 +1,8 @@
 """Finite-volume SDE integration with common random numbers across volumes.
 
 Per-site data is dense: a volume sequence is one (volumes, sites) boolean
-mask array, and initial data is one site array (a ``WeightedSeq``), a
-(replicas, sites) array or a ``RandomInit`` law.
+mask array, and initial data is one (replicas, sites) array that every
+volume starts from.
 
 Each volume steps only its own sites (``CoefficientField.sites``); the others
 keep their initial value exactly.  The Wiener increment for (replica, site,
@@ -27,7 +27,6 @@ from .coeffs import CoefficientField
 from .errors import NonFiniteState, NumericError, ParameterError
 from .geometry import GeometricGraph
 from .rng import BLOCK_STEPS, TAG_INIT, keyed_draws, noise_matrix
-from .spaces import WeightedSeq
 
 _NEWTON_MAX_ITERS = 50
 _NEWTON_TOL = 1e-12
@@ -139,26 +138,11 @@ class RandomInit:
         return self.a + (self.b - self.a) * u
 
 
-def initial_states(init, graph, plan, reps) -> np.ndarray:
-    """Rows of initial states for the replica ids ``reps``; an (R, sites)
-    array ``init`` holds one row per replica, in replica order."""
-    if isinstance(init, np.ndarray):
-        return init[reps]
-    if isinstance(init, WeightedSeq):
-        return np.tile(init.values, (len(reps), 1))
-    if isinstance(init, RandomInit):
-        return init.draw(plan.master_seed, reps, graph.n_sites)
-    raise ParameterError("init must be a WeightedSeq or a RandomInit")
-
-
 def _solve_implicit(drift, state, dt, sites, j):
     """Newton solve of theta = state + dt * phi(theta) at the site ids
-    ``sites`` (an id array, or slice(None) for every site) in step j,
-    vectorised; each entry stops at its own tolerance, whatever else shares
-    the block."""
+    ``sites`` in step j, vectorised; each entry stops at its own tolerance,
+    whatever else shares the block."""
     phi, dphi = drift.phi, drift.dphi
-    if isinstance(sites, slice):  # whole-window columns, named by their ids
-        sites = np.arange(state.shape[-1])[sites]
     theta = state.copy()
     for _ in range(_NEWTON_MAX_ITERS):
         resid = theta - dt * phi(theta) - state
@@ -255,25 +239,28 @@ class _Superseded(Exception):
 
 def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
                        n_steps: int, observer=None, n_threads: int = 1) -> np.ndarray:
-    """Integrate replicas 0..plan.replicas-1 under every volume mask;
-    returns the final states (replicas, masks, sites).
+    """Integrate replicas 0..plan.replicas-1 under every volume mask, from
+    the (replicas, sites) initial states ``init``, which every volume
+    shares; returns the final states (replicas, masks, sites).
 
     ``observer(rows, j, states)``, if given, sees each replica chunk's
     (replicas, masks, sites) states at every step j = 0..n_steps, with the
     chunk's replica ids as a slice.  Chunks holding at most
     ``_CHUNK_ELEMENTS`` entries of states and one noise block run on
-    ``n_threads``; each computes its noise and initial states from their
-    (replica, site, step) counters and writes only its own rows, so the
-    result, and whatever an observer writes into its own rows, is
-    bit-identical for any thread count and chunk size.
+    ``n_threads``; each starts from its own rows of ``init``, computes its
+    noise from its (replica, site, step) counters and writes only its own
+    rows, so the result, and whatever an observer writes into its own rows,
+    is bit-identical for any thread count and chunk size.
     A chunk runs to its end, its first failure, or the earliest failing step
     that another chunk has reported so far, and the ``NonFiniteState``
     raised is the earliest of all in (step, replica, site) order.
     """
     n = field_.graph.n_sites
-    if isinstance(init, np.ndarray) and init.shape != (plan.replicas, n):
-        raise ParameterError(f"init array has shape {init.shape}, need (replicas, "
-                             f"sites) = {(plan.replicas, n)}")
+    if not (isinstance(init, np.ndarray) and init.shape == (plan.replicas, n)):
+        got = (f"an array of shape {init.shape}" if isinstance(init, np.ndarray)
+               else f"a {type(init).__name__}")
+        raise ParameterError(f"init is {got}, need (replicas, sites) = "
+                             f"{(plan.replicas, n)}")
     out = np.empty((plan.replicas, len(masks), n))
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n * (len(masks) + _NOISE_BLOCK)))
     # The earliest failing step known so far, lowered under the lock.  A
@@ -284,7 +271,6 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
     def work(lo):
         rows = slice(lo, min(lo + chunk, plan.replicas))
         reps = np.arange(rows.start, rows.stop)
-        init_states = initial_states(init, field_.graph, plan, reps)
 
         def observe(j, states):
             if j >= earliest[0]:
@@ -295,7 +281,7 @@ def integrate_replicas(field_: CoefficientField, masks, init, plan: SimPlan,
         try:
             out[rows] = integrate_ensemble(
                 field_, masks,
-                np.broadcast_to(init_states[:, None], (len(reps), len(masks), n)), plan,
+                np.broadcast_to(init[rows, None], (len(reps), len(masks), n)), plan,
                 lambda j0, k: noise_matrix(plan.master_seed, reps, range(n), k,
                                            first_step=j0),
                 n_steps, observe)

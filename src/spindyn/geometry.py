@@ -9,6 +9,7 @@ walks the same entries in the same order.  The graph is immutable once
 built and safe to share across threads.
 """
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -175,9 +176,14 @@ def sample_poisson(intensity: float, window, seed: int) -> Configuration:
         raise ParameterError("window must have shape (d, 2) with lo < hi")
     if intensity < 0:
         raise ParameterError(f"intensity must be >= 0, got {intensity}")
-    volume = float(np.prod(win[:, 1] - win[:, 0]))
+    # In Python floats, an overflowing volume is inf, with no numpy warning.
+    volume = math.prod(hi - lo for lo, hi in win.tolist())
     rng = generator(int(seed), 0x9015504, 0)
-    count = int(rng.poisson(intensity * volume))
+    try:
+        count = int(rng.poisson(intensity * volume))
+    except ValueError:  # numpy's limit on the mean, or a NaN or infinite mean
+        raise ParameterError(f"intensity {intensity} on a window of volume {volume} "
+                             f"gives a mean point count numpy cannot sample") from None
     pts = rng.uniform(win[:, 0], win[:, 1], size=(count, win.shape[0]))
     return Configuration(pts)
 

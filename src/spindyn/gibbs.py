@@ -144,6 +144,8 @@ class ChainParams:
     def __post_init__(self):
         if min(self.steps, self.burn_in) < 1 or self.step_size <= 0:
             raise ParameterError("chain parameters must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -385,8 +387,8 @@ def reversibility_test(model: GibbsModel, f, g, t: float, plan: SimPlan,
     field_ = gradient_dynamics_field(model)
     zeta = sample_window_measure(model, plan.replicas, nu_chain)
     j = plan.time_index(t)
-    final = zeta if j == 0 else integrate_replicas(
-        field_, np.ones((1, model.graph.n_sites), dtype=bool), zeta, plan, j)[:, 0]
+    final = integrate_replicas(field_, np.ones((1, model.graph.n_sites), dtype=bool),
+                               zeta, plan, j)[:, 0]
     f0 = np.asarray([f(z) for z in zeta])
     g0 = np.asarray([g(z) for z in zeta])
     ft = np.asarray([f(z) for z in final])

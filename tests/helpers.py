@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spindyn import VolumeSequence, WeightedSeq
+from spindyn import RandomInit, VolumeSequence, WeightedSeq
 from spindyn.engine import integrate_replicas
 from spindyn.rng import noise_matrix
 
@@ -23,8 +23,16 @@ def volumes_of(n_sites, *site_sets) -> VolumeSequence:
     return VolumeSequence(masks)
 
 
+def normal_init(plan, n_sites, a=0.0, b=1.0) -> np.ndarray:
+    """The initial states of every replica of ``plan`` under the normal law
+    N(a, b^2) of ``RandomInit``, keyed by its master seed: (replicas, n_sites)."""
+    return RandomInit("normal", a, b).draw(plan.master_seed, np.arange(plan.replicas),
+                                           n_sites)
+
+
 def one_path(field, mask, init, plan):
-    """Replica 0's path under the boolean site ``mask``: (sites, steps+1)."""
+    """Replica 0's path under the boolean site ``mask``, from the (replicas,
+    sites) initial states ``init``: (sites, steps+1)."""
     path = np.empty((field.graph.n_sites, plan.n_steps + 1))
 
     def keep(rows, j, states):

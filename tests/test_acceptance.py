@@ -12,8 +12,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import spindyn as sd
-from helpers import one_path, pair_covariance, tagged_path
-from spindyn import (ChainParams, RandomInit, ScaleInterval,
+from helpers import normal_init, one_path, pair_covariance, tagged_path
+from spindyn import (ChainParams, ScaleInterval,
                      SimPlan, WeightedSeq, build_graph, cauchy_gap,
                      comparison_check, dlr_residual, estimate_L,
                      gronwall_bound, induced_matrix, k_series, kernel_sample,
@@ -138,7 +138,7 @@ def test_05_sde_engine_correctness():
     field = make_field(single, drift="linear", noise="additive")
     plan = SimPlan(dt=1e-3, T=2.0, replicas=10 ** 4, master_seed=5)
     paths = run_nested(field, radial_volumes(single, []),
-                       WeightedSeq(np.zeros(single.n_sites), single), plan)
+                       np.zeros((plan.replicas, single.n_sites)), plan)
     mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
     target = (1 - np.exp(-4.0)) / 2
     ok = abs(mean[0, 0] - target) <= 3 * se[0, 0]
@@ -149,10 +149,10 @@ def test_05_sde_engine_correctness():
                         noise="linear_noise", M_tilde=0.0)
     dt = 0.01
     dplan = SimPlan(dt=dt, T=1.0, master_seed=0, p=4.0)
-    init = WeightedSeq(np.linspace(-1.0, 1.0, chain.n_sites), chain)
+    init = np.linspace(-1.0, 1.0, chain.n_sites)[None]
     traj = one_path(dfield, np.ones(chain.n_sites, dtype=bool), init, dplan)
     sol = solve_ivp(lambda t, y: dfield.drift_all(y), (0, 1.0),
-                    init.values, rtol=1e-10, atol=1e-12, t_eval=[1.0])
+                    init[0], rtol=1e-10, atol=1e-12, t_eval=[1.0])
     ok &= np.max(np.abs(traj[:, -1] - sol.y[:, 0])) <= 5 * dt
     report(5, "Ornstein-Uhlenbeck moment and deterministic ODE oracle", ok)
 
@@ -162,8 +162,7 @@ def _truncation_setup(seed, replicas=96):
     field = make_field(g, drift="cubic", coupling="linear_pair", J=0.2)
     plan = SimPlan(dt=0.01, T=1.0, replicas=replicas, master_seed=seed, p=4.0)
     vols = radial_volumes(g, [5.0, 10.0, 15.0, 20.0])
-    init = RandomInit(dist="normal", a=0.0, b=1.0)
-    return g, field, plan, vols, init
+    return g, field, plan, vols, normal_init(plan, g.n_sites)
 
 
 def test_06_truncation_convergence():
@@ -212,7 +211,7 @@ def test_08_frozen_site_and_determinism():
     g = build_graph(lattice_configuration(-4, 4), 1.5)
     field = make_field(g, drift="cubic", coupling="linear_pair", J=0.2)
     plan = SimPlan(dt=0.01, T=0.3, replicas=32, master_seed=8, p=4.0)
-    init = WeightedSeq(np.full(g.n_sites, 0.8), g)
+    init = np.full((plan.replicas, g.n_sites), 0.8)
     volume = np.isin(np.arange(g.n_sites), [3, 4, 5])
     traj = one_path(field, volume, init, plan)
     ok = bool(np.all(traj[~volume, :] == 0.8))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+from helpers import normal_init
 from spindyn import (ParameterError, RandomInit, ScaleInterval, SimPlan,
                      WeightedSeq, build_graph, estimate_L, gronwall_bound,
                      induced_matrix, k_series, lattice_configuration, make_field,
@@ -291,6 +292,21 @@ class TestSimulateCommand:
         assert hashes[1.0] == ("756d4e9a4e5afd0e65d3783beed7e4c5"
                                "97a956a0f2a4aa42ff96d64abe9a87f9")
 
+    def test_csv_init_starts_every_replica_and_volume(self, tmp_path):
+        # The CSV's site values start every replica in every volume; the
+        # sites it does not name start at 0.
+        (tmp_path / "init.csv").write_text("site_id,value\n1,0.25\n4,-1.5\n")
+        cfg = lattice_graph_cfg(-3, 3, 1.5)
+        cfg["field"] = {"drift": "cubic", "coupling": "linear_pair", "J": 0.2}
+        cfg["plan"] = {"dt": 0.05, "T": 0.1, "replicas": 3, "master_seed": 2, "p": 4}
+        cfg["volumes"] = {"radii": [1.0]}
+        cfg["init"] = {"type": "csv", "path": str(tmp_path / "init.csv")}
+        out = tmp_path / "out"
+        assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        start = np.load(out / "trajectories.npz")["trajectories"][..., 0]
+        assert start.shape == (3, 2, 7)
+        assert np.all(start == [0.0, 0.25, 0.0, 0.0, -1.5, 0.0, 0.0])
+
     def test_bad_scheme_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, simulate_cfg(scheme="rk4"))
         assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -321,7 +337,7 @@ class TestSimulateCommand:
         field_ = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
         plan = SimPlan(dt=0.05, T=0.5, replicas=9, master_seed=4, p=3.0)
         paths = run_nested(field_, radial_volumes(graph, [1.0, 2.0]),
-                           RandomInit("normal", 0.3, 1.2), plan)
+                           normal_init(plan, graph.n_sites, 0.3, 1.2), plan)
         times = [0.0, 0.15, 0.5]
         cols = [plan.time_index(t) for t in times]
         for volume, p in ((1, 3.0), (-1, 4.5)):
@@ -641,6 +657,8 @@ class TestConfigKeys:
         # (alpha, beta) and widths outside the scale that L covers
         ("converge", "converge.alpha", -0.5),
         ("ovs", "ovs.widths", [0.5, 2.0]),
+        # numpy's generators take no negative seed
+        ("gibbs", "gibbs.chain", {"steps": 10, "burn_in": 10, "seed": -1}),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command,
                                               key, value):
@@ -712,6 +730,10 @@ class TestConfigKeys:
          "config key 'graph.poisson.window' must be a rectangular 2-d list of numbers"),
         ("graph", "graph.poisson.window", [[1.0, 0.0]],
          "graph.poisson: window must have shape (d, 2) with lo < hi"),
+        # a mean above numpy's largest Poisson mean
+        ("graph", "graph.poisson", {"intensity": 1.0e30, "window": [[0, 1]], "seed": 1},
+         "graph.poisson: intensity 1e+30 on a window of volume 1.0 gives a mean "
+         "point count numpy cannot sample"),
     ])
     def test_range_error_names_key(self, tmp_path, capsys, command, key, value,
                                    message):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import (gap_sums_reference, one_path, path_gap, sparse_seq, tagged_path,
-                     volumes_of)
+from helpers import (gap_sums_reference, normal_init, one_path, path_gap, sparse_seq,
+                     tagged_path, volumes_of)
 from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
                      RandomInit, SimPlan, SinglePotentialDrift, VolumeSequence,
                      WeightedSeq,
@@ -32,8 +32,8 @@ def single():
     return build_graph(lattice_configuration(0, 0), 1.0)
 
 
-def constant_init(graph, value=0.0):
-    return WeightedSeq(np.full(graph.n_sites, value), graph)
+def constant_init(graph, plan, value=0.0):
+    return np.full((plan.replicas, graph.n_sites), value)
 
 
 def all_sites(graph):
@@ -101,7 +101,7 @@ class TestPlanAndVolumes:
         field = make_field(chain, drift="cubic")
         plan = SimPlan(dt=0.1, T=0.2, p=2.0)  # cubic needs p >= 3
         with pytest.raises(ParameterError):
-            run_nested(field, radial_volumes(chain, []), constant_init(chain), plan)
+            run_nested(field, radial_volumes(chain, []), constant_init(chain, plan), plan)
 
 
 class TestIntegration:
@@ -109,14 +109,14 @@ class TestIntegration:
         field = make_field(chain, drift="linear", noise="linear_noise", M_tilde=0.0)
         # kill the drift too by freezing every site except none: use zero init
         plan = SimPlan(dt=0.05, T=0.5, replicas=3, master_seed=1)
-        traj = one_path(field, all_sites(chain), constant_init(chain, 0.0), plan)
+        traj = one_path(field, all_sites(chain), constant_init(chain, plan), plan)
         assert np.all(traj == 0.0)
 
     def test_frozen_sites_exact(self, chain):
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2,
                            noise="additive")
         plan = SimPlan(dt=0.01, T=0.3, master_seed=5, p=4.0)
-        init = WeightedSeq(np.full(chain.n_sites, 1.5), chain)
+        init = constant_init(chain, plan, 1.5)
         volume = np.isin(np.arange(chain.n_sites), [3, 4, 5])
         traj = one_path(field, volume, init, plan)
         assert np.all(traj[~volume, :] == 1.5)
@@ -138,7 +138,7 @@ class TestIntegration:
                                     drift=counting)
         vols = radial_volumes(chain, [1.0, 2.0])  # 3, 5 and 9 sites
         plan = SimPlan(dt=0.01, T=0.1, replicas=3, master_seed=4, p=4.0)
-        run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan)
+        run_nested(field, vols, normal_init(plan, chain.n_sites), plan)
         assert evaluated[0] == plan.replicas * plan.n_steps * 17
 
     def test_run_nested_rejects_volume_width(self, chain):
@@ -149,24 +149,31 @@ class TestIntegration:
             vols = VolumeSequence(np.ones((1, width), dtype=bool))
             with pytest.raises(ParameterError,
                                match=rf"volume masks cover {width} sites, the graph has 9"):
-                run_nested(field, vols, constant_init(chain, 0.5), plan)
+                run_nested(field, vols, constant_init(chain, plan, 0.5), plan)
 
     def test_run_nested_rejects_init_array_shape(self, chain):
-        # An (R, sites) init needs one row per replica and one column per site.
+        # init is one (R, sites) array, one row per replica and one column per
+        # site; a site array, a law or a list is named and rejected.
         field = make_field(chain, drift="cubic")
         plan = SimPlan(dt=0.01, T=0.1, replicas=4, master_seed=5, p=4.0)
         vols = radial_volumes(chain, [1.0])
-        for shape in ((2, 9), (4, 8)):
+        for shape in ((2, 9), (4, 8), (9,)):
             with pytest.raises(ParameterError,
                                match=re.escape(f"shape {shape}, need (replicas, "
                                                f"sites) = (4, 9)")):
                 run_nested(field, vols, np.zeros(shape), plan)
+        for init in (RandomInit("normal"), WeightedSeq(np.zeros(9), chain),
+                     np.zeros((4, 9)).tolist()):
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"init is a {type(init).__name__}, "
+                                               f"need (replicas, sites) = (4, 9)")):
+                run_nested(field, vols, init, plan)
 
     def test_ou_second_moment(self, single):
         field = make_field(single, drift="linear", noise="additive")
         plan = SimPlan(dt=1e-3, T=1.0, replicas=4000, master_seed=2)
         paths = run_nested(field, radial_volumes(single, []),
-                           constant_init(single), plan)
+                           constant_init(single, plan), plan)
         mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
         target = (1 - np.exp(-2.0)) / 2
         assert abs(mean[0, 0] - target) <= 3 * se[0, 0] + 1e-3
@@ -176,7 +183,7 @@ class TestIntegration:
         plan = SimPlan(dt=1e-3, T=1.0, replicas=2000, master_seed=9,
                        scheme="split_step_implicit")
         paths = run_nested(field, radial_volumes(single, []),
-                           constant_init(single), plan)
+                           constant_init(single, plan), plan)
         mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
         target = (1 - np.exp(-2.0)) / 2
         assert abs(mean[0, 0] - target) <= 3 * se[0, 0] + 2e-3
@@ -188,10 +195,10 @@ class TestIntegration:
                            noise="linear_noise", M_tilde=0.0)
         dt = 0.01
         plan = SimPlan(dt=dt, T=1.0, master_seed=0, scheme=scheme, p=4.0)
-        init = WeightedSeq(np.linspace(-1.2, 1.2, chain.n_sites), chain)
+        init = np.linspace(-1.2, 1.2, chain.n_sites)[None]
         traj = one_path(field, all_sites(chain), init, plan)
         sol = solve_ivp(lambda t, y: field.drift_all(y), (0, 1.0),
-                        init.values, rtol=1e-10, atol=1e-12,
+                        init[0], rtol=1e-10, atol=1e-12,
                         t_eval=[1.0])
         err = np.max(np.abs(traj[:, -1] - sol.y[:, 0]))
         assert err <= 5 * dt
@@ -202,7 +209,8 @@ class TestIntegration:
         # would first be rounded next to phi(1e3) = -1e9, to a multiple of
         # 2^-23.
         g = build_graph(lattice_configuration(0, 2), 1.5)
-        field = make_field(g, drift="cubic", coupling="linear_pair", J=0.1)
+        field = dataclasses.replace(make_field(g, drift="cubic", coupling="linear_pair",
+                                               J=0.1), sites=np.arange(3))
         state, dt = np.array([[1.0, 1e3, 1.0]]), 0.01
         got = engine._step(field, state, np.zeros((1, 3)), dt, "split_step_implicit", 0)
         theta = engine._solve_implicit(field.drift, state, dt, np.arange(3), 0)
@@ -217,7 +225,7 @@ class TestIntegration:
         bad = SinglePotentialDrift(Polynomial((0.0, 2.0, 0.0, -1.0)))
         field = dataclasses.replace(base, drift=bad)
         plan = SimPlan(dt=1.0, T=2.0, scheme="split_step_implicit", master_seed=0)
-        init = sparse_seq(single, {0: 0.4})
+        init = constant_init(single, plan, 0.4)
         with pytest.raises(NumericError,
                            match=r"failed to converge at site 0 \(step 0\)"):
             one_path(field, all_sites(single), init, plan)
@@ -232,7 +240,7 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"zero or non-finite at site 0 \(step 0\)"):
-                one_path(field, all_sites(single), sparse_seq(single, {0: 1.0}), plan)
+                one_path(field, all_sites(single), constant_init(single, plan, 1.0), plan)
 
     @pytest.mark.parametrize("coeffs, state, dt, message", [
         # theta + 0.01 theta^3 = 1e5 from theta = 1e5: Newton needs more steps
@@ -243,11 +251,10 @@ class TestIntegration:
          r"zero or non-finite at site 1 \(step 7\)")])
     def test_newton_failure_names_site_of_whole_window_field(self, coeffs, state, dt,
                                                              message):
-        # A field with the default sites=slice(None) names the window column.
+        # A field over every site, by id, names the window column.
         g = build_graph(lattice_configuration(0, 2), 1.5)
-        field = dataclasses.replace(make_field(g),
+        field = dataclasses.replace(make_field(g), sites=np.arange(3),
                                     drift=SinglePotentialDrift(Polynomial(coeffs)))
-        assert field.sites == slice(None)
         with pytest.raises(NumericError, match=message):
             engine._step(field, np.array(state), np.zeros((1, 3)), dt,
                          "split_step_implicit", 7)
@@ -258,15 +265,15 @@ class TestIntegration:
         assert field.drift.dphi == field.drift.phi.deriv()
         plan = SimPlan(dt=0.01, T=0.05, replicas=2, master_seed=3, p=4.0,
                        scheme="split_step_implicit")
-        want = run_nested(field, radial_volumes(chain, [1.0]), constant_init(chain, 0.5),
-                          plan)
+        want = run_nested(field, radial_volumes(chain, [1.0]),
+                          constant_init(chain, plan, 0.5), plan)
 
         def no_deriv(self):
             raise AssertionError("Polynomial.deriv called during a run")
 
         monkeypatch.setattr(Polynomial, "deriv", no_deriv)
-        got = run_nested(field, radial_volumes(chain, [1.0]), constant_init(chain, 0.5),
-                         plan)
+        got = run_nested(field, radial_volumes(chain, [1.0]),
+                         constant_init(chain, plan, 0.5), plan)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -331,17 +338,17 @@ class TestDeterminismAndCoupling:
         # a lone replica must equal its row of the ensemble, under both schemes.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.1)
         vols = radial_volumes(chain, [1.0, 3.0])
-        init = RandomInit(dist="normal", a=0.0, b=0.5)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.2, replicas=64, master_seed=11, p=4.0,
                            scheme=scheme)
+            init = normal_init(plan, chain.n_sites, b=0.5)
             ens = [run_nested(field, vols, init, plan, n_threads=k) for k in (1, 2, 4)]
             with monkeypatch.context() as m:
                 m.setattr("spindyn.engine._CHUNK_ELEMENTS", 1)
                 ens.append(run_nested(field, vols, init, plan, n_threads=2))
             h = [hashlib.sha256(e).hexdigest() for e in ens]
             assert h[0] == h[1] == h[2] == h[3], scheme
-            few = run_nested(field, radial_volumes(chain, []), init,
+            few = run_nested(field, radial_volumes(chain, []), init[:12],
                              dataclasses.replace(plan, replicas=12))
             assert np.array_equal(few[11, 0], ens[0][11, -1]), scheme
 
@@ -350,7 +357,7 @@ class TestDeterminismAndCoupling:
         # volumes are simulated alongside it.
         field = make_field(chain, drift="cubic", noise="additive")
         plan = SimPlan(dt=0.02, T=0.2, replicas=8, master_seed=3, p=4.0)
-        init = constant_init(chain, 0.5)
+        init = constant_init(chain, plan, 0.5)
         e1 = run_nested(field, radial_volumes(chain, [1.0]), init, plan)
         e2 = run_nested(field, radial_volumes(chain, [2.0, 3.0]), init, plan)
         assert np.array_equal(e1[:, -1], e2[:, -1])
@@ -367,7 +374,7 @@ class TestDeterminismAndCoupling:
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         plan = SimPlan(dt=0.02, T=0.5, replicas=16, master_seed=21, p=4.0)
         vols = radial_volumes(chain, [0.5, 2.0])
-        init = RandomInit("normal", 0.0, 1.0)
+        init = normal_init(plan, chain.n_sites)
         sums, _ = nested_gap_sums(field, vols, init, plan, [0.5])
         assert sums.shape == (2, 1, 16, plan.n_steps + 1)
         # every volume starts from the same states
@@ -388,7 +395,7 @@ class TestDeterminismAndCoupling:
         field = make_field(chain, drift="cubic", coupling="zero")
         plan = SimPlan(dt=0.02, T=0.3, replicas=4, master_seed=2, p=4.0)
         vols = radial_volumes(chain, [1.0, 3.0])
-        paths = run_nested(field, vols, constant_init(chain, 1.0), plan)
+        paths = run_nested(field, vols, constant_init(chain, plan, 1.0), plan)
         diff = paths[:, 0, vols.masks[0], :] - paths[:, 2, vols.masks[0], :]
         assert np.all(diff == 0.0)
 
@@ -400,12 +407,12 @@ class TestStreamedGaps:
         # hashed are the last column of the paths.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(chain, [1.0, 2.0, 3.0])
-        init = RandomInit("normal", 0.0, 1.0)
         betas = [0.3, 0.8]
         m = len(vols) - 1
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.3, replicas=7, master_seed=4, p=4.0,
                            scheme=scheme)
+            init = normal_init(plan, chain.n_sites)
             paths = run_nested(field, vols, init, plan)
             want = np.array([[path_gap(paths, chain, n, m, beta, plan.p)
                               for beta in betas] for n in range(m)])
@@ -437,8 +444,8 @@ class TestStreamedGaps:
         graph = build_graph(lattice_configuration(0, n_sites - 1), 1.5)
         field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(graph, radii)
-        init = RandomInit("normal", 0.0, 1.0)
         plan = SimPlan(dt=0.01, T=0.01 * steps, replicas=replicas, master_seed=7, p=4.0)
+        init = normal_init(plan, n_sites)
         betas = [0.01, 0.5, 2.0]
         paths = run_nested(field, vols, init, plan)
         want = gap_sums_reference(paths, graph, betas, plan.p)
@@ -464,10 +471,10 @@ class TestStreamedGaps:
         # paths, final states and gap sums equal those of one 152-step block.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(chain, [1.0, 3.0])
-        init = RandomInit("normal", 0.0, 1.0)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.01, T=1.5, replicas=5, master_seed=6, p=4.0,
                            scheme=scheme)
+            init = normal_init(plan, chain.n_sites)
             runs = []
             for block in (engine._NOISE_BLOCK, 152):
                 with monkeypatch.context() as mp:
@@ -489,20 +496,18 @@ class TestStreamedGaps:
 class TestTaggedParticle:
     def test_decoupled_site_matches_own_run_exactly(self, chain):
         field = make_field(chain, drift="cubic", coupling="zero")
-        init = constant_init(chain, 0.7)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=13, p=4.0, scheme=scheme)
-            traj = one_path(field, all_sites(chain), init, plan)
+            traj = one_path(field, all_sites(chain), constant_init(chain, plan, 0.7), plan)
             x = 4
             eta = tagged_path(field, x, traj, 0.7, plan, replica=0)
             assert np.array_equal(eta, traj[x]), scheme
 
     def test_tracks_largest_volume(self, chain):
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
-        init = constant_init(chain, 0.5)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
-            traj = one_path(field, all_sites(chain), init, plan)
+            traj = one_path(field, all_sites(chain), constant_init(chain, plan, 0.5), plan)
             eta = tagged_path(field, 4, traj, 0.5, plan, replica=0)
             # identical equation, step rule and noise -> identical path
             assert np.array_equal(eta, traj[4]), scheme
@@ -512,14 +517,14 @@ class TestTaggedParticle:
         # the scalar oracle reproduces every replica's path of every site.
         g = build_graph(sample_poisson(1.0, [[-3.0, 3.0], [-3.0, 3.0]], 5), 1.2)
         assert (g.n_sites, g.nbar_count.min(), g.nbar_count.max()) == (31, 2, 7)
-        init = RandomInit(dist="normal")
         for noise in ("additive", "linear_noise"):
             field = make_field(g, drift="cubic", coupling="linear_pair", J=0.2,
                                noise=noise, M_tilde=0.5)
             for scheme in SCHEMES:
                 plan = SimPlan(dt=0.02, T=0.4, replicas=3, master_seed=11, p=4.0,
                                scheme=scheme)
-                paths = run_nested(field, radial_volumes(g, []), init, plan)[:, 0]
+                paths = run_nested(field, radial_volumes(g, []),
+                                   normal_init(plan, g.n_sites), plan)[:, 0]
                 for r in range(plan.replicas):
                     for x in range(g.n_sites):
                         eta = tagged_path(field, x, paths[r], paths[r, x, 0], plan, r)
@@ -535,12 +540,12 @@ class TestTaggedParticle:
                                noise=noise, M_tilde=0.5)
             for scheme in SCHEMES:
                 plan = SimPlan(dt=0.02, T=0.4, master_seed=17, p=4.0, scheme=scheme)
-                base = one_path(field, volume, constant_init(chain, 0.5), plan)
+                base = one_path(field, volume, constant_init(chain, plan, 0.5), plan)
                 far = np.full(chain.n_sites, 0.5)
                 far[0] = 1e200
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    traj = one_path(field, volume, WeightedSeq(far, chain), plan)
+                    traj = one_path(field, volume, far[None], plan)
                 assert np.all(traj[0] == 1e200), (noise, scheme)
                 assert np.array_equal(traj[1:], base[1:]), (noise, scheme)
 
@@ -552,7 +557,8 @@ class TestSemigroup:
         field = make_field(chain, drift="cubic")
         zeta = sparse_seq(chain, {0: 2.0})
         plan = SimPlan(dt=0.1, T=1.0, replicas=10, master_seed=0, p=4.0)
-        final = integrate_replicas(field, [all_sites(chain)], zeta, plan,
+        final = integrate_replicas(field, [all_sites(chain)],
+                                   np.tile(zeta.values, (plan.replicas, 1)), plan,
                                    plan.time_index(0.0))[:, 0]
         vals = np.array([np.sum(s ** 2) for s in final])
         assert np.all(final == zeta.values)
@@ -566,10 +572,10 @@ class TestFinalStates:
         # chunks and threads of either run.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
         masks = [all_sites(chain), np.isin(np.arange(chain.n_sites), [3, 4, 5])]
-        init = RandomInit("normal", 0.0, 1.0)
         for scheme in SCHEMES:
             plan = SimPlan(dt=0.02, T=0.2, replicas=6, master_seed=8, p=4.0,
                            scheme=scheme)
+            init = normal_init(plan, chain.n_sites)
             paths, last = observed_paths(field, masks, init, plan)
             assert np.array_equal(last, paths[..., -1]), scheme
             with monkeypatch.context() as m:
@@ -589,7 +595,7 @@ class TestFinalStates:
         noise_bytes = plan.replicas * graph.n_sites * plan.n_steps * 8
         tracemalloc.start()
         try:
-            integrate_replicas(field, [all_sites(graph)], RandomInit("normal", 0.0, 1.0),
+            integrate_replicas(field, [all_sites(graph)], normal_init(plan, graph.n_sites),
                                plan, plan.n_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -610,7 +616,7 @@ class TestFinalStates:
             plan = SimPlan(dt=0.01, T=T, replicas=8, master_seed=3, p=4.0)
             tracemalloc.start()
             try:
-                sums, _ = nested_gap_sums(field, vols, RandomInit("normal", 0.0, 1.0),
+                sums, _ = nested_gap_sums(field, vols, normal_init(plan, graph.n_sites),
                                           plan, betas)
                 return tracemalloc.get_traced_memory()[1], sums.nbytes
             finally:
@@ -629,14 +635,14 @@ class TestFinalStates:
         graph = build_graph(lattice_configuration(-200, 200), 1.5)
         field = make_field(graph, drift="cubic", coupling="linear_pair", J=0.2)
         vols = radial_volumes(graph, [100.0])
-        init = RandomInit("normal", 0.0, 1.0)
         R = 64
 
         def peak(T):
             plan = SimPlan(dt=0.01, T=T, replicas=R, master_seed=3, p=4.0)
             tracemalloc.start()
             try:
-                sums, _ = nested_gap_sums(field, vols, init, plan, [0.5])
+                sums, _ = nested_gap_sums(field, vols, normal_init(plan, graph.n_sites),
+                                          plan, [0.5])
                 return tracemalloc.get_traced_memory()[1] - sums.nbytes
             finally:
                 tracemalloc.stop()
@@ -653,8 +659,8 @@ class TestFinalStates:
         # BLOCK_STEPS steps from a step that starts one, and the requests tile
         # the run in order.
         field = make_field(chain, drift="cubic", coupling="linear_pair", J=0.2)
-        init = RandomInit("normal", 0.0, 1.0)
         plan = SimPlan(dt=0.01, T=1.5, replicas=3, master_seed=6, p=4.0)
+        init = normal_init(plan, chain.n_sites)
         calls = []
 
         def spy(master_seed, replica, site_ids, n_steps, first_step=0):

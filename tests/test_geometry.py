@@ -202,6 +202,17 @@ def test_poisson_count_scale():
     assert abs(mean - 400) < 5 * np.sqrt(400 / 20)
 
 
+@pytest.mark.parametrize("intensity, window, volume", [
+    (1.0e30, [[0.0, 1.0]], "1.0"),  # above numpy's largest Poisson mean
+    (1.0, [[-1e200, 1e200], [-1e200, 1e200]], "inf"),  # an infinite mean
+    (0.0, [[-1e200, 1e200], [-1e200, 1e200]], "inf"),  # 0 * inf: a NaN mean
+])
+def test_poisson_mean_numpy_cannot_sample_rejected(intensity, window, volume):
+    with pytest.raises(ParameterError, match=re.escape(
+            f"intensity {intensity} on a window of volume {volume} gives a mean")):
+        sample_poisson(intensity, window, seed=1)
+
+
 def test_degree_constant_lattice():
     g = build_graph(lattice_configuration(-24, 25), 1.5)
     # interior n_x = 3 at |x| -> the max of n_x / (1 + log(1+|x|)) is at the

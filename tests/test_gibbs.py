@@ -471,6 +471,12 @@ class TestKernelSample:
                           CHAIN)
         assert s.samples.shape == (0, 0)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed; the chain names it first.
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            ChainParams(steps=10, burn_in=10, seed=-1)
+        assert ChainParams(steps=10, burn_in=10, seed=0).seed == 0
+
 
 class TestDlr:
     def test_empty_eta_identity(self, chain):
@@ -632,7 +638,7 @@ class TestGradientDynamics:
         from spindyn import moment_p, radial_volumes, run_nested
         plan = SimPlan(dt=0.01, T=6.0, replicas=1500, master_seed=4)
         paths = run_nested(field, radial_volumes(g, []),
-                           WeightedSeq(np.zeros(g.n_sites), g), plan)
+                           np.zeros((plan.replicas, g.n_sites)), plan)
         mean, se = moment_p(paths[:, 0, :, -1:], plan.p)
         assert abs(mean[0, 0] - 1.0) <= 3 * se[0, 0] + 0.02
 

@@ -108,3 +108,9 @@ def _users(name):
 def test_one_step_rule_and_one_replica_driver():
     assert _users("_step") == ["engine.integrate_ensemble"]
     assert _users("integrate_ensemble") == ["engine.integrate_replicas"]
+
+
+def test_initial_data_drawn_in_one_place():
+    # A run's initial states are one (replicas, sites) array, built by the
+    # CLI; the engine takes that array and draws none of its own.
+    assert _users("draw") == ["cli._build_init"]

@@ -14,9 +14,9 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import spindyn.engine as engine
-from helpers import sparse_seq, volumes_of
+from helpers import normal_init, volumes_of
 from spindyn import (NonFiniteState, NumericError, ParameterError, Polynomial,
-                     RandomInit, SimPlan, SinglePotentialDrift, build_graph,
+                     SimPlan, SinglePotentialDrift, build_graph,
                      lattice_configuration, make_field, run_nested)
 from spindyn.engine import SCHEMES
 
@@ -93,12 +93,13 @@ def test_blow_up_names_global_replica_site_and_step(case):
             if case["via"] == "run_nested":
                 # a blown-up site may lie outside the inner volume
                 vols = volumes_of(N, case["inner"], range(N))
-                run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan,
+                run_nested(field, vols, normal_init(plan, N), plan,
                            n_threads=threads)
             else:
-                engine.integrate_replicas(field, np.ones((1, N), dtype=bool),
-                                          sparse_seq(CHAIN, {0: 1.0}), plan,
-                                          plan.n_steps, n_threads=threads)
+                init = np.zeros((plan.replicas, N))
+                init[:, 0] = 1.0
+                engine.integrate_replicas(field, np.ones((1, N), dtype=bool), init,
+                                          plan, plan.n_steps, n_threads=threads)
         got = (err.value.replica, err.value.site, err.value.step)
         assert got == want, (chunk, threads)
         assert "replica {}, site {}, step {}".format(*want) in str(err.value)
@@ -125,5 +126,5 @@ def test_zero_newton_denominator_raises_without_warning(k, n_steps, replicas, in
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=rf"zero or non-finite at site "
                                                rf"{min(inner)} \(step 0\)"):
-            run_nested(field, vols, RandomInit("normal", 0.0, 1.0), plan,
+            run_nested(field, vols, normal_init(plan, N), plan,
                        n_threads=threads)
